@@ -14,8 +14,7 @@ from .rational import ParamRat, rat, parse_rat, K, P0, RAT_ZERO, RAT_ONE, \
 from .laurent import LaurentSymFunc, parse_element
 from .partitions import normalize_partition, conjugate, chi_N, \
     w_bipartition, w_sequence, partitions_of, bipartitions_up_to
-from .operators import cms_L, cms_I, stable_H, cms_L2_direct, \
-    stable_H2_direct
+from .operators import cms_L, cms_I, stable_H, cms_L2_direct
 from .closed_forms import eigenvalue_e, eigenvalue_eN, evaluation_value, \
     norm_value, duality_constant, pieri_V, pieri_U, phi_infinity
 from .jack import JackLaurentFunction, construct, eigen_check_all, \
@@ -34,7 +33,7 @@ __all__ = [
     "LaurentSymFunc", "parse_element",
     "normalize_partition", "conjugate", "chi_N", "w_bipartition",
     "w_sequence", "partitions_of", "bipartitions_up_to",
-    "cms_L", "cms_I", "stable_H", "cms_L2_direct", "stable_H2_direct",
+    "cms_L", "cms_I", "stable_H", "cms_L2_direct",
     "eigenvalue_e", "eigenvalue_eN", "evaluation_value", "norm_value",
     "duality_constant", "pieri_V", "pieri_U", "phi_infinity",
     "JackLaurentFunction", "construct", "eigen_check_all",

@@ -1,31 +1,32 @@
 """Two-parameter eigenfunctions P_{lam,mu} of the CMS integrals on the
 Laurent symmetric-function algebra, built by spectral projection.
 
-The construction grows the first diagram box by box.  One step takes the
-function at alpha = (lam, mu), multiplies by p_1, and isolates the
-P_{lam+box, mu} component by applying, for every other label gamma that
-can appear in the product, the factor (L2 - e(gamma))/(s - e(gamma)),
-where s is the eigenvalue of the target; finally it divides by the Pieri
-coefficient of the added box.  The base case P_{0,mu} is the image under
-p_i -> p_{-i} of the classical one-parameter eigenfunction P_mu of the
-positive part, which is built the same way from the p0-free stable
-integral and therefore never acquires a p0 dependence.
+The construction grows the first diagram box by box, in one loop, _grow,
+that runs at a point: either symbolic parameters or a rational (k, p0).
+One step takes the function at alpha = (lam, mu), multiplies by p_1, and
+isolates the P_{lam+box, mu} component by applying, for every other label
+gamma that can appear in the product, the factor
+(L2 - e(gamma))/(s - e(gamma)), where s is the eigenvalue of the target;
+finally it divides by the Pieri coefficient of the added box.  A step
+raises SingularParameter when two of these eigenvalues coincide at the
+point or the Pieri coefficient vanishes there.
 
-Everything is exact over Q(k, p0).  A parallel numeric mode runs the same
-recursion at a fixed rational (k, p0), guarding against eigenvalue
-collisions and vanishing transition coefficients.
+P_{lam,0} is the classical one-parameter eigenfunction of the positive
+part, free of p0, and the base case is P_{0,mu} = star(P_{mu,0}), with
+star the involution p_i -> p_{-i}.  Everything is exact over Q(k, p0);
+the numeric mode runs the same loop at (k, 0) for P_{mu,0} and at (k, p0)
+for the rest.
 """
 
 from fractions import Fraction
 
-from .rational import ParamRat, RAT_ZERO, rat, SingularParameter, \
+from .rational import ParamRat, K, P0, RAT_ZERO, rat, SingularParameter, \
     PoleAtSpecialization, NotEigenvector
 from .laurent import LaurentSymFunc, mono_str
 from .partitions import size, conjugate, add_box_candidates, \
     remove_box_candidates, add_box, remove_box
-from .operators import cms_L, cms_L2_direct, stable_H2_direct
-from .closed_forms import eigenvalue_e, stable_eigenvalue, pieri_V, \
-    pieri_U, duality_constant
+from .operators import cms_L, cms_L2_direct
+from .closed_forms import eigenvalue_e, pieri_V, pieri_U, duality_constant
 
 
 class JackLaurentFunction:
@@ -91,71 +92,72 @@ def _neighbors(alpha):
     return out
 
 
-# -- positive part -------------------------------------------------------------
+# -- construction --------------------------------------------------------------
 
-_POSITIVE_CACHE = {}
+class _Point:
+    """Where _grow runs: symbolic parameters, or the rational point
+    `at` = (k0, p00).  `k` and `p0` are the parameters handed to
+    cms_L2_direct; `value` reads a closed form at the point."""
 
+    __slots__ = ("at", "k", "p0")
 
-def jack_positive(lam):
-    """The classical monic eigenfunction P_lam of the positive part,
-    free of p0, built with the stable second integral."""
-    lam = _partition(lam)
-    got = _POSITIVE_CACHE.get(lam)
-    if got is not None:
-        return got
-    if not lam:
-        out = LaurentSymFunc.one()
-    else:
-        box = _deepest_removable(lam)
-        nu = remove_box(lam, box)
-        out = LaurentSymFunc.gen(1) * jack_positive(nu)
-        s = stable_eigenvalue(lam)
-        for x in add_box_candidates(nu):
-            gamma = add_box(nu, x)
-            if gamma == lam:
-                continue
-            e = stable_eigenvalue(gamma)
-            d = s - e
-            if d.is_zero():
-                raise SingularParameter(
-                    "stable eigenvalue collision: %s vs %s" % (lam, gamma))
-            out = (stable_H2_direct(out) - out * e) * d.inverse()
-        v = pieri_V(box, (nu, ()))
-        if v.is_zero():
-            raise SingularParameter(
-                "vanishing transition coefficient at box %s" % (box,))
-        out = out * v.inverse()
-    _POSITIVE_CACHE[lam] = out
-    return out
+    def __init__(self, at=None):
+        self.at = at
+        if at is None:
+            self.k, self.p0 = K, P0
+        else:
+            self.k, self.p0 = (ParamRat.from_fraction(x) for x in at)
+
+    def value(self, x, what):
+        if self.at is None:
+            return x
+        try:
+            return ParamRat.from_fraction(x.specialize(*self.at))
+        except PoleAtSpecialization:
+            raise SingularParameter("%s has a pole%s" % (what, self))
+
+    def __str__(self):
+        return "" if self.at is None else " at k=%s, p0=%s" % self.at
 
 
-# -- full construction ---------------------------------------------------------
+_SYMBOLIC = _Point()
+
+
+def _grow(f, alpha, box, point):
+    """One projector step at `point`: from f = P_alpha to P_beta, where
+    beta adds `box` to the first diagram of alpha."""
+    lam, mu = alpha
+    beta = (add_box(lam, box), mu)
+    near = [(gamma, point.value(eigenvalue_e(gamma), "eigenvalue"))
+            for gamma in _neighbors(alpha)]
+    for i, (g1, e1) in enumerate(near):
+        for g2, e2 in near[i + 1:]:
+            if e1 == e2:
+                raise SingularParameter("eigenvalue collision%s: %s vs %s"
+                                        % (point, g1, g2))
+    v = point.value(pieri_V(box, alpha),
+                    "transition coefficient at box %s" % (box,))
+    if v.is_zero():
+        raise SingularParameter("vanishing transition coefficient at box "
+                                "%s%s" % (box, point))
+    s = dict(near)[beta]
+    out = LaurentSymFunc.gen(1) * f
+    for gamma, e in near:
+        if gamma != beta:
+            out = (cms_L2_direct(out, k=point.k, p0=point.p0) - out * e) \
+                * (s - e).inverse()
+    return out * v.inverse()
+
 
 _CACHE = {}
 
 
-def _grow(prev, box):
-    """One projector step: add `box` to the first diagram of prev.alpha."""
-    lam0, mu = prev.alpha
-    lam1 = add_box(lam0, box)
-    beta = (lam1, mu)
-    s = eigenvalue_e(beta)
-    out = LaurentSymFunc.gen(1) * prev.f
-    for gamma in _neighbors(prev.alpha):
-        if gamma == beta:
-            continue
-        e = eigenvalue_e(gamma)
-        d = s - e
-        if d.is_zero():
-            raise SingularParameter(
-                "eigenvalue collision: %s vs %s" % (beta, gamma))
-        out = (cms_L2_direct(out) - out * e) * d.inverse()
-    v = pieri_V(box, prev.alpha)
-    if v.is_zero():
-        raise SingularParameter(
-            "vanishing transition coefficient at box %s" % (box,))
-    out = out * v.inverse()
-    return JackLaurentFunction(beta, out, s, prev.provenance + (box,))
+def _extend(prev, box):
+    """The symbolic step from prev = P_alpha, with its label and trace."""
+    lam, mu = prev.alpha
+    beta = (add_box(lam, box), mu)
+    return JackLaurentFunction(beta, _grow(prev.f, prev.alpha, box, _SYMBOLIC),
+                               eigenvalue_e(beta), prev.provenance + (box,))
 
 
 def construct(alpha):
@@ -165,25 +167,31 @@ def construct(alpha):
     if got is not None:
         return got
     lam, mu = key
-    if not lam:
-        jf = JackLaurentFunction(key, jack_positive(mu).star(),
-                                 eigenvalue_e(key), ())
-    else:
+    if lam:
         box = _deepest_removable(lam)
-        jf = _grow(construct((remove_box(lam, box), mu)), box)
+        jf = _extend(construct((remove_box(lam, box), mu)), box)
+    else:
+        f = construct((mu, ())).f.star() if mu else LaurentSymFunc.one()
+        jf = JackLaurentFunction(key, f, eigenvalue_e(key), ())
     _CACHE[key] = jf
     return jf
 
 
+def jack_positive(lam):
+    """The classical monic eigenfunction P_lam of the positive part,
+    free of p0: the function P_{lam,0}."""
+    return construct((lam, ())).f
+
+
 def construct_via_order(alpha, order):
     """Build P_alpha adding the first diagram's boxes in the given order
-    (every prefix must be a partition).  Bypasses the memo table; used to
-    confirm the result does not depend on the order."""
+    (every prefix must be a partition), from P_{0,mu} read from the memo
+    table; the steps themselves bypass it.  Used to confirm the result
+    does not depend on the order."""
     lam, mu = _normalize_alpha(alpha)
-    cur = JackLaurentFunction(((), mu), jack_positive(mu).star(),
-                              eigenvalue_e(((), mu)), ())
+    cur = construct(((), mu))
     for box in order:
-        cur = _grow(cur, tuple(box))
+        cur = _extend(cur, tuple(box))
     if cur.alpha != (lam, mu):
         raise ValueError("order %r does not build %r" % (order, lam))
     return cur
@@ -191,7 +199,6 @@ def construct_via_order(alpha, order):
 
 def clear_cache():
     _CACHE.clear()
-    _POSITIVE_CACHE.clear()
 
 
 # -- identity checks -----------------------------------------------------------
@@ -278,47 +285,14 @@ def specialize_function(jf, k0, p00):
     return out
 
 
-def _spec_scalar(value, k0, p00, what):
-    try:
-        return value.specialize(k0, p00)
-    except PoleAtSpecialization:
-        raise SingularParameter(
-            "%s has a pole at k=%s, p0=%s" % (what, k0, p00))
-
-
-def _jack_positive_at(lam, k0):
-    """Numeric-coupling version of jack_positive."""
-    kc = ParamRat.from_fraction(k0)
-    out = LaurentSymFunc.one()
+def _walk(f, lam, mu, point):
+    """Grow f = P_{0,mu} to P_{lam,mu} along the canonical order at
+    `point`."""
     shape = ()
     for box in _canonical_order(lam):
-        g = LaurentSymFunc.gen(1) * out
-        target = add_box(shape, box)
-        s = stable_eigenvalue(target).specialize(k0, 0)
-        evs = [(add_box(shape, x),
-                stable_eigenvalue(add_box(shape, x)).specialize(k0, 0))
-               for x in add_box_candidates(shape)]
-        for a in range(len(evs)):
-            for b in range(a + 1, len(evs)):
-                if evs[a][1] == evs[b][1]:
-                    raise SingularParameter(
-                        "stable eigenvalue collision at k=%s: %s vs %s"
-                        % (k0, evs[a][0], evs[b][0]))
-        for gamma, e in evs:
-            if gamma == target:
-                continue
-            ec = ParamRat.from_fraction(e)
-            dc = ParamRat.from_fraction(1 / (s - e))
-            g = (stable_H2_direct(g, k=kc) - g * ec) * dc
-        v = _spec_scalar(pieri_V(box, (shape, ())), k0, 0,
-                        "transition coefficient at box %s" % (box,))
-        if v == 0:
-            raise SingularParameter(
-                "vanishing transition coefficient at box %s, k=%s"
-                % (box, k0))
-        out = g * ParamRat.from_fraction(1 / v)
-        shape = target
-    return out
+        f = _grow(f, (shape, mu), box, point)
+        shape = add_box(shape, box)
+    return f
 
 
 def rational_mode_construct(alpha, k0, p00):
@@ -329,35 +303,5 @@ def rational_mode_construct(alpha, k0, p00):
     k0 = Fraction(k0)
     p00 = Fraction(p00)
     lam, mu = _normalize_alpha(alpha)
-    kc = ParamRat.from_fraction(k0)
-    pc = ParamRat.from_fraction(p00)
-    f = _jack_positive_at(mu, k0).star()
-    shape = ()
-    for box in _canonical_order(lam):
-        prev = (shape, mu)
-        target = (add_box(shape, box), mu)
-        evs = [(gamma, eigenvalue_e(gamma).specialize(k0, p00))
-               for gamma in _neighbors(prev)]
-        for a in range(len(evs)):
-            for b in range(a + 1, len(evs)):
-                if evs[a][1] == evs[b][1]:
-                    raise SingularParameter(
-                        "eigenvalue collision at k=%s, p0=%s: %s vs %s"
-                        % (k0, p00, evs[a][0], evs[b][0]))
-        s = eigenvalue_e(target).specialize(k0, p00)
-        g = LaurentSymFunc.gen(1) * f
-        for gamma, e in evs:
-            if gamma == target:
-                continue
-            ec = ParamRat.from_fraction(e)
-            dc = ParamRat.from_fraction(1 / (s - e))
-            g = (cms_L2_direct(g, k=kc, p0=pc) - g * ec) * dc
-        v = _spec_scalar(pieri_V(box, prev), k0, p00,
-                        "transition coefficient at box %s" % (box,))
-        if v == 0:
-            raise SingularParameter(
-                "vanishing transition coefficient at box %s, k=%s, p0=%s"
-                % (box, k0, p00))
-        f = g * ParamRat.from_fraction(1 / v)
-        shape = target[0]
-    return f
+    positive = _walk(LaurentSymFunc.one(), mu, (), _Point((k0, Fraction(0))))
+    return _walk(positive.star(), lam, mu, _Point((k0, p00)))

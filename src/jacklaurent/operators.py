@@ -16,8 +16,9 @@ Three families of commuting integrals are provided:
 Each integral is the composition "apply the x-operator r times, then
 project x^l -> p_l" (with x^0 -> p0, the parameter).  The second-order
 integral cms_L(2, .) also has a direct expression as a differential
-operator without the auxiliary variable, implemented independently in
-cms_L2_direct for cross-checking.
+operator without the auxiliary variable, cms_L2_direct: the operator the
+construction projects with.  At p0 = 0 on the positive part it is the
+stable second integral stable_H(2, .).
 """
 
 from math import comb
@@ -223,8 +224,10 @@ def cms_L2_direct(f, k=K, p0=P0):
           + (1+k) * sum_a a p_a d_a,
 
     where d_a = a * d/dp_a and p_0 in the first sum means the parameter.
-    Used as an independent cross-check of cms_L(2, .).  Passing constant
-    `k` and `p0` gives the operator at a fixed numeric parameter point.
+    This is the operator of the eigenfunction construction; it agrees
+    with cms_L(2, .), and with p0 = 0 on the positive part it is the
+    stable integral stable_H(2, .).  Passing constant `k` and `p0` gives
+    the operator at a fixed numeric parameter point.
     """
     out = LaurentSymFunc.zero()
     kp0 = k * p0
@@ -268,33 +271,6 @@ def stable_H(r, f):
     out = LaurentSymFunc.zero()
     for j in range(1, r + 1):
         out = out + cms_I(j, f).scale(kp0 ** (r - j) * comb(r - 1, j - 1))
-    return out
-
-
-def stable_H2_direct(f, k=K):
-    """Second-order stable integral as a direct differential operator:
-
-        sum_{a,b>=1} p_{a+b} d_a d_b - k sum_{a,b>=1} p_a p_b d_{a+b}
-          + (1+k) sum_{a>=1} a p_a d_a.
-
-    Fast path used by the triangular eigenfunction construction in the
-    positive part; agrees with stable_H(2, f).  Passing a constant `k`
-    gives the operator at a fixed numeric coupling.
-    """
-    if not f.is_positive_part():
-        raise NotPositivePart("stable integrals act on the positive part only")
-    out = LaurentSymFunc.zero()
-    one_plus_k = RAT_ONE + k
-    for a in _support(f):
-        g = f.partial(a)
-        if g.is_zero():
-            continue
-        for b in _support(g):
-            out = out + LaurentSymFunc.gen(a + b) * g.partial(b)
-        out = out + (LaurentSymFunc.gen(a) * g).scale(one_plus_k * rat(a))
-        if a >= 2:
-            for b in range(1, a):
-                out = out - (LaurentSymFunc.gen(b) * LaurentSymFunc.gen(a - b) * g).scale(k)
     return out
 
 

@@ -2,12 +2,9 @@
 deterministic JSON-ready report.
 
 Each check is a closed computation returning pass/fail plus a witness
-(eigenvalue tables, the first offending label, ...).  Sweeps can fan out
-over a thread pool (JACKLAURENT_WORKERS); results are reassembled in
-sorted order so the report bytes never depend on scheduling."""
+(eigenvalue tables, the first offending label, ...).  Checks run one
+after another in one thread; the report lists them sorted by id."""
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .laurent import LaurentSymFunc
@@ -196,40 +193,21 @@ def _suite_checks(suite, max_size):
     return checks
 
 
-def worker_count():
-    raw = os.environ.get("JACKLAURENT_WORKERS", "").strip()
-    try:
-        n = int(raw) if raw else 1
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
 def run_suite(suite, max_size=3):
     """Run one named suite; returns the report dict (JSON-ready)."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r; choose from %s"
                          % (suite, ", ".join(SUITES)))
-    checks = _suite_checks(suite, max_size)
-
-    def run_one(item):
-        cid, fn = item
+    rows = []
+    for cid, fn in _suite_checks(suite, max_size):
         try:
             ok, witness = fn()
+            status = "pass" if ok else "fail"
         except Exception as exc:                      # noqa: BLE001
-            return cid, "fail", {"error": "%s: %s"
-                                 % (type(exc).__name__, exc)}
-        return cid, "pass" if ok else "fail", witness
-
-    n = worker_count()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            results = list(pool.map(run_one, checks))
-    else:
-        results = [run_one(c) for c in checks]
-    results.sort(key=lambda t: t[0])
-    rows = [{"id": cid, "status": status, "witness": witness}
-            for cid, status, witness in results]
+            status = "fail"
+            witness = {"error": "%s: %s" % (type(exc).__name__, exc)}
+        rows.append({"id": cid, "status": status, "witness": witness})
+    rows.sort(key=lambda row: row["id"])
     status = "pass" if all(r["status"] == "pass" for r in rows) else "fail"
     return {"suite": suite, "max_size": max_size, "status": status,
             "checks": rows}

@@ -5,11 +5,17 @@ involutions, growth-order independence, and numeric-parameter mode."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacklaurent.rational import (
     K, P0, RAT_ONE, RAT_ZERO, rat, PoleAtSpecialization, SingularParameter,
 )
 from jacklaurent.laurent import LaurentSymFunc
+from jacklaurent.partitions import (
+    add_box, add_box_candidates, bipartitions_up_to, remove_box,
+    remove_box_candidates,
+)
+from jacklaurent.closed_forms import eigenvalue_e, pieri_V
 from jacklaurent.jack import (
     clear_cache, construct, construct_via_order, eigen_check_all,
     jack_positive, pieri_identity_check, rational_mode_construct,
@@ -121,6 +127,43 @@ class TestSpecialization:
             specialize_function(p11, 1, 2)
 
 
+def _canonical_chain(lam):
+    """(shape, box) for each step that grows lam from the empty diagram,
+    adding last the deepest removable box."""
+    steps = []
+    while lam:
+        box = max(remove_box_candidates(lam))
+        lam = remove_box(lam, box)
+        steps.append((lam, box))
+    return steps[::-1]
+
+
+def _singular_by_closed_forms(alpha, k0, p00):
+    """Whether the closed forms make (k0, p00) singular for the numeric
+    construction of alpha: along the canonical chain of mu at (k0, 0),
+    or of lam at (k0, p00) with mu fixed, two neighbour eigenvalues
+    coincide or the transition coefficient is zero or has a pole."""
+    lam, mu = alpha
+    for diagram, other, point in ((mu, (), (k0, 0)), (lam, mu, (k0, p00))):
+        for shape, box in _canonical_chain(diagram):
+            near = [(add_box(shape, x), other)
+                    for x in add_box_candidates(shape)]
+            near += [(shape, remove_box(other, y))
+                     for y in remove_box_candidates(other)]
+            evs = [eigenvalue_e(gamma).specialize(*point) for gamma in near]
+            if len(set(evs)) < len(evs):
+                return True
+            try:
+                if pieri_V(box, (shape, other)).specialize(*point) == 0:
+                    return True
+            except PoleAtSpecialization:
+                return True
+    return False
+
+
+SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
 class TestRationalMode:
     @pytest.mark.parametrize("alpha,k0,p00", [
         (((1,), (1,)), Fraction(-1, 2), Fraction(7, 3)),
@@ -131,6 +174,23 @@ class TestRationalMode:
         fast = rational_mode_construct(alpha, k0, p00)
         slow = specialize_function(construct(alpha), k0, p00)
         assert fast == slow
+
+    @settings(max_examples=25, deadline=None)
+    @given(SMALL_RATIONALS, SMALL_RATIONALS)
+    def test_agrees_with_symbolic_at_drawn_points(self, k0, p00):
+        for alpha in bipartitions_up_to(3):
+            singular = _singular_by_closed_forms(alpha, k0, p00)
+            try:
+                fast = rational_mode_construct(alpha, k0, p00)
+            except SingularParameter:
+                assert singular, alpha
+                continue
+            assert not singular, alpha
+            try:
+                slow = specialize_function(construct(alpha), k0, p00)
+            except PoleAtSpecialization:
+                continue
+            assert fast == slow, alpha
 
     def test_collision_both_sides(self):
         with pytest.raises(SingularParameter):

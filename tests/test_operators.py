@@ -1,17 +1,16 @@
 """Quantum CMS integrals on the extended algebra: frozen small values,
-the direct second-order operators, stability, commutativity, and the
+the direct second-order operator, stability, commutativity, and the
 change of basis between the two integral families."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacklaurent.rational import K, P0, RAT_ONE, rat
+from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat
 from jacklaurent.laurent import LaurentSymFunc
 from jacklaurent.operators import (
     ExtendedElement, NotPositivePart, cms_I, cms_L, cms_L2_direct,
     delta_p0, delta_tilde, derivation_d, dunkl_heckman, e_project,
     hat_f_expansion_check, hat_f_operators, polychronakos_pi, stable_H,
-    stable_H2_direct,
 )
 
 g = LaurentSymFunc.gen
@@ -173,7 +172,8 @@ class TestStableIntegrals:
     @settings(max_examples=15, deadline=None)
     @given(small_monomials(indices=(1, 2, 3)))
     def test_H2_dual_route(self, f):
-        assert stable_H2_direct(f) == stable_H(2, f)
+        # the construction operator at p0 = 0 is the stable integral
+        assert cms_L2_direct(f, p0=RAT_ZERO) == stable_H(2, f)
 
     @settings(max_examples=10, deadline=None)
     @given(small_monomials(indices=(1, 2, 3)), st.sampled_from((1, 2, 3)))
@@ -184,8 +184,6 @@ class TestStableIntegrals:
     def test_positive_part_guard(self):
         with pytest.raises(NotPositivePart):
             stable_H(2, g(-1))
-        with pytest.raises(NotPositivePart):
-            stable_H2_direct(g(1) * g(-2))
         with pytest.raises(ValueError):
             stable_H(0, g(1))
 

@@ -1,11 +1,11 @@
 """The named verification suites: report shape and determinism."""
 
 import json
-import os
 
 import pytest
 
-from jacklaurent.verify import SUITES, run_suite, worker_count
+from jacklaurent import jack
+from jacklaurent.verify import SUITES, run_suite
 
 
 class TestSuites:
@@ -31,15 +31,8 @@ class TestSuites:
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
 
-    def test_deterministic_across_worker_counts(self, monkeypatch):
-        monkeypatch.setenv("JACKLAURENT_WORKERS", "1")
-        r1 = json.dumps(run_suite("norms", 2), sort_keys=True)
-        monkeypatch.setenv("JACKLAURENT_WORKERS", "3")
-        r2 = json.dumps(run_suite("norms", 2), sort_keys=True)
-        assert r1 == r2
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("JACKLAURENT_WORKERS", "5")
-        assert worker_count() == 5
-        monkeypatch.delenv("JACKLAURENT_WORKERS")
-        assert worker_count() >= 1
+    def test_cold_and_warm_runs_identical(self):
+        jack.clear_cache()
+        cold = json.dumps(run_suite("norms", 2), sort_keys=True)
+        warm = json.dumps(run_suite("norms", 2), sort_keys=True)
+        assert cold == warm
