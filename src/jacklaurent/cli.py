@@ -2,8 +2,9 @@
 
 Subcommands: compute, finite-n, formula, apply-op, pieri, eval, norm,
 schur, conjectures, verify.  Partitions are comma-separated part lists
-(omit the flag for the empty partition); k and p0 take exact rationals
-like -1/2.  Exit codes: 0 success, 1 verification failure, 2 usage error,
+(omit the flag for the empty partition); k and p0 take exact rationals.
+A negative value needs the `=` form, --k=-1/2, or it is read as a flag.
+Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 singular parameter."""
 
 import argparse
@@ -15,15 +16,16 @@ from .rational import rat, SingularParameter, \
     PoleAtSpecialization, IdenticallySingular, DivisionByZero
 from .laurent import parse_element
 from .partitions import normalize_partition, size, \
-    add_box_candidates, remove_box_candidates
+    add_box_candidates, remove_box_candidates, label_str, alpha_json
 from .operators import cms_L, stable_H, NotPositivePart
 from .closed_forms import eigenvalue_e, evaluation_value, norm_value, \
     duality_constant, phi_infinity, pieri_V, pieri_U
 from .jack import construct, rational_mode_construct
-from .finite_n import jack_laurent_poly_N, phi_N_map, torus_form
-from .schur import jacobi_trudy_S, schur_limit
+from .finite_n import jack_laurent_poly_N
+from .schur import jacobi_trudy_S
 from .conjectures import run_all
-from .verify import run_suite, SUITES
+from .verify import run_suite, SUITES, TORUS_N, TORUS_K, \
+    check_evaluation, check_norm_torus, check_schur
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -66,16 +68,23 @@ def _alpha(args):
     return (_partition(args.lam), _partition(args.mu))
 
 
-def _alpha_json(alpha):
-    return [list(alpha[0]), list(alpha[1])]
-
-
 def _emit(args, payload, text):
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
     return EXIT_OK
+
+
+def _checked(args, payload, text, check):
+    """Emit the result; with --check, first run the verify check on the
+    label and report its status, exiting 1 when it fails."""
+    if not args.check:
+        return _emit(args, payload, text)
+    ok, _ = check(_alpha(args))
+    payload["check"] = "pass" if ok else "fail"
+    _emit(args, payload, "%s  [check: %s]" % (text, payload["check"]))
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -89,13 +98,13 @@ def _cmd_compute(args):
         k0 = _fraction(args.k, "--k")
         p00 = _fraction(args.p0, "--p0")
         f = rational_mode_construct(alpha, k0, p00)
-        payload = {"alpha": _alpha_json(alpha), "mode": "rational",
+        payload = {"alpha": alpha_json(alpha), "mode": "rational",
                    "k": str(k0), "p0": str(p00),
                    "terms": f.to_json_terms()}
         return _emit(args, payload, str(f))
     jf = construct(alpha)
     e1 = rat(size(alpha[0]) - size(alpha[1]))
-    payload = {"alpha": _alpha_json(alpha), "mode": "symbolic",
+    payload = {"alpha": alpha_json(alpha), "mode": "symbolic",
                "terms": jf.f.to_json_terms(),
                "eigenvalues": {"1": str(e1), "2": str(jf.eigenvalue2)},
                "provenance": [list(b) for b in jf.provenance]}
@@ -130,7 +139,7 @@ def _cmd_formula(args):
         val = duality_constant(alpha)
     else:
         val = phi_infinity(alpha[0]) * phi_infinity(alpha[1])
-    payload = {"alpha": _alpha_json(alpha), "name": args.name,
+    payload = {"alpha": alpha_json(alpha), "name": args.name,
                "value": str(val)}
     return _emit(args, payload, str(val))
 
@@ -160,11 +169,10 @@ def _cmd_pieri(args):
     vrows = [(box, pieri_V(box, alpha)) for box in add_box_candidates(lam)]
     urows = [(box, pieri_U(box, alpha))
              for box in remove_box_candidates(mu)]
-    payload = {"alpha": _alpha_json(alpha),
+    payload = {"alpha": alpha_json(alpha),
                "V": [{"box": list(b), "coeff": str(v)} for b, v in vrows],
                "U": [{"box": list(b), "coeff": str(u)} for b, u in urows]}
-    lines = ["p1 * P[%s; %s]:" % (",".join(map(str, lam)) or "0",
-                                  ",".join(map(str, mu)) or "0")]
+    lines = ["p1 * P[%s]:" % label_str(alpha, "; ", "0")]
     for b, v in vrows:
         lines.append("  add box %s to lam:    %s" % (b, v))
     for b, u in urows:
@@ -175,51 +183,22 @@ def _cmd_pieri(args):
 def _cmd_eval(args):
     alpha = _alpha(args)
     val = evaluation_value(alpha)
-    status = None
-    if args.check:
-        got = construct(alpha).f.evaluate_eps()
-        status = "pass" if got == val else "fail"
-    payload = {"alpha": _alpha_json(alpha), "value": str(val)}
-    if status:
-        payload["check"] = status
-    code = _emit(args, payload,
-                 str(val) + ("" if status is None else "  [check: %s]"
-                             % status))
-    return EXIT_VERIFY if status == "fail" else code
+    payload = {"alpha": alpha_json(alpha), "value": str(val)}
+    return _checked(args, payload, str(val), check_evaluation)
 
 
 def _cmd_norm(args):
     alpha = _alpha(args)
     val = norm_value(alpha)
-    status = None
-    if args.check:
-        N, k0 = 4, Fraction(-1)
-        f = phi_N_map(construct(alpha).f, N)
-        got = torus_form(f, f, k0, N)
-        want = val.specialize(k0, N)
-        status = "pass" if got == want else "fail"
-    payload = {"alpha": _alpha_json(alpha), "value": str(val)}
-    if status:
-        payload["check"] = status
-    code = _emit(args, payload,
-                 str(val) + ("" if status is None else "  [check: %s]"
-                             % status))
-    return EXIT_VERIFY if status == "fail" else code
+    payload = {"alpha": alpha_json(alpha), "value": str(val)}
+    return _checked(args, payload, str(val), check_norm_torus)
 
 
 def _cmd_schur(args):
     alpha = _alpha(args)
     det = jacobi_trudy_S(*alpha)
-    status = None
-    if args.check:
-        status = "pass" if schur_limit(construct(alpha).f) == det else "fail"
-    payload = {"alpha": _alpha_json(alpha), "terms": det.to_json_terms()}
-    if status:
-        payload["check"] = status
-    code = _emit(args, payload,
-                 str(det) + ("" if status is None else "  [check: %s]"
-                             % status))
-    return EXIT_VERIFY if status == "fail" else code
+    payload = {"alpha": alpha_json(alpha), "terms": det.to_json_terms()}
+    return _checked(args, payload, str(det), check_schur)
 
 
 def _cmd_conjectures(args):
@@ -305,8 +284,8 @@ def build_parser():
     p = sub.add_parser("norm", help="quadratic norm of P_{lambda,mu}")
     add_common(p)
     p.add_argument("--check", action="store_true",
-                   help="cross-check against the N=4 torus integral at "
-                        "k=-1")
+                   help="cross-check against the N=%d torus integral at "
+                        "k=%s" % (TORUS_N, TORUS_K))
     p.set_defaults(fn=_cmd_norm)
 
     p = sub.add_parser("schur", help="Schur-Laurent determinant")

@@ -10,23 +10,13 @@ be added (for V) or removed (for U) contributes a Pieri coefficient of 0.
 from fractions import Fraction
 from math import comb
 
-from .rational import ParamRat, RAT_ZERO, RAT_ONE, K, P0, rat
+from .rational import ParamRat, RAT_ZERO, RAT_ONE, K, P0, rat, as_rat
 from .partitions import part, size, conjugate, boxes, add_box_candidates, \
     remove_box_candidates, content_box
 
 
 class SingularProduct(ArithmeticError):
     """A denominator factor of a closed-form product vanishes identically."""
-
-
-def _as_rat(v):
-    if isinstance(v, ParamRat):
-        return v
-    if isinstance(v, int):
-        return ParamRat.from_int(v)
-    if isinstance(v, Fraction):
-        return ParamRat.from_fraction(v)
-    raise TypeError("expected ParamRat, int or Fraction, got %r" % (v,))
 
 
 # -- eigenvalues ---------------------------------------------------------------
@@ -79,7 +69,7 @@ def shifted_power_sum(r, a, seq):
     """
     if r < 1:
         raise ValueError("power sum order must be >= 1")
-    a = _as_rat(a)
+    a = as_rat(a)
     total = RAT_ZERO
     for i, x in enumerate(seq, start=1):
         if x == 0:
@@ -117,7 +107,7 @@ def _bernoulli_numbers(n):
 
 def bernoulli_poly_at(l, z):
     """The Bernoulli polynomial B_l evaluated at a ParamRat argument."""
-    z = _as_rat(z)
+    z = as_rat(z)
     bnums = _bernoulli_numbers(l)
     total = RAT_ZERO
     for s in range(l + 1):
@@ -131,7 +121,7 @@ def bernoulli_b_lambda(l, lam, a):
     """Single-diagram content sum l * sum_{(i,j) in lam} c((i,j), a)^(l-1)."""
     if l < 1:
         raise ValueError("order must be >= 1")
-    a = _as_rat(a)
+    a = as_rat(a)
     total = RAT_ZERO
     for box in boxes(lam):
         total = total + content_box(box, a) ** (l - 1)
@@ -156,7 +146,7 @@ def bernoulli_b_sequence(l, chi, a=RAT_ZERO):
     Independent route to the same quantity on finite sequences; used to
     cross-check bernoulli_b at p0 = N.
     """
-    a = _as_rat(a)
+    a = as_rat(a)
     total = RAT_ZERO
     for i, x in enumerate(chi, start=1):
         if x == 0:
@@ -181,13 +171,13 @@ def separation_check(alpha, beta, l_max=8):
 
 def c_lambda(lam, j, i, a):
     """lam_i - j - k*(lam'_j - i) + a."""
-    return rat(part(lam, i) - j) - K * (part(conjugate(lam), j) - i) + _as_rat(a)
+    return rat(part(lam, i) - j) - K * (part(conjugate(lam), j) - i) + as_rat(a)
 
 
 def c_alpha(alpha, j, i, a):
     """lam_i + j + k*(mu'_j + i) + a."""
     lam, mu = alpha
-    return rat(part(lam, i) + j) + K * (part(conjugate(mu), j) + i) + _as_rat(a)
+    return rat(part(lam, i) + j) + K * (part(conjugate(mu), j) + i) + as_rat(a)
 
 
 def pieri_V(box, alpha):
@@ -268,7 +258,7 @@ def _y_col(alpha, j):
 def c_Y(alpha, box_ji, a):
     """y_i - j - k*(y'_j - i) + a on the two-diagram figure; box is (j, i)."""
     j, i = box_ji
-    return rat(_y_row(alpha, i) - j) - K * (_y_col(alpha, j) - i) + _as_rat(a)
+    return rat(_y_row(alpha, i) - j) - K * (_y_col(alpha, j) - i) + as_rat(a)
 
 
 def pieri_V_diagram(box, alpha):
@@ -342,8 +332,8 @@ def stanley_phi(lam, p, x, variant=1):
 
     over the common denominator lam_i - j + k(i-1-lam'_j) + x.
     """
-    p = _as_rat(p)
-    x = _as_rat(x)
+    p = as_rat(p)
+    x = as_rat(x)
     lamc = conjugate(lam)
     v = RAT_ONE
     for (i, j) in boxes(lam):
@@ -368,8 +358,8 @@ def phi_pair(lam, mu, p, x):
         -----------------------------------------------
         [j-1+k(i-1-p)+x] [lam_i+j-1+k(i-1+mu'_j-p)+x].
     """
-    p = _as_rat(p)
-    x = _as_rat(x)
+    p = as_rat(p)
+    x = as_rat(x)
     muc = conjugate(mu)
     v = RAT_ONE
     for i in range(1, len(lam) + 1):

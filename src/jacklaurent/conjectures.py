@@ -8,36 +8,27 @@ were examined, so any claim can be re-derived by hand."""
 
 from math import factorial
 
-from .rational import ParamPoly, ParamRat, RAT_ZERO, RAT_ONE, K, P0, rat
+from .rational import ParamRat, RAT_ZERO, RAT_ONE, K, P0, rat
 from .laurent import LaurentSymFunc, mono_str
 from .partitions import normalize_partition, conjugate, boxes, size, \
-    partitions_of, partitions_up_to, bipartitions_up_to
+    partitions_of, partitions_up_to, bipartitions_up_to, alpha_json
 from .closed_forms import phi_infinity, norm_value
 from .jack import construct
 
 
 # -- the p0 -> infinity limit of a single rational ------------------------------
 
-def _p0_degree(poly):
-    return max(dp for (_, dp) in poly.terms) if poly.terms else -1
-
-
-def _p0_leading(poly):
-    dp = _p0_degree(poly)
-    return ParamPoly({(dk, 0): c for (dk, d), c in poly.terms.items()
-                      if d == dp})
-
-
 def p0_limit_coeff(c):
     """Limit of one element of Q(k, p0) as p0 -> infinity: compare p0
     degrees of numerator and denominator; returns (exists, limit)."""
     if c.is_zero():
         return True, RAT_ZERO
-    dn, dd = _p0_degree(c.num), _p0_degree(c.den)
+    dn, dd = c.num.degree_p0(), c.den.degree_p0()
     if dn < dd:
         return True, RAT_ZERO
     if dn == dd:
-        return True, ParamRat(_p0_leading(c.num), _p0_leading(c.den))
+        return True, ParamRat(c.num.coeff_of_p0_power(dn),
+                              c.den.coeff_of_p0_power(dd))
     return False, None
 
 
@@ -120,7 +111,7 @@ def integrality_check(alpha):
     weak = "holds"
     bad_weak = None
     for m, c in (jf.f * a_pair(lam, mu)).sorted_terms():
-        if _p0_degree(c.den) > 0:
+        if c.den.degree_p0() > 0:
             weak = "fails"
             bad_weak = (mono_str(m), str(c))
             break
@@ -132,7 +123,7 @@ def integrality_check(alpha):
 
 # -- the limiting bilinear form ---------------------------------------------------
 
-def jack_basis_expansion(f, max_extra=0):
+def jack_basis_expansion(f):
     """Write f as a combination of eigenfunctions P_alpha by exact linear
     algebra in the monomial basis.  f must be homogeneous of one integer
     degree; candidate labels are read off from its bidegrees."""
@@ -143,7 +134,7 @@ def jack_basis_expansion(f, max_extra=0):
     if len(degs) != 1:
         raise ValueError("element is not homogeneous of one integer degree")
     d = degs.pop()
-    top = max(a for (a, b) in bds) + max_extra
+    top = max(a for (a, b) in bds)
     labels = []
     for na in range(max(d, 0), top + 1):
         nb = na - d
@@ -197,12 +188,8 @@ def limiting_form(f, g):
 
 
 def _p_product(lam, mu):
-    out = LaurentSymFunc.one()
-    for i in lam:
-        out = out * LaurentSymFunc.gen(i)
-    for j in mu:
-        out = out * LaurentSymFunc.gen(-j)
-    return out
+    return LaurentSymFunc.from_partition(lam) \
+        * LaurentSymFunc.from_partition(mu, sign=-1)
 
 
 def power_sum_form_check(max_deg=2):
@@ -256,8 +243,7 @@ def non_orthogonality_data(max_deg=2):
             exists, val = limiting_form(_p_product(*a), _p_product(*b))
             if a != b and exists and not val.is_zero():
                 found = True
-            rows.append({"left": [list(a[0]), list(a[1])],
-                         "right": [list(b[0]), list(b[1])],
+            rows.append({"left": alpha_json(a), "right": alpha_json(b),
                          "value": str(val) if exists else "diverges"})
     return found, rows
 
@@ -284,10 +270,6 @@ class ConjectureReport:
                 "instances": self.instances}
 
 
-def _alpha_dict(alpha):
-    return [list(alpha[0]), list(alpha[1])]
-
-
 def run_all(max_size=3):
     """All conjecture sweeps at |lam|+|mu| <= max_size; deterministic."""
     labels = sorted(bipartitions_up_to(max_size))
@@ -296,20 +278,20 @@ def run_all(max_size=3):
     int_inst = []
     for alpha in labels:
         v, limit, wit = p0_infinity_limit(alpha)
-        lim_inst.append({"alpha": _alpha_dict(alpha), "verdict": v,
+        lim_inst.append({"alpha": alpha_json(alpha), "verdict": v,
                          "limit": str(limit) if limit is not None else None,
                          "witness": wit})
         v2, wit2 = norm_infinity_check(alpha)
-        norm_inst.append({"alpha": _alpha_dict(alpha), "verdict": v2,
+        norm_inst.append({"alpha": alpha_json(alpha), "verdict": v2,
                           "witness": wit2})
         s, w, wit3 = integrality_check(alpha)
-        int_inst.append({"alpha": _alpha_dict(alpha), "verdict": s,
+        int_inst.append({"alpha": alpha_json(alpha), "verdict": s,
                          "weak_verdict": w, "witness": wit3})
     for lam in sorted(partitions_up_to(4)):
         if size(lam) <= max_size or not lam:
             continue
         s, w, wit3 = integrality_check((lam, ()))
-        int_inst.append({"alpha": _alpha_dict((lam, ())), "verdict": s,
+        int_inst.append({"alpha": alpha_json((lam, ())), "verdict": s,
                          "weak_verdict": w, "witness": wit3})
     _, ps_inst = power_sum_form_check(2)
     nonorth, rows = non_orthogonality_data(2)

@@ -14,24 +14,15 @@ agreement between the two routes is evidence for both.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
-from .rational import ParamRat, RAT_ZERO, RAT_ONE, K, rat, \
+from .rational import ParamRat, RAT_ZERO, RAT_ONE, K, rat, as_rat, \
     SingularParameter, PoleAtSpecialization, IdenticallySingular, \
     NotEigenvector
 from .partitions import normalize_partition, partitions_of, dominance_leq, \
     w_sequence, LengthTooSmall
 from .closed_forms import eigenvalue_eN
-
-
-def _as_coeff(c):
-    if isinstance(c, ParamRat):
-        return c
-    if isinstance(c, int):
-        return ParamRat.from_int(c)
-    if isinstance(c, Fraction):
-        return ParamRat.from_fraction(c)
-    raise TypeError("bad coefficient %r" % (c,))
 
 
 def _check_sorted(chi):
@@ -53,7 +44,7 @@ class SymLaurentPolyN:
         self.terms = {}
         if terms:
             for chi, c in terms.items():
-                c = _as_coeff(c)
+                c = as_rat(c)
                 if not c.is_zero():
                     self.terms[_check_sorted(chi)] = c
 
@@ -125,7 +116,7 @@ class SymLaurentPolyN:
 
     def __mul__(self, other):
         if isinstance(other, (ParamRat, int, Fraction)):
-            c0 = _as_coeff(other)
+            c0 = as_rat(other)
             if c0.is_zero():
                 return SymLaurentPolyN.zero(self.N)
             out = SymLaurentPolyN.__new__(SymLaurentPolyN)
@@ -287,9 +278,6 @@ def cms_r_N(f, r, k=K):
 
 # -- Jack polynomials by triangular solve --------------------------------------
 
-_JACK_N_CACHE = {}
-
-
 def _index_weight(delta):
     return sum(i * x for i, x in enumerate(delta))
 
@@ -304,12 +292,11 @@ def jack_poly_N(nu, N, k0=None):
     if len(nu) > N:
         raise LengthTooSmall("partition %r needs more than N=%d variables"
                              % (nu, N))
-    if k0 is not None:
-        k0 = Fraction(k0)
-    key = (nu, N, k0)
-    got = _JACK_N_CACHE.get(key)
-    if got is not None:
-        return got
+    return _jack_poly_N(nu, N, None if k0 is None else Fraction(k0))
+
+
+@cache
+def _jack_poly_N(nu, N, k0):
     kc = K if k0 is None else ParamRat.from_fraction(k0)
 
     def pad(delta):
@@ -338,9 +325,7 @@ def jack_poly_N(nu, N, k0=None):
             raise SingularParameter(
                 "eigenvalue collision at k=%s: %s vs %s" % (k0, nu, delta))
         coeffs[delta] = total * gap.inverse()
-    out = SymLaurentPolyN(N, {pad(delta): c for delta, c in coeffs.items()})
-    _JACK_N_CACHE[key] = out
-    return out
+    return SymLaurentPolyN(N, {pad(delta): c for delta, c in coeffs.items()})
 
 
 def jack_laurent_poly_N(chi, N, k0=None, check_shift=False):
@@ -362,19 +347,17 @@ def jack_laurent_poly_N(chi, N, k0=None, check_shift=False):
 
 # -- torus constant-term form ---------------------------------------------------
 
-_DELTA_CACHE = {}
-
-
 def _delta_weight(k_neg_int, N):
     """Full expansion of prod_{i != j} (1 - x_i/x_j)^(-k) as a dict from
     exponent vectors to integers, plus its constant term."""
     m = -int(k_neg_int)
     if m <= 0:
         raise ValueError("the torus weight needs a negative integer k")
-    key = (m, N)
-    got = _DELTA_CACHE.get(key)
-    if got is not None:
-        return got
+    return _delta_expansion(m, N)
+
+
+@cache
+def _delta_expansion(m, N):
     full = {(0,) * N: 1}
     for i in range(N):
         for j in range(N):
@@ -390,9 +373,7 @@ def _delta_weight(k_neg_int, N):
                     b = tuple(b)
                     nxt[b] = nxt.get(b, 0) - c
                 full = {a: c for a, c in nxt.items() if c}
-    ct = full.get((0,) * N, 0)
-    _DELTA_CACHE[key] = (full, ct)
-    return full, ct
+    return full, full.get((0,) * N, 0)
 
 
 def constant_term_delta(k_neg_int, N):

@@ -19,12 +19,14 @@ for the rest.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .rational import ParamRat, K, P0, RAT_ZERO, rat, SingularParameter, \
     PoleAtSpecialization, NotEigenvector
-from .laurent import LaurentSymFunc, mono_str
+from .laurent import LaurentSymFunc
 from .partitions import size, conjugate, add_box_candidates, \
-    remove_box_candidates, add_box, remove_box
+    remove_box_candidates, add_box, remove_box, normalize_partition, \
+    label_str
 from .operators import cms_L, cms_L2_direct
 from .closed_forms import eigenvalue_e, pieri_V, pieri_U, duality_constant
 
@@ -47,24 +49,15 @@ class JackLaurentFunction:
         self.provenance = provenance
 
     def __str__(self):
-        lam, mu = self.alpha
-        return "P[%s; %s] = %s" % (",".join(map(str, lam)) or "0",
-                                   ",".join(map(str, mu)) or "0", self.f)
+        return "P[%s] = %s" % (label_str(self.alpha, "; ", "0"), self.f)
 
     def __repr__(self):
         return "JackLaurentFunction(alpha=%r)" % (self.alpha,)
 
 
-def _partition(seq):
-    t = tuple(int(x) for x in seq)
-    if any(t[i] < t[i + 1] for i in range(len(t) - 1)) or (t and t[-1] <= 0):
-        raise ValueError("not a partition: %r" % (seq,))
-    return t
-
-
 def _normalize_alpha(alpha):
     lam, mu = alpha
-    return _partition(lam), _partition(mu)
+    return normalize_partition(lam), normalize_partition(mu)
 
 
 def _deepest_removable(lam):
@@ -149,9 +142,6 @@ def _grow(f, alpha, box, point):
     return out * v.inverse()
 
 
-_CACHE = {}
-
-
 def _extend(prev, box):
     """The symbolic step from prev = P_alpha, with its label and trace."""
     lam, mu = prev.alpha
@@ -162,19 +152,17 @@ def _extend(prev, box):
 
 def construct(alpha):
     """The function P_{lam,mu}, memoized; parameters stay symbolic."""
-    key = _normalize_alpha(alpha)
-    got = _CACHE.get(key)
-    if got is not None:
-        return got
+    return _construct(_normalize_alpha(alpha))
+
+
+@cache
+def _construct(key):
     lam, mu = key
     if lam:
         box = _deepest_removable(lam)
-        jf = _extend(construct((remove_box(lam, box), mu)), box)
-    else:
-        f = construct((mu, ())).f.star() if mu else LaurentSymFunc.one()
-        jf = JackLaurentFunction(key, f, eigenvalue_e(key), ())
-    _CACHE[key] = jf
-    return jf
+        return _extend(construct((remove_box(lam, box), mu)), box)
+    f = construct((mu, ())).f.star() if mu else LaurentSymFunc.one()
+    return JackLaurentFunction(key, f, eigenvalue_e(key), ())
 
 
 def jack_positive(lam):
@@ -195,10 +183,6 @@ def construct_via_order(alpha, order):
     if cur.alpha != (lam, mu):
         raise ValueError("order %r does not build %r" % (order, lam))
     return cur
-
-
-def clear_cache():
-    _CACHE.clear()
 
 
 # -- identity checks -----------------------------------------------------------
@@ -266,25 +250,6 @@ def eigen_check_all(alpha, r_max=3):
 
 # -- numeric parameter modes ---------------------------------------------------
 
-def specialize_function(jf, k0, p00):
-    """P_alpha with coefficients evaluated at a rational point (k0, p00)."""
-    k0 = Fraction(k0)
-    p00 = Fraction(p00)
-    t = {}
-    for m, c in jf.f.terms.items():
-        try:
-            v = c.specialize(k0, p00)
-        except PoleAtSpecialization:
-            raise PoleAtSpecialization(
-                "coefficient of %s has a pole at k=%s, p0=%s: %s"
-                % (mono_str(m), k0, p00, c))
-        if v:
-            t[m] = ParamRat.from_fraction(v)
-    out = LaurentSymFunc.__new__(LaurentSymFunc)
-    out.terms = t
-    return out
-
-
 def _walk(f, lam, mu, point):
     """Grow f = P_{0,mu} to P_{lam,mu} along the canonical order at
     `point`."""
@@ -297,7 +262,7 @@ def _walk(f, lam, mu, point):
 
 def rational_mode_construct(alpha, k0, p00):
     """Run the construction with both parameters fixed to rationals.
-    Agrees with specialize_function(construct(alpha), k0, p00) whenever
+    Agrees with construct(alpha).f.specialize(k0, p00) whenever
     the latter is defined; raises SingularParameter when the chosen point
     hits an eigenvalue collision or kills a transition coefficient."""
     k0 = Fraction(k0)

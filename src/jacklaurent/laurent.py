@@ -10,7 +10,7 @@ only ever enters through coefficients, never as a generator.
 from fractions import Fraction
 
 from .rational import (ParamRat, RAT_ONE, RAT_ZERO, K, P0, parse_rat,
-                       _Parser)
+                       PoleAtSpecialization, _Parser)
 
 UNIT_MONO = ()
 
@@ -253,10 +253,17 @@ class LaurentSymFunc:
         return self.map_coeffs(lambda c: c.param_swap())
 
     def specialize(self, k0, p00):
-        """Fully numeric coefficients; raises PoleAtSpecialization on a pole."""
+        """Coefficients evaluated at the rational point (k0, p00); a pole
+        raises PoleAtSpecialization naming the monomial."""
+        k0, p00 = Fraction(k0), Fraction(p00)
         t = {}
         for m, c in self.terms.items():
-            v = c.specialize(k0, p00)
+            try:
+                v = c.specialize(k0, p00)
+            except PoleAtSpecialization:
+                raise PoleAtSpecialization(
+                    "coefficient of %s has a pole at k=%s, p0=%s: %s"
+                    % (mono_str(m), k0, p00, c))
             if v:
                 t[m] = ParamRat.from_fraction(v)
         out = LaurentSymFunc.__new__(LaurentSymFunc)

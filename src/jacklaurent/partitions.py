@@ -115,6 +115,17 @@ def dominance_leq(a, b):
     return True
 
 
+def label_str(alpha, sep, empty):
+    """The bipartition as text: the parts of each partition joined by
+    commas (`empty` for the empty partition), the two joined by `sep`."""
+    return sep.join(",".join(map(str, p)) or empty for p in alpha)
+
+
+def alpha_json(alpha):
+    """The bipartition as a JSON-ready pair of part lists."""
+    return [list(alpha[0]), list(alpha[1])]
+
+
 def w_bipartition(alpha):
     """The involution swapping the two partitions of the label."""
     lam, mu = alpha

@@ -71,12 +71,6 @@ def _u_mul(a, b):
     return _u_trim(out)
 
 
-def _u_scale(a, s):
-    if s == 0:
-        return ()
-    return tuple(x * s for x in a)
-
-
 def _u_divmod(a, b):
     """Division with remainder over the rationals; b must be nonzero."""
     if not b:
@@ -191,16 +185,6 @@ def _r_scale_div(rec, u):
 
 def _r_mul_u(rec, u):
     return _r_trim([_u_mul(c, u) for c in rec])
-
-
-def _r_sub(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ()
-        y = b[i] if i < len(b) else ()
-        out.append(_u_add(x, _u_neg(y)))
-    return _r_trim(out)
 
 
 def _r_pseudo_rem(a, b):
@@ -801,6 +785,17 @@ P0 = ParamRat.p0()
 def rat(n, d=1):
     """Small convenience: the constant n/d as a ParamRat."""
     return ParamRat.from_fraction(Fraction(n, d))
+
+
+def as_rat(v):
+    """An int, Fraction or ParamRat as a ParamRat."""
+    if isinstance(v, ParamRat):
+        return v
+    if isinstance(v, int):
+        return ParamRat.from_int(v)
+    if isinstance(v, Fraction):
+        return ParamRat.from_fraction(v)
+    raise TypeError("expected ParamRat, int or Fraction, got %r" % (v,))
 
 
 # ---------------------------------------------------------------------------

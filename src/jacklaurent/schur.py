@@ -6,6 +6,8 @@ homogeneous generators h_i (Newton recursion from the p_i) and their
 eigenfunctions specialize to these determinants at k = -1 with every
 coefficient finite and free of p0."""
 
+from functools import cache
+
 from .rational import RAT_ONE, IdenticallySingular
 from .laurent import LaurentSymFunc
 from .partitions import normalize_partition
@@ -15,23 +17,22 @@ class ResidualP0(ArithmeticError):
     """A k = -1 limit still depends on p0; the limit should not."""
 
 
-_H_CACHE = {0: LaurentSymFunc.one()}
-
-
 def complete_h(i):
     """Complete homogeneous generator h_i in the p-basis, by the Newton
     recursion i h_i = sum_{m=1}^{i} p_m h_{i-m}; zero for i < 0."""
     if i < 0:
         return LaurentSymFunc.zero()
-    got = _H_CACHE.get(i)
-    if got is not None:
-        return got
+    return _complete_h(i)
+
+
+@cache
+def _complete_h(i):
+    if i == 0:
+        return LaurentSymFunc.one()
     acc = LaurentSymFunc.zero()
     for m in range(1, i + 1):
         acc = acc + LaurentSymFunc.gen(m) * complete_h(i - m)
-    out = acc * (RAT_ONE * i).inverse()
-    _H_CACHE[i] = out
-    return out
+    return acc * (RAT_ONE * i).inverse()
 
 
 def _det(rows):

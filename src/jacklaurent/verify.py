@@ -6,10 +6,11 @@ Each check is a closed computation returning pass/fail plus a witness
 after another in one thread; the report lists them sorted by id."""
 
 from fractions import Fraction
+from functools import partial
 
 from .laurent import LaurentSymFunc
 from .partitions import size, bipartitions_up_to, w_bipartition, chi_N, \
-    add_box_candidates, remove_box_candidates
+    add_box_candidates, remove_box_candidates, label_str
 from .operators import cms_L, cms_L2_direct
 from .closed_forms import evaluation_value, norm_value, separation_check, \
     bernoulli_b, pieri_V, pieri_U, pieri_V_diagram, pieri_U_diagram
@@ -22,35 +23,20 @@ from .schur import jacobi_trudy_S, schur_limit
 SUITES = ("eigen", "commute", "pieri", "evaluation", "norms",
           "involutions", "duality", "finite-n", "schur", "all")
 
+# The torus norm is compared at N = 4 variables and k = -1; restriction
+# to finite N at N = 3 variables and k = -1/2.
+TORUS_N, TORUS_K = 4, Fraction(-1)
+FINITE_N, FINITE_K = 3, Fraction(-1, 2)
+
 
 def _alpha_label(alpha):
-    lam, mu = alpha
-    return "%s|%s" % (",".join(map(str, lam)) or "-",
-                      ",".join(map(str, mu)) or "-")
-
-
-def _labels(max_size):
-    return sorted(bipartitions_up_to(max_size))
-
-
-def _monomials(total_degree):
-    """Coefficient-free p-monomials with positive degree a, negative
-    degree b, a + b <= total_degree; a compact operator test bed."""
-    out = []
-    for lam, mu in sorted(bipartitions_up_to(total_degree)):
-        f = LaurentSymFunc.one()
-        for i in lam:
-            f = f * LaurentSymFunc.gen(i)
-        for j in mu:
-            f = f * LaurentSymFunc.gen(-j)
-        out.append((_alpha_label((lam, mu)), f))
-    return out
+    return label_str(alpha, "|", "-")
 
 
 # -- individual checks -----------------------------------------------------------
 
 
-def _check_eigen(alpha):
+def check_eigen(alpha):
     evs = dict(jack.eigen_check_all(alpha, r_max=3))
     wit = {"eigenvalues": {str(r): str(v) for r, v in sorted(evs.items())}}
     w_evs = dict(jack.eigen_check_all(w_bipartition(alpha), r_max=3))
@@ -58,8 +44,7 @@ def _check_eigen(alpha):
     return ok, wit
 
 
-def _check_commute(label_f):
-    label, f = label_f
+def check_commute(label, f):
     for r in (1, 2, 3):
         for s in range(r + 1, 4):
             lhs = cms_L(r, cms_L(s, f))
@@ -71,7 +56,7 @@ def _check_commute(label_f):
     return True, {"monomial": label}
 
 
-def _check_pieri(alpha):
+def check_pieri(alpha):
     if not jack.pieri_identity_check(alpha):
         return False, {"identity": "failed"}
     lam, mu = alpha
@@ -88,14 +73,15 @@ def _check_pieri(alpha):
     return True, {}
 
 
-def _check_evaluation(alpha):
+def check_evaluation(alpha):
     got = construct(alpha).f.evaluate_eps()
     want = evaluation_value(alpha)
     ok = got == want
     return ok, {"value": str(got), "formula": str(want)}
 
 
-def _check_norm_torus(alpha, N=4, k0=Fraction(-1)):
+def check_norm_torus(alpha):
+    N, k0 = TORUS_N, TORUS_K
     f = phi_N_map(construct(alpha).f, N)
     val = torus_form(f, f, k0, N)
     want = norm_value(alpha).specialize(k0, N)
@@ -103,18 +89,17 @@ def _check_norm_torus(alpha, N=4, k0=Fraction(-1)):
                          "N": N, "k": str(k0)}
 
 
-def _check_involution(alpha):
+def check_involution(alpha):
     ok = jack.star_symmetry_check(alpha)
     return ok, {}
 
 
-def _check_duality(alpha):
+def check_duality(alpha):
     ok = jack.theta_duality_check(alpha)
     return ok, {}
 
 
-def _check_separation(pair):
-    alpha, beta = pair
+def check_separation(alpha, beta):
     if not separation_check(alpha, beta, l_max=8):
         return False, {"separated": False}
     first = next(l for l in range(1, 9)
@@ -122,7 +107,8 @@ def _check_separation(pair):
     return True, {"first_separating_order": first}
 
 
-def _check_finite_n(alpha, N=3, k0=Fraction(-1, 2)):
+def check_finite_n(alpha):
+    N, k0 = FINITE_N, FINITE_K
     lam, mu = alpha
     img = phi_N_map(construct(alpha).f, N).substitute_k(k0)
     if len(lam) + len(mu) > N:
@@ -139,7 +125,7 @@ def _check_finite_n(alpha, N=3, k0=Fraction(-1, 2)):
     return True, {"N": N, "chi": list(chi)}
 
 
-def _check_schur(alpha):
+def check_schur(alpha):
     lam, mu = alpha
     lim = schur_limit(construct(alpha).f)
     det = jacobi_trudy_S(lam, mu)
@@ -149,48 +135,35 @@ def _check_schur(alpha):
 # -- suite assembly ----------------------------------------------------------------
 
 
+def _per_label(name, check, labels):
+    return [("%s/%s" % (name, _alpha_label(a)), partial(check, a))
+            for a in labels]
+
+
 def _suite_checks(suite, max_size):
-    labels = _labels(max_size)
-    checks = []
-    if suite in ("eigen", "all"):
-        checks += [("eigen/%s" % _alpha_label(a),
-                    lambda a=a: _check_eigen(a)) for a in labels]
-    if suite in ("commute", "all"):
-        checks += [("commute/%s" % label,
-                    lambda lf=(label, f): _check_commute(lf))
-                   for label, f in _monomials(min(max_size, 3))]
-    if suite in ("pieri", "all"):
-        checks += [("pieri/%s" % _alpha_label(a),
-                    lambda a=a: _check_pieri(a))
-                   for a in labels if size(a[0]) + size(a[1]) <= 3]
-    if suite in ("evaluation", "all"):
-        checks += [("evaluation/%s" % _alpha_label(a),
-                    lambda a=a: _check_evaluation(a)) for a in labels]
-    if suite in ("norms", "all"):
-        checks += [("norms/%s" % _alpha_label(a),
-                    lambda a=a: _check_norm_torus(a))
-                   for a in labels if size(a[0]) + size(a[1]) <= 3]
-    if suite in ("involutions", "all"):
-        checks += [("involutions/%s" % _alpha_label(a),
-                    lambda a=a: _check_involution(a)) for a in labels]
-    if suite in ("duality", "all"):
-        checks += [("duality/%s" % _alpha_label(a),
-                    lambda a=a: _check_duality(a))
-                   for a in labels if size(a[0]) + size(a[1]) <= 3]
-        pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
-                 if size(a[0]) + size(a[1]) <= 3
-                 and size(b[0]) + size(b[1]) <= 3]
-        checks += [("separation/%s--%s" % (_alpha_label(a), _alpha_label(b)),
-                    lambda p=(a, b): _check_separation(p))
-                   for a, b in pairs]
-    if suite in ("finite-n", "all"):
-        checks += [("finite-n/%s" % _alpha_label(a),
-                    lambda a=a: _check_finite_n(a))
-                   for a in labels if size(a[0]) + size(a[1]) <= 3]
-    if suite in ("schur", "all"):
-        checks += [("schur/%s" % _alpha_label(a),
-                    lambda a=a: _check_schur(a)) for a in labels]
-    return checks
+    labels = sorted(bipartitions_up_to(max_size))
+    small = [a for a in labels if size(a[0]) + size(a[1]) <= 3]
+    # commute runs on the coefficient-free p-monomials p_lam * p_{-mu}
+    monomials = [(_alpha_label(a), LaurentSymFunc.from_partition(a[0])
+                  * LaurentSymFunc.from_partition(a[1], sign=-1))
+                 for a in small]
+    groups = {
+        "eigen": _per_label("eigen", check_eigen, labels),
+        "commute": [("commute/%s" % label, partial(check_commute, label, f))
+                    for label, f in monomials],
+        "pieri": _per_label("pieri", check_pieri, small),
+        "evaluation": _per_label("evaluation", check_evaluation, labels),
+        "norms": _per_label("norms", check_norm_torus, small),
+        "involutions": _per_label("involutions", check_involution, labels),
+        "duality": _per_label("duality", check_duality, small) + [
+            ("separation/%s--%s" % (_alpha_label(a), _alpha_label(b)),
+             partial(check_separation, a, b))
+            for i, a in enumerate(small) for b in small[i + 1:]],
+        "finite-n": _per_label("finite-n", check_finite_n, small),
+        "schur": _per_label("schur", check_schur, labels),
+    }
+    return [check for name, group in groups.items()
+            if suite in (name, "all") for check in group]
 
 
 def run_suite(suite, max_size=3):

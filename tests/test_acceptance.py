@@ -25,8 +25,9 @@ from jacklaurent.closed_forms import (
     pieri_U_diagram, pieri_V, pieri_V_diagram, separation_check,
     stanley_phi,
 )
+from jacklaurent import clear_caches
 from jacklaurent.jack import (
-    clear_cache, construct, eigen_check_all, pieri_identity_check,
+    construct, eigen_check_all, pieri_identity_check,
     star_symmetry_check, theta_duality_check,
 )
 from jacklaurent.finite_n import (
@@ -57,7 +58,7 @@ def length(alpha):
 
 
 def test_criterion_01_explicit_examples():
-    clear_cache()
+    clear_caches()
     t0 = time.monotonic()
     p11 = construct(((1,), (1,)))
     p111 = construct(((1, 1), (1,)))

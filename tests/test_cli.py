@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from jacklaurent import cli, verify
 from jacklaurent.cli import main, EXIT_OK, EXIT_VERIFY, EXIT_USAGE, \
     EXIT_SINGULAR
 from jacklaurent.laurent import from_json_terms, parse_element
@@ -46,6 +47,12 @@ class TestCompute:
         assert payload["k"] == "-1"
         assert from_json_terms(payload["terms"]) == \
             parse_element("p1*p-1 - 1")
+
+    def test_rational_mode_negative_value_with_equals(self, capsys):
+        code, out, _ = run(capsys, "compute", "--lambda", "1", "--mu", "1",
+                           "--k=-1/2", "--p0=7/3", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["k"] == "-1/2"
 
     def test_rational_mode_needs_both_parameters(self, capsys):
         code, _, err = run(capsys, "compute", "--lambda", "1", "--k", "-1")
@@ -135,6 +142,47 @@ class TestCheckedCommands:
                            "--check")
         assert code == EXIT_OK
         assert "[check: pass]" in out
+
+
+def _failing_check(alpha):
+    return False, {}
+
+
+CHECKED = [("eval", "check_evaluation", ["--lambda", "1", "--mu", "1"]),
+           ("norm", "check_norm_torus", ["--lambda", "1"]),
+           ("schur", "check_schur", ["--lambda", "1", "--mu", "1"])]
+
+
+class TestCheckFailure:
+    @pytest.mark.parametrize("command,check,argv", CHECKED)
+    def test_text(self, capsys, monkeypatch, command, check, argv):
+        monkeypatch.setattr(cli, check, _failing_check)
+        code, out, _ = run(capsys, command, *argv, "--check")
+        assert code == EXIT_VERIFY
+        assert "[check: fail]" in out
+
+    @pytest.mark.parametrize("command,check,argv", CHECKED)
+    def test_json(self, capsys, monkeypatch, command, check, argv):
+        monkeypatch.setattr(cli, check, _failing_check)
+        code, out, _ = run(capsys, command, *argv, "--check",
+                           "--format", "json")
+        assert code == EXIT_VERIFY
+        assert json.loads(out)["check"] == "fail"
+
+    def test_verify_suite(self, capsys, monkeypatch):
+        real = verify.check_eigen
+
+        def fail_one(alpha):
+            return (False, {}) if alpha == ((1,), ()) else real(alpha)
+
+        monkeypatch.setattr(verify, "check_eigen", fail_one)
+        code, out, _ = run(capsys, "verify", "--suite", "eigen",
+                           "--max-size", "1", "--format", "json")
+        assert code == EXIT_VERIFY
+        report = json.loads(out)
+        assert report["status"] == "fail"
+        assert [r["id"] for r in report["checks"]
+                if r["status"] == "fail"] == ["eigen/1|-"]
 
 
 class TestReports:

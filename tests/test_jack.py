@@ -16,10 +16,11 @@ from jacklaurent.partitions import (
     remove_box_candidates,
 )
 from jacklaurent.closed_forms import eigenvalue_e, pieri_V
+from jacklaurent import clear_caches
 from jacklaurent.jack import (
-    clear_cache, construct, construct_via_order, eigen_check_all,
+    construct, construct_via_order, eigen_check_all,
     jack_positive, pieri_identity_check, rational_mode_construct,
-    specialize_function, star_symmetry_check, theta_duality_check,
+    star_symmetry_check, theta_duality_check,
 )
 
 g = LaurentSymFunc.gen
@@ -111,20 +112,23 @@ class TestOrderIndependence:
         assert a.f == construct(((2, 1), (1,))).f
 
     def test_cache_reset(self):
-        clear_cache()
+        clear_caches()
         assert construct(((1,), (1,))).f.coeff(((-1, 1), (1, 1))) == RAT_ONE
+
+    def test_trailing_zeros_share_memo(self):
+        assert construct(((1, 0), ())) is construct(((1,), ()))
 
 
 class TestSpecialization:
     def test_regular_point(self):
         p11 = construct(((1,), (1,)))
-        num = specialize_function(p11, -1, 5)
+        num = p11.f.specialize(-1, 5)
         assert num == g(1) * g(-1) - LaurentSymFunc.one()
 
     def test_pole_names_offender(self):
         p11 = construct(((1,), (1,)))
         with pytest.raises(PoleAtSpecialization):
-            specialize_function(p11, 1, 2)
+            p11.f.specialize(1, 2)
 
 
 def _canonical_chain(lam):
@@ -172,7 +176,7 @@ class TestRationalMode:
     ])
     def test_agrees_with_symbolic(self, alpha, k0, p00):
         fast = rational_mode_construct(alpha, k0, p00)
-        slow = specialize_function(construct(alpha), k0, p00)
+        slow = construct(alpha).f.specialize(k0, p00)
         assert fast == slow
 
     @settings(max_examples=25, deadline=None)
@@ -187,7 +191,7 @@ class TestRationalMode:
                 continue
             assert not singular, alpha
             try:
-                slow = specialize_function(construct(alpha), k0, p00)
+                slow = construct(alpha).f.specialize(k0, p00)
             except PoleAtSpecialization:
                 continue
             assert fast == slow, alpha

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from jacklaurent import jack
+from jacklaurent import clear_caches, finite_n, jack, schur
 from jacklaurent.verify import SUITES, run_suite
+
+MEMOS = (jack._construct, finite_n._jack_poly_N, finite_n._delta_expansion,
+         schur._complete_h)
 
 
 class TestSuites:
@@ -32,7 +35,17 @@ class TestSuites:
         assert len(ids) == len(set(ids))
 
     def test_cold_and_warm_runs_identical(self):
-        jack.clear_cache()
-        cold = json.dumps(run_suite("norms", 2), sort_keys=True)
-        warm = json.dumps(run_suite("norms", 2), sort_keys=True)
+        suites = ("norms", "finite-n", "schur")
+        clear_caches()
+        cold = [json.dumps(run_suite(s, 2), sort_keys=True) for s in suites]
+        assert all(memo.cache_info().currsize for memo in MEMOS)
+        warm = [json.dumps(run_suite(s, 2), sort_keys=True) for s in suites]
         assert cold == warm
+
+    def test_clear_caches_empties_every_memo(self):
+        run_suite("norms", 1)
+        run_suite("finite-n", 1)
+        run_suite("schur", 1)
+        assert all(memo.cache_info().currsize for memo in MEMOS)
+        clear_caches()
+        assert [memo.cache_info().currsize for memo in MEMOS] == [0] * 4
