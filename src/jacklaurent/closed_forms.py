@@ -376,22 +376,23 @@ def phi_pair(lam, mu, p, x):
     return v
 
 
+def _phi_triple(alpha, x):
+    """phi_p0(lam,x) phi_p0(mu,x) phi_p0(lam,mu,x)."""
+    lam, mu = alpha
+    return stanley_phi(lam, P0, x) * stanley_phi(mu, P0, x) \
+        * phi_pair(lam, mu, P0, x)
+
+
 def evaluation_value(alpha):
     """epsilon(P_alpha) = phi_p0(lam,0) phi_p0(mu,0) phi_p0(lam,mu,0)."""
-    lam, mu = alpha
-    return stanley_phi(lam, P0, RAT_ZERO) * stanley_phi(mu, P0, RAT_ZERO) \
-        * phi_pair(lam, mu, P0, RAT_ZERO)
+    return _phi_triple(alpha, RAT_ZERO)
 
 
 def norm_value(alpha):
     """Square norm of P_alpha for the p0-deformed bilinear form:
     the same triple product evaluated at 0 divided by its value at 1+k."""
-    lam, mu = alpha
-    x1 = RAT_ONE + K
-    num = stanley_phi(lam, P0, RAT_ZERO) * stanley_phi(mu, P0, RAT_ZERO) \
-        * phi_pair(lam, mu, P0, RAT_ZERO)
-    den = stanley_phi(lam, P0, x1) * stanley_phi(mu, P0, x1) \
-        * phi_pair(lam, mu, P0, x1)
+    num = _phi_triple(alpha, RAT_ZERO)
+    den = _phi_triple(alpha, RAT_ONE + K)
     if den.is_zero():
         raise SingularProduct("norm denominator vanishes identically")
     return num / den

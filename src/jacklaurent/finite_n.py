@@ -195,10 +195,10 @@ def power_sum_N(j, N):
     return SymLaurentPolyN.orbit((0,) * (N - 1) + (j,), N)
 
 
-def phi_N_map(f, N, p0_value=None):
+def phi_N_map(f, N):
     """The homomorphism from the infinite algebra: p_j -> power sum,
-    p0 -> p0_value (N by default); k stays symbolic."""
-    p0v = Fraction(N if p0_value is None else p0_value)
+    p0 -> N; k stays symbolic."""
+    p0v = Fraction(N)
     out = SymLaurentPolyN.zero(N)
     for m, c in f.terms.items():
         try:
@@ -416,7 +416,7 @@ def torus_form(f, g, k_neg_int, N):
 def c_chi(chi, r, i, b):
     """chi_r - chi_i - 1 + k*(r+1-i) + b."""
     base = rat(chi[r - 1] - chi[i - 1] - 1) + K * (r + 1 - i)
-    return base + (b if isinstance(b, ParamRat) else rat(b))
+    return base + b
 
 
 def pieri_V_N(i, chi):

@@ -9,8 +9,8 @@ only ever enters through coefficients, never as a generator.
 
 from fractions import Fraction
 
-from .rational import (ParamRat, RAT_ONE, RAT_ZERO, K, P0, parse_rat,
-                       PoleAtSpecialization, _Parser)
+from .rational import (ParamRat, RAT_ONE, RAT_ZERO, K, P0, as_rat,
+                       parse_rat, PoleAtSpecialization, _Parser)
 
 UNIT_MONO = ()
 
@@ -82,9 +82,7 @@ class LaurentSymFunc:
 
     @staticmethod
     def const(c):
-        if isinstance(c, int):
-            c = ParamRat.from_int(c)
-        return LaurentSymFunc({UNIT_MONO: c})
+        return LaurentSymFunc({UNIT_MONO: as_rat(c)})
 
     @staticmethod
     def gen(i, power=1):
@@ -132,7 +130,7 @@ class LaurentSymFunc:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (ParamRat, int)):
+        if not isinstance(other, LaurentSymFunc):
             return self.scale(other)
         t = {}
         for m1, c1 in self.terms.items():
@@ -153,8 +151,9 @@ class LaurentSymFunc:
         return self.scale(other)
 
     def scale(self, c):
-        if isinstance(c, int):
-            c = ParamRat.from_int(c)
+        """The product with a scalar: a ParamRat, int or Fraction."""
+        if not isinstance(c, ParamRat):
+            c = as_rat(c)
         if c.is_zero() or not self.terms:
             return LaurentSymFunc()
         out = LaurentSymFunc.__new__(LaurentSymFunc)

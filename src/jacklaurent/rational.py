@@ -483,45 +483,65 @@ def poly_divexact(a, b):
 # ParamRat
 # ---------------------------------------------------------------------------
 
+def _cancel(a, b):
+    """a/g and b/g for g = gcd(a, b), for nonzero a and b; a and b
+    themselves when g is 1.
+
+    No gcd is taken when either is constant (the gcd with a nonzero
+    constant is 1) or when they are equal (g = a).  This is the only
+    place a ParamRat reduces by a polynomial gcd.
+    """
+    if a.is_const() or b.is_const():
+        return a, b
+    if a == b:
+        return _P_ONE, _P_ONE
+    g = poly_gcd(a, b)
+    if g.is_const():
+        return a, b
+    return poly_divexact(a, g), poly_divexact(b, g)
+
+
+def _scalar_canonical(num, den):
+    """The canonical (num, den) of num/den for polynomially coprime num
+    and den: zero is 0/1, the integer contents are coprime and den's
+    front coefficient is positive."""
+    if num.is_zero():
+        return _P_ZERO, _P_ONE
+    cn, pn = num.content_primitive()
+    cd, pd = den.content_primitive()
+    scalar = cn / cd
+    num = pn.scale(scalar.numerator)
+    den = pd.scale(scalar.denominator)
+    if den.terms[den.front_mono()] < 0:
+        num, den = -num, -den
+    return num, den
+
+
+def _make(num, den):
+    """The ParamRat num/den, for a (num, den) already in canonical form."""
+    out = ParamRat.__new__(ParamRat)
+    out.num, out.den, out._hash = num, den, None
+    return out
+
+
 class ParamRat:
     """Element of Q(k, p0) in canonical reduced form.
 
     Invariants: num and den are integer-coefficient ParamPolys with no
     common polynomial factor; the integer contents of num and den are
-    coprime; den's leading coefficient under graded-lex (total degree,
-    then deg_k) is positive; zero is 0/1.  Equality and hashing are
-    structural.
+    coprime; den's front coefficient, that of its graded-lex (total
+    degree, then deg_k) smallest monomial, is positive; zero is 0/1.
+    The form is unique, so equality and hashing are structural.
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num, den=None, _canonical=False):
+    def __init__(self, num, den=None):
         if den is None:
             den = _P_ONE
-        if _canonical:
-            self.num, self.den = num, den
-            self._hash = None
-            return
         if den.is_zero():
             raise DivisionByZero("zero denominator in ParamRat")
-        if num.is_zero():
-            self.num, self.den = _P_ZERO, _P_ONE
-            self._hash = None
-            return
-        if not den.is_const():
-            g = poly_gcd(num, den)
-            if not (g.is_const() and g.const_value() == 1):
-                num = poly_divexact(num, g)
-                den = poly_divexact(den, g)
-        cn, pn = num.content_primitive()
-        cd, pd = den.content_primitive()
-        scalar = cn / cd  # > 0 iff contents same sign; contents are > 0
-        a, b = scalar.numerator, scalar.denominator
-        num = pn.scale(a)
-        den = pd.scale(b)
-        if den.terms[den.front_mono()] < 0:
-            num, den = -num, -den
-        self.num, self.den = num, den
+        self.num, self.den = _scalar_canonical(*_cancel(num, den))
         self._hash = None
 
     # -- constructors -------------------------------------------------------
@@ -578,81 +598,45 @@ class ParamRat:
         return not self.num.is_zero()
 
     # -- arithmetic ----------------------------------------------------------
+    # A scalar operand that is not a ParamRat goes through as_rat.
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = ParamRat.from_int(other)
+        if not isinstance(other, ParamRat):
+            other = as_rat(other)
         if self.num.is_zero():
             return other
         if other.num.is_zero():
             return self
-        if self.den == other.den:
-            if self.den.is_const():
-                num = self.num + other.num
-                out = ParamRat.__new__(ParamRat)
-                if num.is_zero():
-                    out.num, out.den = _P_ZERO, _P_ONE
-                else:
-                    out.num, out.den = num, self.den
-                out._hash = None
-                return _renorm_content(out)
-            return ParamRat(self.num + other.num, self.den)
-        g = poly_gcd(self.den, other.den)
-        if g.is_const():
-            num = self.num * other.den + other.num * self.den
-            den = self.den * other.den
-            if num.is_zero():
-                return RAT_ZERO
-            out = ParamRat.__new__(ParamRat)
-            out.num, out.den = num, den
-            out._hash = None
-            return _renorm_content(out)
-        return ParamRat(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
+        # over the lcm d1*c2 = d2*c1; when gcd(d1, d2) = 1 (nothing
+        # cancelled) the sum is already coprime to it
+        c1, c2 = _cancel(self.den, other.den)
+        num = self.num * c2 + other.num * c1
+        den = self.den * c2
+        if c1 is self.den:
+            return _make(*_scalar_canonical(num, den))
+        return ParamRat(num, den)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        out = ParamRat.__new__(ParamRat)
-        out.num, out.den = -self.num, self.den
-        out._hash = None
-        return out
+        return _make(-self.num, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = ParamRat.from_int(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = ParamRat.from_int(other)
+        if not isinstance(other, ParamRat):
+            other = as_rat(other)
         if self.num.is_zero() or other.num.is_zero():
             return RAT_ZERO
-        if self.den.is_const() and other.den.is_const():
-            out = ParamRat.__new__(ParamRat)
-            out.num = self.num * other.num
-            out.den = self.den * other.den
-            out._hash = None
-            return _renorm_content(out)
-        # cross-reduce so only scalar renormalization remains
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        g1 = poly_gcd(n1, d2)
-        if not g1.is_const():
-            n1 = poly_divexact(n1, g1)
-            d2 = poly_divexact(d2, g1)
-        g2 = poly_gcd(n2, d1)
-        if not g2.is_const():
-            n2 = poly_divexact(n2, g2)
-            d1 = poly_divexact(d1, g2)
-        out = ParamRat.__new__(ParamRat)
-        out.num = n1 * n2
-        out.den = d1 * d2
-        out._hash = None
-        return _renorm_content(out)
+        # cancel across, so only the scalars remain to normalize
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        return _make(*_scalar_canonical(n1 * n2, d1 * d2))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -663,23 +647,17 @@ class ParamRat:
         num, den = self.den, self.num
         if den.terms[den.front_mono()] < 0:
             num, den = -num, -den
-        out = ParamRat.__new__(ParamRat)
-        out.num, out.den = num, den
-        out._hash = None
-        return out
+        return _make(num, den)
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = ParamRat.from_int(other)
+        if not isinstance(other, ParamRat):
+            other = as_rat(other)
         if other.num.is_zero():
             raise DivisionByZero("division by zero ParamRat")
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        if isinstance(other, int):
-            other = ParamRat.from_int(other)
-        return other * self.inverse()
-
+        return self.inverse() * other
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
@@ -758,26 +736,8 @@ class ParamRat:
         return "ParamRat(%s)" % self.__str__()
 
 
-def _renorm_content(r):
-    """Scalar-only canonicalization: contents coprime, den leading coeff > 0.
-
-    Used on results whose num/den are already polynomially coprime.
-    """
-    cn, pn = r.num.content_primitive()
-    cd, pd = r.den.content_primitive()
-    scalar = cn / cd
-    num = pn.scale(scalar.numerator)
-    den = pd.scale(scalar.denominator)
-    if den.terms[den.front_mono()] < 0:
-        num, den = -num, -den
-    out = ParamRat.__new__(ParamRat)
-    out.num, out.den = num, den
-    out._hash = None
-    return out
-
-
-RAT_ZERO = ParamRat(_P_ZERO, _P_ONE, _canonical=True)
-RAT_ONE = ParamRat(_P_ONE, _P_ONE, _canonical=True)
+RAT_ZERO = _make(_P_ZERO, _P_ONE)
+RAT_ONE = _make(_P_ONE, _P_ONE)
 K = ParamRat.k()
 P0 = ParamRat.p0()
 
@@ -828,24 +788,14 @@ def _format_poly(poly):
     for idx, mono in enumerate(monos):
         c = poly.terms[mono]
         mstr = _format_mono(*mono)
-        mag = abs(c)
+        shown = c if idx == 0 else abs(c)
         if not mstr:
-            body = str(mag)
-        elif mag == 1 and not (idx == 0 and c < 0):
+            body = str(shown)
+        elif shown == 1:
             body = mstr
         else:
-            body = "%s*%s" % (mag if idx > 0 else c, mstr)
-        if idx == 0:
-            if c < 0 and mstr and mag == 1:
-                pieces.append(body)      # already carries the -1* prefix
-            elif c < 0 and not mstr:
-                pieces.append("-" + str(mag))
-            elif c < 0:
-                pieces.append(body)
-            else:
-                pieces.append(body)
-        else:
-            pieces.append((" - " if c < 0 else " + ") + body)
+            body = "%s*%s" % (shown, mstr)
+        pieces.append(body if idx == 0 else (" - " if c < 0 else " + ") + body)
     return "".join(pieces)
 
 

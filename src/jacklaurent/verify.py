@@ -12,8 +12,8 @@ from .laurent import LaurentSymFunc
 from .partitions import size, bipartitions_up_to, w_bipartition, chi_N, \
     add_box_candidates, remove_box_candidates, label_str
 from .operators import cms_L, cms_L2_direct
-from .closed_forms import evaluation_value, norm_value, separation_check, \
-    bernoulli_b, pieri_V, pieri_U, pieri_V_diagram, pieri_U_diagram
+from .closed_forms import evaluation_value, norm_value, bernoulli_b, \
+    pieri_V, pieri_U, pieri_V_diagram, pieri_U_diagram
 from . import jack
 from .jack import construct
 from .finite_n import phi_N_map, jack_laurent_poly_N, torus_form, \
@@ -100,10 +100,10 @@ def check_duality(alpha):
 
 
 def check_separation(alpha, beta):
-    if not separation_check(alpha, beta, l_max=8):
+    first = next((l for l in range(1, 9)
+                  if bernoulli_b(l, alpha) != bernoulli_b(l, beta)), None)
+    if first is None:
         return False, {"separated": False}
-    first = next(l for l in range(1, 9)
-                 if bernoulli_b(l, alpha) != bernoulli_b(l, beta))
     return True, {"first_separating_order": first}
 
 

@@ -12,7 +12,7 @@ from jacklaurent.operators import cms_L
 from jacklaurent.closed_forms import pieri_U
 from jacklaurent.jack import construct, jack_positive
 from jacklaurent.finite_n import (
-    SymLaurentPolyN, cms_N, cms_r_N, constant_term_delta, euler_N,
+    SymLaurentPolyN, c_chi, cms_N, cms_r_N, constant_term_delta, euler_N,
     finite_pieri_check, hc_eigen_check_N, involution_check_N,
     jack_laurent_poly_N, jack_poly_N, phi_N_map, pieri_V_N, power_sum_N,
     torus_form,
@@ -149,3 +149,10 @@ class TestFiniteClosedForms:
         assert involution_check_N((1, 0, -1), 3)
         assert involution_check_N((2, 0), 2)
         assert involution_check_N((1, 1, -1), 3)
+
+    def test_c_chi_scalar_shift(self):
+        # chi_2 - chi_1 - 1 + 2k + b on chi = (2, 0, -1)
+        want = rat(-3) + K * 2
+        assert c_chi((2, 0, -1), 2, 1, 1) == want + 1
+        assert c_chi((2, 0, -1), 2, 1, Fraction(1, 2)) == want + rat(1, 2)
+        assert c_chi((2, 0, -1), 2, 1, K) == want + K

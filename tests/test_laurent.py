@@ -1,6 +1,8 @@
 """The free commutative algebra on p_i (i nonzero) over Q(k, p0):
 arithmetic, involutions, derivations, evaluation, serialization."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -118,6 +120,17 @@ class TestEvaluation:
         f = g(1) * g(-1) + g(2)
         comps = f.bidegree_components()
         assert set(comps) == {(1, 1), (2, 0)}
+
+
+class TestScalars:
+    def test_fraction_scalars(self):
+        half = Fraction(1, 2)
+        f = g(1) * g(-1) + g(2) * K
+        assert LaurentSymFunc.const(half) == LaurentSymFunc.const(rat(1, 2))
+        assert f.scale(half) == f.scale(rat(1, 2))
+        assert f * half == f * rat(1, 2)
+        assert half * f == f * rat(1, 2)
+        assert K + half == K + rat(1, 2)
 
 
 class TestSpecializations:

@@ -2,12 +2,16 @@
 specialization, and the parameter swap."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jacklaurent import clear_caches, rational
+from jacklaurent.jack import construct, rational_mode_construct
+from jacklaurent.partitions import bipartitions_up_to
 from jacklaurent.rational import ParamPoly, ParamRat, RAT_ZERO, RAT_ONE, \
-    K, P0, rat, parse_rat, DivisionByZero, PoleAtSpecialization, \
+    K, P0, rat, parse_rat, poly_gcd, DivisionByZero, PoleAtSpecialization, \
     IdenticallySingular
 
 
@@ -34,6 +38,116 @@ def param_rats(draw, max_terms=3, max_deg=2):
     if den.is_zero():
         den = ParamPoly.const(Fraction(1))
     return ParamRat(num, den)
+
+
+@st.composite
+def const_den_rats(draw):
+    """Elements with a constant denominator: the coefficients of a
+    construction at a numeric point, and of most closed forms."""
+    a = draw(param_rats())
+    return ParamRat(a.num, ParamPoly.const(draw(small_fracs.filter(bool))))
+
+
+def _assert_canonical(r):
+    """The canonical-form invariants of ParamRat, checked from outside."""
+    ints = [c for p in (r.num, r.den) for c in p.terms.values()]
+    assert all(c.denominator == 1 for c in ints), r
+    if r.is_zero():
+        assert r.den == ParamPoly.const(1), r
+        return
+    assert gcd(*(c.numerator for c in ints)) == 1, r
+    assert r.den.terms[r.den.front_mono()] > 0, r
+    assert poly_gcd(r.num, r.den).is_const(), r
+
+
+def _assert_results_canonical(a, b):
+    for r in (a, b, -a, a + b, a - b, a * b, a + 1, a * 2):
+        _assert_canonical(r)
+    if not b.is_zero():
+        _assert_canonical(a / b)
+        _assert_canonical(b.inverse())
+
+
+# Points where every label with |lam|+|mu| <= 3 is regular.
+REGULAR_POINTS = [(Fraction(-1, 2), Fraction(7, 3)),
+                  (Fraction(-5, 7), Fraction(13, 2))]
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestCanonicalInvariants:
+    def test_front_not_leading_coefficient_is_positive(self):
+        r = P0 / (RAT_ONE + K - K * P0)
+        assert str(r) == "(p0)/(1 + k - k*p0)"
+        assert r.den.terms[r.den.leading_mono()] < 0
+        _assert_canonical(r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(param_rats(), param_rats())
+    def test_operation_results(self, a, b):
+        _assert_results_canonical(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(const_den_rats(), st.one_of(const_den_rats(), param_rats()))
+    def test_operation_results_constant_denominators(self, a, b):
+        _assert_results_canonical(a, b)
+        _assert_results_canonical(b, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(param_rats(), param_rats())
+    def test_operators_match_one_shot_constructor(self, a, b):
+        assert a + b == ParamRat(a.num * b.den + b.num * a.den,
+                                 a.den * b.den)
+        assert a * b == ParamRat(a.num * b.num, a.den * b.den)
+
+    def test_constructed_coefficients(self):
+        for alpha in bipartitions_up_to(3):
+            for c in construct(alpha).f.terms.values():
+                _assert_canonical(c)
+
+    @pytest.mark.parametrize("k0,p00", REGULAR_POINTS)
+    def test_rational_mode_coefficients(self, k0, p00):
+        for alpha in bipartitions_up_to(3):
+            for c in rational_mode_construct(alpha, k0, p00).terms.values():
+                _assert_canonical(c)
+
+    @settings(max_examples=30, deadline=None)
+    @given(param_rats(), param_rats())
+    def test_sympy_cancel_oracle(self, sympy, a, b):
+        k, p0 = sympy.symbols("k p0")
+
+        def parse(text):
+            return sympy.sympify(text.replace("^", "**"),
+                                 locals={"k": k, "p0": p0})
+
+        x, y = parse(str(a)), parse(str(b))
+        results = [(a + b, x + y), (a - b, x - y), (a * b, x * y)]
+        if not b.is_zero():
+            results.append((a / b, x / y))
+        for r, want in results:
+            assert sympy.cancel(parse(str(r)) - want) == 0, (a, b, r)
+            assert sympy.gcd(parse(str(r.num)), parse(str(r.den))).is_number
+
+
+def test_no_gcd_with_a_constant_operand(monkeypatch):
+    calls = {"all": 0, "constant": 0}
+    real = rational.poly_gcd
+
+    def counting(a, b):
+        calls["all"] += 1
+        calls["constant"] += a.is_const() or b.is_const()
+        return real(a, b)
+
+    monkeypatch.setattr(rational, "poly_gcd", counting)
+    clear_caches()
+    for alpha in bipartitions_up_to(3):
+        construct(alpha)
+    rational_mode_construct(((2, 1), (1,)), *REGULAR_POINTS[0])
+    assert calls["constant"] == 0
+    assert calls["all"] > 0
 
 
 class TestCanonicalForm:
@@ -71,6 +185,15 @@ class TestArithmetic:
         assert 2 * K == K * 2
         assert 1 - K == -(K - 1)
         assert K / 2 == K * rat(1, 2)
+
+    def test_fraction_mixing(self):
+        half = Fraction(1, 2)
+        assert K + half == K + rat(1, 2)
+        assert half + K == K + rat(1, 2)
+        assert K - half == K - rat(1, 2)
+        assert K * half == half * K == K * rat(1, 2)
+        assert K / half == K * 2
+        assert half / K == rat(1, 2) / K
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
