@@ -2,14 +2,15 @@
 
 Everything downstream (Laurent symmetric functions, operators, closed
 formulas) has coefficients in this field.  A ParamPoly is a sparse
-polynomial in the two symbols k and p0 over exact rationals; a ParamRat
-is a quotient of two ParamPolys kept in a canonical reduced form, so
+polynomial in the two symbols k and p0 with exact rational coefficients,
+stored as Python ints where integral; a ParamRat is a quotient of two
+integer ParamPolys, in Z[k, p0], kept in a canonical reduced form, so
 that equality of rational functions is plain structural equality.
 
 No floating point is used anywhere, and no external computer-algebra
 system: the bivariate gcd needed for reduction is done by
 content/primitive-part recursion on the k variable with a subresultant
-polynomial remainder sequence.
+polynomial remainder sequence over Z[p0][k], in integer arithmetic only.
 """
 
 from fractions import Fraction
@@ -38,99 +39,109 @@ class NotEigenvector(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers: polynomials in p0 over Fraction, as tuples (low degree
+# univariate helpers: polynomials in p0 over Z, as tuples of ints (low degree
 # first, no trailing zeros; the zero polynomial is the empty tuple)
 # ---------------------------------------------------------------------------
 
 def _u_trim(c):
-    c = list(c)
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
 
 
-def _u_add(a, b):
-    n = max(len(a), len(b))
-    return _u_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                    for i in range(n)])
-
-
-def _u_neg(a):
-    return tuple(-x for x in a)
-
-
-def _u_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+def _u_sub(a, b):
+    out = [x - y for x, y in zip(a, b)]
+    if len(a) > len(b):
+        return tuple(out) + a[len(b):]
+    out.extend(-y for y in b[len(a):])
     return _u_trim(out)
 
 
-def _u_divmod(a, b):
-    """Division with remainder over the rationals; b must be nonzero."""
-    if not b:
-        raise DivisionByZero("univariate division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / Fraction(b[-1])
-    while len(a) >= len(b) and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        q[d] = c
-        for i in range(len(b)):
-            a[d + i] -= c * b[i]
-        a.pop()
-    return _u_trim(q), _u_trim(a)
+def _u_mul(a, b):
+    # Z has no zero divisors, so the leading coefficient is never zero
+    if not a or not b:
+        return ()
+    if len(a) == 1:
+        x = a[0]
+        return tuple(x * y for y in b)
+    if len(b) == 1:
+        y = b[0]
+        return tuple(x * y for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
+
+
+def _u_pow(u, n):
+    out = (1,)
+    for _ in range(n):
+        out = _u_mul(out, u)
+    return out
 
 
 def _u_divexact(a, b):
-    q, r = _u_divmod(a, b)
-    if r:
+    """a / b in Z[p0]; raises ArithmeticError unless b divides a there."""
+    if not b:
+        raise DivisionByZero("univariate division by zero")
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    q = [0] * max(0, len(r) - db)
+    for d in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[d + db], lb)
+        if rem:
+            raise ArithmeticError("inexact univariate division")
+        q[d] = c
+        if c:
+            for i in range(db):
+                r[d + i] -= c * b[i]
+    if any(r[:db]):
         raise ArithmeticError("inexact univariate division")
-    return q
+    return tuple(q)
 
 
-def _u_content_primitive(a):
-    """Split a into (rational content > 0, integer-primitive part).
-
-    The primitive part has integer coefficients with gcd 1 and the same
-    leading-coefficient sign as a.  Content of the zero polynomial is 0.
-    """
-    if not a:
-        return Fraction(0), ()
-    num_gcd = 0
-    den_lcm = 1
-    for x in a:
-        num_gcd = int_gcd(num_gcd, x.numerator)
-        den_lcm = den_lcm * x.denominator // int_gcd(den_lcm, x.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    prim = tuple(x / content for x in a)
-    return content, prim
+def _u_primitive(a):
+    """a divided by the gcd of its coefficients, for nonzero a."""
+    g = int_gcd(*a)
+    return a if g == 1 else tuple(x // g for x in a)
 
 
 def _u_gcd(a, b):
-    """gcd over Q[p0], normalized integer-primitive with positive leading coeff."""
-    while b:
-        _, r = _u_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    _, prim = _u_content_primitive(a)
-    if prim[-1] < 0:
-        prim = _u_neg(prim)
-    return prim
+    """gcd in Z[p0] of a and b, not both zero, with a positive leading
+    coefficient: the gcd of the integer contents times the gcd of the
+    primitive parts, which a primitive pseudo-remainder sequence finds."""
+    if not a or not b:
+        g = a or b
+        return g if g[-1] > 0 else tuple(-x for x in g)
+    c = int_gcd(*a, *b)
+    a, b = _u_primitive(a), _u_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        # a pseudo-remainder of a by b; its integer factor is divided out
+        r, db, lb = list(a), len(b) - 1, b[-1]
+        while len(r) > db:
+            lead, shift = r.pop(), len(r) - db
+            r = [x * lb for x in r]
+            for i in range(db):
+                r[shift + i] -= lead * b[i]
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            break
+        a, b = b, _u_primitive(r)
+    else:
+        # a nonzero constant remainder: the primitive parts are coprime
+        return (c,)
+    if b[-1] < 0:
+        c = -c
+    return tuple(c * x for x in b)
 
 
 # ---------------------------------------------------------------------------
-# bivariate helpers: recursive view, polynomials in k over Q[p0]
+# bivariate helpers: recursive view, polynomials in k over Z[p0]
 # list indexed by deg_k of univariate tuples; no trailing zero entries
 # ---------------------------------------------------------------------------
 
@@ -150,91 +161,72 @@ def _dict_to_rec(terms):
     out = []
     for row in rows:
         if row:
-            n = max(row) + 1
-            out.append(_u_trim([row.get(i, Fraction(0)) for i in range(n)]))
+            out.append(tuple(row.get(i, 0) for i in range(max(row) + 1)))
         else:
             out.append(())
-    return _r_trim(out)
+    return out
 
 
 def _rec_to_dict(rec):
     terms = {}
     for dk, u in enumerate(rec):
         for dp, c in enumerate(u):
-            if c != 0:
+            if c:
                 terms[(dk, dp)] = c
     return terms
 
 
 def _r_content_primitive(rec):
-    """Content (univariate gcd in p0 of all k-coefficients) and primitive part."""
+    """Content (gcd in Z[p0] of all k-coefficients) and primitive part,
+    for nonzero rec."""
     cont = ()
     for u in rec:
         if u:
-            cont = _u_gcd(cont, u) if cont else _u_gcd(u, ())
-    if not cont:
-        return (), []
-    prim = [(_u_divexact(u, cont) if u else ()) for u in rec]
-    return cont, _r_trim(prim)
+            cont = _u_gcd(cont, u)
+            if cont == (1,):
+                return cont, rec
+    return cont, _r_scale_div(rec, cont)
 
 
 def _r_scale_div(rec, u):
     """Divide every k-coefficient exactly by the univariate u."""
-    return _r_trim([(_u_divexact(c, u) if c else ()) for c in rec])
-
-
-def _r_mul_u(rec, u):
-    return _r_trim([_u_mul(c, u) for c in rec])
+    return [(_u_divexact(c, u) if c else ()) for c in rec]
 
 
 def _r_pseudo_rem(a, b):
     """Pseudo-remainder lb^(da-db+1) * a mod b in the k variable,
-    coefficients in Q[p0].  The full power of lb is essential: the
+    coefficients in Z[p0].  The full power of lb is essential: the
     subresultant divisors assume it, so any reduction step skipped by a
     leading-term cancellation must still contribute its lb factor."""
-    da, db = len(a) - 1, len(b) - 1
+    db = len(b) - 1
     lb = b[-1]
-    e = da - db + 1
-    r = [u for u in a]
-    while r and len(r) - 1 >= db:
-        dr = len(r) - 1
-        lead = r[-1]
-        # r := lb*r - lead*k^(dr-db)*b
+    e = len(a) - db
+    r = list(a)
+    while len(r) > db:
+        # r := lb*r - lead*k^(dr-db)*b; the k^dr terms cancel
+        lead = r.pop()
+        shift = len(r) - db
         r = [_u_mul(u, lb) for u in r]
-        shift = dr - db
-        for i, u in enumerate(b):
-            r[shift + i] = _u_add(r[shift + i], _u_neg(_u_mul(lead, u)))
-        r = _r_trim(r)
+        for i in range(db):
+            r[shift + i] = _u_sub(r[shift + i], _u_mul(lead, b[i]))
+        _r_trim(r)
         e -= 1
-        if len(r) - 1 == dr:  # cancellation failed -> bug
-            raise ArithmeticError("pseudo-remainder did not reduce degree")
     if e > 0 and r:
         le = _u_pow(lb, e)
         r = [_u_mul(u, le) for u in r]
     return r
 
 
-def _u_pow(u, n):
-    out = (Fraction(1),)
-    for _ in range(n):
-        out = _u_mul(out, u)
-    return out
-
-
 def _r_gcd(a, b):
-    """gcd in Q[p0][k] via subresultant PRS on primitive parts."""
-    if not a:
-        return b
-    if not b:
-        return a
+    """gcd in Z[p0][k] of nonzero a and b, up to sign, via the
+    subresultant PRS on primitive parts."""
     ca, pa = _r_content_primitive(a)
     cb, pb = _r_content_primitive(b)
     cg = _u_gcd(ca, cb)
     if len(pa) < len(pb):
         pa, pb = pb, pa
-    # subresultant remainder sequence
-    g = (Fraction(1),)
-    h = (Fraction(1),)
+    # subresultant remainder sequence; every division is exact in Z[p0]
+    g = h = (1,)
     while True:
         delta = len(pa) - len(pb)
         r = _r_pseudo_rem(pa, pb)
@@ -246,27 +238,26 @@ def _r_gcd(a, b):
         if delta >= 1:
             h = _u_divexact(_u_pow(g, delta), _u_pow(h, delta - 1))
     _, prim = _r_content_primitive(pb)
-    return _r_trim(_r_mul_u(prim, cg))
+    return [_u_mul(u, cg) for u in prim]
 
 
 def _r_divexact(a, b):
-    """Exact division in Q[p0][k]; raises if not exact."""
+    """Exact division in Z[p0][k]; raises if not exact."""
     if not b:
         raise DivisionByZero("bivariate division by zero")
-    if not a:
-        return []
-    q = [() for _ in range(len(a) - len(b) + 1)]
-    r = [u for u in a]
-    while r and len(r) >= len(b):
-        c = _u_divexact(r[-1], b[-1])
-        d = len(r) - len(b)
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    q = [()] * max(0, len(r) - db)
+    while len(r) > db:
+        c = _u_divexact(r.pop(), lb)
+        d = len(r) - db
         q[d] = c
-        for i, u in enumerate(b):
-            r[d + i] = _u_add(r[d + i], _u_neg(_u_mul(c, u)))
-        r = _r_trim(r)
+        for i in range(db):
+            r[d + i] = _u_sub(r[d + i], _u_mul(c, b[i]))
+        _r_trim(r)
     if r:
         raise ArithmeticError("inexact bivariate division")
-    return _r_trim(q)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +269,24 @@ def _grlex_key(mono):
     return (dk + dp, dk)
 
 
-class ParamPoly:
-    """Sparse polynomial in k and p0 with Fraction coefficients.
+def _exact(c):
+    """An exact rational coefficient: an int when it is integral, else
+    a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
-    self.terms maps (deg_k, deg_p0) -> Fraction; zero coefficients are
-    never stored, so the zero polynomial is the empty dict.
+
+class ParamPoly:
+    """Sparse polynomial in k and p0 with exact rational coefficients.
+
+    self.terms maps (deg_k, deg_p0) -> coefficient; zero coefficients
+    are never stored, so the zero polynomial is the empty dict.  The
+    constructor stores an integral coefficient as an int, and sums,
+    products and integer multiples of int coefficients stay ints; the
+    polynomials of a ParamRat lie in Z[k, p0] and hold ints only.  A
+    Fraction appears only in a polynomial built from fractional input.
     """
 
     __slots__ = ("terms", "_hash")
@@ -291,25 +295,23 @@ class ParamPoly:
         t = {}
         if terms:
             for mono, c in terms.items():
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
-                if c != 0:
+                c = _exact(c)
+                if c:
                     t[mono] = c
         self.terms = t
         self._hash = None
 
     @staticmethod
     def const(c):
-        c = Fraction(c)
-        return ParamPoly({(0, 0): c} if c else {})
+        return ParamPoly({(0, 0): c})
 
     @staticmethod
     def var_k():
-        return ParamPoly({(1, 0): Fraction(1)})
+        return ParamPoly({(1, 0): 1})
 
     @staticmethod
     def var_p0():
-        return ParamPoly({(0, 1): Fraction(1)})
+        return ParamPoly({(0, 1): 1})
 
     def is_zero(self):
         return not self.terms
@@ -318,7 +320,7 @@ class ParamPoly:
         return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
 
     def const_value(self):
-        return self.terms.get((0, 0), Fraction(0))
+        return Fraction(self.terms.get((0, 0), 0))
 
     def __eq__(self, other):
         return isinstance(other, ParamPoly) and self.terms == other.terms
@@ -368,7 +370,9 @@ class ParamPoly:
         return out
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
+        if c == 1:
+            return self
         if c == 0 or not self.terms:
             return _P_ZERO
         out = ParamPoly.__new__(ParamPoly)
@@ -431,17 +435,33 @@ class ParamPoly:
                           if dp == d})
 
     def content_primitive(self):
-        """Rational content (> 0) and integer-primitive part."""
+        """Content (> 0) and integer-primitive part, self = content * prim.
+
+        The content is an int when every coefficient is one, and the
+        primitive part is then self divided with `//`; otherwise the
+        content is a Fraction.  This is the one place where fractional
+        coefficients are cleared.  The zero polynomial has content 0.
+        """
         if not self.terms:
-            return Fraction(0), _P_ZERO
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = int_gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
+            return 0, _P_ZERO
+        coeffs = self.terms.values()
+        if all(type(c) is int for c in coeffs):
+            content = int_gcd(*coeffs)
+            if content == 1:
+                return 1, self
+            terms = {m: c // content for m, c in self.terms.items()}
+        else:
+            num_gcd = 0
+            den_lcm = 1
+            for c in map(Fraction, coeffs):
+                num_gcd = int_gcd(num_gcd, c.numerator)
+                den_lcm = den_lcm * c.denominator // int_gcd(den_lcm,
+                                                            c.denominator)
+            content = Fraction(num_gcd, den_lcm)
+            terms = {m: (c / content).numerator
+                     for m, c in self.terms.items()}
         prim = ParamPoly.__new__(ParamPoly)
-        prim.terms = {m: c / content for m, c in self.terms.items()}
+        prim.terms = terms
         prim._hash = None
         return content, prim
 
@@ -453,11 +473,12 @@ class ParamPoly:
 
 
 _P_ZERO = ParamPoly()
-_P_ONE = ParamPoly({(0, 0): Fraction(1)})
+_P_ONE = ParamPoly({(0, 0): 1})
 
 
 def poly_gcd(a, b):
-    """gcd of two ParamPolys, integer-primitive, positive graded-lex leading coeff."""
+    """gcd of two integer ParamPolys, integer-primitive, with a positive
+    graded-lex leading coefficient."""
     if a.is_zero():
         g_rec = _dict_to_rec(b.terms)
     elif b.is_zero():
@@ -474,7 +495,8 @@ def poly_gcd(a, b):
 
 
 def poly_divexact(a, b):
-    """Exact division of ParamPolys; raises ArithmeticError if not exact."""
+    """Exact division of integer ParamPolys; raises ArithmeticError
+    unless b divides a in Z[k, p0]."""
     return ParamPoly(_rec_to_dict(_r_divexact(_dict_to_rec(a.terms),
                                               _dict_to_rec(b.terms))))
 
@@ -509,9 +531,9 @@ def _scalar_canonical(num, den):
         return _P_ZERO, _P_ONE
     cn, pn = num.content_primitive()
     cd, pd = den.content_primitive()
-    scalar = cn / cd
-    num = pn.scale(scalar.numerator)
-    den = pd.scale(scalar.denominator)
+    g = int_gcd(cn, cd)
+    num = pn.scale(cn // g)
+    den = pd.scale(cd // g)
     if den.terms[den.front_mono()] < 0:
         num, den = -num, -den
     return num, den
@@ -527,10 +549,11 @@ def _make(num, den):
 class ParamRat:
     """Element of Q(k, p0) in canonical reduced form.
 
-    Invariants: num and den are integer-coefficient ParamPolys with no
-    common polynomial factor; the integer contents of num and den are
-    coprime; den's front coefficient, that of its graded-lex (total
-    degree, then deg_k) smallest monomial, is positive; zero is 0/1.
+    Invariants: num and den are ParamPolys whose coefficients are all
+    Python ints, with no common polynomial factor; the integer contents
+    of num and den are coprime; den's front coefficient, that of its
+    graded-lex (total degree, then deg_k) smallest monomial, is
+    positive; zero is 0/1.
     The form is unique, so equality and hashing are structural.
     """
 
@@ -541,6 +564,13 @@ class ParamRat:
             den = _P_ONE
         if den.is_zero():
             raise DivisionByZero("zero denominator in ParamRat")
+        if not all(type(c) is int
+                   for p in (num, den) for c in p.terms.values()):
+            # clear denominators, so that the gcd sees Z[k, p0] only
+            cn, num = num.content_primitive()
+            cd, den = den.content_primitive()
+            q = Fraction(cn, cd)
+            num, den = num.scale(q.numerator), den.scale(q.denominator)
         self.num, self.den = _scalar_canonical(*_cancel(num, den))
         self._hash = None
 
@@ -579,19 +609,21 @@ class ParamRat:
     def const_value(self):
         if not self.is_const():
             raise ValueError("not a constant: %s" % self)
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.const_value() / self.den.const_value()
+        return Fraction(self.num.terms.get((0, 0), 0),
+                        self.den.terms[(0, 0)])
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = ParamRat.from_int(other)
-        return (isinstance(other, ParamRat)
-                and self.num == other.num and self.den == other.den)
+        if not isinstance(other, ParamRat):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = as_rat(other)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes like its Fraction value, which it equals
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            self._hash = hash(self.const_value() if self.is_const()
+                              else (self.num, self.den))
         return self._hash
 
     def __bool__(self):
@@ -799,6 +831,10 @@ def _format_poly(poly):
     return "".join(pieces)
 
 
+# str.isdigit would also take non-ASCII digits such as "\u0663" and "\u00b2"
+_DIGITS = frozenset("0123456789")
+
+
 class _Parser:
     """Recursive-descent parser for rational expressions in k and p0.
 
@@ -831,7 +867,7 @@ class _Parser:
     def parse_int(self):
         self.skip()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if start == self.pos:
             self.error("expected integer")
@@ -844,7 +880,7 @@ class _Parser:
             e = self.parse_expr()
             self.eat(")")
             return e
-        if ch.isdigit():
+        if ch in _DIGITS:
             return ParamRat.from_int(self.parse_int())
         if self.text.startswith("p0", self.pos):
             self.pos += 2

@@ -5,14 +5,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jacklaurent import clear_caches, rational
 from jacklaurent.jack import construct, rational_mode_construct
+from jacklaurent.laurent import LaurentSymFunc
 from jacklaurent.partitions import bipartitions_up_to
 from jacklaurent.rational import ParamPoly, ParamRat, RAT_ZERO, RAT_ONE, \
-    K, P0, rat, parse_rat, poly_gcd, DivisionByZero, PoleAtSpecialization, \
-    IdenticallySingular
+    K, P0, rat, parse_rat, poly_gcd, poly_divexact, DivisionByZero, \
+    PoleAtSpecialization, IdenticallySingular
 
 
 def frac(n, d=1):
@@ -41,6 +42,26 @@ def param_rats(draw, max_terms=3, max_deg=2):
 
 
 @st.composite
+def int_polys(draw, max_terms=4, max_deg=2):
+    """Polynomials in Z[k, p0]."""
+    n = draw(st.integers(0, max_terms))
+    terms = {}
+    for _ in range(n):
+        mono = (draw(st.integers(0, max_deg)), draw(st.integers(0, max_deg)))
+        terms[mono] = terms.get(mono, 0) + draw(st.integers(-5, 5))
+    return ParamPoly(terms)
+
+
+nonzero_int_polys = int_polys().filter(lambda p: not p.is_zero())
+
+
+def _normal(p):
+    """p integer-primitive with a positive graded-lex leading coefficient."""
+    _, p = p.content_primitive()
+    return -p if p.terms[p.leading_mono()] < 0 else p
+
+
+@st.composite
 def const_den_rats(draw):
     """Elements with a constant denominator: the coefficients of a
     construction at a numeric point, and of most closed forms."""
@@ -51,7 +72,7 @@ def const_den_rats(draw):
 def _assert_canonical(r):
     """The canonical-form invariants of ParamRat, checked from outside."""
     ints = [c for p in (r.num, r.den) for c in p.terms.values()]
-    assert all(c.denominator == 1 for c in ints), r
+    assert all(type(c) is int for c in ints), r
     if r.is_zero():
         assert r.den == ParamPoly.const(1), r
         return
@@ -132,6 +153,38 @@ class TestCanonicalInvariants:
             assert sympy.gcd(parse(str(r.num)), parse(str(r.den))).is_number
 
 
+# The first pseudo-division step of a by b cancels a's k^2 term too, so
+# the pseudo-remainder owes b's leading coefficient for the step skipped.
+SKIPPED_STEP = [parse_rat(t).num for t in
+                ("k^3 + k^2 + k + 2", "p0*k^2 + p0*k + 1", "k + p0")]
+
+
+class TestIntegerGcd:
+    @settings(max_examples=60, deadline=None)
+    @given(nonzero_int_polys, int_polys(), nonzero_int_polys)
+    @example(*SKIPPED_STEP)
+    def test_sympy_gcd_oracle(self, sympy, a, b, g):
+        k, p0 = sympy.symbols("k p0")
+
+        def to_sympy(p):
+            return sympy.sympify(str(p).replace("^", "**"),
+                                 locals={"k": k, "p0": p0})
+
+        want = sympy.Poly(sympy.gcd(to_sympy(a * g), to_sympy(b * g)), k, p0)
+        want = ParamPoly({m: int(c) for m, c in want.terms()})
+        assert poly_gcd(a * g, b * g) == _normal(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(int_polys(), nonzero_int_polys)
+    def test_divexact(self, a, g):
+        assert poly_divexact(a * g, g) == a
+        with pytest.raises(ArithmeticError):
+            poly_divexact(g, g.scale(2))
+        if not g.is_const():
+            with pytest.raises(ArithmeticError):
+                poly_divexact(a * g + ParamPoly.const(1), g)
+
+
 def test_no_gcd_with_a_constant_operand(monkeypatch):
     calls = {"all": 0, "constant": 0}
     real = rational.poly_gcd
@@ -177,6 +230,33 @@ class TestCanonicalForm:
         b = K * K + K * 2 + RAT_ONE
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_constants_equal_and_hash_like_their_values(self):
+        assert rat(1, 2) == Fraction(1, 2)
+        assert Fraction(1, 2) == rat(1, 2)
+        assert rat(2) == 2
+        assert hash(rat(2)) == hash(2)
+        assert hash(rat(1, 2)) == hash(Fraction(1, 2))
+        assert {rat(2): "x"}[2] == "x"
+        assert K != "k" and rat(2) != 2.0
+
+
+class TestNoFloats:
+    def test_const_value_is_a_fraction(self):
+        for c in (ParamPoly.const(4), rat(1, 3), RAT_ZERO):
+            assert type(c.const_value()) is Fraction
+        assert rat(1, 3).const_value() == Fraction(1, 3)
+
+    def test_evaluations_are_fractions(self):
+        c = (K * 2 + P0) / (K - 3)
+        f = construct(((1,), (1,))).f
+        third = LaurentSymFunc.const(rat(1, 3))
+        for v in (c.specialize(2, 5), c.num.evaluate(2, 5),
+                  f.evaluate_eps().specialize(2, 5),
+                  third.evaluate_eps().const_value()):
+            assert type(v) is Fraction, v
+        for c in f.specialize(2, 5).terms.values():
+            assert type(c.const_value()) is Fraction
 
 
 class TestArithmetic:
@@ -303,3 +383,18 @@ class TestStringRoundTrip:
     @given(param_rats())
     def test_print_then_parse(self, a):
         assert parse_rat(str(a)) == a
+
+    @pytest.mark.parametrize("text", ["\u0663", "\u00b2", "k^\u00b2",
+                                      "1\u0663", "k^\u0663"])
+    def test_non_ascii_digits_rejected(self, text):
+        with pytest.raises(ValueError, match="parse error"):
+            parse_rat(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        try:
+            v = parse_rat(text)
+        except (ValueError, DivisionByZero):
+            return
+        assert parse_rat(str(v)) == v
