@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .rational import rat, SingularParameter, \
-    PoleAtSpecialization, IdenticallySingular, DivisionByZero
+    PoleAtSpecialization, IdenticallySingular, DivisionByZero, _DIGITS
 from .laurent import parse_element
 from .partitions import normalize_partition, size, \
     add_box_candidates, remove_box_candidates, label_str, alpha_json
@@ -146,7 +146,7 @@ def _cmd_formula(args):
 
 def _cmd_apply_op(args):
     op = args.op.upper()
-    if len(op) < 2 or op[0] not in "LH" or not op[1:].isdigit():
+    if len(op) < 2 or op[0] not in "LH" or not set(op[1:]) <= _DIGITS:
         raise UsageError("--op wants L<r> or H<r>, got %r" % args.op)
     r = int(op[1:])
     if r < 1:

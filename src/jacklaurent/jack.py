@@ -15,13 +15,13 @@ P_{lam,0} is the classical one-parameter eigenfunction of the positive
 part, free of p0, and the base case is P_{0,mu} = star(P_{mu,0}), with
 star the involution p_i -> p_{-i}.  Everything is exact over Q(k, p0);
 the numeric mode runs the same loop at (k, 0) for P_{mu,0} and at (k, p0)
-for the rest.
+for the rest, on Fraction coefficients.
 """
 
 from fractions import Fraction
 from functools import cache
 
-from .rational import ParamRat, K, P0, RAT_ZERO, rat, SingularParameter, \
+from .rational import K, P0, RAT_ZERO, rat, SingularParameter, \
     PoleAtSpecialization, NotEigenvector
 from .laurent import LaurentSymFunc
 from .partitions import size, conjugate, add_box_candidates, \
@@ -89,23 +89,21 @@ def _neighbors(alpha):
 
 class _Point:
     """Where _grow runs: symbolic parameters, or the rational point
-    `at` = (k0, p00).  `k` and `p0` are the parameters handed to
-    cms_L2_direct; `value` reads a closed form at the point."""
+    `at` = (k0, p00) of Fractions.  `k` and `p0` are the parameters handed
+    to cms_L2_direct; `value` reads a closed form at the point, as a
+    ParamRat or a Fraction."""
 
     __slots__ = ("at", "k", "p0")
 
     def __init__(self, at=None):
         self.at = at
-        if at is None:
-            self.k, self.p0 = K, P0
-        else:
-            self.k, self.p0 = (ParamRat.from_fraction(x) for x in at)
+        self.k, self.p0 = (K, P0) if at is None else at
 
     def value(self, x, what):
         if self.at is None:
             return x
         try:
-            return ParamRat.from_fraction(x.specialize(*self.at))
+            return x.specialize(*self.at)
         except PoleAtSpecialization:
             raise SingularParameter("%s has a pole%s" % (what, self))
 
@@ -130,16 +128,16 @@ def _grow(f, alpha, box, point):
                                         % (point, g1, g2))
     v = point.value(pieri_V(box, alpha),
                     "transition coefficient at box %s" % (box,))
-    if v.is_zero():
+    if not v:
         raise SingularParameter("vanishing transition coefficient at box "
                                 "%s%s" % (box, point))
     s = dict(near)[beta]
-    out = LaurentSymFunc.gen(1) * f
+    out = f.times(1)
     for gamma, e in near:
         if gamma != beta:
             out = (cms_L2_direct(out, k=point.k, p0=point.p0) - out * e) \
-                * (s - e).inverse()
-    return out * v.inverse()
+                * (1 / (s - e))
+    return out * (1 / v)
 
 
 def _extend(prev, box):
@@ -191,7 +189,7 @@ def pieri_identity_check(alpha):
     """p_1 * P_{lam,mu} = sum_x V(x) P_{lam+x,mu} + sum_y U(y) P_{lam,mu-y},
     compared exactly."""
     lam, mu = _normalize_alpha(alpha)
-    lhs = LaurentSymFunc.gen(1) * construct((lam, mu)).f
+    lhs = construct((lam, mu)).f.times(1)
     rhs = LaurentSymFunc.zero()
     for x in add_box_candidates(lam):
         v = pieri_V(x, (lam, mu))
@@ -261,12 +259,14 @@ def _walk(f, lam, mu, point):
 
 
 def rational_mode_construct(alpha, k0, p00):
-    """Run the construction with both parameters fixed to rationals.
-    Agrees with construct(alpha).f.specialize(k0, p00) whenever
-    the latter is defined; raises SingularParameter when the chosen point
-    hits an eigenvalue collision or kills a transition coefficient."""
+    """Run the construction with both parameters fixed to rationals; the
+    result has Fraction coefficients.  Agrees with
+    construct(alpha).f.specialize(k0, p00) whenever the latter is
+    defined; raises SingularParameter when the chosen point hits an
+    eigenvalue collision or kills a transition coefficient."""
     k0 = Fraction(k0)
     p00 = Fraction(p00)
     lam, mu = _normalize_alpha(alpha)
-    positive = _walk(LaurentSymFunc.one(), mu, (), _Point((k0, Fraction(0))))
+    positive = _walk(LaurentSymFunc.const(Fraction(1)), mu, (),
+                     _Point((k0, Fraction(0))))
     return _walk(positive.star(), lam, mu, _Point((k0, p00)))

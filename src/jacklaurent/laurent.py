@@ -1,16 +1,19 @@
 """The algebra of Laurent symmetric functions.
 
 Elements are sparse polynomials in free commuting generators p_i,
-i a nonzero integer, with coefficients in Q(k, p0).  A monomial is a
-tuple of (index, exponent) pairs sorted by index; the unit monomial is
-the empty tuple.  The parameter p0 plays the role of the dimension and
-only ever enters through coefficients, never as a generator.
+i a nonzero integer, with coefficients in Q(k, p0): ParamRats for
+symbolic parameters, Fractions at a rational point (k0, p00).  A
+monomial is a tuple of (index, exponent) pairs sorted by index; the
+unit monomial is the empty tuple.  The parameter p0 plays the role of
+the dimension and only ever enters through coefficients, never as a
+generator.
 """
 
+from collections import Counter
 from fractions import Fraction
 
-from .rational import (ParamRat, RAT_ONE, RAT_ZERO, K, P0, as_rat,
-                       parse_rat, PoleAtSpecialization, _Parser)
+from .rational import (RAT_ONE, RAT_ZERO, K, P0, as_rat, parse_rat,
+                       PoleAtSpecialization, _Parser, _DIGITS)
 
 UNIT_MONO = ()
 
@@ -58,8 +61,15 @@ def _term_order(m):
 class LaurentSymFunc:
     """Sparse element of the Laurent symmetric function algebra.
 
-    self.terms maps monomial tuples to nonzero ParamRat coefficients.
-    Instances are treated as immutable; all operations return new ones.
+    self.terms maps monomial tuples to nonzero coefficients.  Any
+    coefficient with `+ - *`, `==` with `hash`, and truthiness for zero
+    will do: ParamRat for symbolic parameters, Fraction at a rational
+    point.  The coefficient type is that of the input; where a Fraction
+    meets a ParamRat, in a sum or a product, the result is a ParamRat,
+    through ParamRat's reflected operators.  A constant ParamRat equals
+    and hashes like its Fraction value, so equality does not depend on
+    the type.  Instances are treated as immutable; all operations
+    return new ones.
     """
 
     __slots__ = ("terms",)
@@ -68,7 +78,7 @@ class LaurentSymFunc:
         t = {}
         if terms:
             for m, c in terms.items():
-                if not c.is_zero():
+                if c:
                     t[m] = c
         self.terms = t
 
@@ -82,7 +92,7 @@ class LaurentSymFunc:
 
     @staticmethod
     def const(c):
-        return LaurentSymFunc({UNIT_MONO: as_rat(c)})
+        return LaurentSymFunc({UNIT_MONO: c})
 
     @staticmethod
     def gen(i, power=1):
@@ -113,7 +123,7 @@ class LaurentSymFunc:
         for m, c in other.terms.items():
             s = t.get(m)
             s = c if s is None else s + c
-            if s.is_zero():
+            if not s:
                 t.pop(m, None)
             else:
                 t[m] = s
@@ -139,7 +149,7 @@ class LaurentSymFunc:
                 c = c1 * c2
                 s = t.get(m)
                 s = c if s is None else s + c
-                if s.is_zero():
+                if not s:
                     t.pop(m, None)
                 else:
                     t[m] = s
@@ -152,12 +162,18 @@ class LaurentSymFunc:
 
     def scale(self, c):
         """The product with a scalar: a ParamRat, int or Fraction."""
-        if not isinstance(c, ParamRat):
-            c = as_rat(c)
-        if c.is_zero() or not self.terms:
+        if not c or not self.terms:
             return LaurentSymFunc()
         out = LaurentSymFunc.__new__(LaurentSymFunc)
         out.terms = {m: x * c for m, x in self.terms.items()}
+        return out
+
+    def times(self, *gens):
+        """The product with the generators p_i, i in gens: a shift of
+        every monomial, with the coefficients kept as they are."""
+        mono = mono_from_dict(Counter(gens))
+        out = LaurentSymFunc.__new__(LaurentSymFunc)
+        out.terms = {mono_mul(m, mono): c for m, c in self.terms.items()}
         return out
 
     def coeff(self, m):
@@ -201,7 +217,7 @@ class LaurentSymFunc:
             add = c * (a * e)
             s = t.get(key)
             s = add if s is None else s + add
-            if s.is_zero():
+            if not s:
                 t.pop(key, None)
             else:
                 t[key] = s
@@ -235,7 +251,7 @@ class LaurentSymFunc:
         t = {}
         for m, c in self.terms.items():
             v = fn(c)
-            if not v.is_zero():
+            if v:
                 t[m] = v
         out = LaurentSymFunc.__new__(LaurentSymFunc)
         out.terms = t
@@ -252,8 +268,9 @@ class LaurentSymFunc:
         return self.map_coeffs(lambda c: c.param_swap())
 
     def specialize(self, k0, p00):
-        """Coefficients evaluated at the rational point (k0, p00); a pole
-        raises PoleAtSpecialization naming the monomial."""
+        """The function at the rational point (k0, p00), with Fraction
+        coefficients; a pole raises PoleAtSpecialization naming the
+        monomial."""
         k0, p00 = Fraction(k0), Fraction(p00)
         t = {}
         for m, c in self.terms.items():
@@ -264,7 +281,7 @@ class LaurentSymFunc:
                     "coefficient of %s has a pole at k=%s, p0=%s: %s"
                     % (mono_str(m), k0, p00, c))
             if v:
-                t[m] = ParamRat.from_fraction(v)
+                t[m] = v
         out = LaurentSymFunc.__new__(LaurentSymFunc)
         out.terms = t
         return out
@@ -280,6 +297,7 @@ class LaurentSymFunc:
             return "0"
         pieces = []
         for idx, (m, c) in enumerate(self.sorted_terms()):
+            c = as_rat(c)
             neg = c.num.terms[c.num.front_mono()] < 0
             mag = -c if neg else c
             body = _coeff_mono_str(mag, m)
@@ -297,7 +315,7 @@ class LaurentSymFunc:
         out = []
         for m, c in self.sorted_terms():
             out.append({"exponents": {str(i): e for i, e in m},
-                        "coeff": str(c)})
+                        "coeff": str(as_rat(c))})
         return out
 
 
@@ -350,19 +368,15 @@ class _ElemParser(_Parser):
         idx = sign * self.parse_int()
         if idx == 0:
             self.error("generator index 0 does not exist")
-        power = 1
-        if self.peek() == "^":
-            self.eat("^")
-            power = self.parse_int()
-        return LaurentSymFunc.gen(idx, power)
+        return LaurentSymFunc.gen(idx, self.parse_exponent())
 
     def _is_generator_ahead(self):
         if self.peek() != "p":
             return False
         rest = self.text[self.pos + 1:]
-        if rest.startswith("0") and not rest[1:2].isdigit():
+        if rest.startswith("0") and rest[1:2] not in _DIGITS:
             return False  # the parameter p0
-        return rest[:1].isdigit() or rest[:1] == "-"
+        return rest[:1] in _DIGITS or rest[:1] == "-"
 
     def parse_elem_term(self):
         coeff = RAT_ONE

@@ -23,7 +23,7 @@ stable second integral stable_H(2, .).
 
 from math import comb
 
-from .rational import ParamRat, RAT_ONE, K, P0, rat
+from .rational import RAT_ONE, K, P0, rat
 from .laurent import LaurentSymFunc
 
 
@@ -137,13 +137,13 @@ def delta_p0(element):
         if l > 0:
             out.add_term(l, f.scale(P0 - rat(2 * l)))
             for m in range(1, l):
-                out.add_term(l - m, (LaurentSymFunc.gen(m) * f).scale(2))
-            out.add_term(0, LaurentSymFunc.gen(l) * f)
+                out.add_term(l - m, f.times(m).scale(2))
+            out.add_term(0, f.times(l))
         elif l < 0:
             out.add_term(l, f.scale(-P0 - rat(2 * l)))
             for m in range(1, -l):
-                out.add_term(l + m, (LaurentSymFunc.gen(-m) * f).scale(-2))
-            out.add_term(0, -(LaurentSymFunc.gen(l) * f))
+                out.add_term(l + m, f.times(-m).scale(-2))
+            out.add_term(0, -f.times(l))
     return out
 
 
@@ -163,11 +163,11 @@ def delta_tilde(element):
         if l > 0:
             out.add_term(l, f.scale(P0 - rat(l)))
             for m in range(1, l):
-                out.add_term(l - m, LaurentSymFunc.gen(m) * f)
+                out.add_term(l - m, f.times(m))
         elif l < 0:
             out.add_term(l, f.scale(-l))
             for m in range(1, -l + 1):
-                out.add_term(l + m, -(LaurentSymFunc.gen(-m) * f))
+                out.add_term(l + m, -f.times(-m))
     return out
 
 
@@ -186,7 +186,7 @@ def e_project(element):
         if l == 0:
             out = out + f.scale(P0)
         else:
-            out = out + LaurentSymFunc.gen(l) * f
+            out = out + f.times(l)
     return out
 
 
@@ -226,12 +226,13 @@ def cms_L2_direct(f, k=K, p0=P0):
     where d_a = a * d/dp_a and p_0 in the first sum means the parameter.
     This is the operator of the eigenfunction construction; it agrees
     with cms_L(2, .), and with p0 = 0 on the positive part it is the
-    stable integral stable_H(2, .).  Passing constant `k` and `p0` gives
-    the operator at a fixed numeric parameter point.
+    stable integral stable_H(2, .).  Passing Fractions for `k` and `p0`
+    gives the operator at a fixed numeric parameter point, with Fraction
+    coefficients throughout.
     """
     out = LaurentSymFunc.zero()
     kp0 = k * p0
-    one_plus_k = RAT_ONE + k
+    one_plus_k = 1 + k
     for a in _support(f):
         g = f.partial(a)
         if g.is_zero():
@@ -242,17 +243,17 @@ def cms_L2_direct(f, k=K, p0=P0):
             if a + b == 0:
                 out = out + h.scale(p0)
             else:
-                out = out + LaurentSymFunc.gen(a + b) * h
+                out = out + h.times(a + b)
         # - k p0 sgn(a) p_a d_a  +  (1+k) a p_a d_a
-        c = one_plus_k * rat(a) - (kp0 if a > 0 else -kp0)
-        out = out + (LaurentSymFunc.gen(a) * g).scale(c)
+        c = one_plus_k * a - (kp0 if a > 0 else -kp0)
+        out = out + g.times(a).scale(c)
         # - k sgn(a) (sum over two-part splittings of a) p_b p_{a-b} d_a
         if a >= 2:
             for b in range(1, a):
-                out = out - (LaurentSymFunc.gen(b) * LaurentSymFunc.gen(a - b) * g).scale(k)
+                out = out - g.times(b, a - b).scale(k)
         elif a <= -2:
             for b in range(1, -a):
-                out = out + (LaurentSymFunc.gen(-b) * LaurentSymFunc.gen(a + b) * g).scale(k)
+                out = out + g.times(-b, a + b).scale(k)
     return out
 
 

@@ -2,10 +2,12 @@
 
 Everything downstream (Laurent symmetric functions, operators, closed
 formulas) has coefficients in this field.  A ParamPoly is a sparse
-polynomial in the two symbols k and p0 with exact rational coefficients,
-stored as Python ints where integral; a ParamRat is a quotient of two
-integer ParamPolys, in Z[k, p0], kept in a canonical reduced form, so
-that equality of rational functions is plain structural equality.
+polynomial in Z[k, p0]: its coefficients are Python ints, and it
+rejects any other.  A ParamRat is a quotient of two ParamPolys kept in a
+canonical reduced form, so that equality of rational functions is plain
+structural equality.  A rational number enters only through a ParamRat
+(`from_fraction`, `as_rat`), whose numerator and denominator are
+integral by construction.
 
 No floating point is used anywhere, and no external computer-algebra
 system: the bivariate gcd needed for reduction is done by
@@ -269,24 +271,13 @@ def _grlex_key(mono):
     return (dk + dp, dk)
 
 
-def _exact(c):
-    """An exact rational coefficient: an int when it is integral, else
-    a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class ParamPoly:
-    """Sparse polynomial in k and p0 with exact rational coefficients.
+    """Sparse polynomial in Z[k, p0].
 
-    self.terms maps (deg_k, deg_p0) -> coefficient; zero coefficients
+    self.terms maps (deg_k, deg_p0) -> int coefficient; zero coefficients
     are never stored, so the zero polynomial is the empty dict.  The
-    constructor stores an integral coefficient as an int, and sums,
-    products and integer multiples of int coefficients stay ints; the
-    polynomials of a ParamRat lie in Z[k, p0] and hold ints only.  A
-    Fraction appears only in a polynomial built from fractional input.
+    constructor raises TypeError on a coefficient that is not an int, so
+    sums, products and integer multiples stay in Z[k, p0].
     """
 
     __slots__ = ("terms", "_hash")
@@ -295,7 +286,9 @@ class ParamPoly:
         t = {}
         if terms:
             for mono, c in terms.items():
-                c = _exact(c)
+                if type(c) is not int:
+                    raise TypeError("ParamPoly coefficients are ints, got %r"
+                                    % (c,))
                 if c:
                     t[mono] = c
         self.terms = t
@@ -370,7 +363,7 @@ class ParamPoly:
         return out
 
     def scale(self, c):
-        c = _exact(c)
+        """The product with the int c."""
         if c == 1:
             return self
         if c == 0 or not self.terms:
@@ -403,27 +396,15 @@ class ParamPoly:
             total += c * (Fraction(k0) ** dk) * (Fraction(p00) ** dp)
         return total
 
-    def subs_k(self, k0):
-        """Substitute a rational for k; returns a ParamPoly in p0 alone."""
+    def subs(self, var, a, b, d):
+        """b^d times self with a/b substituted for k (var 0) or p0
+        (var 1), for ints a, b and d at least the degree in that
+        variable; a ParamPoly in the other variable alone."""
         t = {}
-        k0 = Fraction(k0)
-        for (dk, dp), c in self.terms.items():
-            s = t.get((0, dp), 0) + c * k0 ** dk
-            if s:
-                t[(0, dp)] = s
-            else:
-                t.pop((0, dp), None)
-        return ParamPoly(t)
-
-    def subs_p0(self, p00):
-        t = {}
-        p00 = Fraction(p00)
-        for (dk, dp), c in self.terms.items():
-            s = t.get((dk, 0), 0) + c * p00 ** dp
-            if s:
-                t[(dk, 0)] = s
-            else:
-                t.pop((dk, 0), None)
+        for mono, c in self.terms.items():
+            e = mono[var]
+            rest = (0, mono[1]) if var == 0 else (mono[0], 0)
+            t[rest] = t.get(rest, 0) + c * a ** e * b ** (d - e)
         return ParamPoly(t)
 
     def degree_p0(self):
@@ -435,33 +416,17 @@ class ParamPoly:
                           if dp == d})
 
     def content_primitive(self):
-        """Content (> 0) and integer-primitive part, self = content * prim.
-
-        The content is an int when every coefficient is one, and the
-        primitive part is then self divided with `//`; otherwise the
-        content is a Fraction.  This is the one place where fractional
-        coefficients are cleared.  The zero polynomial has content 0.
+        """Content and primitive part, self = content * prim: the content
+        is the int gcd (> 0) of the coefficients, and prim is self divided
+        by it with `//`.  The zero polynomial has content 0.
         """
         if not self.terms:
             return 0, _P_ZERO
-        coeffs = self.terms.values()
-        if all(type(c) is int for c in coeffs):
-            content = int_gcd(*coeffs)
-            if content == 1:
-                return 1, self
-            terms = {m: c // content for m, c in self.terms.items()}
-        else:
-            num_gcd = 0
-            den_lcm = 1
-            for c in map(Fraction, coeffs):
-                num_gcd = int_gcd(num_gcd, c.numerator)
-                den_lcm = den_lcm * c.denominator // int_gcd(den_lcm,
-                                                            c.denominator)
-            content = Fraction(num_gcd, den_lcm)
-            terms = {m: (c / content).numerator
-                     for m, c in self.terms.items()}
+        content = int_gcd(*self.terms.values())
+        if content == 1:
+            return 1, self
         prim = ParamPoly.__new__(ParamPoly)
-        prim.terms = terms
+        prim.terms = {m: c // content for m, c in self.terms.items()}
         prim._hash = None
         return content, prim
 
@@ -564,13 +529,6 @@ class ParamRat:
             den = _P_ONE
         if den.is_zero():
             raise DivisionByZero("zero denominator in ParamRat")
-        if not all(type(c) is int
-                   for p in (num, den) for c in p.terms.values()):
-            # clear denominators, so that the gcd sees Z[k, p0] only
-            cn, num = num.content_primitive()
-            cd, den = den.content_primitive()
-            q = Fraction(cn, cd)
-            num, den = num.scale(q.numerator), den.scale(q.denominator)
         self.num, self.den = _scalar_canonical(*_cancel(num, den))
         self._hash = None
 
@@ -714,19 +672,23 @@ class ParamRat:
 
     def substitute_k(self, k0):
         """Substitute k = k0; result is a ParamRat in p0 alone."""
-        den = self.den.subs_k(k0)
-        if den.is_zero():
-            raise IdenticallySingular(
-                "denominator %s vanishes identically at k=%s" % (self.den, k0))
-        return ParamRat(self.num.subs_k(k0), den)
+        return self._substitute(0, "k", k0)
 
     def substitute_p0(self, p00):
         """Substitute p0 = p00; result is a ParamRat in k alone."""
-        den = self.den.subs_p0(p00)
+        return self._substitute(1, "p0", p00)
+
+    def _substitute(self, var, name, value):
+        # num/den with value = a/b put in, both times b^d for the joint
+        # degree d in the variable, so the result stays in Z[k, p0]
+        q = Fraction(value)
+        d = max(m[var] for p in (self.num, self.den) for m in p.terms)
+        num, den = (p.subs(var, q.numerator, q.denominator, d)
+                    for p in (self.num, self.den))
         if den.is_zero():
-            raise IdenticallySingular(
-                "denominator %s vanishes identically at p0=%s" % (self.den, p00))
-        return ParamRat(self.num.subs_p0(p00), den)
+            raise IdenticallySingular("denominator %s vanishes identically "
+                                      "at %s=%s" % (self.den, name, value))
+        return ParamRat(num, den)
 
     def param_swap(self):
         """The substitution k -> 1/k, p0 -> k*p0 (an involution of Q(k,p0)).
@@ -834,14 +796,20 @@ def _format_poly(poly):
 # str.isdigit would also take non-ASCII digits such as "\u0663" and "\u00b2"
 _DIGITS = frozenset("0123456789")
 
+# The largest exponent after `^` in parsed text.  No coefficient of a
+# label with |lam|+|mu| <= 6 needs more than 7, and a short expression
+# such as (1+k+p0)^80 already costs seconds.
+MAX_EXPONENT = 32
+
 
 class _Parser:
     """Recursive-descent parser for rational expressions in k and p0.
 
     Grammar: expr = ['+'|'-'] term (('+'|'-') term)*;
     term = factor (('*'|'/') factor)*; factor = atom ('^' int)?;
-    atom = int | 'k' | 'p0' | '(' expr ')'.  Everything is built over
-    ParamRat, so `/` works at any depth.
+    atom = int | 'k' | 'p0' | '(' expr ')'.  An exponent is at most
+    MAX_EXPONENT.  Everything is built over ParamRat, so `/` works at
+    any depth.
     """
 
     def __init__(self, text):
@@ -890,12 +858,21 @@ class _Parser:
             return K
         self.error("expected atom")
 
+    def parse_exponent(self):
+        """The int after an optional `^`, 1 when there is none; above
+        MAX_EXPONENT it is a parse error."""
+        if self.peek() != "^":
+            return 1
+        self.eat("^")
+        n = self.parse_int()
+        if n > MAX_EXPONENT:
+            self.error("exponent %d exceeds %d" % (n, MAX_EXPONENT))
+        return n
+
     def parse_factor(self):
         a = self.parse_atom()
-        if self.peek() == "^":
-            self.eat("^")
-            return a ** self.parse_int()
-        return a
+        n = self.parse_exponent()
+        return a if n == 1 else a ** n
 
     def parse_term(self):
         out = self.parse_factor()

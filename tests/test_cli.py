@@ -2,6 +2,7 @@
 round-tripping of printed elements."""
 
 import json
+import time
 
 import pytest
 
@@ -53,6 +54,25 @@ class TestCompute:
                            "--k=-1/2", "--p0=7/3", "--format", "json")
         assert code == EXIT_OK
         assert json.loads(out)["k"] == "-1/2"
+
+    def test_rational_mode_output_bytes(self, capsys):
+        argv = ("compute", "--lambda", "2,1", "--mu", "1",
+                "--k=-1/2", "--p0=7/3")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == ("-(1/2)*p-1*p3 + (1/4)*p-1*p1^3 + (1/4)*p-1*p1*p2"
+                       " - (19/224)*p2 - (237/224)*p1^2\n")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        terms = [("(-1)/(2)", {"-1": 1, "3": 1}),
+                 ("(1)/(4)", {"-1": 1, "1": 3}),
+                 ("(1)/(4)", {"-1": 1, "1": 1, "2": 1}),
+                 ("(-19)/(224)", {"2": 1}),
+                 ("(-237)/(224)", {"1": 2})]
+        payload = {"alpha": [[2, 1], [1]], "k": "-1/2", "mode": "rational",
+                   "p0": "7/3",
+                   "terms": [{"coeff": c, "exponents": e} for c, e in terms]}
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_rational_mode_needs_both_parameters(self, capsys):
         code, _, err = run(capsys, "compute", "--lambda", "1", "--k", "-1")
@@ -123,6 +143,20 @@ class TestApplyOp:
     def test_bad_op_name(self, capsys):
         code, _, err = run(capsys, "apply-op", "--op", "Q2", "--expr", "p1")
         assert code == EXIT_USAGE
+
+    def test_non_ascii_op_order(self, capsys):
+        code, out, err = run(capsys, "apply-op", "--op", "L\u0662",
+                             "--expr", "p1")
+        assert code == EXIT_USAGE and out == ""
+        assert "--op wants L<r> or H<r>" in err
+
+    def test_large_exponent_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "apply-op", "--op", "L2",
+                             "--expr", "p1*(1+k)^99")
+        assert time.perf_counter() - t0 < 1
+        assert code == EXIT_USAGE and out == ""
+        assert "exponent 99 exceeds 32" in err
 
 
 class TestCheckedCommands:

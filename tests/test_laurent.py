@@ -132,6 +132,24 @@ class TestScalars:
         assert half * f == f * rat(1, 2)
         assert K + half == K + rat(1, 2)
 
+    def test_fraction_coefficients_equal_constant_rats(self):
+        f = g(1) * g(-1) * rat(-1, 2) + g(2) * rat(3) + LaurentSymFunc.one()
+        fr = LaurentSymFunc({m: c.const_value() for m, c in f.terms.items()})
+        assert all(type(c) is Fraction for c in fr.terms.values())
+        assert fr == f and f == fr
+        assert hash(fr) == hash(f)
+        assert str(fr) == str(f)
+        assert fr.to_json_terms() == f.to_json_terms()
+        assert (fr - f).is_zero() and (f - fr).is_zero()
+
+    def test_times_keeps_the_coefficient_type(self):
+        f = LaurentSymFunc({(): Fraction(1, 2), ((-1, 1),): Fraction(3)})
+        assert f.times(1) == g(1) * f
+        assert f.times(2, -1, 2) == g(2, 2) * g(-1) * f
+        assert all(type(c) is Fraction for c in f.times(1).terms.values())
+        with pytest.raises(ValueError):
+            f.times(0)
+
 
 class TestSpecializations:
     def test_substitute_k(self):
@@ -161,3 +179,10 @@ class TestSerialization:
             g(1) * g(-1) - LaurentSymFunc.const(P0 / (RAT_ONE + K - K * P0))
         assert parse_element("0").is_zero()
         assert parse_element("p2^3") == g(2, 3)
+
+    def test_parse_errors(self):
+        for text, message in (("p0\u0663", "trailing input"),
+                              ("p1^33", "exponent 33 exceeds 32"),
+                              ("p1*(1+k)^99", "exponent 99 exceeds 32")):
+            with pytest.raises(ValueError, match="parse error.*" + message):
+                parse_element(text)

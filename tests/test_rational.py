@@ -2,7 +2,7 @@
 specialization, and the parameter swap."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,21 +24,31 @@ small_fracs = st.fractions(min_value=-4, max_value=4,
                            max_denominator=3)
 
 
+def _cleared(num, den):
+    """num/den for two maps monomial -> rational coefficient, with both
+    sides multiplied by the lcm of the coefficient denominators, so that
+    they are ParamPolys in Z[k, p0]."""
+    m = lcm(*(c.denominator for t in (num, den) for c in t.values()))
+    return ParamRat(*(ParamPoly({mono: (c * m).numerator
+                                 for mono, c in t.items()})
+                      for t in (num, den)))
+
+
 @st.composite
 def param_rats(draw, max_terms=3, max_deg=2):
-    def poly():
+    def terms():
         n = draw(st.integers(0, max_terms))
-        terms = {}
+        t = {}
         for _ in range(n):
             mono = (draw(st.integers(0, max_deg)),
                     draw(st.integers(0, max_deg)))
-            terms[mono] = terms.get(mono, Fraction(0)) + draw(small_fracs)
-        return ParamPoly(terms)
-    num = poly()
-    den = poly()
-    if den.is_zero():
-        den = ParamPoly.const(Fraction(1))
-    return ParamRat(num, den)
+            t[mono] = t.get(mono, Fraction(0)) + draw(small_fracs)
+        return t
+    num = terms()
+    den = terms()
+    if not any(den.values()):
+        den = {(0, 0): Fraction(1)}
+    return _cleared(num, den)
 
 
 @st.composite
@@ -66,7 +76,7 @@ def const_den_rats(draw):
     """Elements with a constant denominator: the coefficients of a
     construction at a numeric point, and of most closed forms."""
     a = draw(param_rats())
-    return ParamRat(a.num, ParamPoly.const(draw(small_fracs.filter(bool))))
+    return _cleared(a.num.terms, {(0, 0): draw(small_fracs.filter(bool))})
 
 
 def _assert_canonical(r):
@@ -133,7 +143,7 @@ class TestCanonicalInvariants:
     def test_rational_mode_coefficients(self, k0, p00):
         for alpha in bipartitions_up_to(3):
             for c in rational_mode_construct(alpha, k0, p00).terms.values():
-                _assert_canonical(c)
+                assert type(c) is Fraction, (alpha, c)
 
     @settings(max_examples=30, deadline=None)
     @given(param_rats(), param_rats())
@@ -256,7 +266,12 @@ class TestNoFloats:
                   third.evaluate_eps().const_value()):
             assert type(v) is Fraction, v
         for c in f.specialize(2, 5).terms.values():
-            assert type(c.const_value()) is Fraction
+            assert type(c) is Fraction, c
+
+    def test_param_poly_rejects_non_int_coefficients(self):
+        for c in (Fraction(1, 2), Fraction(2), 0.5):
+            with pytest.raises(TypeError):
+                ParamPoly({(0, 0): c})
 
 
 class TestArithmetic:
@@ -331,6 +346,34 @@ class TestSpecialization:
         with pytest.raises(IdenticallySingular):
             c.substitute_k(-1)
 
+    @pytest.mark.parametrize("c,method,value,message", [
+        (RAT_ONE / (K + RAT_ONE), "substitute_k", -1,
+         "denominator 1 + k vanishes identically at k=-1"),
+        (P0 * K / (P0 - rat(3)), "substitute_p0", 3,
+         "denominator 3 - p0 vanishes identically at p0=3"),
+        ((K * P0 + 1) / (K * 2 + 1), "substitute_k", frac(-1, 2),
+         "denominator 1 + 2*k vanishes identically at k=-1/2"),
+        (K / (K * P0 * 3 - P0 * P0 * 6), "substitute_p0", 0,
+         "denominator 6*p0^2 - 3*k*p0 vanishes identically at p0=0"),
+    ])
+    def test_identically_singular_messages(self, c, method, value, message):
+        with pytest.raises(IdenticallySingular) as exc:
+            getattr(c, method)(value)
+        assert str(exc.value) == message
+
+    @settings(max_examples=80, deadline=None)
+    @given(param_rats(), small_fracs, small_fracs, small_fracs)
+    def test_substitution_matches_specialization(self, c, q, x, y):
+        """c.substitute_k(q) at (x, y) is c at (q, y), and
+        c.substitute_p0(q) at (x, y) is c at (x, q), wherever the right
+        side is defined; the reduced substitution is then defined too."""
+        for sub, at in ((c.substitute_k, (q, y)), (c.substitute_p0, (x, q))):
+            try:
+                want = c.specialize(*at)
+            except PoleAtSpecialization:
+                continue
+            assert sub(q).specialize(x, y) == want, (c, q, x, y)
+
 
 class TestParamSwap:
     def test_generators(self):
@@ -383,6 +426,13 @@ class TestStringRoundTrip:
     @given(param_rats())
     def test_print_then_parse(self, a):
         assert parse_rat(str(a)) == a
+
+    def test_exponent_bound(self):
+        assert parse_rat("2^%d" % rational.MAX_EXPONENT) == \
+            rat(2 ** rational.MAX_EXPONENT)
+        for text in ("2^33", "(1+k+p0)^80", "k^99999999999"):
+            with pytest.raises(ValueError, match="parse error.*exceeds 32"):
+                parse_rat(text)
 
     @pytest.mark.parametrize("text", ["\u0663", "\u00b2", "k^\u00b2",
                                       "1\u0663", "k^\u0663"])
