@@ -7,9 +7,13 @@ One step takes the function at alpha = (lam, mu), multiplies by p_1, and
 isolates the P_{lam+box, mu} component by applying, for every other label
 gamma that can appear in the product, the factor
 (L2 - e(gamma))/(s - e(gamma)), where s is the eigenvalue of the target;
-finally it divides by the Pieri coefficient of the added box.  A step
-raises SingularParameter when two of these eigenvalues coincide at the
-point or the Pieri coefficient vanishes there.
+finally it divides by the Pieri coefficient V of the added box.  The
+numerators L2 - e(gamma) run in a ring, on the function with its
+denominators cleared: symbolically over Z[k, p0], where the operator's
+coefficients and the gaps s - e(gamma) already lie.  The product of the
+gaps, the cleared denominator and V are divided out once per step.  A
+step raises SingularParameter when two of these eigenvalues coincide at
+the point or the Pieri coefficient vanishes there.
 
 P_{lam,0} is the classical one-parameter eigenfunction of the positive
 part, free of p0, and the base case is P_{0,mu} = star(P_{mu,0}), with
@@ -20,9 +24,11 @@ for the rest, on Fraction coefficients.
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
-from .rational import K, P0, RAT_ZERO, rat, SingularParameter, \
-    PoleAtSpecialization, NotEigenvector
+from .rational import ParamPoly, ParamRat, RAT_ZERO, rat, \
+    SingularParameter, PoleAtSpecialization, NotEigenvector, \
+    poly_divexact, _cancel
 from .laurent import LaurentSymFunc
 from .partitions import size, conjugate, add_box_candidates, \
     remove_box_candidates, add_box, remove_box, normalize_partition, \
@@ -89,15 +95,22 @@ def _neighbors(alpha):
 
 class _Point:
     """Where _grow runs: symbolic parameters, or the rational point
-    `at` = (k0, p00) of Fractions.  `k` and `p0` are the parameters handed
-    to cms_L2_direct; `value` reads a closed form at the point, as a
-    ParamRat or a Fraction."""
+    `at` = (k0, p00) of Fractions.
+
+    A step computes in a ring and divides once, in the field: the ring is
+    Z[k, p0] (ParamPoly) and the field Q(k, p0) (ParamRat) symbolically,
+    and both are Q (Fraction) at a rational point.  `k` and `p0` are the
+    ring elements handed to cms_L2_direct; `value` reads a closed form at
+    the point, in the field, and `ring` reads one that is a polynomial,
+    in the ring; `clear` and `unclear` move a function between the two.
+    """
 
     __slots__ = ("at", "k", "p0")
 
     def __init__(self, at=None):
         self.at = at
-        self.k, self.p0 = (K, P0) if at is None else at
+        self.k, self.p0 = ((ParamPoly.var_k(), ParamPoly.var_p0())
+                           if at is None else at)
 
     def value(self, x, what):
         if self.at is None:
@@ -106,6 +119,39 @@ class _Point:
             return x.specialize(*self.at)
         except PoleAtSpecialization:
             raise SingularParameter("%s has a pole%s" % (what, self))
+
+    def ring(self, x, what):
+        x = self.value(x, what)
+        if self.at is not None:
+            return x
+        if not x.has_unit_denominator():
+            raise ValueError("%s is not a polynomial: %s" % (what, x))
+        return x.num
+
+    def clear(self, f):
+        """(F, D) with F = D*f on ring coefficients and D in the ring.
+        Symbolically D is the lcm of the coefficient denominators: an int
+        lcm of their contents times the lcm of their primitive parts,
+        pairwise through _cancel; at a rational point D = 1 and F = f."""
+        if self.at is not None:
+            return f, 1
+        dens = {c.den for c in f.terms.values()}
+        n, d = 1, ParamPoly.const(1)
+        for den in dens:
+            cd, pd = den.content_primitive()
+            n = lcm(n, cd)
+            d = d * _cancel(d, pd)[1]
+        d = d * n
+        quot = {den: poly_divexact(d, den) for den in dens}
+        return f.map_coeffs(lambda c: c.num * quot[c.den]), d
+
+    def unclear(self, F, den, v):
+        """F / (den * v) in the field, for den in the ring and v in the
+        field: one division for the whole function."""
+        if self.at is not None:
+            return F.scale(1 / (den * v))
+        inv = 1 / (ParamRat(den) * v)
+        return F.map_coeffs(lambda c: ParamRat(c) * inv)
 
     def __str__(self):
         return "" if self.at is None else " at k=%s, p0=%s" % self.at
@@ -116,10 +162,13 @@ _SYMBOLIC = _Point()
 
 def _grow(f, alpha, box, point):
     """One projector step at `point`: from f = P_alpha to P_beta, where
-    beta adds `box` to the first diagram of alpha."""
+    beta adds `box` to the first diagram of alpha.  The singularity
+    checks run first; then p_1 and every L2 - e(gamma) act on F = D*f in
+    the ring, and den = D * prod (s - e(gamma)) and V are divided out
+    once, at the end."""
     lam, mu = alpha
     beta = (add_box(lam, box), mu)
-    near = [(gamma, point.value(eigenvalue_e(gamma), "eigenvalue"))
+    near = [(gamma, point.ring(eigenvalue_e(gamma), "eigenvalue"))
             for gamma in _neighbors(alpha)]
     for i, (g1, e1) in enumerate(near):
         for g2, e2 in near[i + 1:]:
@@ -132,12 +181,13 @@ def _grow(f, alpha, box, point):
         raise SingularParameter("vanishing transition coefficient at box "
                                 "%s%s" % (box, point))
     s = dict(near)[beta]
-    out = f.times(1)
+    out, den = point.clear(f)
+    out = out.times(1)
     for gamma, e in near:
         if gamma != beta:
-            out = (cms_L2_direct(out, k=point.k, p0=point.p0) - out * e) \
-                * (1 / (s - e))
-    return out * (1 / v)
+            out = cms_L2_direct(out, k=point.k, p0=point.p0) - out * e
+            den = den * (s - e)
+    return point.unclear(out, den, v)
 
 
 def _extend(prev, box):

@@ -2,7 +2,8 @@
 
 Elements are sparse polynomials in free commuting generators p_i,
 i a nonzero integer, with coefficients in Q(k, p0): ParamRats for
-symbolic parameters, Fractions at a rational point (k0, p00).  A
+symbolic parameters, Fractions at a rational point (k0, p00), and
+ParamPolys in Z[k, p0] inside a construction step.  A
 monomial is a tuple of (index, exponent) pairs sorted by index; the
 unit monomial is the empty tuple.  The parameter p0 plays the role of
 the dimension and only ever enters through coefficients, never as a
@@ -62,9 +63,11 @@ class LaurentSymFunc:
     """Sparse element of the Laurent symmetric function algebra.
 
     self.terms maps monomial tuples to nonzero coefficients.  Any
-    coefficient with `+ - *`, `==` with `hash`, and truthiness for zero
-    will do: ParamRat for symbolic parameters, Fraction at a rational
-    point.  The coefficient type is that of the input; where a Fraction
+    coefficient with `+ - *` (int operands included), `==` with `hash`,
+    and truthiness for zero will do: ParamRat for symbolic parameters,
+    Fraction at a rational point, and ParamPoly for the ring step of the
+    construction, whose functions are cleared of denominators.  The
+    coefficient type is that of the input; where a Fraction
     meets a ParamRat, in a sum or a product, the result is a ParamRat,
     through ParamRat's reflected operators.  A constant ParamRat equals
     and hashes like its Fraction value, so equality does not depend on
@@ -96,10 +99,8 @@ class LaurentSymFunc:
 
     @staticmethod
     def gen(i, power=1):
-        """The generator p_i (or a pure power of it)."""
-        if i == 0:
-            raise ValueError("generator index 0 does not exist")
-        return LaurentSymFunc({((i, power),): RAT_ONE})
+        """The generator p_i (or a pure power of it; p_i^0 is 1)."""
+        return LaurentSymFunc({mono_from_dict({i: power}): RAT_ONE})
 
     @staticmethod
     def from_partition(lam, sign=1):

@@ -226,9 +226,10 @@ def cms_L2_direct(f, k=K, p0=P0):
     where d_a = a * d/dp_a and p_0 in the first sum means the parameter.
     This is the operator of the eigenfunction construction; it agrees
     with cms_L(2, .), and with p0 = 0 on the positive part it is the
-    stable integral stable_H(2, .).  Passing Fractions for `k` and `p0`
-    gives the operator at a fixed numeric parameter point, with Fraction
-    coefficients throughout.
+    stable integral stable_H(2, .).  `k` and `p0` may be any ring
+    elements that the coefficients of f multiply with: ParamPolys keep
+    a function over Z[k, p0] there, and Fractions give the operator at a
+    fixed numeric parameter point, with Fraction coefficients throughout.
     """
     out = LaurentSymFunc.zero()
     kp0 = k * p0

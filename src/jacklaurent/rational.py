@@ -277,7 +277,9 @@ class ParamPoly:
     self.terms maps (deg_k, deg_p0) -> int coefficient; zero coefficients
     are never stored, so the zero polynomial is the empty dict.  The
     constructor raises TypeError on a coefficient that is not an int, so
-    sums, products and integer multiples stay in Z[k, p0].
+    sums, products and integer multiples stay in Z[k, p0].  It meets the
+    coefficient protocol of LaurentSymFunc: `+ - *` with a ParamPoly or an
+    int on either side, and falsy exactly when zero.
     """
 
     __slots__ = ("terms", "_hash")
@@ -323,7 +325,15 @@ class ParamPoly:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
+    def __bool__(self):
+        return bool(self.terms)
+
+    # An int operand of + - * is the constant polynomial; any other
+    # operand that is not a ParamPoly raises TypeError from the constructor.
+
     def __add__(self, other):
+        if not isinstance(other, ParamPoly):
+            other = ParamPoly.const(other)
         t = dict(self.terms)
         for mono, c in other.terms.items():
             s = t.get(mono, 0) + c
@@ -342,10 +352,17 @@ class ParamPoly:
         out._hash = None
         return out
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __mul__(self, other):
+        if not isinstance(other, ParamPoly):
+            other = ParamPoly.const(other)
         if not self.terms or not other.terms:
             return _P_ZERO
         t = {}
@@ -361,6 +378,8 @@ class ParamPoly:
         out.terms = t
         out._hash = None
         return out
+
+    __rmul__ = __mul__
 
     def scale(self, c):
         """The product with the int c."""

@@ -135,6 +135,14 @@ class TestApplyOp:
         assert code == EXIT_OK
         assert parse_element(out.strip()) == parse_element("p2*p-1")
 
+    def test_zero_power_input(self, capsys):
+        code, out, _ = run(capsys, "apply-op", "--op", "L1",
+                           "--expr", "p1^0 + p2", "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["input"] == "p2 + 1"
+        assert from_json_terms(payload["terms"]) == parse_element("2*p2")
+
     def test_stable_outside_domain(self, capsys):
         code, _, err = run(capsys, "apply-op", "--op", "H2",
                            "--expr", "p-1")

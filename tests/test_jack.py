@@ -3,6 +3,7 @@ frozen small eigenfunctions, eigenvalue checks, Pieri recursion,
 involutions, growth-order independence, and numeric-parameter mode."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +17,12 @@ from jacklaurent.partitions import (
     remove_box_candidates,
 )
 from jacklaurent.closed_forms import eigenvalue_e, pieri_V
+from jacklaurent.operators import cms_L2_direct
 from jacklaurent import clear_caches
 from jacklaurent.jack import (
     construct, construct_via_order, eigen_check_all,
     jack_positive, pieri_identity_check, rational_mode_construct,
-    star_symmetry_check, theta_duality_check,
+    star_symmetry_check, theta_duality_check, _SYMBOLIC,
 )
 
 g = LaurentSymFunc.gen
@@ -131,6 +133,44 @@ class TestSpecialization:
             p11.f.specialize(1, 2)
 
 
+def _near(shape, other):
+    """The labels that can appear in p_1 * P_{shape,other}."""
+    out = [(add_box(shape, x), other) for x in add_box_candidates(shape)]
+    out += [(shape, remove_box(other, y)) for y in remove_box_candidates(other)]
+    return out
+
+
+@cache
+def _reduced_each_factor(alpha):
+    """P_alpha by the projector with every factor applied and reduced in
+    Q(k, p0) in turn, the way the construction ran before it deferred the
+    denominators: the reference for its single division per step."""
+    lam, mu = alpha
+    if not lam:
+        return (_reduced_each_factor((mu, ())).star() if mu
+                else LaurentSymFunc.one())
+    box = max(remove_box_candidates(lam))
+    shape = remove_box(lam, box)
+    s = eigenvalue_e(alpha)
+    out = _reduced_each_factor((shape, mu)).times(1)
+    for gamma in _near(shape, mu):
+        if gamma != alpha:
+            e = eigenvalue_e(gamma)
+            out = (cms_L2_direct(out) - out * e) * (1 / (s - e))
+    return out * (1 / pieri_V(box, (shape, mu)))
+
+
+class TestDeferredDenominators:
+    @pytest.mark.parametrize("alpha", bipartitions_up_to(4))
+    def test_matches_reduction_after_each_factor(self, alpha):
+        assert construct(alpha).f == _reduced_each_factor(alpha)
+
+    def test_point_is_polynomial_in_the_ring(self):
+        # the ring step takes polynomial closed forms only
+        with pytest.raises(ValueError, match="not a polynomial"):
+            _SYMBOLIC.ring(K / 2, "eigenvalue")
+
+
 def _canonical_chain(lam):
     """(shape, box) for each step that grows lam from the empty diagram,
     adding last the deepest removable box."""
@@ -150,11 +190,8 @@ def _singular_by_closed_forms(alpha, k0, p00):
     lam, mu = alpha
     for diagram, other, point in ((mu, (), (k0, 0)), (lam, mu, (k0, p00))):
         for shape, box in _canonical_chain(diagram):
-            near = [(add_box(shape, x), other)
-                    for x in add_box_candidates(shape)]
-            near += [(shape, remove_box(other, y))
-                     for y in remove_box_candidates(other)]
-            evs = [eigenvalue_e(gamma).specialize(*point) for gamma in near]
+            evs = [eigenvalue_e(gamma).specialize(*point)
+                   for gamma in _near(shape, other)]
             if len(set(evs)) < len(evs):
                 return True
             try:
@@ -201,6 +238,19 @@ class TestRationalMode:
             rational_mode_construct(((2,), ()), 1, 5)
         with pytest.raises(SingularParameter):
             rational_mode_construct(((), (2,)), 1, 5)
+
+    @pytest.mark.parametrize("alpha,k0,p00,message", [
+        (((2,), ()), 1, 5, "eigenvalue collision at k=1, p0=5: "
+                           "((2,), ()) vs ((1, 1), ())"),
+        (((), (2,)), 1, 5, "eigenvalue collision at k=1, p0=0: "
+                           "((2,), ()) vs ((1, 1), ())"),
+        (((), (2, 1)), Fraction(1, 2), -3, "vanishing transition "
+         "coefficient at box (2, 1) at k=1/2, p0=0"),
+    ])
+    def test_singular_messages(self, alpha, k0, p00, message):
+        with pytest.raises(SingularParameter) as exc:
+            rational_mode_construct(alpha, k0, p00)
+        assert str(exc.value) == message
 
     def test_integer_weight_preserved(self):
         # every monomial of P_{lam,mu} has p-weight |lam| - |mu|

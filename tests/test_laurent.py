@@ -180,6 +180,11 @@ class TestSerialization:
         assert parse_element("0").is_zero()
         assert parse_element("p2^3") == g(2, 3)
 
+    def test_zero_power_is_one(self):
+        assert parse_element("p1^0") == parse_element("1")
+        assert g(1, 0) == LaurentSymFunc.one()
+        assert str(parse_element("p1^0 + p2")) == "p2 + 1"
+
     def test_parse_errors(self):
         for text, message in (("p0\u0663", "trailing input"),
                               ("p1^33", "exponent 33 exceeds 32"),

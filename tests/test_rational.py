@@ -274,6 +274,39 @@ class TestNoFloats:
                 ParamPoly({(0, 0): c})
 
 
+class TestParamPolyRing:
+    """ParamPoly as a coefficient of LaurentSymFunc: truthiness and int
+    operands, as the construction's ring step uses them."""
+
+    def test_bool(self):
+        assert not ParamPoly()
+        assert ParamPoly.var_k() and ParamPoly.const(-1)
+
+    def test_int_operands(self):
+        p = ParamPoly.var_k() + ParamPoly.var_p0()
+        assert 2 + p == p + 2 == p + ParamPoly.const(2)
+        assert p - 3 == p + ParamPoly.const(-3)
+        assert 3 - p == ParamPoly.const(3) - p
+        assert p * 4 == 4 * p == p + p + p + p
+        assert p * 0 == 0 * p == ParamPoly()
+
+    def test_non_int_operands_raise(self):
+        p = ParamPoly.var_k()
+        with pytest.raises(TypeError):
+            ParamPoly({(0, 0): Fraction(1, 2)})
+        for op in (lambda: p + Fraction(1, 2), lambda: Fraction(1, 2) * p,
+                   lambda: p - 0.5):
+            with pytest.raises(TypeError):
+                op()
+
+    @settings(max_examples=60, deadline=None)
+    @given(int_polys(), int_polys(), st.sampled_from(["+", "-", "*"]))
+    def test_agrees_with_param_rat(self, a, b, op):
+        fn = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+              "*": lambda x, y: x * y}[op]
+        assert ParamRat(fn(a, b)) == fn(ParamRat(a), ParamRat(b))
+
+
 class TestArithmetic:
     def test_int_mixing(self):
         assert K + 1 == K + RAT_ONE
