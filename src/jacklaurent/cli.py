@@ -201,8 +201,14 @@ def _cmd_schur(args):
     return _checked(args, payload, str(det), check_schur)
 
 
+def _max_size(args):
+    if args.max_size < 0:
+        raise UsageError("--max-size must be >= 0, got %d" % args.max_size)
+    return args.max_size
+
+
 def _cmd_conjectures(args):
-    report = run_all(args.max_size)
+    report = run_all(_max_size(args))
     blob = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -214,7 +220,7 @@ def _cmd_conjectures(args):
 
 
 def _cmd_verify(args):
-    report = run_suite(args.suite, args.max_size)
+    report = run_suite(args.suite, _max_size(args))
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

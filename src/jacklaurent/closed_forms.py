@@ -19,6 +19,18 @@ class SingularProduct(ArithmeticError):
     """A denominator factor of a closed-form product vanishes identically."""
 
 
+def _ratio(factors, what):
+    """prod num/den over the (num, den) pairs, multiplied in the order
+    given; SingularProduct names `what` when a den is identically zero."""
+    v = RAT_ONE
+    for num, den in factors:
+        if den.is_zero():
+            raise SingularProduct(
+                "%s: a denominator factor vanishes identically" % what)
+        v = v * num / den
+    return v
+
+
 # -- eigenvalues ---------------------------------------------------------------
 
 def eigenvalue_e(alpha):
@@ -158,13 +170,12 @@ def bernoulli_b_sequence(l, chi, a=RAT_ZERO):
 
 
 def separation_check(alpha, beta, l_max=8):
-    """True when some Bernoulli sum b_l, l <= l_max, separates the labels."""
+    """The first order l <= l_max whose Bernoulli sum b_l separates the
+    labels, or None when none does."""
     if alpha == beta:
         raise ValueError("labels must differ")
-    for l in range(1, l_max + 1):
-        if bernoulli_b(l, alpha) != bernoulli_b(l, beta):
-            return True
-    return False
+    return next((l for l in range(1, l_max + 1)
+                 if bernoulli_b(l, alpha) != bernoulli_b(l, beta)), None)
 
 
 # -- Pieri coefficients --------------------------------------------------------
@@ -191,14 +202,10 @@ def pieri_V(box, alpha):
     i, j = box
     if box not in add_box_candidates(lam):
         return RAT_ZERO
-    v = RAT_ONE
-    for r in range(1, i):
-        num = c_lambda(lam, j, r, 1) * c_lambda(lam, j, r, K * (-2))
-        den = c_lambda(lam, j, r, -K) * c_lambda(lam, j, r, RAT_ONE - K)
-        if den.is_zero():
-            raise SingularProduct("vanishing Pieri V factor at r=%d" % r)
-        v = v * num / den
-    return v
+    return _ratio(
+        ((c_lambda(lam, j, r, 1) * c_lambda(lam, j, r, K * (-2)),
+          c_lambda(lam, j, r, -K) * c_lambda(lam, j, r, RAT_ONE - K))
+         for r in range(1, i)), "pieri_V")
 
 
 def pieri_U(box, alpha):
@@ -209,30 +216,22 @@ def pieri_U(box, alpha):
     i, j = box
     if box not in remove_box_candidates(mu):
         return RAT_ZERO
-    u = RAT_ONE
-    for r in range(i + 1, len(mu) + 1):
-        num = c_lambda(mu, j, r, RAT_ONE + K) * c_lambda(mu, j, r, -K)
-        den = c_lambda(mu, j, r, 1) * c_lambda(mu, j, r, 0)
-        if den.is_zero():
-            raise SingularProduct("vanishing Pieri U factor (mu part)")
-        u = u * num / den
-    for r in range(1, len(lam) + 1):
-        num = c_alpha(alpha, j, r, -RAT_ONE - K * (P0 + rat(2))) \
-            * c_alpha(alpha, j, r, -K * P0)
-        den = c_alpha(alpha, j, r, -RAT_ONE - K * (P0 + RAT_ONE)) \
-            * c_alpha(alpha, j, r, -K * (P0 + RAT_ONE))
-        if den.is_zero():
-            raise SingularProduct("vanishing Pieri U factor (cross part)")
-        u = u * num / den
+    # the mu part, the cross part against lam, and the boundary factor
+    factors = [(c_lambda(mu, j, r, RAT_ONE + K) * c_lambda(mu, j, r, -K),
+                c_lambda(mu, j, r, 1) * c_lambda(mu, j, r, 0))
+               for r in range(i + 1, len(mu) + 1)]
+    factors += [(c_alpha(alpha, j, r, -RAT_ONE - K * (P0 + rat(2)))
+                 * c_alpha(alpha, j, r, -K * P0),
+                 c_alpha(alpha, j, r, -RAT_ONE - K * (P0 + RAT_ONE))
+                 * c_alpha(alpha, j, r, -K * (P0 + RAT_ONE)))
+                for r in range(1, len(lam) + 1)]
     mu_pj = part(conjugate(mu), j)
     ll, lm = len(lam), len(mu)
-    num = (rat(j - 1) + K * (ll + mu_pj - 1) - K * P0) \
-        * (rat(j) + K * (mu_pj - lm))
-    den = (rat(j) + K * (ll + mu_pj) - K * P0) \
-        * (rat(j - 1) + K * (mu_pj - lm - 1))
-    if den.is_zero():
-        raise SingularProduct("vanishing Pieri U factor (boundary part)")
-    return u * num / den
+    factors.append(((rat(j - 1) + K * (ll + mu_pj - 1) - K * P0)
+                    * (rat(j) + K * (mu_pj - lm)),
+                    (rat(j) + K * (ll + mu_pj) - K * P0)
+                    * (rat(j - 1) + K * (mu_pj - lm - 1))))
+    return _ratio(factors, "pieri_U")
 
 
 # -- diagrammatic Pieri coefficients -------------------------------------------
@@ -268,14 +267,10 @@ def pieri_V_diagram(box, alpha):
     i, j = box
     if box not in add_box_candidates(lam):
         return RAT_ZERO
-    v = RAT_ONE
-    for r in range(1, i):
-        num = c_Y(alpha, (j, r), K * (-2)) * c_Y(alpha, (j, r), 1)
-        den = c_Y(alpha, (j, r), -K) * c_Y(alpha, (j, r), RAT_ONE - K)
-        if den.is_zero():
-            raise SingularProduct("vanishing diagrammatic V factor")
-        v = v * num / den
-    return v
+    return _ratio(
+        ((c_Y(alpha, (j, r), K * (-2)) * c_Y(alpha, (j, r), 1),
+          c_Y(alpha, (j, r), -K) * c_Y(alpha, (j, r), RAT_ONE - K))
+         for r in range(1, i)), "pieri_V_diagram")
 
 
 def pieri_U_diagram(box, alpha, L=None, M=None):
@@ -297,29 +292,21 @@ def pieri_U_diagram(box, alpha, L=None, M=None):
         raise ValueError("rectangle must contain both diagrams")
     jj = -j
     mu_pj = part(conjugate(mu), j)
-    u = RAT_ONE
-    for r in range(-M, -mu_pj):
-        num = c_Y(alpha, (jj, r), -RAT_ONE - K) * c_Y(alpha, (jj, r), K)
-        den = c_Y(alpha, (jj, r), -1) * c_Y(alpha, (jj, r), 0)
-        if den.is_zero():
-            raise SingularProduct("vanishing diagrammatic U factor (pi2)")
-        u = u * num / den
-    for r in range(1, L + 1):
-        num = c_Y(alpha, (jj, r), -RAT_ONE - K * (P0 + rat(2))) \
-            * c_Y(alpha, (jj, r), -K * P0)
-        den = c_Y(alpha, (jj, r), -RAT_ONE - K * (P0 + RAT_ONE)) \
-            * c_Y(alpha, (jj, r), -K * (P0 + RAT_ONE))
-        if den.is_zero():
-            raise SingularProduct("vanishing diagrammatic U factor (pi3)")
-        u = u * num / den
+    # the pi2 (mu rows), pi3 (lam rows) and boundary factors
+    factors = [(c_Y(alpha, (jj, r), -RAT_ONE - K) * c_Y(alpha, (jj, r), K),
+                c_Y(alpha, (jj, r), -1) * c_Y(alpha, (jj, r), 0))
+               for r in range(-M, -mu_pj)]
+    factors += [(c_Y(alpha, (jj, r), -RAT_ONE - K * (P0 + rat(2)))
+                 * c_Y(alpha, (jj, r), -K * P0),
+                 c_Y(alpha, (jj, r), -RAT_ONE - K * (P0 + RAT_ONE))
+                 * c_Y(alpha, (jj, r), -K * (P0 + RAT_ONE)))
+                for r in range(1, L + 1)]
     ycol = -mu_pj
-    num = (rat(jj + 1) + K * (ycol - L) + K * (P0 + RAT_ONE)) \
-        * (rat(jj) + K * (ycol + M))
-    den = (rat(jj) + K * (ycol - L) + K * P0) \
-        * (rat(jj + 1) + K * (ycol + M + 1))
-    if den.is_zero():
-        raise SingularProduct("vanishing diagrammatic U factor (boundary)")
-    return u * num / den
+    factors.append(((rat(jj + 1) + K * (ycol - L) + K * (P0 + RAT_ONE))
+                    * (rat(jj) + K * (ycol + M)),
+                    (rat(jj) + K * (ycol - L) + K * P0)
+                    * (rat(jj + 1) + K * (ycol + M + 1))))
+    return _ratio(factors, "pieri_U_diagram")
 
 
 # -- Stanley products, evaluation, norms, duality ------------------------------
@@ -332,23 +319,16 @@ def stanley_phi(lam, p, x, variant=1):
 
     over the common denominator lam_i - j + k(i-1-lam'_j) + x.
     """
+    if variant not in (1, 2):
+        raise ValueError("variant must be 1 or 2")
     p = as_rat(p)
     x = as_rat(x)
     lamc = conjugate(lam)
-    v = RAT_ONE
-    for (i, j) in boxes(lam):
-        if variant == 1:
-            num = rat(j - 1) + K * (rat(i - 1) - p) + x
-        elif variant == 2:
-            num = rat(part(lam, i) - j) + K * (rat(i - 1) - p) + x
-        else:
-            raise ValueError("variant must be 1 or 2")
-        den = rat(part(lam, i) - j) + K * (i - 1 - part(lamc, j)) + x
-        if den.is_zero():
-            raise SingularProduct(
-                "phi denominator vanishes at box (%d,%d)" % (i, j))
-        v = v * num / den
-    return v
+    return _ratio(
+        ((rat(j - 1 if variant == 1 else part(lam, i) - j)
+          + K * (rat(i - 1) - p) + x,
+          rat(part(lam, i) - j) + K * (i - 1 - part(lamc, j)) + x)
+         for (i, j) in boxes(lam)), "stanley_phi")
 
 
 def phi_pair(lam, mu, p, x):
@@ -361,19 +341,15 @@ def phi_pair(lam, mu, p, x):
     p = as_rat(p)
     x = as_rat(x)
     muc = conjugate(mu)
-    v = RAT_ONE
-    for i in range(1, len(lam) + 1):
+
+    def factor(i, j):
         li = part(lam, i)
-        for j in range(1, len(muc) + 1):
-            shift = K * (rat(i - 1) - p) + x
-            tshift = shift + K * part(muc, j)
-            num = (rat(li + j - 1) + shift) * (rat(j - 1) + tshift)
-            den = (rat(j - 1) + shift) * (rat(li + j - 1) + tshift)
-            if den.is_zero():
-                raise SingularProduct(
-                    "phi_pair denominator vanishes at (%d,%d)" % (i, j))
-            v = v * num / den
-    return v
+        shift = K * (rat(i - 1) - p) + x
+        tshift = shift + K * part(muc, j)
+        return ((rat(li + j - 1) + shift) * (rat(j - 1) + tshift),
+                (rat(j - 1) + shift) * (rat(li + j - 1) + tshift))
+    return _ratio((factor(i, j) for i in range(1, len(lam) + 1)
+                   for j in range(1, len(muc) + 1)), "phi_pair")
 
 
 def _phi_triple(alpha, x):
@@ -391,11 +367,8 @@ def evaluation_value(alpha):
 def norm_value(alpha):
     """Square norm of P_alpha for the p0-deformed bilinear form:
     the same triple product evaluated at 0 divided by its value at 1+k."""
-    num = _phi_triple(alpha, RAT_ZERO)
-    den = _phi_triple(alpha, RAT_ONE + K)
-    if den.is_zero():
-        raise SingularProduct("norm denominator vanishes identically")
-    return num / den
+    return _ratio([(_phi_triple(alpha, RAT_ZERO),
+                    _phi_triple(alpha, RAT_ONE + K))], "norm_value")
 
 
 def duality_constant(alpha):
@@ -404,22 +377,14 @@ def duality_constant(alpha):
     lam, mu = alpha
     num = evaluation_value(alpha)
     den = evaluation_value((conjugate(lam), conjugate(mu))).param_swap()
-    if den.is_zero():
-        raise SingularProduct("duality denominator vanishes identically")
-    return num / den
+    return _ratio([(num, den)], "duality_constant")
 
 
 def phi_infinity(lam):
     """Limit norm factor: prod over boxes of
     [lam_i - j + 1 + k(i - lam'_j)] / [lam_i - j + k(i - 1 - lam'_j)]."""
     lamc = conjugate(lam)
-    v = RAT_ONE
-    for (i, j) in boxes(lam):
-        arm = part(lam, i) - j
-        leg = part(lamc, j)
-        num = rat(arm + 1) + K * (i - leg)
-        den = rat(arm) + K * (i - 1 - leg)
-        if den.is_zero():
-            raise SingularProduct("phi_infinity denominator vanishes")
-        v = v * num / den
-    return v
+    return _ratio(
+        ((rat(part(lam, i) - j + 1) + K * (i - part(lamc, j)),
+          rat(part(lam, i) - j) + K * (i - 1 - part(lamc, j)))
+         for (i, j) in boxes(lam)), "phi_infinity")

@@ -328,21 +328,16 @@ def _jack_poly_N(nu, N, k0):
     return SymLaurentPolyN(N, {pad(delta): c for delta, c in coeffs.items()})
 
 
-def jack_laurent_poly_N(chi, N, k0=None, check_shift=False):
+def jack_laurent_poly_N(chi, N, k0=None):
     """The Laurent eigenfunction labelled by a non-increasing integer
     sequence: (x_1...x_N)^{-a} P_{chi+a} for any shift a making chi+a a
-    partition.  check_shift recomputes with a+1 and compares."""
+    partition."""
     chi = _check_sorted(chi)
     if len(chi) != N:
         raise ValueError("sequence length %d != N=%d" % (len(chi), N))
     a = max(0, -chi[-1]) if chi else 0
     nu = tuple(x + a for x in chi)
-    out = jack_poly_N(nu, N, k0).shift(-a)
-    if check_shift:
-        nu2 = tuple(x + a + 1 for x in chi)
-        if jack_poly_N(nu2, N, k0).shift(-a - 1) != out:
-            raise AssertionError("shift dependence for chi=%r" % (chi,))
-    return out
+    return jack_poly_N(nu, N, k0).shift(-a)
 
 
 # -- torus constant-term form ---------------------------------------------------

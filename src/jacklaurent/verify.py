@@ -12,7 +12,7 @@ from .laurent import LaurentSymFunc
 from .partitions import size, bipartitions_up_to, w_bipartition, chi_N, \
     add_box_candidates, remove_box_candidates, label_str
 from .operators import cms_L, cms_L2_direct
-from .closed_forms import evaluation_value, norm_value, bernoulli_b, \
+from .closed_forms import evaluation_value, norm_value, separation_check, \
     pieri_V, pieri_U, pieri_V_diagram, pieri_U_diagram
 from . import jack
 from .jack import construct
@@ -100,8 +100,7 @@ def check_duality(alpha):
 
 
 def check_separation(alpha, beta):
-    first = next((l for l in range(1, 9)
-                  if bernoulli_b(l, alpha) != bernoulli_b(l, beta)), None)
+    first = separation_check(alpha, beta)
     if first is None:
         return False, {"separated": False}
     return True, {"first_separating_order": first}

@@ -244,6 +244,13 @@ class TestReports:
         assert report["status"] == "pass"
         assert all(row["status"] == "pass" for row in report["checks"])
 
+    @pytest.mark.parametrize("command", ["verify", "conjectures"])
+    def test_negative_max_size(self, capsys, command):
+        code, out, err = run(capsys, command, "--max-size", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--max-size" in err
+
     def test_verify_text(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "schur",
                            "--max-size", "2")

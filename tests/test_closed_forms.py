@@ -2,12 +2,16 @@
 shifted power sums, Bernoulli-type sums, Pieri coefficients,
 Stanley-type products, evaluations, norms, and duality constants."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat
-from jacklaurent.partitions import chi_N, partitions_up_to
+from jacklaurent.partitions import chi_N, partitions_up_to, \
+    bipartitions_up_to, add_box_candidates, remove_box_candidates
 from jacklaurent.closed_forms import (
+    SingularProduct,
     bernoulli_b, bernoulli_b_lambda, bernoulli_b_sequence, bernoulli_poly_at,
     c_alpha, duality_constant, eigenvalue_e, eigenvalue_eN, evaluation_value,
     hc_value, norm_value, phi_infinity, phi_pair, pieri_U, pieri_U_diagram,
@@ -87,6 +91,12 @@ class TestSeparation:
         assert separation_check(((1,), ()), ((), (1,)), 8)
         assert separation_check(((2,), ()), ((1, 1), ()), 8)
 
+    def test_first_separating_order(self):
+        assert separation_check(((1,), ()), ((), (1,))) == 1
+        # b_1 is the size, so (2) and (1,1) first differ at l = 2
+        assert separation_check(((2,), ()), ((1, 1), ())) == 2
+        assert separation_check(((2,), ()), ((1, 1), ()), 1) is None
+
     def test_equal_labels_rejected(self):
         with pytest.raises(ValueError):
             separation_check(((1,), (1,)), ((1,), (1,)), 8)
@@ -144,6 +154,19 @@ class TestStanleyProducts:
         assert stanley_phi((), P0, RAT_ZERO) == RAT_ONE
         assert stanley_phi((1,), P0, RAT_ZERO) == P0
 
+    def test_variant_checked_before_the_product(self):
+        for lam in ((), (1,)):
+            with pytest.raises(ValueError, match="variant"):
+                stanley_phi(lam, P0, RAT_ZERO, variant=3)
+
+    def test_vanishing_denominator(self):
+        # the box (1,1) of (1) has denominator -k + x, zero at x = k
+        with pytest.raises(SingularProduct, match="stanley_phi"):
+            stanley_phi((1,), P0, K)
+        # the factor j-1+k(i-1-p)+x is 0 at i = j = 1, p = x = 0
+        with pytest.raises(SingularProduct, match="phi_pair"):
+            phi_pair((1,), (1,), 0, 0)
+
     def test_two_presentations_agree(self):
         for lam in ((1,), (2, 1), (3, 1, 1)):
             for xv in (RAT_ZERO, RAT_ONE + K):
@@ -187,3 +210,42 @@ class TestEvaluationNormDuality:
         # c_alpha(alpha, j, i, a) = lam_i + j + k (mu'_j + i) + a
         assert c_alpha(((1,), (1,)), 1, 1, RAT_ONE) == rat(3) + K * 2
         assert c_alpha(((), ()), 1, 1, RAT_ZERO) == RAT_ONE + K
+
+
+def _closed_form_lines(max_size):
+    """One line per product closed form on every label with
+    |lam|+|mu| <= max_size and each addable or removable box."""
+    def show(name, fn, *args):
+        try:
+            value = str(fn(*args))
+        except SingularProduct:
+            value = "SingularProduct"
+        return "%s(%s): %s" % (name, ", ".join(map(str, args)), value)
+
+    for alpha in sorted(bipartitions_up_to(max_size)):
+        lam, mu = alpha
+        for box in add_box_candidates(lam):
+            yield show("pieri_V", pieri_V, box, alpha)
+            yield show("pieri_V_diagram", pieri_V_diagram, box, alpha)
+        for box in remove_box_candidates(mu):
+            yield show("pieri_U", pieri_U, box, alpha)
+            yield show("pieri_U_diagram", pieri_U_diagram, box, alpha)
+            yield show("pieri_U_diagram", pieri_U_diagram, box, alpha,
+                       len(lam) + 1, len(mu) + 2)
+        for x in (RAT_ZERO, RAT_ONE + K):
+            for variant in (1, 2):
+                yield show("stanley_phi", stanley_phi, lam, P0, x, variant)
+            yield show("phi_pair", phi_pair, lam, mu, P0, x)
+        yield show("phi_infinity", phi_infinity, lam)
+        yield show("evaluation_value", evaluation_value, alpha)
+        yield show("norm_value", norm_value, alpha)
+        yield show("duality_constant", duality_constant, alpha)
+
+
+def test_golden_closed_forms():
+    # the canonical strings of 606 values, digest recorded before the
+    # products were routed through one helper
+    lines = list(_closed_form_lines(4))
+    assert len(lines) == 606
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "673379831808be930ec34b99eff0793bc98192c7011104febad702b8583d6288"

@@ -22,6 +22,11 @@ g = LaurentSymFunc.gen
 ORBIT = SymLaurentPolyN.orbit
 
 
+def _shifted(chi, N, a):
+    """(x_1...x_N)^{-a} P_{chi+a}, for comparing shifts of one label."""
+    return jack_poly_N(tuple(x + a for x in chi), N).shift(-a)
+
+
 class TestPolynomialAlgebra:
     def test_orbit_str(self):
         assert str(ORBIT((1, 0), 2)) == "m[1,0]"
@@ -89,16 +94,19 @@ class TestEigenpolynomials:
         assert jack_poly_N((2, 1), 3) == phi_N_map(jack_positive((2, 1)), 3)
 
     def test_laurent_label(self):
-        pl = jack_laurent_poly_N((1, -1), 2, check_shift=True)
+        pl = jack_laurent_poly_N((1, -1), 2)
         assert pl.coeff((1, -1)) == RAT_ONE
         assert pl.coeff((0, 0)) == -(K * 2) / (RAT_ONE - K)
-        # shift-independence also holds for a three-variable label
-        jack_laurent_poly_N((2, 0, -1), 3, check_shift=True)
+        # the shifts a = 1 and a = 2 give the same function, also in
+        # three variables
+        assert pl == _shifted((1, -1), 2, 2)
+        assert jack_laurent_poly_N((2, 0, -1), 3) == \
+            _shifted((2, 0, -1), 3, 1) == _shifted((2, 0, -1), 3, 2)
 
     def test_matches_infinite_eigenfunction(self):
         p11 = construct(((1,), (1,)))
-        assert phi_N_map(p11.f, 2) == \
-            jack_laurent_poly_N((1, -1), 2, check_shift=True)
+        assert phi_N_map(p11.f, 2) == jack_laurent_poly_N((1, -1), 2) \
+            == _shifted((1, -1), 2, 2)
 
     def test_numeric_coupling(self):
         want = jack_poly_N((2,), 2).substitute_k(Fraction(-1, 2))
