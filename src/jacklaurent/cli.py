@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .rational import rat, SingularParameter, \
+from .rational import rat, as_rat, SingularParameter, \
     PoleAtSpecialization, IdenticallySingular, DivisionByZero, _DIGITS
 from .laurent import parse_element
 from .partitions import normalize_partition, size, \
@@ -119,7 +119,7 @@ def _cmd_finite_n(args):
     p = jack_laurent_poly_N(chi, args.N, k0)
     payload = {"chi": list(chi), "N": args.N,
                "k": str(k0) if k0 is not None else None,
-               "terms": [{"exponents": list(key), "coeff": str(c)}
+               "terms": [{"exponents": list(key), "coeff": str(as_rat(c))}
                          for key, c in p.sorted_terms()]}
     return _emit(args, payload, str(p))
 

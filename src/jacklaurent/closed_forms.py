@@ -33,11 +33,15 @@ def _ratio(factors, what):
 
 # -- eigenvalues ---------------------------------------------------------------
 
-def eigenvalue_e(alpha):
+def eigenvalue_e(alpha, k=K, p0=P0):
     """The second CMS integral's eigenvalue on the function labelled alpha:
 
         sum lam_i^2 + sum mu_j^2 + k*sum (2i-1) lam_i + k*sum (2j-1) mu_j
           - k*p0*(|lam| + |mu|).
+
+    `k` and `p0` are the point it is read at, in whatever ring they share
+    with an int: ParamRats give the value in Q(k, p0), ParamPolys in
+    Z[k, p0], and Fractions its value at a rational point.
     """
     lam, mu = alpha
     n = 0
@@ -48,7 +52,7 @@ def eigenvalue_e(alpha):
     for j, y in enumerate(mu, start=1):
         n += y * y
         lin += (2 * j - 1) * y
-    return rat(n) + K * lin - K * P0 * (size(lam) + size(mu))
+    return n + k * lin - k * p0 * (size(lam) + size(mu))
 
 
 def eigenvalue_eN(chi, N):
@@ -62,13 +66,9 @@ def eigenvalue_eN(chi, N):
 
 def stable_eigenvalue(lam):
     """Eigenvalue of the second stable integral on the positive-part Jack
-    function: sum lam_i^2 + k*sum (2i-1) lam_i.  Free of p0."""
-    n = 0
-    lin = 0
-    for i, x in enumerate(lam, start=1):
-        n += x * x
-        lin += (2 * i - 1) * x
-    return rat(n) + K * lin
+    function: sum lam_i^2 + k*sum (2i-1) lam_i, which is eigenvalue_e of
+    (lam, 0) at p0 = 0."""
+    return eigenvalue_e((lam, ()), p0=0)
 
 
 # -- shifted power sums and Harish-Chandra values ------------------------------
@@ -311,6 +311,14 @@ def pieri_U_diagram(box, alpha, L=None, M=None):
 
 # -- Stanley products, evaluation, norms, duality ------------------------------
 
+def stanley_denominators(lam, x):
+    """lam_i - j + k(i-1-lam'_j) + x for each box (i, j) of lam, in box
+    order: the denominators of stanley_phi(lam, ., x)."""
+    lamc = conjugate(lam)
+    return [rat(part(lam, i) - j) + K * (i - 1 - part(lamc, j)) + x
+            for (i, j) in boxes(lam)]
+
+
 def stanley_phi(lam, p, x, variant=1):
     """The box product phi_p(lam, x); two displayed numerator forms:
 
@@ -323,16 +331,14 @@ def stanley_phi(lam, p, x, variant=1):
         raise ValueError("variant must be 1 or 2")
     p = as_rat(p)
     x = as_rat(x)
-    lamc = conjugate(lam)
-    return _ratio(
-        ((rat(j - 1 if variant == 1 else part(lam, i) - j)
-          + K * (rat(i - 1) - p) + x,
-          rat(part(lam, i) - j) + K * (i - 1 - part(lamc, j)) + x)
-         for (i, j) in boxes(lam)), "stanley_phi")
+    nums = (rat(j - 1 if variant == 1 else part(lam, i) - j)
+            + K * (rat(i - 1) - p) + x for (i, j) in boxes(lam))
+    return _ratio(zip(nums, stanley_denominators(lam, x)), "stanley_phi")
 
 
-def phi_pair(lam, mu, p, x):
-    """The mixed product phi_p(lam, mu, x) over i <= l(lam), j <= l(mu'):
+def phi_pair_factors(lam, mu, p, x):
+    """The (num, den) pairs of the mixed product phi_p(lam, mu, x), one
+    for each i <= l(lam) and j <= l(mu'), in that order:
 
         [lam_i+j-1+k(i-1-p)+x] [j-1+k(i-1+mu'_j-p)+x]
         -----------------------------------------------
@@ -348,8 +354,13 @@ def phi_pair(lam, mu, p, x):
         tshift = shift + K * part(muc, j)
         return ((rat(li + j - 1) + shift) * (rat(j - 1) + tshift),
                 (rat(j - 1) + shift) * (rat(li + j - 1) + tshift))
-    return _ratio((factor(i, j) for i in range(1, len(lam) + 1)
-                   for j in range(1, len(muc) + 1)), "phi_pair")
+    return [factor(i, j) for i in range(1, len(lam) + 1)
+            for j in range(1, len(muc) + 1)]
+
+
+def phi_pair(lam, mu, p, x):
+    """The mixed product phi_p(lam, mu, x) of phi_pair_factors."""
+    return _ratio(phi_pair_factors(lam, mu, p, x), "phi_pair")
 
 
 def _phi_triple(alpha, x):
@@ -382,9 +393,7 @@ def duality_constant(alpha):
 
 def phi_infinity(lam):
     """Limit norm factor: prod over boxes of
-    [lam_i - j + 1 + k(i - lam'_j)] / [lam_i - j + k(i - 1 - lam'_j)]."""
-    lamc = conjugate(lam)
-    return _ratio(
-        ((rat(part(lam, i) - j + 1) + K * (i - part(lamc, j)),
-          rat(part(lam, i) - j) + K * (i - 1 - part(lamc, j)))
-         for (i, j) in boxes(lam)), "phi_infinity")
+    [lam_i - j + 1 + k(i - lam'_j)] / [lam_i - j + k(i - 1 - lam'_j)],
+    the Stanley denominators at x = 1 + k over those at x = 0."""
+    return _ratio(zip(stanley_denominators(lam, RAT_ONE + K),
+                      stanley_denominators(lam, 0)), "phi_infinity")

@@ -6,13 +6,14 @@ Nothing here gates a test run; every instance produces a verdict in
 {holds, fails, indeterminate} together with the exact coefficients that
 were examined, so any claim can be re-derived by hand."""
 
-from math import factorial
+from math import factorial, prod
 
-from .rational import ParamRat, RAT_ZERO, RAT_ONE, K, P0, rat
+from .rational import ParamRat, RAT_ZERO, RAT_ONE, K, P0
 from .laurent import LaurentSymFunc, mono_str
-from .partitions import normalize_partition, conjugate, boxes, size, \
+from .partitions import normalize_partition, size, \
     partitions_of, partitions_up_to, bipartitions_up_to, alpha_json
-from .closed_forms import phi_infinity, norm_value
+from .closed_forms import phi_infinity, norm_value, stanley_denominators, \
+    phi_pair_factors
 from .jack import construct
 
 
@@ -70,28 +71,20 @@ def norm_infinity_check(alpha):
 # -- integrality products --------------------------------------------------------
 
 def a_lambda(lam):
-    """prod over boxes (i,j) of lam_i - j + k(i - 1 - lam'_j)."""
-    lam = normalize_partition(lam)
-    lamc = conjugate(lam)
-    out = RAT_ONE
-    for (i, j) in boxes(lam):
-        out = out * (rat(lam[i - 1] - j) + K * (i - 1 - lamc[j - 1]))
-    return out
+    """The denominators of stanley_phi(lam, ., 0) multiplied out: prod
+    over boxes (i,j) of lam_i - j + k(i - 1 - lam'_j)."""
+    return prod(stanley_denominators(normalize_partition(lam), 0),
+                start=RAT_ONE)
 
 
 def a_pair(lam, mu):
-    """The two-partition product tying the positive and negative halves:
-    prod over rows i of lam and columns j of mu of
+    """The two-partition product tying the positive and negative halves,
+    the denominators of phi_pair(lam, mu, p0, 0) multiplied out: prod
+    over rows i of lam and columns j of mu of
     (j-1+k(i-1-p0)) (lam_i+j-1+k(i-1+mu'_j-p0))."""
-    lam = normalize_partition(lam)
-    muc = conjugate(normalize_partition(mu))
-    out = RAT_ONE
-    for i in range(1, len(lam) + 1):
-        for j in range(1, len(muc) + 1):
-            f1 = rat(j - 1) + K * (rat(i - 1) - P0)
-            f2 = rat(lam[i - 1] + j - 1) + K * (rat(i - 1 + muc[j - 1]) - P0)
-            out = out * f1 * f2
-    return out
+    factors = phi_pair_factors(normalize_partition(lam),
+                               normalize_partition(mu), P0, 0)
+    return prod((den for _, den in factors), start=RAT_ONE)
 
 
 def integrality_check(alpha):

@@ -15,9 +15,8 @@ agreement between the two routes is evidence for both.
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 
-from .rational import ParamRat, RAT_ZERO, RAT_ONE, K, rat, as_rat, \
+from .rational import RAT_ZERO, RAT_ONE, K, rat, as_rat, \
     SingularParameter, PoleAtSpecialization, IdenticallySingular, \
     NotEigenvector
 from .partitions import normalize_partition, partitions_of, dominance_leq, \
@@ -32,21 +31,37 @@ def _check_sorted(chi):
     return chi
 
 
+def _rearrangements(chi):
+    """The distinct permutations of chi: each distinct entry in front of
+    the distinct permutations of the rest, so the cost follows the orbit
+    size, not N!."""
+    if not chi:
+        return [()]
+    return [(x,) + rest for i, x in enumerate(chi) if x not in chi[:i]
+            for rest in _rearrangements(chi[:i] + chi[i + 1:])]
+
+
 class SymLaurentPolyN:
     """Symmetric Laurent polynomial in N variables, stored as a map from
     non-increasing exponent vectors (orbit-sum labels m_chi) to
-    coefficients in Q(k)."""
+    coefficients.  The coefficients follow the protocol of LaurentSymFunc:
+    ParamRats in Q(k) symbolically, Fractions at a numeric coupling, and
+    a coefficient is zero when it is falsy; printing reads them through
+    as_rat."""
 
     __slots__ = ("N", "terms")
 
     def __init__(self, N, terms=None):
         self.N = N
-        self.terms = {}
-        if terms:
-            for chi, c in terms.items():
-                c = as_rat(c)
-                if not c.is_zero():
-                    self.terms[_check_sorted(chi)] = c
+        self.terms = {_check_sorted(chi): c
+                      for chi, c in (terms or {}).items() if c}
+
+    @staticmethod
+    def _of(N, terms):
+        """An instance on `terms` as they are: sorted keys, no zeros."""
+        out = SymLaurentPolyN.__new__(SymLaurentPolyN)
+        out.N, out.terms = N, terms
+        return out
 
     @staticmethod
     def zero(N):
@@ -75,54 +90,40 @@ class SymLaurentPolyN:
         """Full monomial dict: every distinct permutation, same coefficient."""
         full = {}
         for chi, c in self.terms.items():
-            for key in set(permutations(chi)):
+            for key in _rearrangements(chi):
                 full[key] = c
         return full
 
     @staticmethod
     def from_full(N, full):
         """Collapse a full (symmetric) monomial dict to orbit labels."""
-        t = {}
-        for key, c in full.items():
-            skey = tuple(sorted(key, reverse=True))
-            if skey == key and not c.is_zero():
-                t[key] = c
-        out = SymLaurentPolyN.__new__(SymLaurentPolyN)
-        out.N = N
-        out.terms = t
-        return out
+        return SymLaurentPolyN._of(N, {
+            key: c for key, c in full.items()
+            if c and key == tuple(sorted(key, reverse=True))})
 
     def __add__(self, other):
         t = dict(self.terms)
         for chi, c in other.terms.items():
-            v = t.get(chi, RAT_ZERO) + c
-            if v.is_zero():
+            v = t.get(chi, 0) + c
+            if not v:
                 t.pop(chi, None)
             else:
                 t[chi] = v
-        out = SymLaurentPolyN.__new__(SymLaurentPolyN)
-        out.N = self.N
-        out.terms = t
-        return out
+        return SymLaurentPolyN._of(self.N, t)
 
     def __neg__(self):
-        out = SymLaurentPolyN.__new__(SymLaurentPolyN)
-        out.N = self.N
-        out.terms = {chi: -c for chi, c in self.terms.items()}
-        return out
+        return SymLaurentPolyN._of(
+            self.N, {chi: -c for chi, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (ParamRat, int, Fraction)):
-            c0 = as_rat(other)
-            if c0.is_zero():
+        if not isinstance(other, SymLaurentPolyN):
+            if not other:
                 return SymLaurentPolyN.zero(self.N)
-            out = SymLaurentPolyN.__new__(SymLaurentPolyN)
-            out.N = self.N
-            out.terms = {chi: c * c0 for chi, c in self.terms.items()}
-            return out
+            return SymLaurentPolyN._of(
+                self.N, {chi: c * other for chi, c in self.terms.items()})
         if self.N != other.N:
             raise ValueError("mixed variable counts")
         fa = self.expand()
@@ -146,22 +147,12 @@ class SymLaurentPolyN:
 
     def shift(self, a):
         """Multiply by (x_1...x_N)^a."""
-        t = {tuple(x + a for x in chi): c for chi, c in self.terms.items()}
-        out = SymLaurentPolyN.__new__(SymLaurentPolyN)
-        out.N = self.N
-        out.terms = t
-        return out
+        return SymLaurentPolyN._of(self.N, {
+            tuple(x + a for x in chi): c for chi, c in self.terms.items()})
 
     def substitute_k(self, k0):
-        t = {}
-        for chi, c in self.terms.items():
-            v = c.substitute_k(k0)
-            if not v.is_zero():
-                t[chi] = v
-        out = SymLaurentPolyN.__new__(SymLaurentPolyN)
-        out.N = self.N
-        out.terms = t
-        return out
+        return SymLaurentPolyN(self.N, {
+            chi: c.substitute_k(k0) for chi, c in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, SymLaurentPolyN)
@@ -178,6 +169,7 @@ class SymLaurentPolyN:
             return "0"
         bits = []
         for chi, c in self.sorted_terms():
+            c = as_rat(c)
             label = "m[%s]" % ",".join(str(x) for x in chi)
             if c.is_one():
                 bits.append(label)
@@ -285,8 +277,9 @@ def _index_weight(delta):
 def jack_poly_N(nu, N, k0=None):
     """The monic Jack polynomial P_nu in N variables: the eigenfunction of
     L_{k,N} of the form m_nu + (dominance-lower terms), obtained by
-    back-substitution.  k0 = None keeps k symbolic; a Fraction gives
-    numeric coefficients and raises SingularParameter on an eigenvalue
+    back-substitution.  k0 = None keeps k symbolic, with ParamRat
+    coefficients; a rational k0 runs the whole solve on Fractions, gives
+    Fraction coefficients and raises SingularParameter on an eigenvalue
     collision at that coupling."""
     nu = normalize_partition(nu)
     if len(nu) > N:
@@ -297,7 +290,7 @@ def jack_poly_N(nu, N, k0=None):
 
 @cache
 def _jack_poly_N(nu, N, k0):
-    kc = K if k0 is None else ParamRat.from_fraction(k0)
+    k, one = (K, RAT_ONE) if k0 is None else (k0, Fraction(1))
 
     def pad(delta):
         return delta + (0,) * (N - len(delta))
@@ -307,24 +300,24 @@ def _jack_poly_N(nu, N, k0):
     cands.sort(key=_index_weight)
     actions = {}
     for delta in cands:
-        img = cms_N(SymLaurentPolyN.orbit(pad(delta), N), kc)
+        img = cms_N(SymLaurentPolyN(N, {pad(delta): one}), k)
         actions[delta] = {tuple(x for x in eta if x): c
                           for eta, c in img.terms.items()}
-    s = actions[nu].get(nu, RAT_ZERO)
-    coeffs = {nu: RAT_ONE}
+    s = actions[nu].get(nu, 0)
+    coeffs = {nu: one}
     for delta in cands:
         if delta == nu:
             continue
-        total = RAT_ZERO
+        total = 0
         for eta, c_eta in coeffs.items():
             a = actions[eta].get(delta)
             if a is not None and eta != delta:
                 total = total + a * c_eta
-        gap = s - actions[delta].get(delta, RAT_ZERO)
-        if gap.is_zero():
+        gap = s - actions[delta].get(delta, 0)
+        if not gap:
             raise SingularParameter(
                 "eigenvalue collision at k=%s: %s vs %s" % (k0, nu, delta))
-        coeffs[delta] = total * gap.inverse()
+        coeffs[delta] = total / gap
     return SymLaurentPolyN(N, {pad(delta): c for delta, c in coeffs.items()})
 
 
@@ -380,6 +373,7 @@ def _numeric_full(f, k0):
     """Expand f and evaluate its coefficients at k = k0 (Fractions)."""
     out = {}
     for a, c in f.expand().items():
+        c = as_rat(c)
         if not c.is_p0_free():
             raise ValueError("finite coefficient %s still mentions p0" % c)
         v = c.specialize(k0, 0)

@@ -100,9 +100,9 @@ class _Point:
     A step computes in a ring and divides once, in the field: the ring is
     Z[k, p0] (ParamPoly) and the field Q(k, p0) (ParamRat) symbolically,
     and both are Q (Fraction) at a rational point.  `k` and `p0` are the
-    ring elements handed to cms_L2_direct; `value` reads a closed form at
-    the point, in the field, and `ring` reads one that is a polynomial,
-    in the ring; `clear` and `unclear` move a function between the two.
+    point in the ring: cms_L2_direct and eigenvalue_e take them as they
+    are.  `value` reads a symbolic closed form at the point, in the field;
+    `clear` and `unclear` move a function between the two.
     """
 
     __slots__ = ("at", "k", "p0")
@@ -119,14 +119,6 @@ class _Point:
             return x.specialize(*self.at)
         except PoleAtSpecialization:
             raise SingularParameter("%s has a pole%s" % (what, self))
-
-    def ring(self, x, what):
-        x = self.value(x, what)
-        if self.at is not None:
-            return x
-        if not x.has_unit_denominator():
-            raise ValueError("%s is not a polynomial: %s" % (what, x))
-        return x.num
 
     def clear(self, f):
         """(F, D) with F = D*f on ring coefficients and D in the ring.
@@ -168,7 +160,7 @@ def _grow(f, alpha, box, point):
     once, at the end."""
     lam, mu = alpha
     beta = (add_box(lam, box), mu)
-    near = [(gamma, point.ring(eigenvalue_e(gamma), "eigenvalue"))
+    near = [(gamma, eigenvalue_e(gamma, point.k, point.p0))
             for gamma in _neighbors(alpha)]
     for i, (g1, e1) in enumerate(near):
         for g2, e2 in near[i + 1:]:

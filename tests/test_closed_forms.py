@@ -3,11 +3,13 @@ shifted power sums, Bernoulli-type sums, Pieri coefficients,
 Stanley-type products, evaluations, norms, and duality constants."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat
+from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat, ParamPoly, \
+    ParamRat
 from jacklaurent.partitions import chi_N, partitions_up_to, \
     bipartitions_up_to, add_box_candidates, remove_box_candidates
 from jacklaurent.closed_forms import (
@@ -20,6 +22,7 @@ from jacklaurent.closed_forms import (
 )
 
 partitions3 = st.sampled_from(tuple(partitions_up_to(3)))
+small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 class TestEigenvalues:
@@ -29,6 +32,27 @@ class TestEigenvalues:
         assert eigenvalue_eN((1, 0, -1), 3) == rat(2) - K * 4
         assert eigenvalue_eN((0, 0), 2) == RAT_ZERO
         assert stable_eigenvalue((2, 1)) == rat(5) + K * 5
+
+    def test_polynomial_ring(self):
+        # eigenvalue_e over Z[k, p0] is the numerator of its ParamRat form,
+        # and stable_eigenvalue is its p0 = 0 restriction
+        kp, pp = ParamPoly.var_k(), ParamPoly.var_p0()
+        for alpha in bipartitions_up_to(5):
+            e = eigenvalue_e(alpha)
+            assert type(e) is ParamRat and e.has_unit_denominator()
+            assert eigenvalue_e(alpha, kp, pp) == e.num, alpha
+        for lam in partitions_up_to(5):
+            s = stable_eigenvalue(lam)
+            assert type(s) is ParamRat
+            assert s == eigenvalue_e((lam, ())).substitute_p0(0), lam
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_fracs, small_fracs)
+    def test_at_rational_points(self, k0, p00):
+        for alpha in bipartitions_up_to(5):
+            v = eigenvalue_e(alpha, k0, p00)
+            assert type(v) is Fraction
+            assert v == eigenvalue_e(alpha).specialize(k0, p00), alpha
 
     def test_finite_matches_specialized(self):
         for alpha, N in [(((1,), (1,)), 3), (((2,), (1,)), 2),

@@ -2,7 +2,9 @@
 restriction homomorphism phi_N, the finite CMS operator, triangular
 eigenpolynomials, and the torus inner product at negative integer k."""
 
+import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -39,6 +41,21 @@ class TestPolynomialAlgebra:
     def test_power_sum(self):
         assert power_sum_N(-1, 2) == ORBIT((0, -1), 2)
         assert power_sum_N(2, 3) == ORBIT((2, 0, 0), 3)
+
+    @pytest.mark.parametrize("f", [
+        ORBIT((), 0), ORBIT((0,), 1), ORBIT((1, 1), 2), ORBIT((2, 1, 0), 3),
+        ORBIT((1, 0, 0, -1), 4), ORBIT((1, 1, 0, 0, -2), 5) * rat(3),
+        jack_laurent_poly_N((1, 0, 0, -1), 4), jack_poly_N((2, 1, 1), 4),
+    ])
+    def test_expand_matches_all_permutations(self, f):
+        assert f.expand() == {key: c for chi, c in f.terms.items()
+                              for key in set(permutations(chi))}
+
+    def test_expand_follows_the_orbit(self):
+        # the constant in 12 variables has one monomial, not 12! orderings
+        start = time.perf_counter()
+        assert jack_laurent_poly_N((0,) * 12, 12) == SymLaurentPolyN.one(12)
+        assert time.perf_counter() - start < 1
 
     def test_star_and_shift(self):
         m10 = ORBIT((1, 0), 2)
@@ -111,6 +128,14 @@ class TestEigenpolynomials:
     def test_numeric_coupling(self):
         want = jack_poly_N((2,), 2).substitute_k(Fraction(-1, 2))
         assert jack_poly_N((2,), 2, k0=Fraction(-1, 2)) == want
+
+    @pytest.mark.parametrize("nu, N", [((2,), 2), ((2, 1), 3), ((3, 1), 3),
+                                       ((2, 2), 4)])
+    def test_numeric_coupling_runs_on_fractions(self, nu, N):
+        k0 = Fraction(1, 3)
+        p = jack_poly_N(nu, N, k0)
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert p == jack_poly_N(nu, N).substitute_k(k0)
 
     def test_collision_detected(self):
         with pytest.raises(SingularParameter):

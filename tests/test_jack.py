@@ -22,7 +22,7 @@ from jacklaurent import clear_caches
 from jacklaurent.jack import (
     construct, construct_via_order, eigen_check_all,
     jack_positive, pieri_identity_check, rational_mode_construct,
-    star_symmetry_check, theta_duality_check, _SYMBOLIC,
+    star_symmetry_check, theta_duality_check,
 )
 
 g = LaurentSymFunc.gen
@@ -164,11 +164,6 @@ class TestDeferredDenominators:
     @pytest.mark.parametrize("alpha", bipartitions_up_to(4))
     def test_matches_reduction_after_each_factor(self, alpha):
         assert construct(alpha).f == _reduced_each_factor(alpha)
-
-    def test_point_is_polynomial_in_the_ring(self):
-        # the ring step takes polynomial closed forms only
-        with pytest.raises(ValueError, match="not a polynomial"):
-            _SYMBOLIC.ring(K / 2, "eigenvalue")
 
 
 def _canonical_chain(lam):

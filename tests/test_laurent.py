@@ -4,9 +4,10 @@ arithmetic, involutions, derivations, evaluation, serialization."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat
+from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat, \
+    DivisionByZero
 from jacklaurent.laurent import LaurentSymFunc, mono_str, mono_bidegree, \
     parse_element, from_json_terms
 
@@ -184,6 +185,18 @@ class TestSerialization:
         assert parse_element("p1^0") == parse_element("1")
         assert g(1, 0) == LaurentSymFunc.one()
         assert str(parse_element("p1^0 + p2")) == "p2 + 1"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    @example("p1*p-1 - 2/(1 - k)")
+    @example("p2^3 - (p0)*p-1")
+    @example("p1/(k - k)")
+    def test_arbitrary_text(self, text):
+        try:
+            f = parse_element(text)
+        except (ValueError, DivisionByZero):
+            return
+        assert parse_element(str(f)) == f
 
     def test_parse_errors(self):
         for text, message in (("p0\u0663", "trailing input"),
