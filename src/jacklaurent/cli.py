@@ -153,7 +153,7 @@ def _cmd_apply_op(args):
         raise UsageError("operator order must be positive")
     try:
         f = parse_element(args.expr)
-    except ValueError as exc:
+    except (ValueError, DivisionByZero) as exc:
         raise UsageError("cannot parse expression: %s" % exc)
     try:
         out = cms_L(r, f) if op[0] == "L" else stable_H(r, f)

@@ -7,8 +7,9 @@ pair (lam, mu).  Boxes are (row, column), 1-indexed.  A box which cannot
 be added (for V) or removed (for U) contributes a Pieri coefficient of 0.
 """
 
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .rational import ParamRat, RAT_ZERO, RAT_ONE, K, P0, rat, as_rat
 from .partitions import part, size, conjugate, boxes, add_box_candidates, \
@@ -191,21 +192,46 @@ def c_alpha(alpha, j, i, a):
     return rat(part(lam, i) + j) + K * (part(conjugate(mu), j) + i) + as_rat(a)
 
 
-def pieri_V(box, alpha):
-    """Coefficient of P_{lam+box, mu} in p_1 * P_{lam,mu}:
+def pieri_V_pair(box, alpha, k):
+    """The coefficient of P_{lam+box, mu} in p_1 * P_{lam,mu},
 
         prod_{r=1}^{i-1} c_lam(jr,1) c_lam(jr,-2k) / [c_lam(jr,-k) c_lam(jr,1-k)]
 
-    for box = (i,j); 0 when the box is not addable to lam.
+    for box = (i,j), as a reduced (num, den) in the ring of `k`: ParamPolys
+    in Z[k] for ParamPoly.var_k(), Fractions at a rational k; (0, 1) when
+    the box is not addable to lam.  As lam_r >= j and lam'_j = i - 1, each
+    factor is a - b*k with ints a, b >= 0; the primitive forms cancel as a
+    multiset, their int gcds going into a Fraction scale, so den vanishes
+    exactly at the poles (2/(1 - k) is -2k over -k(1 - k), 2 at k = 0).
     """
     lam, mu = alpha
     i, j = box
+    one = k ** 0  # the ring's 1, so num and den are never bare ints
     if box not in add_box_candidates(lam):
-        return RAT_ZERO
-    return _ratio(
-        ((c_lambda(lam, j, r, 1) * c_lambda(lam, j, r, K * (-2)),
-          c_lambda(lam, j, r, -K) * c_lambda(lam, j, r, RAT_ONE - K))
-         for r in range(1, i)), "pieri_V")
+        return one * 0, one
+    scale = Fraction(1)
+    forms = Counter()
+    for r in range(1, i):
+        a, b = part(lam, r) - j, i - 1 - r
+        for x, y, e in ((a + 1, b, 1), (a, b + 2, 1),
+                        (a, b + 1, -1), (a + 1, b + 1, -1)):
+            g = gcd(x, y)
+            scale *= Fraction(g) ** e
+            forms[x // g, y // g] += e
+    num, den = one * scale.numerator, one * scale.denominator
+    for (x, y), e in forms.items():
+        if e > 0:
+            num = num * (x - y * k) ** e
+        elif e < 0:
+            den = den * (x - y * k) ** -e
+    return num, den
+
+
+def pieri_V(box, alpha):
+    """pieri_V_pair in Q(k, p0): the coefficient of P_{lam+box, mu} in
+    p_1 * P_{lam,mu}; 0 when the box is not addable to lam."""
+    num, den = pieri_V_pair(box, alpha, K)
+    return num / den
 
 
 def pieri_U(box, alpha):

@@ -27,14 +27,14 @@ from functools import cache
 from math import lcm
 
 from .rational import ParamPoly, ParamRat, RAT_ZERO, rat, \
-    SingularParameter, PoleAtSpecialization, NotEigenvector, \
-    poly_divexact, _cancel
+    SingularParameter, NotEigenvector, poly_divexact, _cancel
 from .laurent import LaurentSymFunc
 from .partitions import size, conjugate, add_box_candidates, \
     remove_box_candidates, add_box, remove_box, normalize_partition, \
     label_str
 from .operators import cms_L, cms_L2_direct
-from .closed_forms import eigenvalue_e, pieri_V, pieri_U, duality_constant
+from .closed_forms import eigenvalue_e, pieri_V, pieri_V_pair, pieri_U, \
+    duality_constant
 
 
 class JackLaurentFunction:
@@ -100,9 +100,10 @@ class _Point:
     A step computes in a ring and divides once, in the field: the ring is
     Z[k, p0] (ParamPoly) and the field Q(k, p0) (ParamRat) symbolically,
     and both are Q (Fraction) at a rational point.  `k` and `p0` are the
-    point in the ring: cms_L2_direct and eigenvalue_e take them as they
-    are.  `value` reads a symbolic closed form at the point, in the field;
-    `clear` and `unclear` move a function between the two.
+    point in the ring: cms_L2_direct, eigenvalue_e and pieri_V_pair take
+    them as they are, so every closed form a step reads is evaluated
+    where it runs.  `clear` and `unclear` move a function between the
+    ring and the field.
     """
 
     __slots__ = ("at", "k", "p0")
@@ -111,14 +112,6 @@ class _Point:
         self.at = at
         self.k, self.p0 = ((ParamPoly.var_k(), ParamPoly.var_p0())
                            if at is None else at)
-
-    def value(self, x, what):
-        if self.at is None:
-            return x
-        try:
-            return x.specialize(*self.at)
-        except PoleAtSpecialization:
-            raise SingularParameter("%s has a pole%s" % (what, self))
 
     def clear(self, f):
         """(F, D) with F = D*f on ring coefficients and D in the ring.
@@ -137,13 +130,13 @@ class _Point:
         quot = {den: poly_divexact(d, den) for den in dens}
         return f.map_coeffs(lambda c: c.num * quot[c.den]), d
 
-    def unclear(self, F, den, v):
-        """F / (den * v) in the field, for den in the ring and v in the
-        field: one division for the whole function."""
+    def unclear(self, F, num, den):
+        """F * num/den in the field, for num and den in the ring: one
+        division for the whole function."""
         if self.at is not None:
-            return F.scale(1 / (den * v))
-        inv = 1 / (ParamRat(den) * v)
-        return F.map_coeffs(lambda c: ParamRat(c) * inv)
+            return F.scale(num / den)
+        r = ParamRat(num, den)
+        return F.map_coeffs(lambda c: ParamRat(c) * r)
 
     def __str__(self):
         return "" if self.at is None else " at k=%s, p0=%s" % self.at
@@ -155,9 +148,9 @@ _SYMBOLIC = _Point()
 def _grow(f, alpha, box, point):
     """One projector step at `point`: from f = P_alpha to P_beta, where
     beta adds `box` to the first diagram of alpha.  The singularity
-    checks run first; then p_1 and every L2 - e(gamma) act on F = D*f in
-    the ring, and den = D * prod (s - e(gamma)) and V are divided out
-    once, at the end."""
+    checks run first, on the eigenvalues and V = vnum/vden read at the
+    point; then p_1 and every L2 - e(gamma) act on F = D*f in the ring,
+    and den = D * prod (s - e(gamma)) and V are divided out once."""
     lam, mu = alpha
     beta = (add_box(lam, box), mu)
     near = [(gamma, eigenvalue_e(gamma, point.k, point.p0))
@@ -167,9 +160,11 @@ def _grow(f, alpha, box, point):
             if e1 == e2:
                 raise SingularParameter("eigenvalue collision%s: %s vs %s"
                                         % (point, g1, g2))
-    v = point.value(pieri_V(box, alpha),
-                    "transition coefficient at box %s" % (box,))
-    if not v:
+    vnum, vden = pieri_V_pair(box, alpha, point.k)
+    if not vden:
+        raise SingularParameter("transition coefficient at box %s has a "
+                                "pole%s" % (box, point))
+    if not vnum:
         raise SingularParameter("vanishing transition coefficient at box "
                                 "%s%s" % (box, point))
     s = dict(near)[beta]
@@ -179,7 +174,7 @@ def _grow(f, alpha, box, point):
         if gamma != beta:
             out = cms_L2_direct(out, k=point.k, p0=point.p0) - out * e
             den = den * (s - e)
-    return point.unclear(out, den, v)
+    return point.unclear(out, vden, den * vnum)
 
 
 def _extend(prev, box):

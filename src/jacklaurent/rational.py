@@ -815,10 +815,15 @@ def _format_poly(poly):
 # str.isdigit would also take non-ASCII digits such as "\u0663" and "\u00b2"
 _DIGITS = frozenset("0123456789")
 
-# The largest exponent after `^` in parsed text.  No coefficient of a
-# label with |lam|+|mu| <= 6 needs more than 7, and a short expression
-# such as (1+k+p0)^80 already costs seconds.
+# The largest exponent after `^` in parsed text, and the largest total
+# degree a `^` may produce.  No coefficient of a label with |lam|+|mu| <= 6
+# needs more than 7, and a short expression such as (1+k+p0)^80 or
+# ((1+k+p0)^8)^10 already costs seconds.
 MAX_EXPONENT = 32
+
+# The deepest nesting of parentheses in parsed text; each level is a few
+# Python frames, so this stays well inside the recursion limit.
+MAX_DEPTH = 100
 
 
 class _Parser:
@@ -826,14 +831,16 @@ class _Parser:
 
     Grammar: expr = ['+'|'-'] term (('+'|'-') term)*;
     term = factor (('*'|'/') factor)*; factor = atom ('^' int)?;
-    atom = int | 'k' | 'p0' | '(' expr ')'.  An exponent is at most
-    MAX_EXPONENT.  Everything is built over ParamRat, so `/` works at
-    any depth.
+    atom = int | 'k' | 'p0' | '(' expr ')'.  An exponent, and the total
+    degree in k and p0 of a power, are at most MAX_EXPONENT; parentheses
+    nest at most MAX_DEPTH deep.  Everything is built over ParamRat, so
+    `/` works at any depth.
     """
 
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg):
         raise ValueError("parse error at %d in %r: %s" % (self.pos, self.text, msg))
@@ -863,9 +870,13 @@ class _Parser:
     def parse_atom(self):
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_DEPTH:
+                self.error("parentheses nest deeper than %d" % MAX_DEPTH)
+            self.depth += 1
             self.eat("(")
             e = self.parse_expr()
             self.eat(")")
+            self.depth -= 1
             return e
         if ch in _DIGITS:
             return ParamRat.from_int(self.parse_int())
@@ -891,7 +902,14 @@ class _Parser:
     def parse_factor(self):
         a = self.parse_atom()
         n = self.parse_exponent()
-        return a if n == 1 else a ** n
+        if n == 1:
+            return a
+        # a.den is never the zero polynomial, so the max is over something
+        degree = n * max(sum(m) for m in (*a.num.terms, *a.den.terms))
+        if degree > MAX_EXPONENT:
+            self.error("power of total degree %d exceeds %d"
+                       % (degree, MAX_EXPONENT))
+        return a ** n
 
     def parse_term(self):
         out = self.parse_factor()

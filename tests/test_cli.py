@@ -105,6 +105,13 @@ class TestFiniteN:
         code, _, err = run(capsys, "finite-n", "--chi", "1,-1", "--N", "3")
         assert code == EXIT_USAGE
 
+    def test_singular_parameter_exit(self, capsys):
+        code, out, err = run(capsys, "finite-n", "--chi", "2,0,0", "--N", "3",
+                             "--k=1")
+        assert code == EXIT_SINGULAR and out == ""
+        assert err == "singular parameter: eigenvalue collision at k=1: " \
+                      "(2,) vs (1, 1)\n"
+
     def test_decreasing_required(self, capsys):
         code, _, err = run(capsys, "finite-n", "--chi=-1,1", "--N", "2")
         assert code == EXIT_USAGE
@@ -165,6 +172,28 @@ class TestApplyOp:
         assert time.perf_counter() - t0 < 1
         assert code == EXIT_USAGE and out == ""
         assert "exponent 99 exceeds 32" in err
+
+    def test_nested_exponent_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "apply-op", "--op", "L2",
+                             "--expr", "p1*((1+k+p0)^8)^16")
+        assert time.perf_counter() - t0 < 1
+        assert code == EXIT_USAGE and out == ""
+        assert "power of total degree 128 exceeds 32" in err
+
+    def test_deep_parentheses(self, capsys):
+        code, out, err = run(capsys, "apply-op", "--op", "L1",
+                             "--expr", "(" * 1000 + "p1" + ")" * 1000)
+        assert code == EXIT_USAGE and out == ""
+        assert "parentheses nest deeper than 100" in err
+
+    @pytest.mark.parametrize("expr", ["1/0", "1/(k-k)", "p1/(p0 - p0)"])
+    def test_division_by_zero(self, capsys, expr):
+        code, out, err = run(capsys, "apply-op", "--op", "L1",
+                             "--expr", expr)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "usage error: cannot parse expression: division by " \
+                      "zero ParamRat\n"
 
 
 class TestCheckedCommands:

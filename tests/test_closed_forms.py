@@ -4,20 +4,21 @@ Stanley-type products, evaluations, norms, and duality constants."""
 
 import hashlib
 from fractions import Fraction
+from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat, ParamPoly, \
-    ParamRat
+    ParamRat, PoleAtSpecialization, poly_gcd
 from jacklaurent.partitions import chi_N, partitions_up_to, \
     bipartitions_up_to, add_box_candidates, remove_box_candidates
 from jacklaurent.closed_forms import (
-    SingularProduct,
+    SingularProduct, _ratio,
     bernoulli_b, bernoulli_b_lambda, bernoulli_b_sequence, bernoulli_poly_at,
-    c_alpha, duality_constant, eigenvalue_e, eigenvalue_eN, evaluation_value,
+    c_alpha, c_lambda, duality_constant, eigenvalue_e, eigenvalue_eN, evaluation_value,
     hc_value, norm_value, phi_infinity, phi_pair, pieri_U, pieri_U_diagram,
-    pieri_V, pieri_V_diagram, separation_check, shifted_power_sum,
+    pieri_V, pieri_V_diagram, pieri_V_pair, separation_check, shifted_power_sum,
     stable_eigenvalue, stanley_phi,
 )
 
@@ -126,11 +127,69 @@ class TestSeparation:
             separation_check(((1,), (1,)), ((1,), (1,)), 8)
 
 
+def _c_lambda_product(box, alpha):
+    """pieri_V as the product of its c_lambda factors in Q(k, p0), the
+    way it was computed before the factors were cancelled as forms."""
+    i, j = box
+    lam = alpha[0]
+    return _ratio(
+        ((c_lambda(lam, j, r, 1) * c_lambda(lam, j, r, K * (-2)),
+          c_lambda(lam, j, r, -K) * c_lambda(lam, j, r, RAT_ONE - K))
+         for r in range(1, i)), "pieri_V")
+
+
+@cache
+def _addable_boxes(max_size):
+    """(box, alpha, c_lambda product) for every addable box of every lam
+    with |lam| <= max_size; pieri_V does not depend on mu."""
+    return [(box, (lam, ()), _c_lambda_product(box, (lam, ())))
+            for lam in partitions_up_to(max_size)
+            for box in add_box_candidates(lam)]
+
+
 class TestPieriCoefficients:
     def test_V_frozen(self):
         assert pieri_V((1, 2), ((1,), (1,))) == RAT_ONE
         assert pieri_V((3, 1), ((1,), ())) == RAT_ZERO
         assert pieri_V((2, 1), ((1,), ())) == rat(2) / (RAT_ONE - K)
+
+    def test_V_matches_c_lambda_product(self):
+        for box, alpha, want in _addable_boxes(6):
+            assert pieri_V(box, alpha) == want, (box, alpha)
+            assert pieri_V(box, (alpha[0], (2, 1))) == want, (box, alpha)
+
+    def test_V_pair_is_coprime(self):
+        k = ParamPoly.var_k()
+        for box, alpha, _ in _addable_boxes(6):
+            num, den = pieri_V_pair(box, alpha, k)
+            assert type(num) is ParamPoly and type(den) is ParamPoly
+            assert num.degree_p0() <= 0 and den.degree_p0() <= 0
+            assert poly_gcd(num, den) == ParamPoly.const(1), (box, alpha)
+
+    def test_V_pair_cancels_up_to_scale(self):
+        # -2k above and -k below: 2/(1 - k), which is 2 at k = 0
+        assert pieri_V_pair((2, 1), ((1,), ()), Fraction(0)) == (2, 1)
+        # 1 - k above and below: 3/(1 - 2k), which is -3 at k = 1
+        num, den = pieri_V_pair((3, 1), ((1, 1), ()), Fraction(1))
+        assert num / den == -3
+        # a box that is not addable has coefficient 0
+        assert pieri_V_pair((3, 1), ((1,), ()), Fraction(1, 2)) == (0, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_fracs)
+    @example(Fraction(0))
+    @example(Fraction(1))
+    @example(Fraction(1, 2))
+    def test_V_pair_at_rational_points(self, k0):
+        for box, alpha, want in _addable_boxes(5):
+            num, den = pieri_V_pair(box, alpha, k0)
+            assert type(num) is Fraction and type(den) is Fraction
+            try:
+                value = want.specialize(k0, 0)
+            except PoleAtSpecialization:
+                assert den == 0, (box, alpha)
+                continue
+            assert den != 0 and num / den == value, (box, alpha)
 
     def test_U_frozen(self):
         assert pieri_U((1, 1), ((), (1,))) == P0 / (RAT_ONE + K - K * P0)

@@ -228,6 +228,13 @@ class TestRationalMode:
                 continue
             assert fast == slow, alpha
 
+    def test_at_k_zero(self):
+        # pieri_V((2, 1), ((1,), ())) is -2k/(-k(1 - k)): the transition
+        # coefficient is read from its cancelled form, 2 at k = 0
+        alpha, p00 = ((1, 1), ()), Fraction(3, 7)
+        assert rational_mode_construct(alpha, 0, p00) == \
+            construct(alpha).f.specialize(0, p00)
+
     def test_collision_both_sides(self):
         with pytest.raises(SingularParameter):
             rational_mode_construct(((2,), ()), 1, 5)

@@ -1,6 +1,7 @@
 """The coefficient field Q(k, p0): canonical forms, arithmetic,
 specialization, and the parameter swap."""
 
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -466,6 +467,24 @@ class TestStringRoundTrip:
         for text in ("2^33", "(1+k+p0)^80", "k^99999999999"):
             with pytest.raises(ValueError, match="parse error.*exceeds 32"):
                 parse_rat(text)
+
+    def test_nested_exponent_bound(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="parse error.*total degree 128 "
+                                             "exceeds 32"):
+            parse_rat("((1+k+p0)^8)^16")
+        assert time.perf_counter() - t0 < 1
+        assert parse_rat("((1+k+p0)^8)^4") == (RAT_ONE + K + P0) ** 32
+        assert parse_rat("(1+k)^32") == (RAT_ONE + K) ** 32
+        assert parse_rat("(k/(1+k))^16") == (K / (RAT_ONE + K)) ** 16
+
+    def test_parenthesis_depth(self):
+        depth = rational.MAX_DEPTH
+        assert parse_rat("(" * depth + "k" + ")" * depth) == K
+        for n in (depth + 1, 250, 1000):
+            with pytest.raises(ValueError, match="parse error.*parentheses "
+                                                 "nest deeper than 100"):
+                parse_rat("(" * n + "k" + ")" * n)
 
     @pytest.mark.parametrize("text", ["\u0663", "\u00b2", "k^\u00b2",
                                       "1\u0663", "k^\u0663"])
