@@ -8,10 +8,10 @@ of CMS integrals, and verifies the closed formulas (Pieri, evaluation,
 norms, duality, Jacobi-Trudy) against an independent finite-N oracle.
 """
 
-from .rational import ParamRat, rat, parse_rat, K, P0, RAT_ZERO, RAT_ONE, \
+from .rational import ParamRat, rat, K, P0, RAT_ZERO, RAT_ONE, \
     DivisionByZero, PoleAtSpecialization, IdenticallySingular, \
     SingularParameter, NotEigenvector
-from .laurent import LaurentSymFunc, parse_element
+from .laurent import LaurentSymFunc, parse_element, parse_rat
 from .partitions import normalize_partition, conjugate, chi_N, \
     w_bipartition, w_sequence, partitions_of, bipartitions_up_to
 from .operators import cms_L, cms_I, stable_H, cms_L2_direct

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .rational import rat, as_rat, SingularParameter, \
-    PoleAtSpecialization, IdenticallySingular, DivisionByZero, _DIGITS
+    PoleAtSpecialization, IdenticallySingular, DivisionByZero
 from .laurent import parse_element
 from .partitions import normalize_partition, size, \
     add_box_candidates, remove_box_candidates, label_str, alpha_json
@@ -146,7 +146,7 @@ def _cmd_formula(args):
 
 def _cmd_apply_op(args):
     op = args.op.upper()
-    if len(op) < 2 or op[0] not in "LH" or not set(op[1:]) <= _DIGITS:
+    if not (op[1:].isascii() and op[1:].isdigit()) or op[0] not in "LH":
         raise UsageError("--op wants L<r> or H<r>, got %r" % args.op)
     r = int(op[1:])
     if r < 1:
@@ -208,14 +208,16 @@ def _max_size(args):
 
 
 def _cmd_conjectures(args):
-    report = run_all(_max_size(args))
-    blob = json.dumps(report, indent=2, sort_keys=True)
+    max_size = _max_size(args)
+    try:
+        # opened before the sweep runs, so that a bad path fails at once
+        fh = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        raise UsageError("cannot write --out: %s" % exc)
+    fh.write(json.dumps(run_all(max_size), indent=2, sort_keys=True) + "\n")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(blob + "\n")
+        fh.close()
         print("wrote %s" % args.out)
-    else:
-        print(blob)
     return EXIT_OK
 
 

@@ -8,13 +8,18 @@ monomial is a tuple of (index, exponent) pairs sorted by index; the
 unit monomial is the empty tuple.  The parameter p0 plays the role of
 the dimension and only ever enters through coefficients, never as a
 generator.
+
+One parser reads the printed forms back: `parse_element` for elements
+and `parse_rat` for a coefficient alone.  It refuses, before running
+it, any coefficient `+ - * / ^` whose result could pass total degree
+MAX_EXPONENT in k and p0.
 """
 
 from collections import Counter
 from fractions import Fraction
 
-from .rational import (RAT_ONE, RAT_ZERO, K, P0, as_rat, parse_rat,
-                       PoleAtSpecialization, _Parser, _DIGITS)
+from .rational import (RAT_ONE, RAT_ZERO, K, P0, ParamRat, as_rat,
+                       PoleAtSpecialization)
 
 UNIT_MONO = ()
 
@@ -348,77 +353,196 @@ def from_json_terms(data):
 
 
 # ---------------------------------------------------------------------------
-# element text parsing: e.g.  p1*p-1 - (p0)/(1 + k - k*p0)
+# text parsing: coefficients such as (p0)/(1 + k - k*p0) and elements such
+# as p1*p-1 - (p0)/(1 + k - k*p0)
 # ---------------------------------------------------------------------------
 
-class _ElemParser(_Parser):
-    """Extends the coefficient grammar with generator factors p<i>, i != 0.
+# str.isdigit would also take non-ASCII digits such as "\u0663" and "\u00b2"
+_DIGITS = frozenset("0123456789")
 
-    `p0` stays the parameter symbol; `p-3` and `p3^2` are generators.
-    Every additive term is a product of rational-coefficient factors and
-    generator powers.
+# The largest exponent after `^`, and the largest total degree in k and p0
+# that the numerator or denominator of a coefficient may reach through any
+# `+ - * / ^`.  No coefficient of a label with |lam|+|mu| <= 7 needs more
+# than 11, and a short expression of degree 64 already costs seconds.
+MAX_EXPONENT = 32
+
+# The deepest nesting of parentheses; each level is a few Python frames,
+# so this stays well inside the recursion limit.
+MAX_DEPTH = 100
+
+# A parse error quotes at most this many characters of the input.
+_EXCERPT = 40
+
+
+def _degrees(c):
+    """The total degrees in k and p0 of c's numerator and denominator."""
+    return [max(map(sum, p.terms), default=0) for p in (c.num, c.den)]
+
+
+class _Parser:
+    """Recursive-descent parser for coefficients and elements.
+
+    Grammar: expr = ['+'|'-'] term (('+'|'-') term)*;
+    term = (factor | gen) (('*'|'/') (factor | gen))*;
+    factor = atom ('^' int)?; atom = int | 'k' | 'p0' | '(' expr ')';
+    gen = 'p' ['-'] int ('^' int)? with a nonzero index, so `p0` is the
+    parameter and `p-3`, `p3^2` are generators.  A term is a coefficient
+    times a generator monomial.  A generator may not follow `/` or stand
+    inside parentheses, and with `generators` false it is refused.  An
+    exponent is at most MAX_EXPONENT, and so is the total degree that
+    any coefficient operation can reach, checked before it runs;
+    parentheses nest at most MAX_DEPTH deep.
     """
 
-    def parse_gen_factor(self):
-        # called when text at pos starts with 'p' followed by an index
+    def __init__(self, text, generators):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+        self.generators = generators
+
+    def error(self, msg):
+        lo = max(0, min(self.pos - _EXCERPT // 2, len(self.text) - _EXCERPT))
+        hi = lo + _EXCERPT
+        raise ValueError("parse error at %d in %s%r%s: %s" % (
+            self.pos, "..." if lo else "", self.text[lo:hi],
+            "..." if hi < len(self.text) else "", msg))
+
+    def bound(self, what, num, den):
+        if max(num, den) > MAX_EXPONENT:
+            self.error("%s of total degree %d exceeds %d"
+                       % (what, max(num, den), MAX_EXPONENT))
+
+    def combine(self, op, a, b):
+        """a op b for ParamRats, refused before it runs when its numerator
+        or denominator could pass total degree MAX_EXPONENT."""
+        (an, ad), (bn, bd) = _degrees(a), _degrees(b)
+        if op == "*":
+            self.bound("product", an + bn, ad + bd)
+            return a * b
+        if op == "/":
+            self.bound("quotient", an + bd, ad + bn)
+            return a / b
+        self.bound("sum", max(an + bd, bn + ad), ad + bd)
+        return a + b if op == "+" else a - b
+
+    def peek(self):
+        """The next character after whitespace, '' at the end."""
+        while self.text[self.pos:self.pos + 1].isspace():
+            self.pos += 1
+        return self.text[self.pos:self.pos + 1]
+
+    def take(self, chars):
+        """The next character, consumed, if it is one of chars; else ''."""
+        ch = self.peek()
+        if ch and ch in chars:
+            self.pos += 1
+            return ch
+        return ""
+
+    def parse_int(self):
+        self.peek()
+        start = self.pos
+        while self.text[self.pos:self.pos + 1] in _DIGITS:
+            self.pos += 1
+        if start == self.pos:
+            self.error("expected integer")
+        return int(self.text[start:self.pos])
+
+    def parse_exponent(self):
+        """The int after an optional `^`, 1 when there is none; above
+        MAX_EXPONENT it is a parse error."""
+        if not self.take("^"):
+            return 1
+        n = self.parse_int()
+        if n > MAX_EXPONENT:
+            self.error("exponent %d exceeds %d" % (n, MAX_EXPONENT))
+        return n
+
+    def parse_atom(self):
+        ch = self.peek()
+        if ch == "(":
+            if self.depth == MAX_DEPTH:
+                self.error("parentheses nest deeper than %d" % MAX_DEPTH)
+            self.depth += 1
+            self.pos += 1
+            e = self.parse_expr()
+            if not self.take(")"):
+                self.error("expected ')'")
+            self.depth -= 1
+            return e.get(UNIT_MONO, RAT_ZERO)
+        if ch in _DIGITS:
+            return ParamRat.from_int(self.parse_int())
+        if self.text.startswith("p0", self.pos):
+            self.pos += 2
+            return P0
+        if ch == "k":
+            self.pos += 1
+            return K
+        self.error("expected atom")
+
+    def parse_factor(self):
+        a = self.parse_atom()
+        n = self.parse_exponent()
+        if n == 1:
+            return a
+        self.bound("power", *(n * d for d in _degrees(a)))
+        return a ** n
+
+    def generator_ahead(self):
+        """True at a `p` that starts a generator, not the parameter p0."""
+        if not self.generators or self.depth or self.peek() != "p":
+            return False
+        nxt = self.text[self.pos + 1:self.pos + 3]
+        if nxt[:1] == "0":
+            return nxt[1:] in _DIGITS
+        return nxt[:1] in _DIGITS or nxt[:1] == "-"
+
+    def parse_generator(self):
+        """(index, exponent) of a generator power such as p-3^2."""
         self.pos += 1
-        sign = 1
-        if self.peek() == "-":
-            self.eat("-")
-            sign = -1
+        sign = -1 if self.take("-") else 1
         idx = sign * self.parse_int()
         if idx == 0:
             self.error("generator index 0 does not exist")
-        return LaurentSymFunc.gen(idx, self.parse_exponent())
+        return idx, self.parse_exponent()
 
-    def _is_generator_ahead(self):
-        if self.peek() != "p":
-            return False
-        rest = self.text[self.pos + 1:]
-        if rest.startswith("0") and rest[1:2] not in _DIGITS:
-            return False  # the parameter p0
-        return rest[:1] in _DIGITS or rest[:1] == "-"
-
-    def parse_elem_term(self):
-        coeff = RAT_ONE
-        elem = LaurentSymFunc.one()
-        if self._is_generator_ahead():
-            elem = elem * self.parse_gen_factor()
-        else:
-            coeff = coeff * self.parse_factor()
-        while self.peek() in ("*", "/"):
-            op = self.peek()
-            self.pos += 1
-            if self._is_generator_ahead():
-                if op == "/":
-                    self.error("cannot divide by a generator")
-                elem = elem * self.parse_gen_factor()
+    def parse_term(self):
+        """(coefficient, monomial) of a product of factors and generators."""
+        coeff, gens, op = RAT_ONE, Counter(), "*"
+        while op:
+            if not self.generator_ahead():
+                coeff = self.combine(op, coeff, self.parse_factor())
+            elif op == "/":
+                self.error("cannot divide by a generator")
             else:
-                f = self.parse_factor()
-                coeff = coeff * f if op == "*" else coeff / f
-        return elem.scale(coeff)
+                idx, e = self.parse_generator()
+                gens[idx] += e
+            op = self.take("*/")
+        return coeff, mono_from_dict(gens)
 
-    def parse_element(self):
-        negate = False
-        if self.peek() == "-":
-            self.eat("-")
-            negate = True
-        elif self.peek() == "+":
-            self.eat("+")
-        out = self.parse_elem_term()
-        if negate:
-            out = -out
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
-            t = self.parse_elem_term()
-            out = out - t if op == "-" else out + t
-        self.skip()
-        if self.pos != len(self.text):
+    def parse_expr(self):
+        """A sum of terms, as a map from monomial to nonzero coefficient."""
+        out, op = {}, self.take("+-") or "+"
+        while op:
+            coeff, m = self.parse_term()
+            c = self.combine(op, out.pop(m, RAT_ZERO), coeff)
+            if c:
+                out[m] = c
+            op = self.take("+-")
+        return out
+
+    def parse(self):
+        out = self.parse_expr()
+        if self.peek():
             self.error("trailing input")
         return out
 
 
+def parse_rat(text):
+    """Parse the textual form of a ParamRat, e.g. `(-1*p0)/(1 + k - k*p0)`."""
+    return _Parser(text, generators=False).parse().get(UNIT_MONO, RAT_ZERO)
+
+
 def parse_element(text):
     """Parse the textual form of a LaurentSymFunc."""
-    return _ElemParser(text).parse_element()
+    return LaurentSymFunc(_Parser(text, generators=True).parse())

@@ -7,7 +7,8 @@ rejects any other.  A ParamRat is a quotient of two ParamPolys kept in a
 canonical reduced form, so that equality of rational functions is plain
 structural equality.  A rational number enters only through a ParamRat
 (`from_fraction`, `as_rat`), whose numerator and denominator are
-integral by construction.
+integral by construction.  The printed form of a ParamRat is read back
+by `laurent.parse_rat`, the same parser that reads elements.
 
 No floating point is used anywhere, and no external computer-algebra
 system: the bivariate gcd needed for reduction is done by
@@ -811,138 +812,3 @@ def _format_poly(poly):
         pieces.append(body if idx == 0 else (" - " if c < 0 else " + ") + body)
     return "".join(pieces)
 
-
-# str.isdigit would also take non-ASCII digits such as "\u0663" and "\u00b2"
-_DIGITS = frozenset("0123456789")
-
-# The largest exponent after `^` in parsed text, and the largest total
-# degree a `^` may produce.  No coefficient of a label with |lam|+|mu| <= 6
-# needs more than 7, and a short expression such as (1+k+p0)^80 or
-# ((1+k+p0)^8)^10 already costs seconds.
-MAX_EXPONENT = 32
-
-# The deepest nesting of parentheses in parsed text; each level is a few
-# Python frames, so this stays well inside the recursion limit.
-MAX_DEPTH = 100
-
-
-class _Parser:
-    """Recursive-descent parser for rational expressions in k and p0.
-
-    Grammar: expr = ['+'|'-'] term (('+'|'-') term)*;
-    term = factor (('*'|'/') factor)*; factor = atom ('^' int)?;
-    atom = int | 'k' | 'p0' | '(' expr ')'.  An exponent, and the total
-    degree in k and p0 of a power, are at most MAX_EXPONENT; parentheses
-    nest at most MAX_DEPTH deep.  Everything is built over ParamRat, so
-    `/` works at any depth.
-    """
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def error(self, msg):
-        raise ValueError("parse error at %d in %r: %s" % (self.pos, self.text, msg))
-
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, ch):
-        if self.peek() != ch:
-            self.error("expected %r" % ch)
-        self.pos += 1
-
-    def parse_int(self):
-        self.skip()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected integer")
-        return int(self.text[start:self.pos])
-
-    def parse_atom(self):
-        ch = self.peek()
-        if ch == "(":
-            if self.depth == MAX_DEPTH:
-                self.error("parentheses nest deeper than %d" % MAX_DEPTH)
-            self.depth += 1
-            self.eat("(")
-            e = self.parse_expr()
-            self.eat(")")
-            self.depth -= 1
-            return e
-        if ch in _DIGITS:
-            return ParamRat.from_int(self.parse_int())
-        if self.text.startswith("p0", self.pos):
-            self.pos += 2
-            return P0
-        if ch == "k":
-            self.pos += 1
-            return K
-        self.error("expected atom")
-
-    def parse_exponent(self):
-        """The int after an optional `^`, 1 when there is none; above
-        MAX_EXPONENT it is a parse error."""
-        if self.peek() != "^":
-            return 1
-        self.eat("^")
-        n = self.parse_int()
-        if n > MAX_EXPONENT:
-            self.error("exponent %d exceeds %d" % (n, MAX_EXPONENT))
-        return n
-
-    def parse_factor(self):
-        a = self.parse_atom()
-        n = self.parse_exponent()
-        if n == 1:
-            return a
-        # a.den is never the zero polynomial, so the max is over something
-        degree = n * max(sum(m) for m in (*a.num.terms, *a.den.terms))
-        if degree > MAX_EXPONENT:
-            self.error("power of total degree %d exceeds %d"
-                       % (degree, MAX_EXPONENT))
-        return a ** n
-
-    def parse_term(self):
-        out = self.parse_factor()
-        while self.peek() in ("*", "/"):
-            op = self.peek()
-            self.pos += 1
-            f = self.parse_factor()
-            out = out * f if op == "*" else out / f
-        return out
-
-    def parse_expr(self):
-        negate = False
-        if self.peek() == "-":
-            self.eat("-")
-            negate = True
-        elif self.peek() == "+":
-            self.eat("+")
-        out = self.parse_term()
-        if negate:
-            out = -out
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
-            t = self.parse_term()
-            out = out - t if op == "-" else out + t
-        return out
-
-
-def parse_rat(text):
-    """Parse the textual form of a ParamRat, e.g. `(-1*p0)/(1 + k - k*p0)`."""
-    p = _Parser(text)
-    out = p.parse_expr()
-    p.skip()
-    if p.pos != len(text):
-        p.error("trailing input")
-    return out

@@ -186,6 +186,20 @@ class TestApplyOp:
                              "--expr", "(" * 1000 + "p1" + ")" * 1000)
         assert code == EXIT_USAGE and out == ""
         assert "parentheses nest deeper than 100" in err
+        # the error quotes an excerpt of the input, not all of it
+        assert len(err.encode()) < 200 and err.count("\n") == 1
+
+    @pytest.mark.parametrize("expr,message", [
+        ("(1+k+p0)^32*(1+k+p0)^32*(1+k+p0)^32", "product of total degree 64"),
+        ("p1*(1+k+p0)^32*(1+k+p0)^32", "product of total degree 64"),
+        ("1/(1+k+p0)^32+1/(2+k+p0)^32+1/(3+k+p0)^32+1/(4+k+p0)^32",
+         "sum of total degree 64")])
+    def test_large_degree_fails_fast(self, capsys, expr, message):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "apply-op", "--op", "L2", "--expr", expr)
+        assert time.perf_counter() - t0 < 1
+        assert code == EXIT_USAGE and out == ""
+        assert message + " exceeds 32" in err
 
     @pytest.mark.parametrize("expr", ["1/0", "1/(k-k)", "p1/(p0 - p0)"])
     def test_division_by_zero(self, capsys, expr):
@@ -273,6 +287,13 @@ class TestReports:
         assert report["status"] == "pass"
         assert all(row["status"] == "pass" for row in report["checks"])
 
+    def test_conjectures_unwritable_out(self, capsys, tmp_path):
+        code, out, err = run(capsys, "conjectures", "--max-size", "0",
+                             "--out", str(tmp_path / "missing" / "x.json"))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error: cannot write --out: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["verify", "conjectures"])
     def test_negative_max_size(self, capsys, command):
         code, out, err = run(capsys, command, "--max-size", "-1")
@@ -285,3 +306,41 @@ class TestReports:
                            "--max-size", "2")
         assert code == EXIT_OK
         assert "suite schur: pass" in out
+
+
+# (command, argv, the check patched to fail or None, exit code): every
+# code each subcommand can return
+EXIT_CODES = [
+    ("compute", ["--lambda", "1"], None, EXIT_OK),
+    ("compute", ["--lambda", "1,x"], None, EXIT_USAGE),
+    ("compute", ["--lambda", "2", "--k", "1", "--p0", "5"], None,
+     EXIT_SINGULAR),
+    ("finite-n", ["--chi", "1,-1", "--N", "2"], None, EXIT_OK),
+    ("finite-n", ["--chi", "1,-1", "--N", "3"], None, EXIT_USAGE),
+    ("finite-n", ["--chi", "2,0,0", "--N", "3", "--k=1"], None,
+     EXIT_SINGULAR),
+    ("formula", ["--name", "norm", "--mu", "1"], None, EXIT_OK),
+    ("formula", ["--name", "norm", "--mu", "x"], None, EXIT_USAGE),
+    ("apply-op", ["--op", "L2", "--expr", "p1*p-1 - 2"], None, EXIT_OK),
+    ("apply-op", ["--op", "L2", "--expr", "p1/p2"], None, EXIT_USAGE),
+    ("pieri", ["--lambda", "1", "--mu", "1"], None, EXIT_OK),
+    ("pieri", ["--lambda", "x"], None, EXIT_USAGE),
+    ("conjectures", ["--max-size", "1"], None, EXIT_OK),
+    ("conjectures", ["--max-size", "-1"], None, EXIT_USAGE),
+    ("verify", ["--suite", "eigen", "--max-size", "1"], None, EXIT_OK),
+    ("verify", ["--suite", "eigen", "--max-size", "1"],
+     (verify, "check_eigen"), EXIT_VERIFY),
+    ("verify", ["--max-size", "-1"], None, EXIT_USAGE),
+]
+for command, check, argv in CHECKED:
+    EXIT_CODES += [(command, argv + ["--check"], None, EXIT_OK),
+                   (command, argv + ["--check"], (cli, check), EXIT_VERIFY),
+                   (command, ["--lambda", "x", "--check"], None, EXIT_USAGE)]
+
+
+@pytest.mark.parametrize("command,argv,failing,code", EXIT_CODES,
+                         ids=["%s-%d" % (r[0], r[3]) for r in EXIT_CODES])
+def test_exit_code(capsys, monkeypatch, command, argv, failing, code):
+    if failing:
+        monkeypatch.setattr(*failing, _failing_check)
+    assert run(capsys, command, *argv)[0] == code

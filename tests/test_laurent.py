@@ -2,14 +2,17 @@
 arithmetic, involutions, derivations, evaluation, serialization."""
 
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat, \
     DivisionByZero
+from jacklaurent.jack import construct
 from jacklaurent.laurent import LaurentSymFunc, mono_str, mono_bidegree, \
-    parse_element, from_json_terms
+    parse_element, parse_rat, from_json_terms
+from jacklaurent.partitions import bipartitions_up_to
 
 g = LaurentSymFunc.gen
 
@@ -204,3 +207,199 @@ class TestSerialization:
                               ("p1*(1+k)^99", "exponent 99 exceeds 32")):
             with pytest.raises(ValueError, match="parse error.*" + message):
                 parse_element(text)
+
+    def test_constructed_functions_round_trip(self):
+        for alpha in bipartitions_up_to(5):
+            f = construct(alpha).f
+            assert parse_element(str(f)) == f, alpha
+
+
+# What the parser returned before every coefficient operation was bounded
+# by total degree: the printed value (its sha256 prefix when longer than
+# 60 characters) or "!" and the error.  The inputs in NEWLY_REFUSED were
+# accepted then; the degree bound now refuses them.
+PARENT = [
+    (parse_rat, "0", "0"),
+    (parse_rat, "-0", "0"),
+    (parse_rat, "+k", "k"),
+    (parse_rat, "-k", "-1*k"),
+    (parse_rat, "1/2", "(1)/(2)"),
+    (parse_rat, "-1/2", "(-1)/(2)"),
+    (parse_rat, " k ", "k"),
+    (parse_rat, "k*p0", "k*p0"),
+    (parse_rat, "k/p0", "(k)/(p0)"),
+    (parse_rat, "(1+k)/(1-k)", "(1 + k)/(1 - k)"),
+    (parse_rat, "k^2 - p0^2", "-1*p0^2 + k^2"),
+    (parse_rat, "(k-p0)/(k^2-p0^2)", "(1)/(p0 + k)"),
+    (parse_rat, "2^32", "4294967296"),
+    (parse_rat, "(1+k+p0)^32", "sha256:2e463f8f5170621c"),
+    (parse_rat, "((1+k+p0)^8)^4", "sha256:2e463f8f5170621c"),
+    (parse_rat, "(k/(1+k))^16", "sha256:e37d6584db2a657d"),
+    (parse_rat, "k^0", "1"),
+    (parse_rat, "(1+k)^0", "1"),
+    (parse_rat, "0^0", "1"),
+    (parse_rat, "0^5", "0"),
+    (parse_rat, "(k-k)^3", "0"),
+    (parse_rat, "k^2/k^2", "1"),
+    (parse_rat, "k^32/k^32", "1"),
+    (parse_rat, "k^16*k^16/k", "k^31"),
+    (parse_rat, "(1+k)^16*(1+k)^16", "sha256:320fd477b15be203"),
+    (parse_rat, "(1+k)^32-(1+k)^32", "0"),
+    (parse_rat, "1/(1+k)^16+1/(1+p0)^16", "sha256:9cea0d4b8c723098"),
+    (parse_rat, "k^32 + p0^32", "p0^32 + k^32"),
+    (parse_rat, "-(1+k)^32 + k", "sha256:b666026ff13917d8"),
+    (parse_rat, "2/3 - 5/7*k", "(14 - 15*k)/(21)"),
+    (parse_rat, "(1+k)^16*(1+k)^17", "sha256:e09936b976bd4913"),
+    (parse_rat, "(1+k)^20/(1+k)^20", "1"),
+    (parse_rat, "1/(1+k)^16+1/(1+p0)^17", "sha256:d6276df05f2fad7d"),
+    (parse_rat, "k^32*k", "k^33"),
+    (parse_rat, "k^17*k^16", "k^33"),
+    (parse_rat, "k^16/p0^16/p0^16", "(k^16)/(p0^32)"),
+    (parse_rat, "k^20/p0^20/p0^13", "(k^20)/(p0^33)"),
+    (parse_rat, "1/k^32 + 1/p0", "(p0 + k^32)/(k^32*p0)"),
+    (parse_rat, "(k^20)^2/k^20",
+     "!ValueError: parse error at 8 in '(k^20)^2/k^20': power of total "
+     "degree 40 exceeds 32"),
+    (parse_rat, "(1+k+p0)^32*(1+k+p0)^32*(1+k+p0)^32",
+     "sha256:1ebcfd1b0c96374c"),
+    (parse_rat, "1/(1+k+p0)^32+1/(2+k+p0)^32+1/(3+k+p0)^32+1/(4+k+p0)^32",
+     "sha256:4af64e65edad0d44"),
+    (parse_rat, "", "!ValueError: parse error at 0 in '': expected atom"),
+    (parse_rat, "k^",
+     "!ValueError: parse error at 2 in 'k^': expected integer"),
+    (parse_rat, "2^33",
+     "!ValueError: parse error at 4 in '2^33': exponent 33 exceeds 32"),
+    (parse_rat, "k^99999999999",
+     "!ValueError: parse error at 13 in 'k^99999999999': exponent "
+     "99999999999 exceeds 32"),
+    (parse_rat, "((k))", "k"),
+    (parse_rat, "1/0", "!DivisionByZero: division by zero ParamRat"),
+    (parse_rat, "1/(k-k)", "!DivisionByZero: division by zero ParamRat"),
+    (parse_rat, "k++p0",
+     "!ValueError: parse error at 2 in 'k++p0': expected atom"),
+    (parse_rat, "--k",
+     "!ValueError: parse error at 1 in '--k': expected atom"),
+    (parse_rat, "p1", "!ValueError: parse error at 0 in 'p1': expected atom"),
+    (parse_rat, "p01",
+     "!ValueError: parse error at 2 in 'p01': trailing input"),
+    (parse_rat, "p0 p0",
+     "!ValueError: parse error at 3 in 'p0 p0': trailing input"),
+    (parse_rat, "3k", "!ValueError: parse error at 1 in '3k': trailing input"),
+    (parse_rat, "k)", "!ValueError: parse error at 1 in 'k)': trailing input"),
+    (parse_rat, "(k", "!ValueError: parse error at 2 in '(k': expected ')'"),
+    (parse_rat, "k^-1",
+     "!ValueError: parse error at 2 in 'k^-1': expected integer"),
+    (parse_rat, "\u0663",
+     "!ValueError: parse error at 0 in '\u0663': expected atom"),
+    (parse_rat, "k^\xb2",
+     "!ValueError: parse error at 2 in 'k^\xb2': expected integer"),
+    (parse_rat, "p0\u0663",
+     "!ValueError: parse error at 2 in 'p0\u0663': trailing input"),
+    (parse_rat, "k*", "!ValueError: parse error at 2 in 'k*': expected atom"),
+    (parse_rat, "1 / / 2",
+     "!ValueError: parse error at 4 in '1 / / 2': expected atom"),
+    (parse_element, "p1*p-1 - (p0)/(1 + k - k*p0)",
+     "p-1*p1 - (p0)/(1 + k - k*p0)"),
+    (parse_element, "0", "0"),
+    (parse_element, "p2^3", "p2^3"),
+    (parse_element, "p1^0", "1"),
+    (parse_element, "p1^0 + p2", "p2 + 1"),
+    (parse_element, "p1 + p1", "2*p1"),
+    (parse_element, "p1 - p1", "0"),
+    (parse_element, "-p1*p2 + 2*p3", "2*p3 - p1*p2"),
+    (parse_element, "p1*k/2", "((k)/(2))*p1"),
+    (parse_element, "p1/k", "((1)/(k))*p1"),
+    (parse_element, "p0*p1", "(p0)*p1"),
+    (parse_element, "p-3^2*p3", "p-3^2*p3"),
+    (parse_element, "p1^32*p1^32", "p1^64"),
+    (parse_element, "2*p1 + 3*p1", "5*p1"),
+    (parse_element, "p1*2*p2*k", "(2*k)*p1*p2"),
+    (parse_element, "+p1", "p1"),
+    (parse_element, " p1 * p-1 ", "p-1*p1"),
+    (parse_element, "(1+k)*p1*(1-k)", "(1 - k^2)*p1"),
+    (parse_element, "p1*(1+k)^16*(1+k)^16", "sha256:d929ea948fc34861"),
+    (parse_element, "1/(1+k)^32*p1 + 1/(1+p0)^32*p2",
+     "sha256:e11f495b3b22a549"),
+    (parse_element, "p-1*p1 - 1", "p-1*p1 - 1"),
+    (parse_element, "p1*(1+k+p0)^32*(1+k+p0)^32", "sha256:7a8ceab943a7d7c6"),
+    (parse_element, "(1+k+p0)^32*(1+k+p0)^32*(1+k+p0)^32",
+     "sha256:c5ab479461288b12"),
+    (parse_element, "1/(1+k)^32*p1 + 1/(1+p0)^32*p1",
+     "sha256:ea8ebc468d6cda2e"),
+    (parse_element, "p1*(1+k)^17*(1+k)^16", "sha256:3b06830196e9b9f1"),
+    (parse_element, "p1/p2",
+     "!ValueError: parse error at 3 in 'p1/p2': cannot divide by a "
+     "generator"),
+    (parse_element, "p-0",
+     "!ValueError: parse error at 3 in 'p-0': generator index 0 does "
+     "not exist"),
+    (parse_element, "p00",
+     "!ValueError: parse error at 3 in 'p00': generator index 0 does "
+     "not exist"),
+    (parse_element, "p1^33",
+     "!ValueError: parse error at 5 in 'p1^33': exponent 33 exceeds 32"),
+    (parse_element, "p1*(1+k)^99",
+     "!ValueError: parse error at 11 in 'p1*(1+k)^99': exponent 99 "
+     "exceeds 32"),
+    (parse_element, "(p1)",
+     "!ValueError: parse error at 1 in '(p1)': expected atom"),
+    (parse_element, "p1/(k-k)", "!DivisionByZero: division by zero ParamRat"),
+    (parse_element, "p1^2^2",
+     "!ValueError: parse error at 4 in 'p1^2^2': trailing input"),
+    (parse_element, "p-",
+     "!ValueError: parse error at 2 in 'p-': expected integer"),
+    (parse_element, "p",
+     "!ValueError: parse error at 0 in 'p': expected atom"),
+    (parse_element, "k p1",
+     "!ValueError: parse error at 2 in 'k p1': trailing input"),
+    (parse_element, "p1 p2",
+     "!ValueError: parse error at 3 in 'p1 p2': trailing input"),
+    (parse_element, "p1*",
+     "!ValueError: parse error at 3 in 'p1*': expected atom"),
+    (parse_element, "p2*p-1", "p-1*p2"),
+    (parse_element, "p1*((1+k+p0)^8)^16",
+     "!ValueError: parse error at 18 in 'p1*((1+k+p0)^8)^16': power of "
+     "total degree 128 exceeds 32"),
+    (parse_element, "p1^\u0663",
+     "!ValueError: parse error at 3 in 'p1^\u0663': expected integer"),
+    (parse_element, "p-\u0661",
+     "!ValueError: parse error at 2 in 'p-\u0661': expected integer"),
+    (parse_element, "1/0", "!DivisionByZero: division by zero ParamRat"),
+    (parse_element, "p0\u0663",
+     "!ValueError: parse error at 2 in 'p0\u0663': trailing input"),
+]
+NEWLY_REFUSED = {
+    "(1+k)^16*(1+k)^17": "product of total degree 33",
+    "1/(1+k)^16+1/(1+p0)^17": "sum of total degree 33",
+    "k^32*k": "product of total degree 33",
+    "k^17*k^16": "product of total degree 33",
+    "k^20/p0^20/p0^13": "quotient of total degree 33",
+    "1/k^32 + 1/p0": "sum of total degree 33",
+    "(1+k+p0)^32*(1+k+p0)^32*(1+k+p0)^32": "product of total degree 64",
+    "1/(1+k+p0)^32+1/(2+k+p0)^32+1/(3+k+p0)^32+1/(4+k+p0)^32":
+        "sum of total degree 64",
+    "p1*(1+k+p0)^32*(1+k+p0)^32": "product of total degree 64",
+    "1/(1+k)^32*p1 + 1/(1+p0)^32*p1": "sum of total degree 64",
+    "p1*(1+k)^17*(1+k)^16": "product of total degree 33",
+}
+
+
+def _parsed(parse, text):
+    try:
+        got = str(parse(text))
+    except (ValueError, DivisionByZero) as exc:
+        return "!%s: %s" % (type(exc).__name__, exc)
+    if len(got) > 60:
+        return "sha256:" + sha256(got.encode()).hexdigest()[:16]
+    return got
+
+
+@pytest.mark.parametrize("parse,text,want", PARENT)
+def test_parse_as_before(parse, text, want):
+    got = _parsed(parse, text)
+    if text in NEWLY_REFUSED:
+        assert not want.startswith("!")
+        assert got.startswith("!ValueError: parse error at ")
+        assert got.endswith(": %s exceeds 32" % NEWLY_REFUSED[text])
+    else:
+        assert got == want

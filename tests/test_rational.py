@@ -10,10 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from jacklaurent import clear_caches, rational
 from jacklaurent.jack import construct, rational_mode_construct
-from jacklaurent.laurent import LaurentSymFunc
+from jacklaurent.laurent import LaurentSymFunc, MAX_DEPTH, MAX_EXPONENT, \
+    parse_rat
 from jacklaurent.partitions import bipartitions_up_to
 from jacklaurent.rational import ParamPoly, ParamRat, RAT_ZERO, RAT_ONE, \
-    K, P0, rat, parse_rat, poly_gcd, poly_divexact, DivisionByZero, \
+    K, P0, rat, poly_gcd, poly_divexact, DivisionByZero, \
     PoleAtSpecialization, IdenticallySingular
 
 
@@ -462,8 +463,7 @@ class TestStringRoundTrip:
         assert parse_rat(str(a)) == a
 
     def test_exponent_bound(self):
-        assert parse_rat("2^%d" % rational.MAX_EXPONENT) == \
-            rat(2 ** rational.MAX_EXPONENT)
+        assert parse_rat("2^%d" % MAX_EXPONENT) == rat(2 ** MAX_EXPONENT)
         for text in ("2^33", "(1+k+p0)^80", "k^99999999999"):
             with pytest.raises(ValueError, match="parse error.*exceeds 32"):
                 parse_rat(text)
@@ -479,7 +479,7 @@ class TestStringRoundTrip:
         assert parse_rat("(k/(1+k))^16") == (K / (RAT_ONE + K)) ** 16
 
     def test_parenthesis_depth(self):
-        depth = rational.MAX_DEPTH
+        depth = MAX_DEPTH
         assert parse_rat("(" * depth + "k" + ")" * depth) == K
         for n in (depth + 1, 250, 1000):
             with pytest.raises(ValueError, match="parse error.*parentheses "
