@@ -23,15 +23,16 @@ from .finite_n import SymLaurentPolyN, jack_poly_N, jack_laurent_poly_N, \
     phi_N_map, torus_form
 from .schur import jacobi_trudy_S, schur_limit
 from .verify import run_suite
-from . import finite_n, jack, schur
+from . import finite_n, jack, operators, schur
 
 __version__ = "0.1.0"
 
 
 def clear_caches():
-    """Empty every memo: constructed functions, finite-N polynomials, the
-    torus weight and the complete functions h_i."""
-    for memo in (jack._construct, finite_n._jack_poly_N,
+    """Empty every memo: constructed functions, the per-monomial table
+    of the second-order integral, finite-N polynomials, the torus weight
+    and the complete functions h_i."""
+    for memo in (jack._construct, operators._l2_image, finite_n._jack_poly_N,
                  finite_n._delta_expansion, schur._complete_h):
         memo.cache_clear()
 

@@ -32,6 +32,10 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 
+# Highest integral order apply-op runs: L16 and H16 take under a second
+# on small inputs, L32 several.
+MAX_OP_ORDER = 16
+
 
 class UsageError(Exception):
     pass
@@ -151,6 +155,8 @@ def _cmd_apply_op(args):
     r = int(op[1:])
     if r < 1:
         raise UsageError("operator order must be positive")
+    if r > MAX_OP_ORDER:
+        raise UsageError("operator order %d exceeds %d" % (r, MAX_OP_ORDER))
     try:
         f = parse_element(args.expr)
     except (ValueError, DivisionByZero) as exc:

@@ -9,17 +9,19 @@ gamma that can appear in the product, the factor
 (L2 - e(gamma))/(s - e(gamma)), where s is the eigenvalue of the target;
 finally it divides by the Pieri coefficient V of the added box.  The
 numerators L2 - e(gamma) run in a ring, on the function with its
-denominators cleared: symbolically over Z[k, p0], where the operator's
-coefficients and the gaps s - e(gamma) already lie.  The product of the
-gaps, the cleared denominator and V are divided out once per step.  A
-step raises SingularParameter when two of these eigenvalues coincide at
-the point or the Pieri coefficient vanishes there.
+denominators cleared, where the operator's coefficients and the gaps
+s - e(gamma) already lie: symbolically Z[k, p0], and at a rational
+point the integers, with the operator and the eigenvalues scaled by
+the product of the denominators of k and p0.  The product of the gaps,
+the cleared denominator and V are divided out once per step.  A step
+raises SingularParameter when two of these eigenvalues coincide at the
+point or the Pieri coefficient vanishes there.
 
 P_{lam,0} is the classical one-parameter eigenfunction of the positive
 part, free of p0, and the base case is P_{0,mu} = star(P_{mu,0}), with
 star the involution p_i -> p_{-i}.  Everything is exact over Q(k, p0);
 the numeric mode runs the same loop at (k, 0) for P_{mu,0} and at (k, p0)
-for the rest, on Fraction coefficients.
+for the rest, on ints, and returns Fraction coefficients.
 """
 
 from fractions import Fraction
@@ -32,7 +34,7 @@ from .laurent import LaurentSymFunc
 from .partitions import size, conjugate, add_box_candidates, \
     remove_box_candidates, add_box, remove_box, normalize_partition, \
     label_str
-from .operators import cms_L, cms_L2_direct
+from .operators import cms_L, cms_L2_weighted
 from .closed_forms import eigenvalue_e, pieri_V, pieri_V_pair, pieri_U, \
     duality_constant
 
@@ -97,29 +99,55 @@ class _Point:
     """Where _grow runs: symbolic parameters, or the rational point
     `at` = (k0, p00) of Fractions.
 
-    A step computes in a ring and divides once, in the field: the ring is
-    Z[k, p0] (ParamPoly) and the field Q(k, p0) (ParamRat) symbolically,
-    and both are Q (Fraction) at a rational point.  `k` and `p0` are the
-    point in the ring: cms_L2_direct, eigenvalue_e and pieri_V_pair take
-    them as they are, so every closed form a step reads is evaluated
-    where it runs.  `clear` and `unclear` move a function between the
-    ring and the field.
+    A step computes in a ring and divides once, in the field.
+    Symbolically the ring is Z[k, p0] (ParamPoly) and the field Q(k, p0)
+    (ParamRat).  The ring is Z at a rational point, and the field Q
+    (Fraction): with k0 = kn/kd and p00 = pn/pd in lowest terms, the
+    operator runs with the int weights (kd*pd, kn*pd, kd*pn, kn*pn),
+    which is kd*pd*L2 at the point, and `shift` scales each eigenvalue
+    by kd*pd alike.  Symbolically the weights are (1, k, p0, k*p0) and
+    `shift` is the identity.  `k` and `p0` are the point where the
+    closed forms are read: eigenvalue_e and pieri_V_pair take them as
+    they are, so the singularity checks run on the values at the point.
+    `clear` and `unclear` move a function between the ring and the
+    field.
     """
 
-    __slots__ = ("at", "k", "p0")
+    __slots__ = ("at", "k", "p0", "weights")
 
     def __init__(self, at=None):
         self.at = at
-        self.k, self.p0 = ((ParamPoly.var_k(), ParamPoly.var_p0())
-                           if at is None else at)
+        if at is None:
+            self.k, self.p0 = ParamPoly.var_k(), ParamPoly.var_p0()
+            self.weights = (1, self.k, self.p0, self.k * self.p0)
+        else:
+            self.k, self.p0 = at
+            kn, kd = self.k.numerator, self.k.denominator
+            pn, pd = self.p0.numerator, self.p0.denominator
+            self.weights = (kd * pd, kn * pd, kd * pn, kn * pn)
+
+    def shift(self, e):
+        """The eigenvalue e in the ring, scaled like the operator: e
+        itself symbolically, and the int kd*pd*e at a rational point,
+        exact because e has degree at most 1 in each of k and p0."""
+        if self.at is None:
+            return e
+        n, r = divmod(e.numerator * self.weights[0], e.denominator)
+        if r:
+            raise ArithmeticError("eigenvalue %s times %d is not an integer"
+                                  % (e, self.weights[0]))
+        return n
 
     def clear(self, f):
-        """(F, D) with F = D*f on ring coefficients and D in the ring.
-        Symbolically D is the lcm of the coefficient denominators: an int
-        lcm of their contents times the lcm of their primitive parts,
-        pairwise through _cancel; at a rational point D = 1 and F = f."""
+        """(F, D) with F = D*f on ring coefficients and D in the ring, the
+        lcm of the coefficient denominators.  At a rational point that is
+        the int lcm of the Fraction denominators.  Symbolically it is an
+        int lcm of their contents times the lcm of their primitive parts,
+        pairwise through _cancel."""
         if self.at is not None:
-            return f, 1
+            d = lcm(*(c.denominator for c in f.terms.values()))
+            F = f.map_coeffs(lambda c: c.numerator * (d // c.denominator))
+            return F, d
         dens = {c.den for c in f.terms.values()}
         n, d = 1, ParamPoly.const(1)
         for den in dens:
@@ -131,10 +159,13 @@ class _Point:
         return f.map_coeffs(lambda c: c.num * quot[c.den]), d
 
     def unclear(self, F, num, den):
-        """F * num/den in the field, for num and den in the ring: one
-        division for the whole function."""
+        """F * num/den in the field, for F on ring coefficients: one
+        division for the whole function, and at a rational point one
+        Fraction per coefficient."""
         if self.at is not None:
-            return F.scale(num / den)
+            r = Fraction(num, den)
+            rn, rd = r.numerator, r.denominator
+            return F.map_coeffs(lambda c: Fraction(c * rn, rd))
         r = ParamRat(num, den)
         return F.map_coeffs(lambda c: ParamRat(c) * r)
 
@@ -149,8 +180,10 @@ def _grow(f, alpha, box, point):
     """One projector step at `point`: from f = P_alpha to P_beta, where
     beta adds `box` to the first diagram of alpha.  The singularity
     checks run first, on the eigenvalues and V = vnum/vden read at the
-    point; then p_1 and every L2 - e(gamma) act on F = D*f in the ring,
-    and den = D * prod (s - e(gamma)) and V are divided out once."""
+    point; then p_1 and every L2 - e(gamma), both scaled into the ring
+    by the point's weights and shift, act on F = D*f in the ring, and
+    den = D * prod (s - e(gamma)), scaled alike, and V are divided out
+    once."""
     lam, mu = alpha
     beta = (add_box(lam, box), mu)
     near = [(gamma, eigenvalue_e(gamma, point.k, point.p0))
@@ -167,12 +200,13 @@ def _grow(f, alpha, box, point):
     if not vnum:
         raise SingularParameter("vanishing transition coefficient at box "
                                 "%s%s" % (box, point))
-    s = dict(near)[beta]
+    s = point.shift(dict(near)[beta])
     out, den = point.clear(f)
     out = out.times(1)
     for gamma, e in near:
         if gamma != beta:
-            out = cms_L2_direct(out, k=point.k, p0=point.p0) - out * e
+            e = point.shift(e)
+            out = cms_L2_weighted(out, point.weights) - out * e
             den = den * (s - e)
     return point.unclear(out, vden, den * vnum)
 

@@ -18,9 +18,12 @@ project x^l -> p_l" (with x^0 -> p0, the parameter).  The second-order
 integral cms_L(2, .) also has a direct expression as a differential
 operator without the auxiliary variable, cms_L2_direct: the operator the
 construction projects with.  At p0 = 0 on the positive part it is the
-stable second integral stable_H(2, .).
+stable second integral stable_H(2, .).  It is read from a cached table
+of int images per monomial, L2 = A + k*B + p0*C + k*p0*D, which
+cms_L2_weighted combines with any weights for 1, k, p0 and k*p0.
 """
 
+from functools import cache
 from math import comb
 
 from .rational import RAT_ONE, K, P0, rat
@@ -215,47 +218,103 @@ def cms_I(r, f):
     return e_project(e)
 
 
-def cms_L2_direct(f, k=K, p0=P0):
-    """Second-order CMS integral written directly as a differential operator:
+def _shifted(exps, *steps):
+    """The monomial of the exponent map `exps` with each (index, +1 or
+    -1) step applied."""
+    d = dict(exps)
+    for i, s in steps:
+        e = d.get(i, 0) + s
+        if e:
+            d[i] = e
+        else:
+            del d[i]
+    return tuple(sorted(d.items()))
 
-        sum_{a,b} p_{a+b} d_a d_b
+
+@cache
+def _l2_image(m):
+    """The second-order integral of the monomial m as a tuple of
+    (target, a, b, c, d) with int a, b, c, d:
+
+        L2(m) = sum (a + b*k + c*p0 + d*k*p0) * target.
+
+    The four sums of cms_L2_direct, with d_a = a * d/dp_a:
+
+        sum_{a,b} p_{a+b} d_a d_b                  (p_0 is the parameter)
           - k*(sum_{a,b>0} - sum_{a,b<0}) p_a p_b d_{a+b}
           - k*p0*(sum_{a>0} - sum_{a<0}) p_a d_a
-          + (1+k) * sum_a a p_a d_a,
-
-    where d_a = a * d/dp_a and p_0 in the first sum means the parameter.
-    This is the operator of the eigenfunction construction; it agrees
-    with cms_L(2, .), and with p0 = 0 on the positive part it is the
-    stable integral stable_H(2, .).  `k` and `p0` may be any ring
-    elements that the coefficients of f multiply with: ParamPolys keep
-    a function over Z[k, p0] there, and Fractions give the operator at a
-    fixed numeric parameter point, with Fraction coefficients throughout.
+          + (1+k) * sum_a a p_a d_a.
     """
-    out = LaurentSymFunc.zero()
-    kp0 = k * p0
-    one_plus_k = 1 + k
-    for a in _support(f):
-        g = f.partial(a)
-        if g.is_zero():
-            continue
+    rows = {}
+
+    def add(target, part, n):
+        rows.setdefault(target, [0, 0, 0, 0])[part] += n
+
+    for a, ea in m:
+        da = a * ea
+        g = _shifted(m, (a, -1))
         # p_{a+b} d_a d_b
-        for b in _support(g):
-            h = g.partial(b)
+        for b, eb in g:
             if a + b == 0:
-                out = out + h.scale(p0)
+                add(_shifted(g, (b, -1)), 2, da * b * eb)
             else:
-                out = out + h.times(a + b)
-        # - k p0 sgn(a) p_a d_a  +  (1+k) a p_a d_a
-        c = one_plus_k * a - (kp0 if a > 0 else -kp0)
-        out = out + g.times(a).scale(c)
+                add(_shifted(g, (b, -1), (a + b, 1)), 0, da * b * eb)
+        # (1+k) a p_a d_a  -  k p0 sgn(a) p_a d_a
+        sgn = 1 if a > 0 else -1
+        add(m, 0, a * da)
+        add(m, 1, a * da)
+        add(m, 3, -sgn * da)
         # - k sgn(a) (sum over two-part splittings of a) p_b p_{a-b} d_a
-        if a >= 2:
-            for b in range(1, a):
-                out = out - g.times(b, a - b).scale(k)
-        elif a <= -2:
-            for b in range(1, -a):
-                out = out + g.times(-b, a + b).scale(k)
+        for b in range(1, abs(a)):
+            add(_shifted(g, (sgn * b, 1), (a - sgn * b, 1)), 1, -sgn * da)
+    return tuple((target,) + tuple(row) for target, row in rows.items()
+                 if any(row))
+
+
+def cms_L2_weighted(f, weights):
+    """w1*A(f) + wk*B(f) + wp*C(f) + wkp*D(f) for the weights (w1, wk,
+    wp, wkp), where L2 = A + k*B + p0*C + k*p0*D splits the second-order
+    integral into four operators with int matrices on the monomials
+    (_l2_image).  Each coefficient of f is scaled by ints into the four
+    parts of every target monomial, and the parts are combined with the
+    weights once per target.  The weights (1, k, p0, k*p0) give L2 at
+    (k, p0); for k = kn/kd and p0 = pn/pd, the int weights (kd*pd, kn*pd,
+    kd*pn, kn*pn) give kd*pd*L2 at the point, on int coefficients.
+    """
+    parts = {}
+    for m, x in f.terms.items():
+        for target, a, b, c, d in _l2_image(m):
+            acc = parts.get(target)
+            if acc is None:
+                parts[target] = [x * a, x * b, x * c, x * d]
+            else:
+                acc[0] += x * a
+                acc[1] += x * b
+                acc[2] += x * c
+                acc[3] += x * d
+    w1, wk, wp, wkp = weights
+    t = {}
+    for target, (a, b, c, d) in parts.items():
+        v = a * w1 + b * wk + c * wp + d * wkp
+        if v:
+            t[target] = v
+    out = LaurentSymFunc.__new__(LaurentSymFunc)
+    out.terms = t
     return out
+
+
+def cms_L2_direct(f, k=K, p0=P0):
+    """Second-order CMS integral written directly as a differential
+    operator, the sum of the four sums of _l2_image.  It is the operator
+    of the eigenfunction construction; it agrees with cms_L(2, .), and
+    with p0 = 0 on the positive part it is the stable integral
+    stable_H(2, .).  `k` and `p0` may be any ring elements that the
+    coefficients of f multiply with, ints included: ParamPolys keep a
+    function over Z[k, p0], and Fractions give the operator at a fixed
+    numeric point.  It reads each monomial's image from the cached table
+    and combines the four parts with 1, k, p0 and k*p0 (cms_L2_weighted).
+    """
+    return cms_L2_weighted(f, (1, k, p0, k * p0))
 
 
 def stable_H(r, f):

@@ -362,6 +362,8 @@ class ParamPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is int:
+            return self.scale(other)
         if not isinstance(other, ParamPoly):
             other = ParamPoly.const(other)
         if not self.terms or not other.terms:

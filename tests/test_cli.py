@@ -3,12 +3,13 @@ round-tripping of printed elements."""
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
 from jacklaurent import cli, verify
 from jacklaurent.cli import main, EXIT_OK, EXIT_VERIFY, EXIT_USAGE, \
-    EXIT_SINGULAR
+    EXIT_SINGULAR, MAX_OP_ORDER
 from jacklaurent.laurent import from_json_terms, parse_element
 from jacklaurent.jack import construct
 
@@ -201,6 +202,21 @@ class TestApplyOp:
         assert code == EXIT_USAGE and out == ""
         assert message + " exceeds 32" in err
 
+    @pytest.mark.parametrize("op", ["L200", "H17", "L%d" % (MAX_OP_ORDER + 1)])
+    def test_operator_order_bound(self, capsys, op):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "apply-op", "--op", op,
+                             "--expr", "p1*p-1 + p2")
+        assert time.perf_counter() - t0 < 1
+        assert code == EXIT_USAGE and out == ""
+        assert err == "usage error: operator order %s exceeds %d\n" \
+            % (op[1:], MAX_OP_ORDER)
+
+    def test_highest_operator_order_runs(self, capsys):
+        code, out, _ = run(capsys, "apply-op", "--op", "L%d" % MAX_OP_ORDER,
+                           "--expr", "p2")
+        assert code == EXIT_OK and "p2" in out
+
     @pytest.mark.parametrize("expr", ["1/0", "1/(k-k)", "p1/(p0 - p0)"])
     def test_division_by_zero(self, capsys, expr):
         code, out, err = run(capsys, "apply-op", "--op", "L1",
@@ -323,6 +339,7 @@ EXIT_CODES = [
     ("formula", ["--name", "norm", "--mu", "x"], None, EXIT_USAGE),
     ("apply-op", ["--op", "L2", "--expr", "p1*p-1 - 2"], None, EXIT_OK),
     ("apply-op", ["--op", "L2", "--expr", "p1/p2"], None, EXIT_USAGE),
+    ("apply-op", ["--op", "L200", "--expr", "p1*p-1 + p2"], None, EXIT_USAGE),
     ("pieri", ["--lambda", "1", "--mu", "1"], None, EXIT_OK),
     ("pieri", ["--lambda", "x"], None, EXIT_USAGE),
     ("conjectures", ["--max-size", "1"], None, EXIT_OK),
@@ -338,8 +355,19 @@ for command, check, argv in CHECKED:
                    (command, ["--lambda", "x", "--check"], None, EXIT_USAGE)]
 
 
+def _exit_ids(rows):
+    """Test ids command-code, with -2, -3, ... added on repeats."""
+    seen = Counter()
+    ids = []
+    for command, _, _, code in rows:
+        name = "%s-%d" % (command, code)
+        seen[name] += 1
+        ids.append(name if seen[name] == 1 else "%s-%d" % (name, seen[name]))
+    return ids
+
+
 @pytest.mark.parametrize("command,argv,failing,code", EXIT_CODES,
-                         ids=["%s-%d" % (r[0], r[3]) for r in EXIT_CODES])
+                         ids=_exit_ids(EXIT_CODES))
 def test_exit_code(capsys, monkeypatch, command, argv, failing, code):
     if failing:
         monkeypatch.setattr(*failing, _failing_check)

@@ -14,13 +14,13 @@ from jacklaurent.rational import (
 from jacklaurent.laurent import LaurentSymFunc
 from jacklaurent.partitions import (
     add_box, add_box_candidates, bipartitions_up_to, remove_box,
-    remove_box_candidates,
+    remove_box_candidates, size,
 )
 from jacklaurent.closed_forms import eigenvalue_e, pieri_V
 from jacklaurent.operators import cms_L2_direct
 from jacklaurent import clear_caches
 from jacklaurent.jack import (
-    construct, construct_via_order, eigen_check_all,
+    _Point, construct, construct_via_order, eigen_check_all,
     jack_positive, pieri_identity_check, rational_mode_construct,
     star_symmetry_check, theta_duality_check,
 )
@@ -227,6 +227,31 @@ class TestRationalMode:
             except PoleAtSpecialization:
                 continue
             assert fast == slow, alpha
+
+    @pytest.mark.parametrize("k0,p00", [(Fraction(-3, 4), Fraction(9, 5)),
+                                        (Fraction(5, 7), Fraction(0))])
+    @pytest.mark.parametrize("alpha", [a for a in bipartitions_up_to(5)
+                                       if size(a[0]) + size(a[1]) == 5])
+    def test_size_five_over_the_integers(self, alpha, k0, p00):
+        # the integer ring step gives Fraction coefficients equal to the
+        # symbolic function read at the point
+        fast = rational_mode_construct(alpha, k0, p00)
+        assert fast == construct(alpha).f.specialize(k0, p00)
+        assert all(type(c) is Fraction for c in fast.terms.values())
+
+    def test_ring_is_the_integers_at_a_point(self):
+        point = _Point((Fraction(-3, 4), Fraction(9, 5)))
+        assert point.weights == (20, -15, 36, -27)
+        f = construct(((1,), (1,))).f.specialize(Fraction(-3, 4),
+                                                 Fraction(9, 5))
+        F, d = point.clear(f)
+        assert all(type(c) is int for c in F.terms.values())
+        assert F == f.scale(d)
+        assert point.unclear(F, 1, d) == f
+        # the shift is 20*e(gamma), exact or refused
+        assert point.shift(Fraction(-7, 4)) == -35
+        with pytest.raises(ArithmeticError):
+            point.shift(Fraction(1, 3))
 
     def test_at_k_zero(self):
         # pieri_V((2, 1), ((1,), ())) is -2k/(-k(1 - k)): the transition

@@ -2,16 +2,21 @@
 the direct second-order operator, stability, commutativity, and the
 change of basis between the two integral families."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat
+from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, ParamRat, rat
 from jacklaurent.laurent import LaurentSymFunc
 from jacklaurent.operators import (
-    ExtendedElement, NotPositivePart, cms_I, cms_L, cms_L2_direct,
-    delta_p0, delta_tilde, derivation_d, dunkl_heckman, e_project,
-    hat_f_expansion_check, hat_f_operators, polychronakos_pi, stable_H,
+    ExtendedElement, NotPositivePart, _l2_image, cms_I, cms_L,
+    cms_L2_direct, cms_L2_weighted, delta_p0, delta_tilde, derivation_d,
+    dunkl_heckman, e_project, hat_f_expansion_check, hat_f_operators,
+    polychronakos_pi, stable_H,
 )
+from jacklaurent.partitions import bipartitions_up_to
+from jacklaurent.jack import construct
 
 g = LaurentSymFunc.gen
 
@@ -125,6 +130,37 @@ class TestIntegralValues:
     @given(small_monomials())
     def test_direct_second_order(self, f):
         assert cms_L2_direct(f) == cms_L(2, f)
+
+    @pytest.mark.parametrize("alpha", bipartitions_up_to(4))
+    def test_direct_on_constructed(self, alpha):
+        f = construct(alpha).f
+        assert cms_L2_direct(f) == cms_L(2, f)
+
+    @pytest.mark.parametrize("k0,p00", [(Fraction(-3, 4), Fraction(9, 5)),
+                                        (Fraction(5, 7), Fraction(0)),
+                                        (Fraction(-2), Fraction(-1, 3))])
+    @pytest.mark.parametrize("alpha", bipartitions_up_to(3))
+    def test_direct_at_a_point(self, alpha, k0, p00):
+        # at a point the operator commutes with specialization, on
+        # Fraction parameters and on constant ParamRats alike
+        f = construct(alpha).f
+        want = cms_L2_direct(f).specialize(k0, p00)
+        at = f.specialize(k0, p00)
+        assert cms_L2_direct(at, k=k0, p0=p00) == want
+        assert cms_L2_direct(at, k=ParamRat.from_fraction(k0),
+                             p0=ParamRat.from_fraction(p00)) == want
+        # the int weights give kd*pd times the operator
+        kn, kd = k0.numerator, k0.denominator
+        pn, pd = p00.numerator, p00.denominator
+        assert cms_L2_weighted(at, (kd * pd, kn * pd, kd * pn, kn * pn)) \
+            == want.scale(kd * pd)
+
+    def test_image_table(self):
+        image = _l2_image(((-1, 1), (2, 1)))
+        assert all(type(n) is int for row in image for n in row[1:])
+        assert all(any(row[1:]) for row in image)
+        assert cms_L2_weighted(g(-1) * g(2), (1, K, P0, K * P0)) == \
+            cms_L(2, g(-1) * g(2))
 
     def test_families_agree_up_to_order_two_only(self):
         for f in (g(1), g(2), g(1) * g(-1), g(2) * g(-1)):

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from jacklaurent import clear_caches, finite_n, jack, schur
+from jacklaurent import clear_caches, finite_n, jack, operators, schur
 from jacklaurent.verify import SUITES, run_suite
 
-MEMOS = (jack._construct, finite_n._jack_poly_N, finite_n._delta_expansion,
-         schur._complete_h)
+MEMOS = (jack._construct, operators._l2_image, finite_n._jack_poly_N,
+         finite_n._delta_expansion, schur._complete_h)
 
 
 class TestSuites:
@@ -46,6 +46,8 @@ class TestSuites:
         run_suite("norms", 1)
         run_suite("finite-n", 1)
         run_suite("schur", 1)
+        run_suite("commute", 1)
         assert all(memo.cache_info().currsize for memo in MEMOS)
         clear_caches()
-        assert [memo.cache_info().currsize for memo in MEMOS] == [0] * 4
+        sizes = [memo.cache_info().currsize for memo in MEMOS]
+        assert sizes == [0] * len(MEMOS)
