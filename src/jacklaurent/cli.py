@@ -298,8 +298,9 @@ def build_parser():
     p = sub.add_parser("norm", help="quadratic norm of P_{lambda,mu}")
     add_common(p)
     p.add_argument("--check", action="store_true",
-                   help="cross-check against the N=%d torus integral at "
-                        "k=%s" % (TORUS_N, TORUS_K))
+                   help="cross-check against the torus integral at k=%s "
+                        "in N=max(%d, len(lambda)+len(mu)) variables"
+                        % (TORUS_K, TORUS_N))
     p.set_defaults(fn=_cmd_norm)
 
     p = sub.add_parser("schur", help="Schur-Laurent determinant")

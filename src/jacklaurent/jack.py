@@ -34,7 +34,7 @@ from .laurent import LaurentSymFunc
 from .partitions import size, conjugate, add_box_candidates, \
     remove_box_candidates, add_box, remove_box, normalize_partition, \
     label_str
-from .operators import cms_L, cms_L2_weighted
+from .operators import cms_L_doubled, cms_L2_weighted
 from .closed_forms import eigenvalue_e, pieri_V, pieri_V_pair, pieri_U, \
     duality_constant
 
@@ -289,25 +289,37 @@ def theta_duality_check(alpha):
     return lhs == dual * duality_constant((lam, mu))
 
 
+def _ring_eigenvalue(F, r, alpha):
+    """The eigenvalue of the r-th integral on F, a function cleared of
+    denominators (ParamPoly coefficients), read in the ring: with
+    R = 2^r * L_r(F) from cms_L_doubled, F is an eigenfunction when R and
+    F have the same support and R[m] * F[m0] == F[m] * R[m0] for every
+    monomial m, m0 the leading one; the eigenvalue is then
+    R[m0] / (2^r * F[m0]).  Raises NotEigenvector otherwise, naming
+    the label alpha."""
+    R = cms_L_doubled(r, F, _SYMBOLIC.k, _SYMBOLIC.p0)
+    if R.is_zero():
+        return RAT_ZERO
+    if R.terms.keys() == F.terms.keys():
+        m0 = F.sorted_terms()[0][0]
+        f0, r0 = F.terms[m0], R.terms[m0]
+        if all(R.terms[m] * f0 == c * r0 for m, c in F.terms.items()):
+            return ParamRat(r0, f0 * 2 ** r)
+    raise NotEigenvector("order-%d integral is not scalar on %s"
+                         % (r, alpha))
+
+
 def eigen_check_all(alpha, r_max=3):
     """Assert P_alpha is an exact eigenfunction of the first r_max
     integrals and return the list of (r, eigenvalue).  The first
     eigenvalue must be |lam| - |mu| and the second must match the
-    closed form."""
+    closed form.  The integrals run in Z[k, p0], on P_alpha cleared of
+    its denominators once (_ring_eigenvalue)."""
     jf = construct(alpha)
     lam, mu = jf.alpha
-    out = []
-    for r in range(1, r_max + 1):
-        res = cms_L(r, jf.f)
-        if res.is_zero():
-            scalar = RAT_ZERO
-        else:
-            m, c = jf.f.sorted_terms()[0]
-            scalar = res.coeff(m) / c
-        if res != jf.f * scalar:
-            raise NotEigenvector(
-                "order-%d integral is not scalar on %s" % (r, (lam, mu)))
-        out.append((r, scalar))
+    F, _ = _SYMBOLIC.clear(jf.f)
+    out = [(r, _ring_eigenvalue(F, r, (lam, mu)))
+           for r in range(1, r_max + 1)]
     if r_max >= 1 and out[0][1] != rat(size(lam) - size(mu)):
         raise NotEigenvector("first eigenvalue of %s is not |lam|-|mu|"
                              % ((lam, mu),))

@@ -8,7 +8,10 @@ An element of the extended algebra is stored as a map
 
 Three families of commuting integrals are provided:
 
-* cms_L(r, f)   -- built from the Dunkl-Heckman operator D = d - (k/2)*Delta,
+* cms_L(r, f)   -- built from the Dunkl-Heckman operator D = d - (k/2)*Delta;
+                    cms_L_doubled(r, f) = 2^r * cms_L(r, f) runs the doubled
+                    operator 2D = 2d - k*Delta, whose coefficients lie in
+                    Z[k, p0],
 * cms_I(r, f)   -- built from the Polychronakos operator pi = d - k*Delta~,
 * stable_H(r, f) -- the p0-independent combination of the cms_I family,
                     defined on the positive part only.
@@ -127,32 +130,43 @@ def derivation_d(element):
     return out
 
 
-def delta_p0(element):
+def delta_p0(element, p0=P0):
     """The operator with Delta(x^l * f) = Delta(x^l) * f for f free of x.
 
     For l > 0,
         Delta(x^l) = x^l*(p0 - 2l) + 2*sum_{m=1}^{l-1} x^{l-m} p_m + p_l,
     Delta(1) = 0, and the negative layers follow from the rule
-    Delta(x^{-l}) = -Delta(x^l)^* where * also inverts x.
+    Delta(x^{-l}) = -Delta(x^l)^* where * also inverts x.  Its
+    coefficients lie in Z[p0], so `p0` may be any ring element that the
+    coefficients of the element multiply with (see dunkl_heckman_doubled).
     """
     out = ExtendedElement()
     for l, f in element.layers.items():
         if l > 0:
-            out.add_term(l, f.scale(P0 - rat(2 * l)))
+            out.add_term(l, f.scale(p0 - 2 * l))
             for m in range(1, l):
                 out.add_term(l - m, f.times(m).scale(2))
             out.add_term(0, f.times(l))
         elif l < 0:
-            out.add_term(l, f.scale(-P0 - rat(2 * l)))
+            out.add_term(l, f.scale(-p0 - 2 * l))
             for m in range(1, -l):
                 out.add_term(l + m, f.times(-m).scale(-2))
             out.add_term(0, -f.times(l))
     return out
 
 
+def dunkl_heckman_doubled(element, k=K, p0=P0):
+    """Twice the Dunkl-Heckman operator, 2D = 2d - k*Delta.  Its
+    coefficients lie in Z[k, p0], so, like cms_L2_direct, it runs on any
+    ring elements `k` and `p0` that the coefficients multiply with:
+    ParamPolys keep a function cleared of denominators over Z[k, p0],
+    and Fractions give the operator at a rational point."""
+    return derivation_d(element).scale(2) - delta_p0(element, p0).scale(k)
+
+
 def dunkl_heckman(element):
     """The Dunkl-Heckman operator D = d - (k/2) * Delta."""
-    return derivation_d(element) - delta_p0(element).scale(K * rat(1, 2))
+    return dunkl_heckman_doubled(element).scale(rat(1, 2))
 
 
 def delta_tilde(element):
@@ -179,7 +193,7 @@ def polychronakos_pi(element):
     return derivation_d(element) - delta_tilde(element).scale(K)
 
 
-def e_project(element):
+def e_project(element, p0=P0):
     """Projection back to the Laurent symmetric functions: x^l -> p_l.
 
     The layer l = 0 is sent to p0 (the parameter) times its function.
@@ -187,25 +201,37 @@ def e_project(element):
     out = LaurentSymFunc.zero()
     for l, f in element.layers.items():
         if l == 0:
-            out = out + f.scale(P0)
+            out = out + f.scale(p0)
         else:
             out = out + f.times(l)
     return out
 
 
-def cms_L(r, f):
-    """The r-th CMS integral from the Dunkl-Heckman family.
-
-    cms_L(r, f) = e_project(D^r(f)) with f embedded at layer 0.
-    The case r = 0 is multiplication by p0, and cms_L(1, .) is the Euler
-    operator measuring |lambda| - |mu| on weight vectors.
+def cms_L_doubled(r, f, k=K, p0=P0):
+    """2^r times the r-th CMS integral of the Dunkl-Heckman family:
+    e_project((2D)^r(f)) with f embedded at layer 0.  The doubled
+    operator 2D has coefficients in Z[k, p0], so a function cleared of
+    denominators (ParamPoly coefficients, with k and p0 as ParamPolys)
+    stays in the ring and no step reduces a fraction; at a rational
+    point it runs on Fractions.
     """
     if r < 0:
         raise ValueError("integral order must be nonnegative")
     e = ExtendedElement.embed(f)
     for _ in range(r):
-        e = dunkl_heckman(e)
-    return e_project(e)
+        e = dunkl_heckman_doubled(e, k, p0)
+    return e_project(e, p0)
+
+
+def cms_L(r, f):
+    """The r-th CMS integral from the Dunkl-Heckman family.
+
+    cms_L(r, f) = e_project(D^r(f)) with f embedded at layer 0, computed
+    as cms_L_doubled(r, f) / 2^r, one scaling at the end.
+    The case r = 0 is multiplication by p0, and cms_L(1, .) is the Euler
+    operator measuring |lambda| - |mu| on weight vectors.
+    """
+    return cms_L_doubled(r, f).scale(rat(1, 2 ** r))
 
 
 def cms_I(r, f):

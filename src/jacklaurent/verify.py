@@ -5,13 +5,15 @@ Each check is a closed computation returning pass/fail plus a witness
 (eigenvalue tables, the first offending label, ...).  Checks run one
 after another in one thread; the report lists them sorted by id."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
-from .laurent import LaurentSymFunc
+from .laurent import LaurentSymFunc, mono_from_dict
 from .partitions import size, bipartitions_up_to, w_bipartition, chi_N, \
     add_box_candidates, remove_box_candidates, label_str
-from .operators import cms_L, cms_L2_direct
+from .rational import ParamPoly
+from .operators import cms_L_doubled, cms_L2_direct
 from .closed_forms import evaluation_value, norm_value, separation_check, \
     pieri_V, pieri_U, pieri_V_diagram, pieri_U_diagram
 from . import jack
@@ -23,10 +25,13 @@ from .schur import jacobi_trudy_S, schur_limit
 SUITES = ("eigen", "commute", "pieri", "evaluation", "norms",
           "involutions", "duality", "finite-n", "schur", "all")
 
-# The torus norm is compared at N = 4 variables and k = -1; restriction
-# to finite N at N = 3 variables and k = -1/2.
+# The torus norm is compared at k = -1 and N = 4 variables, or
+# len(lam) + len(mu) where that is more (P_alpha restricts to zero at
+# fewer); restriction to finite N at N = 3 variables and k = -1/2.
 TORUS_N, TORUS_K = 4, Fraction(-1)
 FINITE_N, FINITE_K = 3, Fraction(-1, 2)
+# k and p0 in Z[k, p0], where the integral checks run
+_RING = (ParamPoly.var_k(), ParamPoly.var_p0())
 
 
 def _alpha_label(alpha):
@@ -45,13 +50,17 @@ def check_eigen(alpha):
 
 
 def check_commute(label, f):
+    """The integrals L_1, L_2, L_3 commute on f, and cms_L2_direct is
+    L_2.  f has ParamPoly coefficients, and every integral runs in
+    Z[k, p0] doubled at each order: 2^r * L_r is cms_L_doubled, and
+    4 * cms_L2_direct is compared with 2^2 * L_2."""
     for r in (1, 2, 3):
         for s in range(r + 1, 4):
-            lhs = cms_L(r, cms_L(s, f))
-            rhs = cms_L(s, cms_L(r, f))
+            lhs = cms_L_doubled(r, cms_L_doubled(s, f, *_RING), *_RING)
+            rhs = cms_L_doubled(s, cms_L_doubled(r, f, *_RING), *_RING)
             if not (lhs - rhs).is_zero():
                 return False, {"monomial": label, "orders": [r, s]}
-    if cms_L2_direct(f) != cms_L(2, f):
+    if cms_L2_direct(f, *_RING).scale(4) != cms_L_doubled(2, f, *_RING):
         return False, {"monomial": label, "orders": [2], "route": "direct"}
     return True, {"monomial": label}
 
@@ -81,7 +90,8 @@ def check_evaluation(alpha):
 
 
 def check_norm_torus(alpha):
-    N, k0 = TORUS_N, TORUS_K
+    lam, mu = alpha
+    N, k0 = max(TORUS_N, len(lam) + len(mu)), TORUS_K
     f = phi_N_map(construct(alpha).f, N)
     val = torus_form(f, f, k0, N)
     want = norm_value(alpha).specialize(k0, N)
@@ -134,6 +144,14 @@ def check_schur(alpha):
 # -- suite assembly ----------------------------------------------------------------
 
 
+def _p_monomial(alpha):
+    """p_lam * p_{-mu} with the coefficient 1 of Z[k, p0], where
+    check_commute runs."""
+    lam, mu = alpha
+    exps = Counter(lam) + Counter(-i for i in mu)
+    return LaurentSymFunc({mono_from_dict(exps): ParamPoly.const(1)})
+
+
 def _per_label(name, check, labels):
     return [("%s/%s" % (name, _alpha_label(a)), partial(check, a))
             for a in labels]
@@ -142,10 +160,7 @@ def _per_label(name, check, labels):
 def _suite_checks(suite, max_size):
     labels = sorted(bipartitions_up_to(max_size))
     small = [a for a in labels if size(a[0]) + size(a[1]) <= 3]
-    # commute runs on the coefficient-free p-monomials p_lam * p_{-mu}
-    monomials = [(_alpha_label(a), LaurentSymFunc.from_partition(a[0])
-                  * LaurentSymFunc.from_partition(a[1], sign=-1))
-                 for a in small]
+    monomials = [(_alpha_label(a), _p_monomial(a)) for a in small]
     groups = {
         "eigen": _per_label("eigen", check_eigen, labels),
         "commute": [("commute/%s" % label, partial(check_commute, label, f))

@@ -238,6 +238,14 @@ class TestCheckedCommands:
         assert code == EXIT_OK
         assert "[check: pass]" in out
 
+    def test_norm_check_on_five_rows(self, capsys):
+        # the torus form runs at N = 5 here, past the pole of the norm
+        # at N = 4
+        code, out, _ = run(capsys, "norm", "--lambda", "1,1,1", "--mu",
+                           "1,1", "--check")
+        assert code == EXIT_OK
+        assert "[check: pass]" in out
+
     def test_schur_check_passes(self, capsys):
         code, out, _ = run(capsys, "schur", "--lambda", "1", "--mu", "1",
                            "--check")

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacklaurent.rational import (
-    K, P0, RAT_ONE, RAT_ZERO, rat, PoleAtSpecialization, SingularParameter,
+    K, P0, RAT_ONE, RAT_ZERO, rat, NotEigenvector, PoleAtSpecialization,
+    SingularParameter,
 )
 from jacklaurent.laurent import LaurentSymFunc
 from jacklaurent.partitions import (
@@ -17,11 +18,11 @@ from jacklaurent.partitions import (
     remove_box_candidates, size,
 )
 from jacklaurent.closed_forms import eigenvalue_e, pieri_V
-from jacklaurent.operators import cms_L2_direct
+from jacklaurent.operators import cms_L, cms_L2_direct, cms_L_doubled
 from jacklaurent import clear_caches
 from jacklaurent.jack import (
-    _Point, construct, construct_via_order, eigen_check_all,
-    jack_positive, pieri_identity_check, rational_mode_construct,
+    _Point, _SYMBOLIC, _ring_eigenvalue, construct, construct_via_order,
+    eigen_check_all, jack_positive, pieri_identity_check, rational_mode_construct,
     star_symmetry_check, theta_duality_check,
 )
 
@@ -86,6 +87,48 @@ class TestEigenChecks:
             out = eigen_check_all(alpha, 1)
             lam, mu = alpha
             assert out[0][1] == rat(sum(lam) - sum(mu)), alpha
+
+    def test_ring_eigenvalue_matches_field(self):
+        # the eigenvalue read in Z[k, p0] is L_r(f)[m0] / f[m0] over Q(k, p0)
+        jf = construct(((2,), (1,)))
+        F, _ = _SYMBOLIC.clear(jf.f)
+        m0, c0 = jf.f.sorted_terms()[0]
+        for r in (1, 2, 3):
+            want = cms_L(r, jf.f).coeff(m0) / c0
+            assert _ring_eigenvalue(F, r, jf.alpha) == want, r
+
+    @pytest.mark.parametrize("base", [LaurentSymFunc.zero(), g(1)])
+    def test_extra_monomial_is_not_an_eigenfunction(self, base):
+        # L2(p2) has a p1^2 term, outside the support of p2 and of
+        # p1 + p2; on p2 alone every cross-product agrees, so only the
+        # support comparison can catch it
+        F, _ = _SYMBOLIC.clear(base + g(2))
+        R = cms_L_doubled(2, F, _SYMBOLIC.k, _SYMBOLIC.p0)
+        assert R.terms.keys() > F.terms.keys()
+        with pytest.raises(NotEigenvector, match="order-2 integral is not "
+                                                 "scalar"):
+            _ring_eigenvalue(F, 2, ((1,), ()))
+
+    @pytest.mark.parametrize("alpha", [((2,), ()), ((1,), (1,)),
+                                       ((2, 1), (1,))])
+    def test_perturbed_coefficient_is_not_an_eigenfunction(self, alpha):
+        # one coefficient off the leading monomial moved by 1: the
+        # support stays, so the cross-multiplication catches it
+        F, _ = _SYMBOLIC.clear(construct(alpha).f)
+        m = F.sorted_terms()[-1][0]
+        bumped = dict(F.terms)
+        bumped[m] = bumped[m] + 1
+        F = LaurentSymFunc(bumped)
+        R = cms_L_doubled(2, F, _SYMBOLIC.k, _SYMBOLIC.p0)
+        assert R.terms.keys() == F.terms.keys()
+        with pytest.raises(NotEigenvector, match="order-2 integral is not "
+                                                 "scalar"):
+            _ring_eigenvalue(F, 2, alpha)
+
+    def test_zero_eigenvalue(self):
+        # L_1 kills the weight-zero P[1; 1]
+        F, _ = _SYMBOLIC.clear(construct(((1,), (1,))).f)
+        assert _ring_eigenvalue(F, 1, ((1,), (1,))) == RAT_ZERO
 
 
 class TestPieriRecursion:

@@ -7,16 +7,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, ParamRat, rat
+from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, ParamPoly, \
+    ParamRat, rat
 from jacklaurent.laurent import LaurentSymFunc
 from jacklaurent.operators import (
     ExtendedElement, NotPositivePart, _l2_image, cms_I, cms_L,
-    cms_L2_direct, cms_L2_weighted, delta_p0, delta_tilde, derivation_d,
-    dunkl_heckman, e_project, hat_f_expansion_check, hat_f_operators,
-    polychronakos_pi, stable_H,
+    cms_L2_direct, cms_L2_weighted, cms_L_doubled, delta_p0, delta_tilde,
+    derivation_d, dunkl_heckman, dunkl_heckman_doubled, e_project,
+    hat_f_expansion_check, hat_f_operators, polychronakos_pi, stable_H,
 )
 from jacklaurent.partitions import bipartitions_up_to
-from jacklaurent.jack import construct
+from jacklaurent.jack import _SYMBOLIC, construct
 
 g = LaurentSymFunc.gen
 
@@ -168,6 +169,58 @@ class TestIntegralValues:
             assert cms_I(2, f) == cms_L(2, f)
         # from order three on, the families genuinely differ
         assert cms_I(3, g(1)) != cms_L(3, g(1))
+
+
+class TestDoubledIntegrals:
+    """cms_L_doubled on functions cleared of denominators, over
+    Z[k, p0], against 2^r * cms_L over Q(k, p0) on the same function."""
+
+    RING = (ParamPoly.var_k(), ParamPoly.var_p0())
+
+    @staticmethod
+    def cleared(alpha):
+        """The p-monomial p_lam * p_{-mu} and P_alpha, each cleared of
+        denominators: ParamPoly coefficients."""
+        lam, mu = alpha
+        mono = LaurentSymFunc.from_partition(lam) \
+            * LaurentSymFunc.from_partition(mu, sign=-1)
+        return [_SYMBOLIC.clear(f)[0] for f in (mono, construct(alpha).f)]
+
+    @pytest.mark.parametrize("alpha", bipartitions_up_to(3))
+    def test_ring_matches_field(self, alpha):
+        for F in self.cleared(alpha):
+            assert all(type(c) is ParamPoly for c in F.terms.values())
+            field = F.map_coeffs(ParamRat)
+            for r in range(4):
+                got = cms_L_doubled(r, F, *self.RING)
+                assert all(type(c) is ParamPoly for c in got.terms.values())
+                assert got.map_coeffs(ParamRat) == \
+                    cms_L(r, field).scale(2 ** r), (r, str(F))
+
+    @pytest.mark.parametrize("alpha", bipartitions_up_to(3))
+    def test_ring_matches_field_at_a_point(self, alpha):
+        k0, p00 = Fraction(-3, 4), Fraction(9, 5)
+        for F in self.cleared(alpha):
+            at = F.map_coeffs(lambda c: c.evaluate(k0, p00))
+            field = F.map_coeffs(ParamRat)
+            for r in range(4):
+                want = cms_L(r, field).scale(2 ** r).specialize(k0, p00)
+                got = cms_L_doubled(r, at, k0, p00)
+                assert all(type(c) is Fraction for c in got.terms.values())
+                assert got == want, (r, str(F))
+
+    def test_dunkl_heckman_is_half_the_doubled_operator(self):
+        e = x_layer(2, g(1)) + x_layer(-1, g(-2) * P0) + x_layer(0, g(3))
+        assert dunkl_heckman(e).scale(rat(2)) == dunkl_heckman_doubled(e)
+        # 2D(x^2) = 4 x^2 - k Delta(x^2), Delta(x^2) = x^2 (p0 - 4)
+        # + 2 x p1 + p2, on Z[k, p0]
+        kk, pp = self.RING
+        one = LaurentSymFunc({(): ParamPoly.const(1)})
+        got = dunkl_heckman_doubled(ExtendedElement({2: one}), kk, pp)
+        assert got == ExtendedElement({
+            2: one.scale(4 - kk * (pp - 4)),
+            1: one.times(1).scale(-2 * kk),
+            0: one.times(2).scale(-kk)})
 
 
 class TestCommutativity:

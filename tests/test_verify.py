@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from jacklaurent import clear_caches, finite_n, jack, operators, schur
-from jacklaurent.verify import SUITES, run_suite
+from jacklaurent import clear_caches, finite_n, jack, operators, \
+    rational, schur
+from jacklaurent.partitions import bipartitions_up_to
+from jacklaurent.verify import SUITES, check_eigen, check_norm_torus, \
+    run_suite
 
 MEMOS = (jack._construct, operators._l2_image, finite_n._jack_poly_N,
          finite_n._delta_expansion, schur._complete_h)
@@ -51,3 +54,37 @@ class TestSuites:
         clear_caches()
         sizes = [memo.cache_info().currsize for memo in MEMOS]
         assert sizes == [0] * len(MEMOS)
+
+
+class TestChecks:
+    @pytest.mark.parametrize("a", range(6))
+    def test_norms_of_length_five(self, a):
+        # five one-box rows restrict to zero at N = 4 variables, where
+        # the closed-form norm has a pole; the check takes N = 5
+        alpha = ((1,) * a, (1,) * (5 - a))
+        ok, witness = check_norm_torus(alpha)
+        assert ok, witness
+        assert witness["N"] == 5
+
+    def test_norm_keeps_four_variables_for_short_labels(self):
+        assert check_norm_torus(((2, 1), (1,)))[1]["N"] == 4
+
+    def test_eigen_checks_take_few_gcds(self, monkeypatch):
+        # the integrals run on cleared functions in Z[k, p0]: left are
+        # the gcds of clearing each function and of one eigenvalue per
+        # order, not one per coefficient operation
+        labels = bipartitions_up_to(3)
+        for alpha in labels:
+            jack.construct(alpha)
+        calls = [0]
+        real = rational.poly_gcd
+
+        def counting(a, b):
+            calls[0] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(rational, "poly_gcd", counting)
+        for alpha in labels:
+            ok, _ = check_eigen(alpha)
+            assert ok, alpha
+        assert 0 < calls[0] < 100
