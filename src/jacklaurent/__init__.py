@@ -23,18 +23,21 @@ from .finite_n import SymLaurentPolyN, jack_poly_N, jack_laurent_poly_N, \
     phi_N_map, torus_form
 from .schur import jacobi_trudy_S, schur_limit
 from .verify import run_suite
-from . import finite_n, jack, operators, schur
+from . import finite_n, jack, operators, schur, verify
 
 __version__ = "0.1.0"
 
 
 def clear_caches():
-    """Empty every memo: constructed functions, the per-monomial table
-    of the second-order integral, finite-N polynomials, the torus weight
-    and the complete functions h_i."""
-    for memo in (jack._construct, operators._l2_image, finite_n._jack_poly_N,
-                 finite_n._delta_expansion, schur._complete_h):
+    """Empty every memo: constructed functions, the atom table and the
+    factored denominators of the construction, the per-monomial table of
+    the second-order integral, finite-N polynomials, the torus weight,
+    the complete functions h_i and the eigenvalues of the eigen checks."""
+    for memo in (jack._construct, jack._split, operators._l2_image,
+                 finite_n._jack_poly_N, finite_n._delta_expansion,
+                 schur._complete_h, verify._eigenvalues):
         memo.cache_clear()
+    jack._ATOMS.clear()
 
 __all__ = [
     "ParamRat", "rat", "parse_rat", "K", "P0", "RAT_ZERO", "RAT_ONE",

@@ -13,7 +13,10 @@ denominators cleared, where the operator's coefficients and the gaps
 s - e(gamma) already lie: symbolically Z[k, p0], and at a rational
 point the integers, with the operator and the eigenvalues scaled by
 the product of the denominators of k and p0.  The product of the gaps,
-the cleared denominator and V are divided out once per step.  A step
+the cleared denominator and V are divided out once per step.
+Symbolically no polynomial gcd is taken for that: every denominator is
+kept as a product of irreducible atoms (_split), and each coefficient
+is reduced by exact trial division over them.  A step
 raises SingularParameter when two of these eigenvalues coincide at the
 point or the Pieri coefficient vanishes there.
 
@@ -24,12 +27,16 @@ the numeric mode runs the same loop at (k, 0) for P_{mu,0} and at (k, p0)
 for the rest, on ints, and returns Fraction coefficients.
 """
 
+from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from itertools import count
 from math import lcm
+from operator import or_
 
 from .rational import ParamPoly, ParamRat, RAT_ZERO, rat, \
-    SingularParameter, NotEigenvector, poly_divexact, _cancel
+    SingularParameter, NotEigenvector, poly_divexact, _make, \
+    _scalar_canonical, _u_gcd
 from .laurent import LaurentSymFunc
 from .partitions import size, conjugate, add_box_candidates, \
     remove_box_candidates, add_box, remove_box, normalize_partition, \
@@ -93,6 +100,135 @@ def _neighbors(alpha):
     return out
 
 
+# -- factored denominators -----------------------------------------------------
+# Symbolically every denominator _grow meets is a product of gaps
+# s - e(gamma), Pieri forms and earlier denominators, and these split
+# over a few irreducible polynomials, the atoms.  A denominator is kept
+# as its atoms, and a coefficient is reduced by trial division over
+# them instead of a polynomial gcd.
+
+# atom -> (kn, kd, pn, pd), a point (kn/kd, pn/pd) where the atom vanishes.
+# The atoms are primitive, irreducible and pairwise non-associate, with a
+# positive front coefficient; the table grows as _split meets new ones.
+_ATOMS = {}
+_PROBE = 101   # the generic coordinate of each zero-set point
+_K, _P0 = ParamPoly.var_k(), ParamPoly.var_p0()
+
+
+def _zero_point(a):
+    """A point of the zero set of the atom a, which is either free of p0
+    and linear in k, or linear in p0: a*k + b = 0 at p0 = _PROBE, or
+    u(k)*p0 + v(k) = 0 at the first k = _PROBE, _PROBE + 1, ... where
+    u(k) is not 0."""
+    if a.degree_p0() == 0:
+        return -a.terms.get((0, 0), 0), a.terms[(1, 0)], _PROBE, 1
+    u, v = a.coeff_of_p0_power(1), a.coeff_of_p0_power(0)
+    k0 = next(x for x in count(_PROBE) if u.evaluate(x, 0))
+    return k0, 1, int(-v.evaluate(k0, 0)), int(u.evaluate(k0, 0))
+
+
+def _k_coeffs(u):
+    """The nonzero ParamPoly u in k alone as a tuple of ints, constant
+    first: rational's univariate form."""
+    return tuple(u.terms.get((i, 0), 0)
+                 for i in range(max(i for i, _ in u.terms) + 1))
+
+
+def _vanishes(c, point):
+    """Whether the nonzero c is 0 at the rational point (kn/kd, pn/pd),
+    in ints: c there times kd^deg_k(c) * pd^deg_p0(c)."""
+    kn, kd, pn, pd = point
+    dk = max(i for i, _ in c.terms)
+    dp = max(j for _, j in c.terms)
+    ks = [kn ** i * kd ** (dk - i) for i in range(dk + 1)]
+    ps = [pn ** j * pd ** (dp - j) for j in range(dp + 1)]
+    return not sum(x * ks[i] * ps[j] for (i, j), x in c.terms.items())
+
+
+def _divide_out(c, a, most):
+    """(c / a^i, i) for the largest i <= most with a^i dividing c.  A
+    division is tried only where c vanishes at the atom's zero-set
+    point, which every multiple of the atom does; poly_divexact
+    decides."""
+    point = _ATOMS[a]
+    i = 0
+    while i < most and _vanishes(c, point):
+        try:
+            c = poly_divexact(c, a)
+        except ArithmeticError:
+            break
+        i += 1
+    return c, i
+
+
+def _irreducible(q):
+    """Whether the primitive q, divisible by neither k nor p0, is
+    provably irreducible: free of p0 and linear in k, or linear in p0 as
+    u(k)*p0 + v(k) with u and v coprime."""
+    if q.degree_p0() == 0:
+        return max(i for i, _ in q.terms) == 1
+    if q.degree_p0() > 1:
+        return False
+    u, v = (_k_coeffs(q.coeff_of_p0_power(j)) for j in (1, 0))
+    return len(_u_gcd(u, v)) == 1
+
+
+@cache
+def _split(p):
+    """(c, factors) with p = c * prod a^e over the Counter `factors`:
+    the atoms that divide p, then k and p0, and a leftover registered as
+    a new atom when it is provably irreducible.  A leftover that is not
+    stays in `factors` as it is, and a denominator holding it is reduced
+    in Q(k, p0) instead (_Point.unclear).  The memo shares `factors`
+    between callers, so none of them changes it."""
+    c, q = p.content_primitive()
+    factors = Counter()
+    most = max(i + j for i, j in q.terms)
+    for a in _ATOMS:
+        q, e = _divide_out(q, a, most)
+        if e:
+            factors[a] = e
+    ek = min(i for i, _ in q.terms)
+    ep = min(j for _, j in q.terms)
+    if ek or ep:
+        q = ParamPoly({(i - ek, j - ep): x for (i, j), x in q.terms.items()})
+        for a, e in ((_K, ek), (_P0, ep)):
+            if e:
+                _ATOMS.setdefault(a, _zero_point(a))
+                factors[a] += e
+    if q.is_const():
+        return c * q.terms[(0, 0)], factors
+    if q.terms[q.front_mono()] < 0:
+        c, q = -c, -q
+    if _irreducible(q):
+        _ATOMS[q] = _zero_point(q)
+    factors[q] += 1
+    return c, factors
+
+
+def _expand(c, factors):
+    """The ParamPoly c * prod a^e over the Counter `factors`."""
+    out = ParamPoly.const(c)
+    for a, e in factors.items():
+        out = out * a ** e
+    return out
+
+
+class _Factored:
+    """A symbolic denominator as _split gives it: content * prod a^e
+    over the Counter `factors`.  Multiplying by a ParamPoly adds its
+    split."""
+
+    __slots__ = ("content", "factors")
+
+    def __init__(self, content, factors):
+        self.content, self.factors = content, factors
+
+    def __mul__(self, p):
+        c, factors = _split(p)
+        return _Factored(self.content * c, self.factors + factors)
+
+
 # -- construction --------------------------------------------------------------
 
 class _Point:
@@ -118,7 +254,7 @@ class _Point:
     def __init__(self, at=None):
         self.at = at
         if at is None:
-            self.k, self.p0 = ParamPoly.var_k(), ParamPoly.var_p0()
+            self.k, self.p0 = _K, _P0
             self.weights = (1, self.k, self.p0, self.k * self.p0)
         else:
             self.k, self.p0 = at
@@ -141,33 +277,53 @@ class _Point:
     def clear(self, f):
         """(F, D) with F = D*f on ring coefficients and D in the ring, the
         lcm of the coefficient denominators.  At a rational point that is
-        the int lcm of the Fraction denominators.  Symbolically it is an
-        int lcm of their contents times the lcm of their primitive parts,
-        pairwise through _cancel."""
+        the int lcm of the Fraction denominators.  Symbolically it is a
+        _Factored: the int lcm of their contents and, per atom, the
+        highest power in any of them (_split)."""
         if self.at is not None:
             d = lcm(*(c.denominator for c in f.terms.values()))
             F = f.map_coeffs(lambda c: c.numerator * (d // c.denominator))
             return F, d
-        dens = {c.den for c in f.terms.values()}
-        n, d = 1, ParamPoly.const(1)
-        for den in dens:
-            cd, pd = den.content_primitive()
-            n = lcm(n, cd)
-            d = d * _cancel(d, pd)[1]
-        d = d * n
-        quot = {den: poly_divexact(d, den) for den in dens}
-        return f.map_coeffs(lambda c: c.num * quot[c.den]), d
+        splits = {c.den: _split(c.den) for c in f.terms.values()}
+        n = lcm(*(c for c, _ in splits.values()))
+        top = reduce(or_, (factors for _, factors in splits.values()),
+                     Counter())
+        quot = {den: _expand(n // c, top - factors)
+                for den, (c, factors) in splits.items()}
+        return f.map_coeffs(lambda c: c.num * quot[c.den]), _Factored(n, top)
 
     def unclear(self, F, num, den):
-        """F * num/den in the field, for F on ring coefficients: one
-        division for the whole function, and at a rational point one
-        Fraction per coefficient."""
+        """F * num/den in the field, for F on ring coefficients.  At a
+        rational point that is one Fraction per coefficient.
+        Symbolically den is a _Factored: num's atoms cancel against it,
+        each coefficient divides out the atoms left while it can
+        (_divide_out), and what remains is coprime, so _scalar_canonical
+        finishes the canonical form.  A factor of num or den that is no
+        atom sends the step through ParamRat's gcd instead."""
         if self.at is not None:
             r = Fraction(num, den)
             rn, rd = r.numerator, r.denominator
             return F.map_coeffs(lambda c: Fraction(c * rn, rd))
-        r = ParamRat(num, den)
-        return F.map_coeffs(lambda c: ParamRat(c) * r)
+        cv, fv = _split(num)
+        if not all(a in _ATOMS for a in fv + den.factors):
+            r = ParamRat(num, _expand(den.content, den.factors))
+            return F.map_coeffs(lambda c: ParamRat(c) * r)
+        common = fv & den.factors
+        top = _expand(cv, fv - common)
+        left = list((den.factors - common).items())
+        dens = {}
+
+        def reduced(c):
+            key = []
+            for a, e in left:
+                c, i = _divide_out(c, a, e)
+                key.append(e - i)
+            key = tuple(key)
+            if key not in dens:
+                dens[key] = _expand(den.content,
+                                    {a: e for (a, _), e in zip(left, key)})
+            return _make(*_scalar_canonical(c * top, dens[key]))
+        return F.map_coeffs(reduced)
 
     def __str__(self):
         return "" if self.at is None else " at k=%s, p0=%s" % self.at

@@ -7,7 +7,7 @@ after another in one thread; the report lists them sorted by id."""
 
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .laurent import LaurentSymFunc, mono_from_dict
 from .partitions import size, bipartitions_up_to, w_bipartition, chi_N, \
@@ -41,10 +41,17 @@ def _alpha_label(alpha):
 # -- individual checks -----------------------------------------------------------
 
 
+@cache
+def _eigenvalues(alpha):
+    """jack.eigen_check_all(alpha, r_max=3), once per label: check_eigen
+    reads each label twice, as alpha and as w(alpha)."""
+    return tuple(jack.eigen_check_all(alpha, r_max=3))
+
+
 def check_eigen(alpha):
-    evs = dict(jack.eigen_check_all(alpha, r_max=3))
+    evs = dict(_eigenvalues(alpha))
     wit = {"eigenvalues": {str(r): str(v) for r, v in sorted(evs.items())}}
-    w_evs = dict(jack.eigen_check_all(w_bipartition(alpha), r_max=3))
+    w_evs = dict(_eigenvalues(w_bipartition(alpha)))
     ok = w_evs[3] == -evs[3] and w_evs[2] == evs[2]
     return ok, wit
 

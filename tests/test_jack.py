@@ -2,6 +2,8 @@
 frozen small eigenfunctions, eigenvalue checks, Pieri recursion,
 involutions, growth-order independence, and numeric-parameter mode."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
@@ -9,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacklaurent.rational import (
-    K, P0, RAT_ONE, RAT_ZERO, rat, NotEigenvector, PoleAtSpecialization,
-    SingularParameter,
+    K, P0, RAT_ONE, RAT_ZERO, rat, NotEigenvector, ParamPoly, ParamRat,
+    PoleAtSpecialization, SingularParameter,
 )
 from jacklaurent.laurent import LaurentSymFunc
 from jacklaurent.partitions import (
@@ -19,7 +21,7 @@ from jacklaurent.partitions import (
 )
 from jacklaurent.closed_forms import eigenvalue_e, pieri_V
 from jacklaurent.operators import cms_L, cms_L2_direct, cms_L_doubled
-from jacklaurent import clear_caches
+from jacklaurent import clear_caches, jack, rational
 from jacklaurent.jack import (
     _Point, _SYMBOLIC, _ring_eigenvalue, construct, construct_via_order,
     eigen_check_all, jack_positive, pieri_identity_check, rational_mode_construct,
@@ -207,6 +209,73 @@ class TestDeferredDenominators:
     @pytest.mark.parametrize("alpha", bipartitions_up_to(4))
     def test_matches_reduction_after_each_factor(self, alpha):
         assert construct(alpha).f == _reduced_each_factor(alpha)
+
+
+# sha256 of str(construct(a)) for every label of bipartitions_up_to(5),
+# joined by newlines, as the construction printed them when it still
+# reduced each step through the polynomial gcd
+GOLDEN_UP_TO_5 = ("69fe29220bf0c7bf2f16c984c79d3e17"
+                  "e2642e629aee2c3d197a378077fc0457")
+
+
+class TestFactoredDenominators:
+    def test_golden(self):
+        clear_caches()
+        text = "\n".join(str(construct(a)) for a in bipartitions_up_to(5))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_UP_TO_5
+
+    @pytest.mark.parametrize("alpha", bipartitions_up_to(5))
+    def test_coefficients_are_canonical(self, alpha):
+        # ParamRat reduces num/den again through the polynomial gcd
+        for c in construct(alpha).f.terms.values():
+            assert ParamRat(c.num, c.den) == c
+
+    def test_atoms_are_irreducible_and_not_associate(self):
+        sympy = pytest.importorskip("sympy")
+        clear_caches()
+        for alpha in bipartitions_up_to(5):
+            construct(alpha)
+        k, p0 = sympy.symbols("k p0")
+        atoms = [sympy.Poly(sympy.sympify(str(a).replace("^", "**"),
+                                          locals={"k": k, "p0": p0}), k, p0)
+                 for a in jack._ATOMS]
+        assert atoms
+        for a in atoms:
+            assert [e for _, e in sympy.factor_list(a)[1]] == [1], a
+        # a and b are associate exactly when a * lc(b) == b * lc(a)
+        for i, a in enumerate(atoms):
+            for b in atoms[i + 1:]:
+                assert not (a * b.LC() - b * a.LC()).is_zero, (a, b)
+
+    def test_factor_outside_the_atoms_reduces_in_the_field(self):
+        # (1 - k)(1 - 2k) is no atom, since the test cannot show it
+        # irreducible; the quotient goes through ParamRat
+        clear_caches()
+        k = _SYMBOLIC.k
+        den = jack._Factored(1, Counter()) * ((1 - k) * (1 - k * 2))
+        assert not jack._ATOMS
+        got = _SYMBOLIC.unclear(LaurentSymFunc.const(1 - k),
+                                ParamPoly.const(1), den)
+        assert got == LaurentSymFunc.const(
+            ParamRat(ParamPoly.const(1), 1 - k * 2))
+
+    def test_step_after_the_atom_table_is_emptied(self, monkeypatch):
+        # the denominators of P[2,1; 1] split into no atom once the
+        # table is empty, and the step falls back to the gcd
+        want = construct(((3, 1), (1,))).f
+        prev = construct(((2, 1), (1,)))
+        jack._ATOMS.clear()
+        jack._split.cache_clear()
+        calls = [0]
+        real = rational.poly_gcd
+
+        def counting(a, b):
+            calls[0] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(rational, "poly_gcd", counting)
+        assert jack._extend(prev, (1, 3)).f == want
+        assert calls[0] > 0
 
 
 def _canonical_chain(lam):

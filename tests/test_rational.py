@@ -13,6 +13,7 @@ from jacklaurent.jack import construct, rational_mode_construct
 from jacklaurent.laurent import LaurentSymFunc, MAX_DEPTH, MAX_EXPONENT, \
     parse_rat
 from jacklaurent.partitions import bipartitions_up_to
+from jacklaurent.verify import run_suite
 from jacklaurent.rational import ParamPoly, ParamRat, RAT_ZERO, RAT_ONE, \
     K, P0, rat, poly_gcd, poly_divexact, DivisionByZero, \
     PoleAtSpecialization, IdenticallySingular
@@ -198,6 +199,9 @@ class TestIntegerGcd:
 
 
 def test_no_gcd_with_a_constant_operand(monkeypatch):
+    # the construction reduces by trial division over its atoms and
+    # takes no gcd at all; ParamRat arithmetic, as in the Pieri checks,
+    # still does, but never with a constant operand
     calls = {"all": 0, "constant": 0}
     real = rational.poly_gcd
 
@@ -211,6 +215,8 @@ def test_no_gcd_with_a_constant_operand(monkeypatch):
     for alpha in bipartitions_up_to(3):
         construct(alpha)
     rational_mode_construct(((2, 1), (1,)), *REGULAR_POINTS[0])
+    assert calls["all"] == 0
+    assert run_suite("pieri", 2)["status"] == "pass"
     assert calls["constant"] == 0
     assert calls["all"] > 0
 

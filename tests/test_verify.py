@@ -5,13 +5,14 @@ import json
 import pytest
 
 from jacklaurent import clear_caches, finite_n, jack, operators, \
-    rational, schur
+    rational, schur, verify
 from jacklaurent.partitions import bipartitions_up_to
 from jacklaurent.verify import SUITES, check_eigen, check_norm_torus, \
     run_suite
 
 MEMOS = (jack._construct, operators._l2_image, finite_n._jack_poly_N,
          finite_n._delta_expansion, schur._complete_h)
+EIGEN_MEMOS = (jack._split, verify._eigenvalues)
 
 
 class TestSuites:
@@ -51,9 +52,15 @@ class TestSuites:
         run_suite("schur", 1)
         run_suite("commute", 1)
         assert all(memo.cache_info().currsize for memo in MEMOS)
+        # the eigen checks at size 2 fill the eigenvalue memo, and the
+        # constructions they run the atom table and the splits
+        run_suite("eigen", 2)
+        assert jack._ATOMS
+        assert all(memo.cache_info().currsize for memo in EIGEN_MEMOS)
         clear_caches()
-        sizes = [memo.cache_info().currsize for memo in MEMOS]
-        assert sizes == [0] * len(MEMOS)
+        sizes = [memo.cache_info().currsize for memo in MEMOS + EIGEN_MEMOS]
+        assert sizes == [0] * len(MEMOS + EIGEN_MEMOS)
+        assert not jack._ATOMS
 
 
 class TestChecks:
@@ -74,6 +81,7 @@ class TestChecks:
         # the gcds of clearing each function and of one eigenvalue per
         # order, not one per coefficient operation
         labels = bipartitions_up_to(3)
+        clear_caches()
         for alpha in labels:
             jack.construct(alpha)
         calls = [0]
@@ -88,3 +96,18 @@ class TestChecks:
             ok, _ = check_eigen(alpha)
             assert ok, alpha
         assert 0 < calls[0] < 100
+
+    def test_eigen_suite_checks_each_label_once(self, monkeypatch):
+        # check_eigen reads alpha and w(alpha); the 18 labels of size
+        # at most 3 are closed under w, so each runs its integrals once
+        calls = [0]
+        real = jack.eigen_check_all
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(jack, "eigen_check_all", counting)
+        clear_caches()
+        assert run_suite("eigen", 3)["status"] == "pass"
+        assert calls[0] == 18
