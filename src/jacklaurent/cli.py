@@ -35,6 +35,9 @@ EXIT_SINGULAR = 3
 # Highest integral order apply-op runs: L16 and H16 take under a second
 # on small inputs, L32 several.
 MAX_OP_ORDER = 16
+# Largest --max-size verify and conjectures accept: all suites take
+# about 3 s at 6 and 8 s at 7, and conjectures 4 s and 21 s.
+MAX_SIZE = 7
 
 
 class UsageError(Exception):
@@ -210,6 +213,9 @@ def _cmd_schur(args):
 def _max_size(args):
     if args.max_size < 0:
         raise UsageError("--max-size must be >= 0, got %d" % args.max_size)
+    if args.max_size > MAX_SIZE:
+        raise UsageError("--max-size %d exceeds %d"
+                         % (args.max_size, MAX_SIZE))
     return args.max_size
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .rational import ParamRat, RAT_ZERO, RAT_ONE, K, P0, rat, as_rat
-from .partitions import part, size, conjugate, boxes, add_box_candidates, \
+from .partitions import part, conjugate, boxes, add_box_candidates, \
     remove_box_candidates, content_box
 
 
@@ -34,26 +34,26 @@ def _ratio(factors, what):
 
 # -- eigenvalues ---------------------------------------------------------------
 
-def eigenvalue_e(alpha, k=K, p0=P0):
-    """The second CMS integral's eigenvalue on the function labelled alpha:
+def eigenvalue_parts(alpha):
+    """(n, lin, m) with eigenvalue_e(alpha) = n + k*lin - k*p0*m: over
+    the rows x_i of lam and then of mu, n = sum x_i^2,
+    lin = sum (2i-1) x_i and m = sum x_i = |lam| + |mu|."""
+    rows = list(enumerate(alpha[0], 1)) + list(enumerate(alpha[1], 1))
+    return (sum(x * x for _, x in rows),
+            sum((2 * i - 1) * x for i, x in rows),
+            sum(x for _, x in rows))
 
-        sum lam_i^2 + sum mu_j^2 + k*sum (2i-1) lam_i + k*sum (2j-1) mu_j
-          - k*p0*(|lam| + |mu|).
+
+def eigenvalue_e(alpha, k=K, p0=P0):
+    """The second CMS integral's eigenvalue on the function labelled alpha,
+    n + k*lin - k*p0*m with the parts of eigenvalue_parts.
 
     `k` and `p0` are the point it is read at, in whatever ring they share
     with an int: ParamRats give the value in Q(k, p0), ParamPolys in
     Z[k, p0], and Fractions its value at a rational point.
     """
-    lam, mu = alpha
-    n = 0
-    lin = 0
-    for i, x in enumerate(lam, start=1):
-        n += x * x
-        lin += (2 * i - 1) * x
-    for j, y in enumerate(mu, start=1):
-        n += y * y
-        lin += (2 * j - 1) * y
-    return n + k * lin - k * p0 * (size(lam) + size(mu))
+    n, lin, m = eigenvalue_parts(alpha)
+    return n + k * lin - k * p0 * m
 
 
 def eigenvalue_eN(chi, N):
@@ -192,23 +192,21 @@ def c_alpha(alpha, j, i, a):
     return rat(part(lam, i) + j) + K * (part(conjugate(mu), j) + i) + as_rat(a)
 
 
-def pieri_V_pair(box, alpha, k):
-    """The coefficient of P_{lam+box, mu} in p_1 * P_{lam,mu},
+def pieri_V_forms(box, alpha):
+    """The coefficient of P_{lam+box, mu} in p_1 * P_{lam,mu} for a box
+    (i,j) addable to lam,
 
-        prod_{r=1}^{i-1} c_lam(jr,1) c_lam(jr,-2k) / [c_lam(jr,-k) c_lam(jr,1-k)]
+        prod_{r=1}^{i-1} c_lam(jr,1) c_lam(jr,-2k) / [c_lam(jr,-k) c_lam(jr,1-k)],
 
-    for box = (i,j), as a reduced (num, den) in the ring of `k`: ParamPolys
-    in Z[k] for ParamPoly.var_k(), Fractions at a rational k; (0, 1) when
-    the box is not addable to lam.  As lam_r >= j and lam'_j = i - 1, each
-    factor is a - b*k with ints a, b >= 0; the primitive forms cancel as a
-    multiset, their int gcds going into a Fraction scale, so den vanishes
-    exactly at the poles (2/(1 - k) is -2k over -k(1 - k), 2 at k = 0).
+    as (scale, forms): V = scale * prod (x - y*k)^e over the Counter
+    forms of (x, y) -> e.  As lam_r >= j and lam'_j = i - 1, each factor
+    is a - b*k with ints a, b >= 0; its int gcd goes into the Fraction
+    scale and the primitive forms cancel as a multiset, so each pair is
+    coprime, every exponent is nonzero and they sum to 0 (2/(1 - k) is
+    -2k over -k(1 - k): scale 2, forms {(1, 0): 1, (1, 1): -1}).
     """
-    lam, mu = alpha
+    lam, _ = alpha
     i, j = box
-    one = k ** 0  # the ring's 1, so num and den are never bare ints
-    if box not in add_box_candidates(lam):
-        return one * 0, one
     scale = Fraction(1)
     forms = Counter()
     for r in range(1, i):
@@ -218,19 +216,22 @@ def pieri_V_pair(box, alpha, k):
             g = gcd(x, y)
             scale *= Fraction(g) ** e
             forms[x // g, y // g] += e
-    num, den = one * scale.numerator, one * scale.denominator
-    for (x, y), e in forms.items():
-        if e > 0:
-            num = num * (x - y * k) ** e
-        elif e < 0:
-            den = den * (x - y * k) ** -e
-    return num, den
+    return scale, Counter({xy: e for xy, e in forms.items() if e})
 
 
 def pieri_V(box, alpha):
-    """pieri_V_pair in Q(k, p0): the coefficient of P_{lam+box, mu} in
-    p_1 * P_{lam,mu}; 0 when the box is not addable to lam."""
-    num, den = pieri_V_pair(box, alpha, K)
+    """The coefficient of P_{lam+box, mu} in p_1 * P_{lam,mu} in
+    Q(k, p0): the forms of pieri_V_forms multiplied out above and below,
+    then divided once; 0 when the box is not addable to lam."""
+    if box not in add_box_candidates(alpha[0]):
+        return RAT_ZERO
+    scale, forms = pieri_V_forms(box, alpha)
+    num, den = rat(scale.numerator), rat(scale.denominator)
+    for (x, y), e in forms.items():
+        if e > 0:
+            num = num * (x - y * K) ** e
+        else:
+            den = den * (x - y * K) ** -e
     return num / den
 
 

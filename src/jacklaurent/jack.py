@@ -9,16 +9,17 @@ gamma that can appear in the product, the factor
 (L2 - e(gamma))/(s - e(gamma)), where s is the eigenvalue of the target;
 finally it divides by the Pieri coefficient V of the added box.  The
 numerators L2 - e(gamma) run in a ring, on the function with its
-denominators cleared, where the operator's coefficients and the gaps
-s - e(gamma) already lie: symbolically Z[k, p0], and at a rational
-point the integers, with the operator and the eigenvalues scaled by
-the product of the denominators of k and p0.  The product of the gaps,
-the cleared denominator and V are divided out once per step.
-Symbolically no polynomial gcd is taken for that: every denominator is
-kept as a product of irreducible atoms (_split), and each coefficient
-is reduced by exact trial division over them.  A step
-raises SingularParameter when two of these eigenvalues coincide at the
-point or the Pieri coefficient vanishes there.
+denominators cleared, where the operator's coefficients, the gaps
+s - e(gamma) and the linear forms of V already lie: symbolically
+Z[k, p0], and at a rational point the integers, with the operator and
+the closed forms read at the same int weights (_Point).  The product of
+the gaps, the cleared denominator and V are divided out once per step.
+Symbolically no polynomial gcd is taken for that: each gap and each
+form of V is an int times an irreducible atom, every denominator is
+kept as a product of atoms, and each coefficient is reduced by exact
+trial division over them.  A step raises SingularParameter when two of
+these eigenvalues coincide at the point or the Pieri coefficient
+vanishes or has a pole there.
 
 P_{lam,0} is the classical one-parameter eigenfunction of the positive
 part, free of p0, and the base case is P_{0,mu} = star(P_{mu,0}), with
@@ -30,20 +31,19 @@ for the rest, on ints, and returns Fraction coefficients.
 from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import count
 from math import lcm
 from operator import or_
 
 from .rational import ParamPoly, ParamRat, RAT_ZERO, rat, \
     SingularParameter, NotEigenvector, poly_divexact, _make, \
-    _scalar_canonical, _u_gcd
+    _scalar_canonical
 from .laurent import LaurentSymFunc
 from .partitions import size, conjugate, add_box_candidates, \
     remove_box_candidates, add_box, remove_box, normalize_partition, \
     label_str
 from .operators import cms_L_doubled, cms_L2_weighted
-from .closed_forms import eigenvalue_e, pieri_V, pieri_V_pair, pieri_U, \
-    duality_constant
+from .closed_forms import eigenvalue_e, eigenvalue_parts, pieri_V, \
+    pieri_V_forms, pieri_U, duality_constant, evaluation_value
 
 
 class JackLaurentFunction:
@@ -102,36 +102,40 @@ def _neighbors(alpha):
 
 # -- factored denominators -----------------------------------------------------
 # Symbolically every denominator _grow meets is a product of gaps
-# s - e(gamma), Pieri forms and earlier denominators, and these split
-# over a few irreducible polynomials, the atoms.  A denominator is kept
-# as its atoms, and a coefficient is reduced by trial division over
-# them instead of a polynomial gcd.
+# s - e(gamma), Pieri forms and earlier denominators, and each gap and
+# each form is an int times one irreducible polynomial, an atom.  A
+# denominator is kept as its atoms, and a coefficient is reduced by
+# trial division over them instead of a polynomial gcd.
+#
+# No irreducibility test is needed, because the closed forms give the
+# shape of every factor.  Two neighbours of a label differ in n (the
+# first part of eigenvalue_parts): boxes added in rows r and s give
+# 2(lam_r - lam_s) != 0, as addable boxes sit in rows of different
+# lengths, and a box added in row r against one removed from row s of
+# mu gives 2(lam_r + mu_s) > 0.  So the primitive part of a gap
+# n + b*k + c*k*p0 (n != 0) is either linear in k, or of degree 1 in p0
+# with the coprime coefficients c*k and n + b*k; either way it is
+# irreducible.  A primitive Pieri form x - y*k is
+# linear in k, so irreducible too.  With a positive front coefficient
+# (the constant term), distinct atoms are not associate.
 
 # atom -> (kn, kd, pn, pd), a point (kn/kd, pn/pd) where the atom vanishes.
-# The atoms are primitive, irreducible and pairwise non-associate, with a
-# positive front coefficient; the table grows as _split meets new ones.
+# An atom enters the table as soon as a gap or a form creates it
+# (_Factored.__mul__), and clear_caches() empties it with the memo.
 _ATOMS = {}
 _PROBE = 101   # the generic coordinate of each zero-set point
 _K, _P0 = ParamPoly.var_k(), ParamPoly.var_p0()
 
 
 def _zero_point(a):
-    """A point of the zero set of the atom a, which is either free of p0
-    and linear in k, or linear in p0: a*k + b = 0 at p0 = _PROBE, or
-    u(k)*p0 + v(k) = 0 at the first k = _PROBE, _PROBE + 1, ... where
-    u(k) is not 0."""
-    if a.degree_p0() == 0:
-        return -a.terms.get((0, 0), 0), a.terms[(1, 0)], _PROBE, 1
-    u, v = a.coeff_of_p0_power(1), a.coeff_of_p0_power(0)
-    k0 = next(x for x in count(_PROBE) if u.evaluate(x, 0))
-    return k0, 1, int(-v.evaluate(k0, 0)), int(u.evaluate(k0, 0))
-
-
-def _k_coeffs(u):
-    """The nonzero ParamPoly u in k alone as a tuple of ints, constant
-    first: rational's univariate form."""
-    return tuple(u.terms.get((i, 0), 0)
-                 for i in range(max(i for i, _ in u.terms) + 1))
+    """A point of the zero set of the atom a, one of the two shapes
+    above: a*k + b = 0 at p0 = _PROBE, or c*k*p0 + n + b*k = 0 at
+    k = _PROBE."""
+    t = a.terms
+    if (1, 1) not in t:
+        return -t.get((0, 0), 0), t[(1, 0)], _PROBE, 1
+    return _PROBE, 1, -t.get((0, 0), 0) - t.get((1, 0), 0) * _PROBE, \
+        t[(1, 1)] * _PROBE
 
 
 def _vanishes(c, point):
@@ -161,26 +165,12 @@ def _divide_out(c, a, most):
     return c, i
 
 
-def _irreducible(q):
-    """Whether the primitive q, divisible by neither k nor p0, is
-    provably irreducible: free of p0 and linear in k, or linear in p0 as
-    u(k)*p0 + v(k) with u and v coprime."""
-    if q.degree_p0() == 0:
-        return max(i for i, _ in q.terms) == 1
-    if q.degree_p0() > 1:
-        return False
-    u, v = (_k_coeffs(q.coeff_of_p0_power(j)) for j in (1, 0))
-    return len(_u_gcd(u, v)) == 1
-
-
 @cache
 def _split(p):
-    """(c, factors) with p = c * prod a^e over the Counter `factors`:
-    the atoms that divide p, then k and p0, and a leftover registered as
-    a new atom when it is provably irreducible.  A leftover that is not
-    stays in `factors` as it is, and a denominator holding it is reduced
-    in Q(k, p0) instead (_Point.unclear).  The memo shares `factors`
-    between callers, so none of them changes it."""
+    """(c, factors) with p = c * prod a^e over the Counter `factors`, by
+    trial division over the atoms; ArithmeticError when a factor of p
+    is no atom.  The memo shares `factors` between callers, so none of
+    them changes it."""
     c, q = p.content_primitive()
     factors = Counter()
     most = max(i + j for i, j in q.terms)
@@ -188,22 +178,9 @@ def _split(p):
         q, e = _divide_out(q, a, most)
         if e:
             factors[a] = e
-    ek = min(i for i, _ in q.terms)
-    ep = min(j for _, j in q.terms)
-    if ek or ep:
-        q = ParamPoly({(i - ek, j - ep): x for (i, j), x in q.terms.items()})
-        for a, e in ((_K, ek), (_P0, ep)):
-            if e:
-                _ATOMS.setdefault(a, _zero_point(a))
-                factors[a] += e
-    if q.is_const():
-        return c * q.terms[(0, 0)], factors
-    if q.terms[q.front_mono()] < 0:
-        c, q = -c, -q
-    if _irreducible(q):
-        _ATOMS[q] = _zero_point(q)
-    factors[q] += 1
-    return c, factors
+    if not q.is_const():
+        raise ArithmeticError("%s does not split over the atoms" % p)
+    return c * q.terms[(0, 0)], factors
 
 
 def _expand(c, factors):
@@ -215,9 +192,8 @@ def _expand(c, factors):
 
 
 class _Factored:
-    """A symbolic denominator as _split gives it: content * prod a^e
-    over the Counter `factors`.  Multiplying by a ParamPoly adds its
-    split."""
+    """A symbolic denominator: content * prod a^e over the Counter
+    `factors` of atoms."""
 
     __slots__ = ("content", "factors")
 
@@ -225,8 +201,19 @@ class _Factored:
         self.content, self.factors = content, factors
 
     def __mul__(self, p):
-        c, factors = _split(p)
-        return _Factored(self.content * c, self.factors + factors)
+        """The product with a _Factored, or with a gap or a Pieri form
+        p, whose primitive part becomes an atom here."""
+        if type(p) is _Factored:
+            return _Factored(self.content * p.content,
+                             self.factors + p.factors)
+        c, a = p.content_primitive()
+        if a.is_const():
+            return _Factored(self.content * p.terms[(0, 0)], self.factors)
+        if a.terms[a.front_mono()] < 0:
+            c, a = -c, -a
+        if a not in _ATOMS:
+            _ATOMS[a] = _zero_point(a)
+        return _Factored(self.content * c, self.factors + Counter({a: 1}))
 
 
 # -- construction --------------------------------------------------------------
@@ -237,42 +224,50 @@ class _Point:
 
     A step computes in a ring and divides once, in the field.
     Symbolically the ring is Z[k, p0] (ParamPoly) and the field Q(k, p0)
-    (ParamRat).  The ring is Z at a rational point, and the field Q
-    (Fraction): with k0 = kn/kd and p00 = pn/pd in lowest terms, the
-    operator runs with the int weights (kd*pd, kn*pd, kd*pn, kn*pn),
-    which is kd*pd*L2 at the point, and `shift` scales each eigenvalue
-    by kd*pd alike.  Symbolically the weights are (1, k, p0, k*p0) and
-    `shift` is the identity.  `k` and `p0` are the point where the
-    closed forms are read: eigenvalue_e and pieri_V_pair take them as
-    they are, so the singularity checks run on the values at the point.
+    (ParamRat), and the weights are (1, k, p0, k*p0).  The ring is Z at
+    a rational point, and the field Q (Fraction): with k0 = kn/kd and
+    p00 = pn/pd in lowest terms, the weights are the ints
+    (kd*pd, kn*pd, kd*pn, kn*pn), which is (1, k, p0, k*p0) at the
+    point times kd*pd.  The operator runs with the weights, and the
+    closed forms are read with them (eigenvalue, pieri), so both are
+    scaled alike and the singularity checks run on values in the ring.
     `clear` and `unclear` move a function between the ring and the
     field.
     """
 
-    __slots__ = ("at", "k", "p0", "weights")
+    __slots__ = ("at", "weights")
 
     def __init__(self, at=None):
         self.at = at
         if at is None:
-            self.k, self.p0 = _K, _P0
-            self.weights = (1, self.k, self.p0, self.k * self.p0)
+            self.weights = (1, _K, _P0, _K * _P0)
         else:
-            self.k, self.p0 = at
-            kn, kd = self.k.numerator, self.k.denominator
-            pn, pd = self.p0.numerator, self.p0.denominator
+            k0, p00 = at
+            kn, kd = k0.numerator, k0.denominator
+            pn, pd = p00.numerator, p00.denominator
             self.weights = (kd * pd, kn * pd, kd * pn, kn * pn)
 
-    def shift(self, e):
-        """The eigenvalue e in the ring, scaled like the operator: e
-        itself symbolically, and the int kd*pd*e at a rational point,
-        exact because e has degree at most 1 in each of k and p0."""
-        if self.at is None:
-            return e
-        n, r = divmod(e.numerator * self.weights[0], e.denominator)
-        if r:
-            raise ArithmeticError("eigenvalue %s times %d is not an integer"
-                                  % (e, self.weights[0]))
-        return n
+    def eigenvalue(self, gamma):
+        """eigenvalue_e(gamma) in the ring, scaled like the operator."""
+        n, lin, m = eigenvalue_parts(gamma)
+        w1, wk, _, wkp = self.weights
+        return n * w1 + lin * wk - m * wkp
+
+    def pieri(self, box, alpha):
+        """(vnum, vden), the Pieri coefficient V = vnum/vden of the box
+        (pieri_V_forms) with each form x - y*k read as x*w1 - y*wk.  The
+        scale of the weights cancels, as the exponents sum to 0.  Ints
+        at a rational point; symbolically two _Factored."""
+        scale, forms = pieri_V_forms(box, alpha)
+        w1, wk = self.weights[:2]
+        out = []
+        for c, side in ((scale.numerator, +forms),      # the e > 0
+                        (scale.denominator, -forms)):   # -e for e < 0
+            v = c if self.at is not None else _Factored(c, Counter())
+            for x, y in side.elements():
+                v = v * (x * w1 - y * wk)
+            out.append(v)
+        return tuple(out)
 
     def clear(self, f):
         """(F, D) with F = D*f on ring coefficients and D in the ring, the
@@ -294,22 +289,17 @@ class _Point:
 
     def unclear(self, F, num, den):
         """F * num/den in the field, for F on ring coefficients.  At a
-        rational point that is one Fraction per coefficient.
-        Symbolically den is a _Factored: num's atoms cancel against it,
-        each coefficient divides out the atoms left while it can
-        (_divide_out), and what remains is coprime, so _scalar_canonical
-        finishes the canonical form.  A factor of num or den that is no
-        atom sends the step through ParamRat's gcd instead."""
+        rational point num and den are ints, and that is one Fraction per
+        coefficient.  Symbolically both are _Factored: num's atoms cancel
+        against den's, each coefficient divides out the atoms left while
+        it can (_divide_out), and what remains is coprime, so
+        _scalar_canonical finishes the canonical form."""
         if self.at is not None:
             r = Fraction(num, den)
             rn, rd = r.numerator, r.denominator
             return F.map_coeffs(lambda c: Fraction(c * rn, rd))
-        cv, fv = _split(num)
-        if not all(a in _ATOMS for a in fv + den.factors):
-            r = ParamRat(num, _expand(den.content, den.factors))
-            return F.map_coeffs(lambda c: ParamRat(c) * r)
-        common = fv & den.factors
-        top = _expand(cv, fv - common)
+        common = num.factors & den.factors
+        top = _expand(num.content, num.factors - common)
         left = list((den.factors - common).items())
         dens = {}
 
@@ -334,34 +324,32 @@ _SYMBOLIC = _Point()
 
 def _grow(f, alpha, box, point):
     """One projector step at `point`: from f = P_alpha to P_beta, where
-    beta adds `box` to the first diagram of alpha.  The singularity
-    checks run first, on the eigenvalues and V = vnum/vden read at the
-    point; then p_1 and every L2 - e(gamma), both scaled into the ring
-    by the point's weights and shift, act on F = D*f in the ring, and
-    den = D * prod (s - e(gamma)), scaled alike, and V are divided out
-    once."""
+    beta adds `box` to the first diagram of alpha.  The eigenvalues and
+    V = vnum/vden are read in the point's ring, and the singularity
+    checks run on them first; then p_1 and every L2 - e(gamma), the
+    operator and the eigenvalues scaled alike by the point's weights,
+    act on F = D*f in the ring, and den = D * prod (s - e(gamma)) and V
+    are divided out once."""
     lam, mu = alpha
     beta = (add_box(lam, box), mu)
-    near = [(gamma, eigenvalue_e(gamma, point.k, point.p0))
-            for gamma in _neighbors(alpha)]
+    near = [(gamma, point.eigenvalue(gamma)) for gamma in _neighbors(alpha)]
     for i, (g1, e1) in enumerate(near):
         for g2, e2 in near[i + 1:]:
             if e1 == e2:
                 raise SingularParameter("eigenvalue collision%s: %s vs %s"
                                         % (point, g1, g2))
-    vnum, vden = pieri_V_pair(box, alpha, point.k)
+    vnum, vden = point.pieri(box, alpha)
     if not vden:
         raise SingularParameter("transition coefficient at box %s has a "
                                 "pole%s" % (box, point))
     if not vnum:
         raise SingularParameter("vanishing transition coefficient at box "
                                 "%s%s" % (box, point))
-    s = point.shift(dict(near)[beta])
+    s = dict(near)[beta]
     out, den = point.clear(f)
     out = out.times(1)
     for gamma, e in near:
         if gamma != beta:
-            e = point.shift(e)
             out = cms_L2_weighted(out, point.weights) - out * e
             den = den * (s - e)
     return point.unclear(out, vden, den * vnum)
@@ -453,7 +441,7 @@ def _ring_eigenvalue(F, r, alpha):
     monomial m, m0 the leading one; the eigenvalue is then
     R[m0] / (2^r * F[m0]).  Raises NotEigenvector otherwise, naming
     the label alpha."""
-    R = cms_L_doubled(r, F, _SYMBOLIC.k, _SYMBOLIC.p0)
+    R = cms_L_doubled(r, F, _K, _P0)
     if R.is_zero():
         return RAT_ZERO
     if R.terms.keys() == F.terms.keys():
@@ -483,6 +471,22 @@ def eigen_check_all(alpha, r_max=3):
         raise NotEigenvector("second eigenvalue of %s is off the closed form"
                              % ((lam, mu),))
     return out
+
+
+def evaluation_check(alpha):
+    """(ok, value): whether the evaluation of P_alpha, every generator
+    sent to p0, equals evaluation_value(alpha), and that value.  The sum
+    runs in Z[k, p0] on P_alpha cleared of its denominators once, and is
+    cross-multiplied against the closed form; the value is built in
+    Q(k, p0) only when they differ, and is the closed form otherwise."""
+    F, D = _SYMBOLIC.clear(construct(alpha).f)
+    want = evaluation_value(alpha)
+    total = sum((c * _P0 ** sum(e for _, e in m) for m, c in F.terms.items()),
+                ParamPoly())
+    den = _expand(D.content, D.factors)
+    if total * want.den == den * want.num:
+        return True, want
+    return False, ParamRat(total, den)
 
 
 # -- numeric parameter modes ---------------------------------------------------

@@ -352,10 +352,12 @@ EXIT_CODES = [
     ("pieri", ["--lambda", "x"], None, EXIT_USAGE),
     ("conjectures", ["--max-size", "1"], None, EXIT_OK),
     ("conjectures", ["--max-size", "-1"], None, EXIT_USAGE),
+    ("conjectures", ["--max-size", "8"], None, EXIT_USAGE),
     ("verify", ["--suite", "eigen", "--max-size", "1"], None, EXIT_OK),
     ("verify", ["--suite", "eigen", "--max-size", "1"],
      (verify, "check_eigen"), EXIT_VERIFY),
     ("verify", ["--max-size", "-1"], None, EXIT_USAGE),
+    ("verify", ["--max-size", "8"], None, EXIT_USAGE),
 ]
 for command, check, argv in CHECKED:
     EXIT_CODES += [(command, argv + ["--check"], None, EXIT_OK),

@@ -3,14 +3,16 @@ shifted power sums, Bernoulli-type sums, Pieri coefficients,
 Stanley-type products, evaluations, norms, and duality constants."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat, ParamPoly, \
-    ParamRat, PoleAtSpecialization, poly_gcd
+    ParamRat
 from jacklaurent.partitions import chi_N, partitions_up_to, \
     bipartitions_up_to, add_box_candidates, remove_box_candidates
 from jacklaurent.closed_forms import (
@@ -18,7 +20,7 @@ from jacklaurent.closed_forms import (
     bernoulli_b, bernoulli_b_lambda, bernoulli_b_sequence, bernoulli_poly_at,
     c_alpha, c_lambda, duality_constant, eigenvalue_e, eigenvalue_eN, evaluation_value,
     hc_value, norm_value, phi_infinity, phi_pair, pieri_U, pieri_U_diagram,
-    pieri_V, pieri_V_diagram, pieri_V_pair, separation_check, shifted_power_sum,
+    pieri_V, pieri_V_diagram, pieri_V_forms, separation_check, shifted_power_sum,
     stable_eigenvalue, stanley_phi,
 )
 
@@ -158,38 +160,24 @@ class TestPieriCoefficients:
             assert pieri_V(box, alpha) == want, (box, alpha)
             assert pieri_V(box, (alpha[0], (2, 1))) == want, (box, alpha)
 
-    def test_V_pair_is_coprime(self):
-        k = ParamPoly.var_k()
+    def test_V_forms_are_coprime_and_balanced(self):
+        # nonzero exponents that sum to 0, on coprime (x, y), so the
+        # forms above and below share no factor
         for box, alpha, _ in _addable_boxes(6):
-            num, den = pieri_V_pair(box, alpha, k)
-            assert type(num) is ParamPoly and type(den) is ParamPoly
-            assert num.degree_p0() <= 0 and den.degree_p0() <= 0
-            assert poly_gcd(num, den) == ParamPoly.const(1), (box, alpha)
+            scale, forms = pieri_V_forms(box, alpha)
+            assert type(scale) is Fraction and scale > 0
+            assert all(forms.values()), (box, alpha)
+            assert sum(forms.values()) == 0, (box, alpha)
+            assert all(gcd(x, y) == 1 for x, y in forms), (box, alpha)
 
-    def test_V_pair_cancels_up_to_scale(self):
-        # -2k above and -k below: 2/(1 - k), which is 2 at k = 0
-        assert pieri_V_pair((2, 1), ((1,), ()), Fraction(0)) == (2, 1)
-        # 1 - k above and below: 3/(1 - 2k), which is -3 at k = 1
-        num, den = pieri_V_pair((3, 1), ((1, 1), ()), Fraction(1))
-        assert num / den == -3
-        # a box that is not addable has coefficient 0
-        assert pieri_V_pair((3, 1), ((1,), ()), Fraction(1, 2)) == (0, 1)
-
-    @settings(max_examples=40, deadline=None)
-    @given(small_fracs)
-    @example(Fraction(0))
-    @example(Fraction(1))
-    @example(Fraction(1, 2))
-    def test_V_pair_at_rational_points(self, k0):
-        for box, alpha, want in _addable_boxes(5):
-            num, den = pieri_V_pair(box, alpha, k0)
-            assert type(num) is Fraction and type(den) is Fraction
-            try:
-                value = want.specialize(k0, 0)
-            except PoleAtSpecialization:
-                assert den == 0, (box, alpha)
-                continue
-            assert den != 0 and num / den == value, (box, alpha)
+    def test_V_forms_cancel_up_to_scale(self):
+        # -2k above and -k below: 2/(1 - k)
+        assert pieri_V_forms((2, 1), ((1,), ())) == \
+            (Fraction(2), Counter({(1, 0): 1, (1, 1): -1}))
+        # 1 - k above and below: 3/(1 - 2k)
+        scale, forms = pieri_V_forms((3, 1), ((1, 1), ()))
+        assert (1, 1) not in forms
+        assert pieri_V((3, 1), ((1, 1), ())) == rat(3) / (RAT_ONE - K * 2)
 
     def test_U_frozen(self):
         assert pieri_U((1, 1), ((), (1,))) == P0 / (RAT_ONE + K - K * P0)

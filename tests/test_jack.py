@@ -3,12 +3,12 @@ frozen small eigenfunctions, eigenvalue checks, Pieri recursion,
 involutions, growth-order independence, and numeric-parameter mode."""
 
 import hashlib
-from collections import Counter
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jacklaurent.rational import (
     K, P0, RAT_ONE, RAT_ZERO, rat, NotEigenvector, ParamPoly, ParamRat,
@@ -16,12 +16,12 @@ from jacklaurent.rational import (
 )
 from jacklaurent.laurent import LaurentSymFunc
 from jacklaurent.partitions import (
-    add_box, add_box_candidates, bipartitions_up_to, remove_box,
-    remove_box_candidates, size,
+    add_box, add_box_candidates, bipartitions_up_to, partitions_up_to,
+    remove_box, remove_box_candidates, size,
 )
 from jacklaurent.closed_forms import eigenvalue_e, pieri_V
 from jacklaurent.operators import cms_L, cms_L2_direct, cms_L_doubled
-from jacklaurent import clear_caches, jack, rational
+from jacklaurent import clear_caches, jack
 from jacklaurent.jack import (
     _Point, _SYMBOLIC, _ring_eigenvalue, construct, construct_via_order,
     eigen_check_all, jack_positive, pieri_identity_check, rational_mode_construct,
@@ -105,7 +105,7 @@ class TestEigenChecks:
         # p1 + p2; on p2 alone every cross-product agrees, so only the
         # support comparison can catch it
         F, _ = _SYMBOLIC.clear(base + g(2))
-        R = cms_L_doubled(2, F, _SYMBOLIC.k, _SYMBOLIC.p0)
+        R = cms_L_doubled(2, F, ParamPoly.var_k(), ParamPoly.var_p0())
         assert R.terms.keys() > F.terms.keys()
         with pytest.raises(NotEigenvector, match="order-2 integral is not "
                                                  "scalar"):
@@ -121,7 +121,7 @@ class TestEigenChecks:
         bumped = dict(F.terms)
         bumped[m] = bumped[m] + 1
         F = LaurentSymFunc(bumped)
-        R = cms_L_doubled(2, F, _SYMBOLIC.k, _SYMBOLIC.p0)
+        R = cms_L_doubled(2, F, ParamPoly.var_k(), ParamPoly.var_p0())
         assert R.terms.keys() == F.terms.keys()
         with pytest.raises(NotEigenvector, match="order-2 integral is not "
                                                  "scalar"):
@@ -247,35 +247,28 @@ class TestFactoredDenominators:
             for b in atoms[i + 1:]:
                 assert not (a * b.LC() - b * a.LC()).is_zero, (a, b)
 
-    def test_factor_outside_the_atoms_reduces_in_the_field(self):
-        # (1 - k)(1 - 2k) is no atom, since the test cannot show it
-        # irreducible; the quotient goes through ParamRat
+    def test_factor_outside_the_atoms_is_refused(self):
+        # (1 - k)(1 - 2k) is a product of two atoms, but no step has
+        # created them since the table was emptied
         clear_caches()
-        k = _SYMBOLIC.k
-        den = jack._Factored(1, Counter()) * ((1 - k) * (1 - k * 2))
-        assert not jack._ATOMS
-        got = _SYMBOLIC.unclear(LaurentSymFunc.const(1 - k),
-                                ParamPoly.const(1), den)
-        assert got == LaurentSymFunc.const(
-            ParamRat(ParamPoly.const(1), 1 - k * 2))
+        k = ParamPoly.var_k()
+        with pytest.raises(ArithmeticError):
+            jack._split((1 - k) * (1 - k * 2))
 
-    def test_step_after_the_atom_table_is_emptied(self, monkeypatch):
-        # the denominators of P[2,1; 1] split into no atom once the
-        # table is empty, and the step falls back to the gcd
-        want = construct(((3, 1), (1,))).f
-        prev = construct(((2, 1), (1,)))
-        jack._ATOMS.clear()
-        jack._split.cache_clear()
-        calls = [0]
-        real = rational.poly_gcd
-
-        def counting(a, b):
-            calls[0] += 1
-            return real(a, b)
-
-        monkeypatch.setattr(rational, "poly_gcd", counting)
-        assert jack._extend(prev, (1, 3)).f == want
-        assert calls[0] > 0
+    def test_atoms_are_the_pole_families(self):
+        # a cold build to |lam|+|mu| <= 5 creates exactly b - a*k with
+        # gcd(a, b) = 1 and b + a*k - k*p0, for a, b >= 1 and a + b <= 5:
+        # a*k - b and k*p0 - a*k - b up to the sign that makes the
+        # constant term positive
+        clear_caches()
+        for alpha in bipartitions_up_to(5):
+            construct(alpha)
+        k, p0 = ParamPoly.var_k(), ParamPoly.var_p0()
+        pairs = [(a, b) for a in range(1, 5) for b in range(1, 5 - a + 1)]
+        want = {b - k * a for a, b in pairs if gcd(a, b) == 1}
+        want |= {b + k * a - k * p0 for a, b in pairs}
+        assert len(want) == 19
+        assert set(jack._ATOMS) == want
 
 
 def _canonical_chain(lam):
@@ -360,10 +353,39 @@ class TestRationalMode:
         assert all(type(c) is int for c in F.terms.values())
         assert F == f.scale(d)
         assert point.unclear(F, 1, d) == f
-        # the shift is 20*e(gamma), exact or refused
-        assert point.shift(Fraction(-7, 4)) == -35
-        with pytest.raises(ArithmeticError):
-            point.shift(Fraction(1, 3))
+        # the eigenvalues are 20*e(gamma), ints like the weights
+        for gamma in _near((2, 1), (1,)):
+            assert point.eigenvalue(gamma) == 20 * eigenvalue_e(
+                gamma).specialize(Fraction(-3, 4), Fraction(9, 5)), gamma
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    @example(Fraction(0))
+    @example(Fraction(1))
+    @example(Fraction(1, 2))
+    def test_pieri_at_rational_points(self, k0):
+        # V = vnum/vden in ints at (k0, 0), with vden = 0 exactly at the
+        # poles of pieri_V
+        point = _Point((k0, Fraction(0)))
+        for lam in partitions_up_to(5):
+            for box in add_box_candidates(lam):
+                vnum, vden = point.pieri(box, (lam, ()))
+                assert type(vnum) is int and type(vden) is int
+                try:
+                    value = pieri_V(box, (lam, ())).specialize(k0, 0)
+                except PoleAtSpecialization:
+                    assert vden == 0, (box, lam)
+                    continue
+                assert vden != 0 and Fraction(vnum, vden) == value, (box, lam)
+
+    def test_pieri_cancels_up_to_scale(self):
+        # -2k above and -k below: 2/(1 - k), which is 2 at k = 0
+        point = _Point((Fraction(0), Fraction(0)))
+        assert point.pieri((2, 1), ((1,), ())) == (2, 1)
+        # 1 - k above and below: 3/(1 - 2k), which is -3 at k = 1
+        point = _Point((Fraction(1), Fraction(0)))
+        vnum, vden = point.pieri((3, 1), ((1, 1), ()))
+        assert Fraction(vnum, vden) == -3
 
     def test_at_k_zero(self):
         # pieri_V((2, 1), ((1,), ())) is -2k/(-k(1 - k)): the transition

@@ -7,8 +7,9 @@ import pytest
 from jacklaurent import clear_caches, finite_n, jack, operators, \
     rational, schur, verify
 from jacklaurent.partitions import bipartitions_up_to
-from jacklaurent.verify import SUITES, check_eigen, check_norm_torus, \
-    run_suite
+from jacklaurent.rational import RAT_ONE
+from jacklaurent.verify import SUITES, check_eigen, check_evaluation, \
+    check_norm_torus, run_suite
 
 MEMOS = (jack._construct, operators._l2_image, finite_n._jack_poly_N,
          finite_n._delta_expansion, schur._complete_h)
@@ -75,6 +76,19 @@ class TestChecks:
 
     def test_norm_keeps_four_variables_for_short_labels(self):
         assert check_norm_torus(((2, 1), (1,)))[1]["N"] == 4
+
+    @pytest.mark.parametrize("alpha", [((2, 1), (1,)), ((1,), (2,))])
+    def test_evaluation_runs_in_the_ring(self, monkeypatch, alpha):
+        # a match reports the closed form; a mismatch builds the value in
+        # Q(k, p0), which is evaluate_eps of the function
+        got = jack.construct(alpha).f.evaluate_eps()
+        assert check_evaluation(alpha) == \
+            (True, {"value": str(got), "formula": str(got)})
+        wrong = got + RAT_ONE
+        for module in (jack, verify):
+            monkeypatch.setattr(module, "evaluation_value", lambda a: wrong)
+        assert check_evaluation(alpha) == \
+            (False, {"value": str(got), "formula": str(wrong)})
 
     def test_eigen_checks_take_few_gcds(self, monkeypatch):
         # the integrals run on cleared functions in Z[k, p0]: left are
