@@ -11,15 +11,19 @@ finally it divides by the Pieri coefficient V of the added box.  The
 numerators L2 - e(gamma) run in a ring, on the function with its
 denominators cleared, where the operator's coefficients, the gaps
 s - e(gamma) and the linear forms of V already lie: symbolically
-Z[k, p0], and at a rational point the integers, with the operator and
-the closed forms read at the same int weights (_Point).  The product of
-the gaps, the cleared denominator and V are divided out once per step.
+Z[k, p0], and at a rational point the integers.  Both run the same int
+loop, with the operator and the closed forms read at int weights
+(_Point): at a rational point the weights come from the point, and
+symbolically each coefficient is packed into one int, its value at
+k = 2^B and p0 = 2^(B*DK) (Kronecker substitution, _Packed), with the
+slot width B widened before any digit could wrap.  The product of the
+gaps, the cleared denominator and V are divided out once per step.
 Symbolically no polynomial gcd is taken for that: each gap and each
 form of V is an int times an irreducible atom, every denominator is
 kept as a product of atoms, and each coefficient is reduced by exact
-trial division over them.  A step raises SingularParameter when two of
-these eigenvalues coincide at the point or the Pieri coefficient
-vanishes or has a pole there.
+int trial division over them and unpacked once.  A step raises
+SingularParameter when two of these eigenvalues coincide at the point
+or the Pieri coefficient vanishes or has a pole there.
 
 P_{lam,0} is the classical one-parameter eigenfunction of the positive
 part, free of p0, and the base case is P_{0,mu} = star(P_{mu,0}), with
@@ -41,7 +45,7 @@ from .laurent import LaurentSymFunc
 from .partitions import size, conjugate, add_box_candidates, \
     remove_box_candidates, add_box, remove_box, normalize_partition, \
     label_str
-from .operators import cms_L_doubled, cms_L2_weighted
+from .operators import cms_L_doubled, cms_L2_weighted, _l2_image_l1
 from .closed_forms import eigenvalue_e, eigenvalue_parts, pieri_V, \
     pieri_V_forms, pieri_U, duality_constant, evaluation_value
 
@@ -117,46 +121,49 @@ def _neighbors(alpha):
 # with the coprime coefficients c*k and n + b*k; either way it is
 # irreducible.  A primitive Pieri form x - y*k is
 # linear in k, so irreducible too.  With a positive front coefficient
-# (the constant term), distinct atoms are not associate.
+# (the constant term), distinct atoms are not associate.  Every atom has
+# degree 1 in k: a constant gap or form has no atom.
+#
+# The arithmetic of a step runs on packed ints (_Packed): a polynomial
+# is one int, its value at k = 2^B and p0 = 2^(B*DK).  Packing is a
+# ring homomorphism, so the int results are the packed results of the
+# ring.  An int reads back as the polynomial of its balanced base-2^B
+# digits, which is the packed one only while it has deg_k < DK and
+# coefficients below 2^(B-1) in absolute value.  A step fixes DK
+# before it starts, from deg_k(F) and its number of factors, and keeps
+# a bound on the L1 norm of all its coefficients, which it checks before
+# every factor: it widens B while the function still reads back, and
+# raises OverflowError if no wider B is found, so no digit wraps.
+#
+# Trial division on the packed ints: if an atom a divides c in
+# Z[k, p0], the packed a divides the packed c.  The converse fails:
+# k and p0 go to powers of 2^B, both 1 modulo 2^B - 1, so -4 + 4*k*p0
+# is int-divisible by the packed 1 - k at every width, though 1 - k
+# does not divide it.  So _Packed.divide keeps q = C // A while
+# C % A == 0, unpacks the last q once, and accepts it only when
+# q * prod a^i fits the layout:
+#     deg_k(q) + sum i < DK                  (each atom has deg_k 1), and
+#     max|q| * prod ||a||_1^i < 2^(B-1)      (|x*y|_max <= |x|_max ||y||_1).
+# Then q * prod a^i and c are two polynomials that fit the layout and
+# pack to the same int, so they are equal; and where a division stopped
+# on a remainder, a does not divide what was left, so each i is the
+# exact power of its atom in c.  Otherwise the coefficient is redone
+# by poly_divexact.  By Mahler's bound |q| * prod ||a||_1^i is at most
+# 2^(deg_k(c) + deg_p0(c)) * ||c||_1 for a true quotient, so _split's
+# width never rejects one.
 
-# atom -> (kn, kd, pn, pd), a point (kn/kd, pn/pd) where the atom vanishes.
-# An atom enters the table as soon as a gap or a form creates it
-# (_Factored.__mul__), and clear_caches() empties it with the memo.
-_ATOMS = {}
-_PROBE = 101   # the generic coordinate of each zero-set point
+# The atoms created so far.  An atom enters the set as soon as a gap or a
+# form creates it (_Factored.__mul__), and clear_caches() empties it with
+# the memo.
+_ATOMS = set()
 _K, _P0 = ParamPoly.var_k(), ParamPoly.var_p0()
 
 
-def _zero_point(a):
-    """A point of the zero set of the atom a, one of the two shapes
-    above: a*k + b = 0 at p0 = _PROBE, or c*k*p0 + n + b*k = 0 at
-    k = _PROBE."""
-    t = a.terms
-    if (1, 1) not in t:
-        return -t.get((0, 0), 0), t[(1, 0)], _PROBE, 1
-    return _PROBE, 1, -t.get((0, 0), 0) - t.get((1, 0), 0) * _PROBE, \
-        t[(1, 1)] * _PROBE
-
-
-def _vanishes(c, point):
-    """Whether the nonzero c is 0 at the rational point (kn/kd, pn/pd),
-    in ints: c there times kd^deg_k(c) * pd^deg_p0(c)."""
-    kn, kd, pn, pd = point
-    dk = max(i for i, _ in c.terms)
-    dp = max(j for _, j in c.terms)
-    ks = [kn ** i * kd ** (dk - i) for i in range(dk + 1)]
-    ps = [pn ** j * pd ** (dp - j) for j in range(dp + 1)]
-    return not sum(x * ks[i] * ps[j] for (i, j), x in c.terms.items())
-
-
 def _divide_out(c, a, most):
-    """(c / a^i, i) for the largest i <= most with a^i dividing c.  A
-    division is tried only where c vanishes at the atom's zero-set
-    point, which every multiple of the atom does; poly_divexact
-    decides."""
-    point = _ATOMS[a]
+    """(c / a^i, i) for the largest i <= most with a^i dividing c, by
+    poly_divexact."""
     i = 0
-    while i < most and _vanishes(c, point):
+    while i < most:
         try:
             c = poly_divexact(c, a)
         except ArithmeticError:
@@ -165,22 +172,143 @@ def _divide_out(c, a, most):
     return c, i
 
 
+def _width(height):
+    """The least slot width in bits, a multiple of 8, whose balanced
+    digits hold every int of absolute value at most `height`."""
+    return (height.bit_length() + 8) // 8 * 8
+
+
+def _l1(c):
+    """||c||_1, the sum of the absolute values of the coefficients."""
+    return sum(map(abs, c.terms.values()))
+
+
+def _degree_k(c):
+    return max(i for i, _ in c.terms)
+
+
+class _Packed:
+    """Z[k, p0] in Python ints, the layout of one symbolic step
+    (Kronecker substitution, see beside _ATOMS): sum c_ij k^i p0^j is
+    the int sum c_ij << B*(i + DK*j), so the weights of the operator are
+    (1, 1 << B, 1 << B*DK, 1 << B*(DK+1)).  `bits` is B, a multiple of
+    8, and `dk` is DK.  `height` bounds the L1 norm of all the
+    coefficients of the function held in the layout, and a layout is
+    made only where it fits a slot.
+    """
+
+    __slots__ = ("bits", "dk", "height", "weights", "_atoms")
+
+    def __init__(self, bits, dk, height):
+        if height >> bits - 1:
+            raise OverflowError("a coefficient outgrows %d-bit slots" % bits)
+        self.bits, self.dk, self.height = bits, dk, height
+        self.weights = (1, 1 << bits, 1 << bits * dk, 1 << bits * (dk + 1))
+        self._atoms = {}    # atom -> (its int, ||a||_1)
+
+    def pack(self, c):
+        b, dk = self.bits, self.dk
+        return sum(x << b * (i + dk * j) for (i, j), x in c.terms.items())
+
+    def unpack(self, n):
+        """The ParamPoly of the balanced digits of the int n: n plus
+        2^(B-1) in every slot has the digits plus 2^(B-1) as its bytes."""
+        b, dk = self.bits, self.dk
+        size = b >> 3
+        slots = abs(n).bit_length() // b + 2
+        half = 1 << b - 1
+        zero = half.to_bytes(size, "little")
+        raw = (n + int.from_bytes(zero * slots, "little")).to_bytes(
+            slots * size, "little")
+        t = {}
+        for s in range(slots):
+            digit = raw[s * size:(s + 1) * size]
+            if digit != zero:
+                t[s % dk, s // dk] = int.from_bytes(digit, "little") - half
+        return ParamPoly(t)
+
+    def fit(self, out, parts, e):
+        """(out, ring, the eigenvalue in ring) for the factor L2 - e on
+        `out`, e with the eigenvalue_parts `parts`.  The height grows by
+        the most that factor multiplies an L1 norm by: the largest
+        _l2_image_l1 on the support, plus |n| + |lin| + |m|.  When the
+        new height would not fit a slot, `out` is unpacked, while it
+        still fits, and repacked at a wider one."""
+        most = max(map(_l2_image_l1, out.terms), default=0)
+        height = self.height * (most + sum(map(abs, parts)))
+        if not height >> self.bits - 1:
+            ring = _Packed(self.bits, self.dk, height)
+        else:
+            ring = _Packed(_width(height), self.dk, height)
+            out = out.map_coeffs(lambda n: ring.pack(self.unpack(n)))
+        return out, ring, _read(parts, ring.weights)
+
+    def divide(self, n, atoms):
+        """(q, powers): the packed c = n divided by the largest power
+        a^i, i <= cap, that divides it in Z[k, p0], for each (a, cap) of
+        `atoms`, by int trial division under the guard written beside
+        _ATOMS; poly_divexact redoes c when the guard fails."""
+        q, powers, bound = n, [], 1
+        for a, cap in atoms:
+            if a not in self._atoms:
+                self._atoms[a] = self.pack(a), _l1(a)
+            packed, norm = self._atoms[a]
+            i = 0
+            while i < cap:
+                d, r = divmod(q, packed)
+                if r:
+                    break
+                q, i = d, i + 1
+            powers.append(i)
+            bound *= norm ** i
+        q = self.unpack(q)
+        bound *= max(map(abs, q.terms.values()))
+        if _degree_k(q) + sum(powers) < self.dk and not bound >> self.bits - 1:
+            return q, powers
+        q, powers = self.unpack(n), []
+        for a, cap in atoms:
+            i = 0
+            if not n % self._atoms[a][0]:
+                q, i = _divide_out(q, a, cap)
+            powers.append(i)
+        return q, powers
+
+
+def _layout(F, factors):
+    """The _Packed layout of a step whose factors L2 - e act on F
+    (ParamPoly coefficients), for the (parts, e) of `factors`.  DK is
+    deg_k(F) plus one per factor plus one, as each factor raises deg_k
+    by at most 1.  B holds the height ||F||_1 times, per factor, the
+    most it multiplies an L1 norm by on the support of F; `fit` widens
+    B where a later support needs more."""
+    coeffs = F.terms.values()
+    height = sum(map(_l1, coeffs))
+    most = max(map(_l2_image_l1, F.terms))
+    bound = height
+    for parts, _ in factors:
+        bound *= most + sum(map(abs, parts))
+    return _Packed(_width(bound), max(map(_degree_k, coeffs)) + len(factors)
+                   + 1, height)
+
+
 @cache
 def _split(p):
     """(c, factors) with p = c * prod a^e over the Counter `factors`, by
     trial division over the atoms; ArithmeticError when a factor of p
-    is no atom.  The memo shares `factors` between callers, so none of
-    them changes it."""
+    is no atom.  The width holds Mahler's bound on a true quotient, so
+    the guard fails only where an int division was no polynomial one.
+    The memo shares `factors` between callers, so none of them changes
+    it."""
     c, q = p.content_primitive()
-    factors = Counter()
-    most = max(i + j for i, j in q.terms)
-    for a in _ATOMS:
-        q, e = _divide_out(q, a, most)
-        if e:
-            factors[a] = e
+    dk = _degree_k(q)
+    height = _l1(q) << dk + max(j for _, j in q.terms)
+    ring = _Packed(_width(height), dk + 1, height)
+    atoms = list(_ATOMS) if dk else []
+    q, powers = ring.divide(ring.pack(q), [(a, dk) for a in atoms])
     if not q.is_const():
         raise ArithmeticError("%s does not split over the atoms" % p)
-    return c * q.terms[(0, 0)], factors
+    return c * q.terms[(0, 0)], Counter(
+        {a: e for a, e in zip(atoms, powers) if e})
 
 
 def _expand(c, factors):
@@ -211,8 +339,7 @@ class _Factored:
             return _Factored(self.content * p.terms[(0, 0)], self.factors)
         if a.terms[a.front_mono()] < 0:
             c, a = -c, -a
-        if a not in _ATOMS:
-            _ATOMS[a] = _zero_point(a)
+        _ATOMS.add(a)
         return _Factored(self.content * c, self.factors + Counter({a: 1}))
 
 
@@ -223,16 +350,18 @@ class _Point:
     `at` = (k0, p00) of Fractions.
 
     A step computes in a ring and divides once, in the field.
-    Symbolically the ring is Z[k, p0] (ParamPoly) and the field Q(k, p0)
-    (ParamRat), and the weights are (1, k, p0, k*p0).  The ring is Z at
-    a rational point, and the field Q (Fraction): with k0 = kn/kd and
-    p00 = pn/pd in lowest terms, the weights are the ints
-    (kd*pd, kn*pd, kd*pn, kn*pn), which is (1, k, p0, k*p0) at the
-    point times kd*pd.  The operator runs with the weights, and the
-    closed forms are read with them (eigenvalue, pieri), so both are
-    scaled alike and the singularity checks run on values in the ring.
-    `clear` and `unclear` move a function between the ring and the
-    field.
+    Symbolically the ring is Z[k, p0] and the field Q(k, p0) (ParamRat):
+    the closed forms are read with the weights (1, k, p0, k*p0) of
+    ParamPolys, and the operator runs on ints, in the _Packed layout of
+    the step.  The ring is Z at a rational point, and the field Q
+    (Fraction): with k0 = kn/kd and p00 = pn/pd in lowest terms, the
+    weights are the ints (kd*pd, kn*pd, kd*pn, kn*pn), which is
+    (1, k, p0, k*p0) at the point times kd*pd.  The operator runs with
+    the weights, and the closed forms are read with them (eigenvalue,
+    pieri), so both are scaled alike and the singularity checks run on
+    values in the ring.  `clear`, `pack` and `unclear` move a function
+    between the field and the ring; at a rational point the point is
+    its own layout (`pack`, `fit`).
     """
 
     __slots__ = ("at", "weights")
@@ -249,9 +378,7 @@ class _Point:
 
     def eigenvalue(self, gamma):
         """eigenvalue_e(gamma) in the ring, scaled like the operator."""
-        n, lin, m = eigenvalue_parts(gamma)
-        w1, wk, _, wkp = self.weights
-        return n * w1 + lin * wk - m * wkp
+        return _read(eigenvalue_parts(gamma), self.weights)
 
     def pieri(self, box, alpha):
         """(vnum, vden), the Pieri coefficient V = vnum/vden of the box
@@ -272,9 +399,10 @@ class _Point:
     def clear(self, f):
         """(F, D) with F = D*f on ring coefficients and D in the ring, the
         lcm of the coefficient denominators.  At a rational point that is
-        the int lcm of the Fraction denominators.  Symbolically it is a
-        _Factored: the int lcm of their contents and, per atom, the
-        highest power in any of them (_split)."""
+        the int lcm of the Fraction denominators.  Symbolically F has
+        ParamPoly coefficients and D is a _Factored: the int lcm of their
+        contents and, per atom, the highest power in any of them
+        (_split)."""
         if self.at is not None:
             d = lcm(*(c.denominator for c in f.terms.values()))
             F = f.map_coeffs(lambda c: c.numerator * (d // c.denominator))
@@ -287,13 +415,27 @@ class _Point:
                 for den, (c, factors) in splits.items()}
         return f.map_coeffs(lambda c: c.num * quot[c.den]), _Factored(n, top)
 
-    def unclear(self, F, num, den):
+    def pack(self, F, factors):
+        """(F, layout) for the factors L2 - e, a (parts, e) each, on F
+        from clear: at a rational point F and the point itself,
+        symbolically F packed into the step's _Packed layout (_layout)."""
+        if self.at is not None:
+            return F, self
+        ring = _layout(F, factors)
+        return F.map_coeffs(ring.pack), ring
+
+    def fit(self, out, parts, e):
+        """(out, self, e): ints at a rational point never wrap."""
+        return out, self, e
+
+    def unclear(self, F, num, den, ring=None):
         """F * num/den in the field, for F on ring coefficients.  At a
         rational point num and den are ints, and that is one Fraction per
-        coefficient.  Symbolically both are _Factored: num's atoms cancel
-        against den's, each coefficient divides out the atoms left while
-        it can (_divide_out), and what remains is coprime, so
-        _scalar_canonical finishes the canonical form."""
+        coefficient.  Symbolically F is packed in the layout `ring`, and
+        num and den are _Factored: num's atoms cancel against den's, each
+        coefficient divides out the atoms left while it can
+        (_Packed.divide) and is unpacked once, and what remains is
+        coprime, so _scalar_canonical finishes the canonical form."""
         if self.at is not None:
             r = Fraction(num, den)
             rn, rd = r.numerator, r.denominator
@@ -303,12 +445,9 @@ class _Point:
         left = list((den.factors - common).items())
         dens = {}
 
-        def reduced(c):
-            key = []
-            for a, e in left:
-                c, i = _divide_out(c, a, e)
-                key.append(e - i)
-            key = tuple(key)
+        def reduced(n):
+            c, powers = ring.divide(n, left)
+            key = tuple(e - i for (_, e), i in zip(left, powers))
             if key not in dens:
                 dens[key] = _expand(den.content,
                                     {a: e for (a, _), e in zip(left, key)})
@@ -322,19 +461,30 @@ class _Point:
 _SYMBOLIC = _Point()
 
 
+def _read(parts, weights):
+    """n + lin*k - m*k*p0 for the eigenvalue_parts (n, lin, m), read
+    with the weights of 1, k and k*p0."""
+    n, lin, m = parts
+    w1, wk, _, wkp = weights
+    return n * w1 + lin * wk - m * wkp
+
+
 def _grow(f, alpha, box, point):
     """One projector step at `point`: from f = P_alpha to P_beta, where
     beta adds `box` to the first diagram of alpha.  The eigenvalues and
     V = vnum/vden are read in the point's ring, and the singularity
     checks run on them first; then p_1 and every L2 - e(gamma), the
-    operator and the eigenvalues scaled alike by the point's weights,
+    operator and the eigenvalues scaled alike by the layout's weights,
     act on F = D*f in the ring, and den = D * prod (s - e(gamma)) and V
     are divided out once."""
     lam, mu = alpha
     beta = (add_box(lam, box), mu)
-    near = [(gamma, point.eigenvalue(gamma)) for gamma in _neighbors(alpha)]
-    for i, (g1, e1) in enumerate(near):
-        for g2, e2 in near[i + 1:]:
+    near = []
+    for gamma in _neighbors(alpha):
+        parts = eigenvalue_parts(gamma)
+        near.append((gamma, parts, _read(parts, point.weights)))
+    for i, (g1, _, e1) in enumerate(near):
+        for g2, _, e2 in near[i + 1:]:
             if e1 == e2:
                 raise SingularParameter("eigenvalue collision%s: %s vs %s"
                                         % (point, g1, g2))
@@ -345,14 +495,15 @@ def _grow(f, alpha, box, point):
     if not vnum:
         raise SingularParameter("vanishing transition coefficient at box "
                                 "%s%s" % (box, point))
-    s = dict(near)[beta]
+    s = next(e for gamma, _, e in near if gamma == beta)
+    others = [(parts, e) for gamma, parts, e in near if gamma != beta]
     out, den = point.clear(f)
-    out = out.times(1)
-    for gamma, e in near:
-        if gamma != beta:
-            out = cms_L2_weighted(out, point.weights) - out * e
-            den = den * (s - e)
-    return point.unclear(out, vden, den * vnum)
+    out, ring = point.pack(out.times(1), others)
+    for parts, e in others:
+        out, ring, x = ring.fit(out, parts, e)
+        out = cms_L2_weighted(out, ring.weights) - out * x
+        den = den * (s - e)
+    return point.unclear(out, vden, den * vnum, ring)
 
 
 def _extend(prev, box):

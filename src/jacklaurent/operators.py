@@ -297,6 +297,15 @@ def _l2_image(m):
                  if any(row))
 
 
+@cache
+def _l2_image_l1(m):
+    """The sum of |a| + |b| + |c| + |d| over the rows of _l2_image(m):
+    L2 multiplies the L1 norm of the coefficient at m by at most this,
+    summed over the targets."""
+    return sum(abs(a) + abs(b) + abs(c) + abs(d)
+               for _, a, b, c, d in _l2_image(m))
+
+
 def cms_L2_weighted(f, weights):
     """w1*A(f) + wk*B(f) + wp*C(f) + wkp*D(f) for the weights (w1, wk,
     wp, wkp), where L2 = A + k*B + p0*C + k*p0*D splits the second-order

@@ -6,13 +6,14 @@ import hashlib
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jacklaurent.rational import (
     K, P0, RAT_ONE, RAT_ZERO, rat, NotEigenvector, ParamPoly, ParamRat,
-    PoleAtSpecialization, SingularParameter,
+    PoleAtSpecialization, SingularParameter, poly_divexact,
 )
 from jacklaurent.laurent import LaurentSymFunc
 from jacklaurent.partitions import (
@@ -21,7 +22,7 @@ from jacklaurent.partitions import (
 )
 from jacklaurent.closed_forms import eigenvalue_e, pieri_V
 from jacklaurent.operators import cms_L, cms_L2_direct, cms_L_doubled
-from jacklaurent import clear_caches, jack
+from jacklaurent import clear_caches, jack, rational
 from jacklaurent.jack import (
     _Point, _SYMBOLIC, _ring_eigenvalue, construct, construct_via_order,
     eigen_check_all, jack_positive, pieri_identity_check, rational_mode_construct,
@@ -269,6 +270,198 @@ class TestFactoredDenominators:
         want |= {b + k * a - k * p0 for a, b in pairs}
         assert len(want) == 19
         assert set(jack._ATOMS) == want
+
+
+# -- packed coefficients -------------------------------------------------------
+
+def _layouts():
+    """(B, DK) pairs and a ParamPoly whose digits and k-degrees fit them,
+    balanced digits from -2^(B-1) to 2^(B-1) - 1."""
+    return st.sampled_from([(8, 1), (8, 3), (16, 2), (24, 5), (64, 4)]) \
+        .flatmap(lambda layout: st.tuples(st.just(layout), st.dictionaries(
+            st.tuples(st.integers(0, layout[1] - 1), st.integers(0, 4)),
+            st.integers(-2 ** (layout[0] - 1), 2 ** (layout[0] - 1) - 1),
+            max_size=12)))
+
+
+def _poly_divide(c, atoms):
+    """The reference: each atom divided out of c by poly_divexact."""
+    powers = []
+    for a, cap in atoms:
+        i = 0
+        while i < cap:
+            try:
+                c = poly_divexact(c, a)
+            except ArithmeticError:
+                break
+            i += 1
+        powers.append(i)
+    return c, powers
+
+
+def _division_layout(c):
+    """The layout _split picks for c: DK = deg_k(c) + 1 and a width that
+    holds Mahler's bound, so no true quotient is refused."""
+    dk = max(i for i, _ in c.terms)
+    height = jack._l1(c) << dk + max(j for _, j in c.terms)
+    return jack._Packed(jack._width(height), dk + 1, height)
+
+
+_k, _p0 = ParamPoly.var_k(), ParamPoly.var_p0()
+ATOM_SAMPLE = [1 - _k, 2 - _k * 3, 3 + _k - _k * _p0, 1 + _k * 2 - _k * _p0 * 2]
+SMALL_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(-50, 50), min_size=1, max_size=8).map(ParamPoly) \
+    .filter(lambda q: not q.is_zero())
+
+
+class TestPackedCoefficients:
+    @settings(max_examples=200, deadline=None)
+    @given(_layouts())
+    def test_pack_unpack_round_trip(self, case):
+        (bits, dk), terms = case
+        ring = jack._Packed(bits, dk, 0)
+        c = ParamPoly(terms)
+        assert ring.unpack(ring.pack(c)) == c
+        assert ring.weights == (1, 1 << bits, 1 << bits * dk,
+                                1 << bits * (dk + 1))
+
+    def test_packing_is_the_value_at_powers_of_two(self):
+        ring = jack._Packed(16, 3, 0)
+        c = 5 - _k * 7 + _k * _k * _p0 * 9 - _p0 * _p0
+        assert ring.pack(c) == c.evaluate(2 ** 16, 2 ** 48)
+        x, y = 3 - _k * _p0, _k * 2 + _p0
+        assert ring.unpack(ring.pack(x) * ring.pack(y)) == x * y
+
+    def test_too_narrow_layout_is_refused(self):
+        with pytest.raises(OverflowError):
+            jack._Packed(8, 2, 128)
+        assert jack._Packed(8, 2, 127).bits == 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_POLYS, st.lists(st.integers(0, 2), min_size=4, max_size=4))
+    def test_division_matches_poly_divexact_on_exact_quotients(self, q,
+                                                               powers):
+        c = q
+        for a, e in zip(ATOM_SAMPLE, powers):
+            c = c * a ** e
+        atoms = [(a, 3) for a in ATOM_SAMPLE]
+        ring = _division_layout(c)
+        got = ring.divide(ring.pack(c), atoms)
+        assert got == _poly_divide(c, atoms)
+        # q itself may hold a further power of an atom
+        assert all(i >= e for i, e in zip(got[1], powers))
+
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_POLYS, st.integers(1, 9))
+    def test_division_matches_poly_divexact_off_the_quotients(self, q, r):
+        # q * a + r is divisible by no atom a, whatever the int divisions
+        for a in ATOM_SAMPLE:
+            c = q * a + r
+            atoms = [(b, 2) for b in ATOM_SAMPLE]
+            ring = _division_layout(c)
+            got = ring.divide(ring.pack(c), atoms)
+            assert got == _poly_divide(c, atoms)
+
+    @pytest.mark.parametrize("bits", [8, 16, 64])
+    def test_false_positive_is_refused(self, bits):
+        # k and p0 are both 1 modulo 2^B - 1, so the packed 1 - k divides
+        # the packed -4 + 4*k*p0 as ints; the guard refuses the quotient
+        # and poly_divexact finds 1 - k does not divide it
+        c, a = 4 * _k * _p0 - 4, 1 - _k
+        ring = jack._Packed(bits, 2, 0)
+        assert ring.pack(c) % ring.pack(a) == 0
+        with mock.patch.object(jack, "_divide_out",
+                               wraps=jack._divide_out) as fallback:
+            assert ring.divide(ring.pack(c), [(a, 1)]) == (c, [0])
+        fallback.assert_called_once_with(c, a, 1)
+
+    def test_true_quotient_needs_no_fallback(self):
+        # the width holds Mahler's bound, so the guard accepts a quotient
+        # where every int division was a polynomial one; (1, 1), where
+        # the packed 1 - k vanishes modulo 2^B - 1, is no zero of c / a^2
+        a, b = 1 - _k, 3 + _k - _k * _p0
+        c = a ** 2 * b * (2 + _p0 * 5 - _k * 6)
+        ring = _division_layout(c)
+        with mock.patch.object(jack, "_divide_out",
+                               side_effect=AssertionError):
+            got = ring.divide(ring.pack(c), [(a, 3), (b, 3)])
+        assert got == (2 + _p0 * 5 - _k * 6, [2, 1])
+
+    def test_split_over_packed_atoms(self):
+        clear_caches()
+        k = _k
+        jack._ATOMS.update({1 - k, 2 - k * 3, 3 + k - k * _p0})
+        p = (1 - k) ** 2 * (3 + k - k * _p0) * -6
+        with mock.patch.object(jack, "_divide_out",
+                               side_effect=AssertionError):
+            assert jack._split(p) == (-6, {1 - k: 2, 3 + k - k * _p0: 1})
+        with pytest.raises(ArithmeticError):
+            jack._split((1 - k) * (5 - k))
+        clear_caches()
+
+
+NARROW_LABEL = ((3, 2), (2, 1))
+
+
+@pytest.fixture
+def cold_memo():
+    """Empty memos before and after, so nothing built under a patched
+    layout outlives the test."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def _narrow_layout(layout):
+    """_layout with B fitted to F's own height, too narrow for the
+    growth of the factors."""
+    def narrow(F, factors):
+        ring = layout(F, factors)
+        return jack._Packed(jack._width(ring.height), ring.dk, ring.height)
+    return narrow
+
+
+class TestNarrowWidth:
+    def test_guard_widens_to_the_same_function(self, cold_memo,
+                                               monkeypatch):
+        want = str(construct(NARROW_LABEL))
+        clear_caches()
+        widened = []
+        fit = jack._Packed.fit
+
+        def recording_fit(self, out, parts, e):
+            out, ring, x = fit(self, out, parts, e)
+            if ring.bits > self.bits:
+                widened.append(ring.bits)
+            return out, ring, x
+        monkeypatch.setattr(jack, "_layout", _narrow_layout(jack._layout))
+        monkeypatch.setattr(jack._Packed, "fit", recording_fit)
+        assert str(construct(NARROW_LABEL)) == want
+        assert widened
+
+    def test_without_the_guard_the_narrow_width_is_wrong(self, cold_memo,
+                                                          monkeypatch):
+        # the label's digits do outgrow the narrow width: a fit that
+        # only tracks the height lets them wrap
+        want = str(construct(NARROW_LABEL))
+        clear_caches()
+        monkeypatch.setattr(jack, "_layout", _narrow_layout(jack._layout))
+        monkeypatch.setattr(jack._Packed, "fit", lambda self, out, parts, e: (
+            out, self, jack._read(parts, self.weights)))
+        assert str(construct(NARROW_LABEL)) != want
+
+    def test_guard_raises_when_no_wider_slot(self, cold_memo, monkeypatch):
+        monkeypatch.setattr(jack, "_width", lambda height: 16)
+        with pytest.raises(OverflowError):
+            construct(NARROW_LABEL)
+
+    def test_construction_takes_no_gcd(self, cold_memo):
+        with mock.patch.object(rational, "poly_gcd",
+                               side_effect=AssertionError):
+            text = "\n".join(str(construct(a))
+                             for a in bipartitions_up_to(5))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_UP_TO_5
 
 
 def _canonical_chain(lam):
