@@ -14,7 +14,7 @@ from .partitions import normalize_partition, size, \
     partitions_of, partitions_up_to, bipartitions_up_to, alpha_json
 from .closed_forms import phi_infinity, norm_value, stanley_denominators, \
     phi_pair_factors
-from .jack import construct
+from .jack import construct, _divide_out
 
 
 # -- the p0 -> infinity limit of a single rational ------------------------------
@@ -87,31 +87,41 @@ def a_pair(lam, mu):
     return prod((den for _, den in factors), start=RAT_ONE)
 
 
+def _divides(content, factors, p):
+    """Whether content * prod a^e over the atoms `factors`, coprime
+    irreducibles, divides the ParamPoly p in Z[k, p0]."""
+    for a, e in factors.items():
+        p, i = _divide_out(p, a, e)
+        if i < e:
+            return False
+    return p.content_primitive()[0] % content == 0
+
+
 def integrality_check(alpha):
     """Strong form: every coefficient of A(lam,mu) A(lam) A(mu) P_alpha is
     a polynomial (unit denominator).  Weak form: the denominators of
-    A(lam,mu) P_alpha are free of p0.  Returns (strong, weak, witness)."""
+    A(lam,mu) P_alpha are free of p0.  Returns (strong, weak, witness).
+    Both are divisions in Z[k, p0] by the lcm D of P_alpha's
+    denominators: of the multiplier by D, and of A(lam,mu) by D's atoms
+    in p0.  Only a failing form multiplies out in Q(k, p0), to name its
+    first counterexample."""
     lam, mu = alpha
     jf = construct(alpha)
-    mult = a_pair(lam, mu) * a_lambda(lam) * a_lambda(mu)
-    strong = "holds"
-    bad = None
-    for m, c in (jf.f * mult).sorted_terms():
-        if not c.has_unit_denominator():
-            strong = "fails"
-            bad = (mono_str(m), str(c))
-            break
-    weak = "holds"
-    bad_weak = None
-    for m, c in (jf.f * a_pair(lam, mu)).sorted_terms():
-        if c.den.degree_p0() > 0:
-            weak = "fails"
-            bad_weak = (mono_str(m), str(c))
-            break
+    D = jf.cleared[1]
+    pair = a_pair(lam, mu)
+    mult = pair * a_lambda(lam) * a_lambda(mu)
+    bad = None if _divides(D.content, D.factors, mult.num) else next(
+        (mono_str(m), str(c)) for m, c in (jf.f * mult).sorted_terms()
+        if not c.has_unit_denominator())
+    bad_weak = None if _divides(1, {a: e for a, e in D.factors.items()
+                                    if a.degree_p0()}, pair.num) else next(
+        (mono_str(m), str(c)) for m, c in (jf.f * pair).sorted_terms()
+        if c.den.degree_p0() > 0)
     witness = {"multiplier": str(mult),
                "strong_counterexample": bad,
                "weak_counterexample": bad_weak}
-    return strong, weak, witness
+    return ("fails" if bad else "holds"), \
+        ("fails" if bad_weak else "holds"), witness
 
 
 # -- the limiting bilinear form ---------------------------------------------------

@@ -21,7 +21,9 @@ gaps, the cleared denominator and V are divided out once per step.
 Symbolically no polynomial gcd is taken for that: each gap and each
 form of V is an int times an irreducible atom, every denominator is
 kept as a product of atoms, and each coefficient is reduced by exact
-int trial division over them and unpacked once.  A step raises
+int trial division over them and unpacked once.  A step returns the
+function cleared of denominators too, which the next step and the
+eigen and evaluation checks start from.  A step raises
 SingularParameter when two of these eigenvalues coincide at the point
 or the Pieri coefficient vanishes or has a pole there.
 
@@ -34,9 +36,8 @@ for the rest, on ints, and returns Fraction coefficients.
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, reduce
-from math import lcm
-from operator import or_
+from functools import cache
+from math import gcd, lcm
 
 from .rational import ParamPoly, ParamRat, RAT_ZERO, rat, \
     SingularParameter, NotEigenvector, poly_divexact, _make, \
@@ -54,16 +55,19 @@ class JackLaurentFunction:
     """A constructed eigenfunction together with its label and trace.
 
     fields: alpha (the bipartition), f (the element of the algebra),
-    eigenvalue2 (the second integral's eigenvalue), provenance (the
-    sequence of boxes added to the first diagram, in order).
+    cleared (F, D, with D a _Factored, the lcm of the coefficient
+    denominators, and F = D*f on ParamPoly coefficients), eigenvalue2
+    (the second integral's eigenvalue), provenance (the sequence of
+    boxes added to the first diagram, in order).
     Instances are immutable; the memo table shares them freely.
     """
 
-    __slots__ = ("alpha", "f", "eigenvalue2", "provenance")
+    __slots__ = ("alpha", "f", "cleared", "eigenvalue2", "provenance")
 
-    def __init__(self, alpha, f, eigenvalue2, provenance):
+    def __init__(self, alpha, f, cleared, eigenvalue2, provenance):
         self.alpha = alpha
         self.f = f
+        self.cleared = cleared
         self.eigenvalue2 = eigenvalue2
         self.provenance = provenance
 
@@ -148,14 +152,8 @@ def _neighbors(alpha):
 # pack to the same int, so they are equal; and where a division stopped
 # on a remainder, a does not divide what was left, so each i is the
 # exact power of its atom in c.  Otherwise the coefficient is redone
-# by poly_divexact.  By Mahler's bound |q| * prod ||a||_1^i is at most
-# 2^(deg_k(c) + deg_p0(c)) * ||c||_1 for a true quotient, so _split's
-# width never rejects one.
+# by poly_divexact.
 
-# The atoms created so far.  An atom enters the set as soon as a gap or a
-# form creates it (_Factored.__mul__), and clear_caches() empties it with
-# the memo.
-_ATOMS = set()
 _K, _P0 = ParamPoly.var_k(), ParamPoly.var_p0()
 
 
@@ -189,12 +187,12 @@ def _degree_k(c):
 
 class _Packed:
     """Z[k, p0] in Python ints, the layout of one symbolic step
-    (Kronecker substitution, see beside _ATOMS): sum c_ij k^i p0^j is
-    the int sum c_ij << B*(i + DK*j), so the weights of the operator are
-    (1, 1 << B, 1 << B*DK, 1 << B*(DK+1)).  `bits` is B, a multiple of
-    8, and `dk` is DK.  `height` bounds the L1 norm of all the
-    coefficients of the function held in the layout, and a layout is
-    made only where it fits a slot.
+    (Kronecker substitution, see "factored denominators" above):
+    sum c_ij k^i p0^j is the int sum c_ij << B*(i + DK*j), so the
+    weights of the operator are (1, 1 << B, 1 << B*DK, 1 << B*(DK+1)).
+    `bits` is B, a multiple of 8, and `dk` is DK.  `height` bounds the
+    L1 norm of all the coefficients of the function held in the layout,
+    and a layout is made only where it fits a slot.
     """
 
     __slots__ = ("bits", "dk", "height", "weights", "_atoms")
@@ -246,8 +244,9 @@ class _Packed:
     def divide(self, n, atoms):
         """(q, powers): the packed c = n divided by the largest power
         a^i, i <= cap, that divides it in Z[k, p0], for each (a, cap) of
-        `atoms`, by int trial division under the guard written beside
-        _ATOMS; poly_divexact redoes c when the guard fails."""
+        `atoms`, by int trial division under the guard written under
+        "factored denominators" above; poly_divexact redoes c when the
+        guard fails."""
         q, powers, bound = n, [], 1
         for a, cap in atoms:
             if a not in self._atoms:
@@ -291,26 +290,6 @@ def _layout(F, factors):
                    + 1, height)
 
 
-@cache
-def _split(p):
-    """(c, factors) with p = c * prod a^e over the Counter `factors`, by
-    trial division over the atoms; ArithmeticError when a factor of p
-    is no atom.  The width holds Mahler's bound on a true quotient, so
-    the guard fails only where an int division was no polynomial one.
-    The memo shares `factors` between callers, so none of them changes
-    it."""
-    c, q = p.content_primitive()
-    dk = _degree_k(q)
-    height = _l1(q) << dk + max(j for _, j in q.terms)
-    ring = _Packed(_width(height), dk + 1, height)
-    atoms = list(_ATOMS) if dk else []
-    q, powers = ring.divide(ring.pack(q), [(a, dk) for a in atoms])
-    if not q.is_const():
-        raise ArithmeticError("%s does not split over the atoms" % p)
-    return c * q.terms[(0, 0)], Counter(
-        {a: e for a, e in zip(atoms, powers) if e})
-
-
 def _expand(c, factors):
     """The ParamPoly c * prod a^e over the Counter `factors`."""
     out = ParamPoly.const(c)
@@ -330,7 +309,7 @@ class _Factored:
 
     def __mul__(self, p):
         """The product with a _Factored, or with a gap or a Pieri form
-        p, whose primitive part becomes an atom here."""
+        p, whose primitive part is an atom."""
         if type(p) is _Factored:
             return _Factored(self.content * p.content,
                              self.factors + p.factors)
@@ -339,7 +318,6 @@ class _Factored:
             return _Factored(self.content * p.terms[(0, 0)], self.factors)
         if a.terms[a.front_mono()] < 0:
             c, a = -c, -a
-        _ATOMS.add(a)
         return _Factored(self.content * c, self.factors + Counter({a: 1}))
 
 
@@ -359,9 +337,10 @@ class _Point:
     (1, k, p0, k*p0) at the point times kd*pd.  The operator runs with
     the weights, and the closed forms are read with them (eigenvalue,
     pieri), so both are scaled alike and the singularity checks run on
-    values in the ring.  `clear`, `pack` and `unclear` move a function
-    between the field and the ring; at a rational point the point is
-    its own layout (`pack`, `fit`).
+    values in the ring.  `pack` moves a cleared function into the
+    step's layout, and `unclear` back to the field together with its
+    cleared form; at a rational point the point is its own layout
+    (`pack`, `fit`).
     """
 
     __slots__ = ("at", "weights")
@@ -396,28 +375,9 @@ class _Point:
             out.append(v)
         return tuple(out)
 
-    def clear(self, f):
-        """(F, D) with F = D*f on ring coefficients and D in the ring, the
-        lcm of the coefficient denominators.  At a rational point that is
-        the int lcm of the Fraction denominators.  Symbolically F has
-        ParamPoly coefficients and D is a _Factored: the int lcm of their
-        contents and, per atom, the highest power in any of them
-        (_split)."""
-        if self.at is not None:
-            d = lcm(*(c.denominator for c in f.terms.values()))
-            F = f.map_coeffs(lambda c: c.numerator * (d // c.denominator))
-            return F, d
-        splits = {c.den: _split(c.den) for c in f.terms.values()}
-        n = lcm(*(c for c, _ in splits.values()))
-        top = reduce(or_, (factors for _, factors in splits.values()),
-                     Counter())
-        quot = {den: _expand(n // c, top - factors)
-                for den, (c, factors) in splits.items()}
-        return f.map_coeffs(lambda c: c.num * quot[c.den]), _Factored(n, top)
-
     def pack(self, F, factors):
-        """(F, layout) for the factors L2 - e, a (parts, e) each, on F
-        from clear: at a rational point F and the point itself,
+        """(F, layout) for the factors L2 - e, a (parts, e) each, on a
+        cleared F: at a rational point F and the point itself,
         symbolically F packed into the step's _Packed layout (_layout)."""
         if self.at is not None:
             return F, self
@@ -429,30 +389,47 @@ class _Point:
         return out, self, e
 
     def unclear(self, F, num, den, ring=None):
-        """F * num/den in the field, for F on ring coefficients.  At a
-        rational point num and den are ints, and that is one Fraction per
-        coefficient.  Symbolically F is packed in the layout `ring`, and
-        num and den are _Factored: num's atoms cancel against den's, each
-        coefficient divides out the atoms left while it can
-        (_Packed.divide) and is unpacked once, and what remains is
-        coprime, so _scalar_canonical finishes the canonical form."""
+        """(f, (F', D')) for f = F * num/den in the field, F on ring
+        coefficients: F' = D'*f, D' the lcm of f's coefficient
+        denominators.  At a rational point num and den are ints, f is one
+        Fraction per coefficient and D' = rd / gcd(rd, F) for
+        num/den = rn/rd in lowest terms.  Symbolically F is packed in the
+        layout `ring`, and num and den are _Factored: num's atoms cancel
+        against den's, each coefficient divides out the atoms left while
+        it can (_Packed.divide) and is unpacked once, and what remains
+        is coprime, so _scalar_canonical finishes the canonical form.
+        D' takes each atom to the highest power left in any of them."""
         if self.at is not None:
             r = Fraction(num, den)
             rn, rd = r.numerator, r.denominator
-            return F.map_coeffs(lambda c: Fraction(c * rn, rd))
+            g = gcd(rd, *F.terms.values())
+            return (F.map_coeffs(lambda c: Fraction(c * rn, rd)),
+                    (F.map_coeffs(lambda c: c // g * rn), rd // g))
         common = num.factors & den.factors
         top = _expand(num.content, num.factors - common)
         left = list((den.factors - common).items())
-        dens = {}
-
-        def reduced(n):
+        dens, parts, quot = {}, {}, {}
+        for m, n in F.terms.items():
             c, powers = ring.divide(n, left)
             key = tuple(e - i for (_, e), i in zip(left, powers))
             if key not in dens:
                 dens[key] = _expand(den.content,
                                     {a: e for (a, _), e in zip(left, key)})
-            return _make(*_scalar_canonical(c * top, dens[key]))
-        return F.map_coeffs(reduced)
+            p, q = _scalar_canonical(c * top, dens[key])
+            parts[m] = p, q, gcd(*q.terms.values()), key
+        d = lcm(*(c for _, _, c, _ in parts.values()))
+        high = [max(col) for col in zip(*(key for *_, key in parts.values()))]
+
+        def cleared(p, q, c, key):
+            if (c, key) not in quot:
+                quot[c, key] = _expand(d // c, {
+                    a: h - e for (a, _), h, e in zip(left, high, key)})
+            return p * quot[c, key]
+        return LaurentSymFunc({m: _make(p, q) for m, (p, q, _, _)
+                               in parts.items()}), (
+            LaurentSymFunc({m: cleared(*v) for m, v in parts.items()}),
+            _Factored(d, Counter({a: h for (a, _), h in zip(left, high)
+                                  if h})))
 
     def __str__(self):
         return "" if self.at is None else " at k=%s, p0=%s" % self.at
@@ -469,14 +446,15 @@ def _read(parts, weights):
     return n * w1 + lin * wk - m * wkp
 
 
-def _grow(f, alpha, box, point):
+def _grow(cleared, alpha, box, point):
     """One projector step at `point`: from f = P_alpha to P_beta, where
     beta adds `box` to the first diagram of alpha.  The eigenvalues and
     V = vnum/vden are read in the point's ring, and the singularity
     checks run on them first; then p_1 and every L2 - e(gamma), the
     operator and the eigenvalues scaled alike by the layout's weights,
     act on F = D*f in the ring, and den = D * prod (s - e(gamma)) and V
-    are divided out once."""
+    are divided out once.  Takes (F, D) and returns (P_beta, (F', D')).
+    """
     lam, mu = alpha
     beta = (add_box(lam, box), mu)
     near = []
@@ -497,7 +475,7 @@ def _grow(f, alpha, box, point):
                                 "%s%s" % (box, point))
     s = next(e for gamma, _, e in near if gamma == beta)
     others = [(parts, e) for gamma, parts, e in near if gamma != beta]
-    out, den = point.clear(f)
+    out, den = cleared
     out, ring = point.pack(out.times(1), others)
     for parts, e in others:
         out, ring, x = ring.fit(out, parts, e)
@@ -510,8 +488,9 @@ def _extend(prev, box):
     """The symbolic step from prev = P_alpha, with its label and trace."""
     lam, mu = prev.alpha
     beta = (add_box(lam, box), mu)
-    return JackLaurentFunction(beta, _grow(prev.f, prev.alpha, box, _SYMBOLIC),
-                               eigenvalue_e(beta), prev.provenance + (box,))
+    f, cleared = _grow(prev.cleared, prev.alpha, box, _SYMBOLIC)
+    return JackLaurentFunction(beta, f, cleared, eigenvalue_e(beta),
+                               prev.provenance + (box,))
 
 
 def construct(alpha):
@@ -525,8 +504,14 @@ def _construct(key):
     if lam:
         box = _deepest_removable(lam)
         return _extend(construct((remove_box(lam, box), mu)), box)
-    f = construct((mu, ())).f.star() if mu else LaurentSymFunc.one()
-    return JackLaurentFunction(key, f, eigenvalue_e(key), ())
+    if not mu:
+        return JackLaurentFunction(key, LaurentSymFunc.one(), (
+            LaurentSymFunc.const(ParamPoly.const(1)), _Factored(1, Counter())),
+            eigenvalue_e(key), ())
+    positive = construct((mu, ()))
+    F, D = positive.cleared
+    return JackLaurentFunction(key, positive.f.star(), (F.star(), D),
+                               eigenvalue_e(key), ())
 
 
 def jack_positive(lam):
@@ -609,10 +594,10 @@ def eigen_check_all(alpha, r_max=3):
     integrals and return the list of (r, eigenvalue).  The first
     eigenvalue must be |lam| - |mu| and the second must match the
     closed form.  The integrals run in Z[k, p0], on P_alpha cleared of
-    its denominators once (_ring_eigenvalue)."""
+    its denominators (_ring_eigenvalue)."""
     jf = construct(alpha)
     lam, mu = jf.alpha
-    F, _ = _SYMBOLIC.clear(jf.f)
+    F, _ = jf.cleared
     out = [(r, _ring_eigenvalue(F, r, (lam, mu)))
            for r in range(1, r_max + 1)]
     if r_max >= 1 and out[0][1] != rat(size(lam) - size(mu)):
@@ -627,10 +612,10 @@ def eigen_check_all(alpha, r_max=3):
 def evaluation_check(alpha):
     """(ok, value): whether the evaluation of P_alpha, every generator
     sent to p0, equals evaluation_value(alpha), and that value.  The sum
-    runs in Z[k, p0] on P_alpha cleared of its denominators once, and is
+    runs in Z[k, p0] on P_alpha cleared of its denominators, and is
     cross-multiplied against the closed form; the value is built in
     Q(k, p0) only when they differ, and is the closed form otherwise."""
-    F, D = _SYMBOLIC.clear(construct(alpha).f)
+    F, D = construct(alpha).cleared
     want = evaluation_value(alpha)
     total = sum((c * _P0 ** sum(e for _, e in m) for m, c in F.terms.items()),
                 ParamPoly())
@@ -642,14 +627,14 @@ def evaluation_check(alpha):
 
 # -- numeric parameter modes ---------------------------------------------------
 
-def _walk(f, lam, mu, point):
-    """Grow f = P_{0,mu} to P_{lam,mu} along the canonical order at
-    `point`."""
+def _walk(start, lam, mu, point):
+    """Grow start = (P_{0,mu}, its cleared form) to the same pair for
+    P_{lam,mu} along the canonical order at `point`."""
     shape = ()
     for box in _canonical_order(lam):
-        f = _grow(f, (shape, mu), box, point)
+        start = _grow(start[1], (shape, mu), box, point)
         shape = add_box(shape, box)
-    return f
+    return start
 
 
 def rational_mode_construct(alpha, k0, p00):
@@ -661,6 +646,7 @@ def rational_mode_construct(alpha, k0, p00):
     k0 = Fraction(k0)
     p00 = Fraction(p00)
     lam, mu = _normalize_alpha(alpha)
-    positive = _walk(LaurentSymFunc.const(Fraction(1)), mu, (),
-                     _Point((k0, Fraction(0))))
-    return _walk(positive.star(), lam, mu, _Point((k0, p00)))
+    one = LaurentSymFunc.const(1)
+    f, (F, d) = _walk((one.map_coeffs(Fraction), (one, 1)), mu, (),
+                      _Point((k0, Fraction(0))))
+    return _walk((f.star(), (F.star(), d)), lam, mu, _Point((k0, p00)))[0]

@@ -4,8 +4,13 @@ integrality of rescaled coefficients."""
 
 import json
 
+import pytest
+
+from jacklaurent import conjectures
+from jacklaurent.jack import construct
 from jacklaurent.rational import K, RAT_ONE, rat
-from jacklaurent.laurent import LaurentSymFunc
+from jacklaurent.laurent import LaurentSymFunc, mono_str
+from jacklaurent.partitions import bipartitions_up_to
 from jacklaurent.conjectures import (
     a_lambda, a_pair, integrality_check, jack_basis_expansion,
     limiting_form, non_orthogonality_data, norm_infinity_check,
@@ -52,6 +57,34 @@ class TestIntegrality:
     def test_small_label(self):
         s, wk, wit = integrality_check(((1,), (1,)))
         assert s == "holds" and wk == "holds", wit
+
+    @pytest.mark.parametrize("dropped", [(), ("a_lambda",), ("a_pair",),
+                                         ("a_lambda", "a_pair")])
+    def test_ring_verdicts_match_the_field(self, monkeypatch, dropped):
+        # with a multiplier replaced by 1 the forms fail on some labels;
+        # the divisions in Z[k, p0] must give the verdicts and the first
+        # counterexamples of the coefficients multiplied out in Q(k, p0)
+        for name in dropped:
+            monkeypatch.setattr(conjectures, name, lambda *a: RAT_ONE)
+        failed = set()
+        for alpha in bipartitions_up_to(4):
+            lam, mu = alpha
+            f = construct(alpha).f
+            pair = conjectures.a_pair(lam, mu)
+            mult = pair * conjectures.a_lambda(lam) \
+                * conjectures.a_lambda(mu)
+            want = [next(((mono_str(m), str(c))
+                          for m, c in prod.sorted_terms() if fails(c)), None)
+                    for prod, fails in (
+                        (f * mult, lambda c: not c.has_unit_denominator()),
+                        (f * pair, lambda c: c.den.degree_p0() > 0))]
+            strong, weak, wit = integrality_check(alpha)
+            assert [wit["strong_counterexample"],
+                    wit["weak_counterexample"]] == want, alpha
+            assert (strong, weak) == tuple(
+                "holds" if w is None else "fails" for w in want), alpha
+            failed.update(v for v in (strong, weak) if v == "fails")
+        assert bool(failed) == bool(dropped)
 
 
 class TestLimitingForm:

@@ -5,7 +5,7 @@ involutions, growth-order independence, and numeric-parameter mode."""
 import hashlib
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from jacklaurent.rational import (
     K, P0, RAT_ONE, RAT_ZERO, rat, NotEigenvector, ParamPoly, ParamRat,
-    PoleAtSpecialization, SingularParameter, poly_divexact,
+    PoleAtSpecialization, SingularParameter, poly_divexact, poly_gcd,
 )
 from jacklaurent.laurent import LaurentSymFunc
 from jacklaurent.partitions import (
@@ -24,13 +24,38 @@ from jacklaurent.closed_forms import eigenvalue_e, pieri_V
 from jacklaurent.operators import cms_L, cms_L2_direct, cms_L_doubled
 from jacklaurent import clear_caches, jack, rational
 from jacklaurent.jack import (
-    _Point, _SYMBOLIC, _ring_eigenvalue, construct, construct_via_order,
+    _Point, _expand, _ring_eigenvalue, _walk, construct, construct_via_order,
     eigen_check_all, jack_positive, pieri_identity_check, rational_mode_construct,
     star_symmetry_check, theta_duality_check,
 )
 
 g = LaurentSymFunc.gen
 e2 = (g(1, 2) - g(2)) * rat(1, 2)
+
+
+def field_clear(f):
+    """(F, D) for f over Q(k, p0): D the lcm of the coefficient
+    denominators in Z[k, p0], the int lcm of their contents times the
+    lcm of their primitive parts through poly_gcd and poly_divexact,
+    with a positive front coefficient, and F = D*f on ParamPoly
+    coefficients.  The reference for the cleared form the construction
+    carries."""
+    n, lead = 1, ParamPoly.const(1)
+    for c in f.terms.values():
+        content, prim = c.den.content_primitive()
+        n = lcm(n, content)
+        lead = poly_divexact(lead * prim, poly_gcd(lead, prim))
+    if lead.terms[lead.front_mono()] < 0:
+        lead = -lead
+    D = lead.scale(n)
+    return f.map_coeffs(lambda c: poly_divexact(c.num * D, c.den)), D
+
+
+def fraction_clear(f):
+    """(F, d) for f over Q: d the lcm of the Fraction denominators and
+    F = d*f on int coefficients."""
+    d = lcm(*(c.denominator for c in f.terms.values()))
+    return f.map_coeffs(lambda c: c.numerator * (d // c.denominator)), d
 
 
 class TestPositivePart:
@@ -94,7 +119,7 @@ class TestEigenChecks:
     def test_ring_eigenvalue_matches_field(self):
         # the eigenvalue read in Z[k, p0] is L_r(f)[m0] / f[m0] over Q(k, p0)
         jf = construct(((2,), (1,)))
-        F, _ = _SYMBOLIC.clear(jf.f)
+        F, _ = jf.cleared
         m0, c0 = jf.f.sorted_terms()[0]
         for r in (1, 2, 3):
             want = cms_L(r, jf.f).coeff(m0) / c0
@@ -105,7 +130,7 @@ class TestEigenChecks:
         # L2(p2) has a p1^2 term, outside the support of p2 and of
         # p1 + p2; on p2 alone every cross-product agrees, so only the
         # support comparison can catch it
-        F, _ = _SYMBOLIC.clear(base + g(2))
+        F, _ = field_clear(base + g(2))
         R = cms_L_doubled(2, F, ParamPoly.var_k(), ParamPoly.var_p0())
         assert R.terms.keys() > F.terms.keys()
         with pytest.raises(NotEigenvector, match="order-2 integral is not "
@@ -117,7 +142,7 @@ class TestEigenChecks:
     def test_perturbed_coefficient_is_not_an_eigenfunction(self, alpha):
         # one coefficient off the leading monomial moved by 1: the
         # support stays, so the cross-multiplication catches it
-        F, _ = _SYMBOLIC.clear(construct(alpha).f)
+        F, _ = construct(alpha).cleared
         m = F.sorted_terms()[-1][0]
         bumped = dict(F.terms)
         bumped[m] = bumped[m] + 1
@@ -130,7 +155,7 @@ class TestEigenChecks:
 
     def test_zero_eigenvalue(self):
         # L_1 kills the weight-zero P[1; 1]
-        F, _ = _SYMBOLIC.clear(construct(((1,), (1,))).f)
+        F, _ = construct(((1,), (1,))).cleared
         assert _ring_eigenvalue(F, 1, ((1,), (1,))) == RAT_ZERO
 
 
@@ -233,13 +258,10 @@ class TestFactoredDenominators:
 
     def test_atoms_are_irreducible_and_not_associate(self):
         sympy = pytest.importorskip("sympy")
-        clear_caches()
-        for alpha in bipartitions_up_to(5):
-            construct(alpha)
         k, p0 = sympy.symbols("k p0")
         atoms = [sympy.Poly(sympy.sympify(str(a).replace("^", "**"),
                                           locals={"k": k, "p0": p0}), k, p0)
-                 for a in jack._ATOMS]
+                 for a in _pole_atoms(5)]
         assert atoms
         for a in atoms:
             assert [e for _, e in sympy.factor_list(a)[1]] == [1], a
@@ -248,28 +270,61 @@ class TestFactoredDenominators:
             for b in atoms[i + 1:]:
                 assert not (a * b.LC() - b * a.LC()).is_zero, (a, b)
 
-    def test_factor_outside_the_atoms_is_refused(self):
-        # (1 - k)(1 - 2k) is a product of two atoms, but no step has
-        # created them since the table was emptied
-        clear_caches()
-        k = ParamPoly.var_k()
-        with pytest.raises(ArithmeticError):
-            jack._split((1 - k) * (1 - k * 2))
-
     def test_atoms_are_the_pole_families(self):
-        # a cold build to |lam|+|mu| <= 5 creates exactly b - a*k with
-        # gcd(a, b) = 1 and b + a*k - k*p0, for a, b >= 1 and a + b <= 5:
-        # a*k - b and k*p0 - a*k - b up to the sign that makes the
-        # constant term positive
-        clear_caches()
-        for alpha in bipartitions_up_to(5):
-            construct(alpha)
+        # the denominators to |lam|+|mu| <= n factor over exactly
+        # b - a*k with gcd(a, b) = 1 and b + a*k - k*p0, for a, b >= 1
+        # and a + b <= n: a*k - b and k*p0 - a*k - b up to the sign that
+        # makes the constant term positive
         k, p0 = ParamPoly.var_k(), ParamPoly.var_p0()
-        pairs = [(a, b) for a in range(1, 5) for b in range(1, 5 - a + 1)]
-        want = {b - k * a for a, b in pairs if gcd(a, b) == 1}
-        want |= {b + k * a - k * p0 for a, b in pairs}
-        assert len(want) == 19
-        assert set(jack._ATOMS) == want
+        for n, count in ((5, 19), (6, 26)):
+            pairs = [(a, b) for a in range(1, n) for b in range(1, n - a + 1)]
+            want = {b - k * a for a, b in pairs if gcd(a, b) == 1}
+            want |= {b + k * a - k * p0 for a, b in pairs}
+            assert len(want) == count
+            assert _pole_atoms(n) == want, n
+
+
+def _pole_atoms(n):
+    """The atoms of the cleared denominators of every label with
+    |lam|+|mu| <= n."""
+    return {a for alpha in bipartitions_up_to(n)
+            for a in construct(alpha).cleared[1].factors}
+
+
+class TestClearedForm:
+    """The cleared form the construction carries, against the lcm of
+    the denominators taken in the field."""
+
+    @pytest.mark.parametrize("alpha", bipartitions_up_to(5))
+    def test_symbolic_matches_field_lcm(self, alpha):
+        jf = construct(alpha)
+        F, D = jf.cleared
+        want, lead = field_clear(jf.f)
+        assert all(type(c) is ParamPoly for c in F.terms.values())
+        assert F.terms == want.terms
+        assert _expand(D.content, D.factors) == lead
+
+    @pytest.mark.parametrize("k0,p00", [
+        (Fraction(-3, 4), Fraction(9, 5)), (Fraction(5, 7), Fraction(0)),
+        (Fraction(-1, 2), Fraction(7, 3))])
+    def test_rational_matches_fraction_lcm(self, k0, p00):
+        # both walks of rational_mode_construct, P_{mu,0} at (k0, 0) and
+        # P_{lam,mu} at (k0, p00), carry the Fraction lcm
+        one = LaurentSymFunc.const(1)
+        start = (one.map_coeffs(Fraction), (one, 1))
+        checked = 0
+        for lam, mu in bipartitions_up_to(5):
+            try:
+                f, (F, d) = _walk(start, mu, (), _Point((k0, Fraction(0))))
+                assert (F, d) == fraction_clear(f)
+                f, (F, d) = _walk((f.star(), (F.star(), d)), lam, mu,
+                                  _Point((k0, p00)))
+            except SingularParameter:
+                continue
+            assert (F, d) == fraction_clear(f), (lam, mu)
+            assert f == rational_mode_construct((lam, mu), k0, p00)
+            checked += 1
+        assert checked > 40
 
 
 # -- packed coefficients -------------------------------------------------------
@@ -300,8 +355,10 @@ def _poly_divide(c, atoms):
 
 
 def _division_layout(c):
-    """The layout _split picks for c: DK = deg_k(c) + 1 and a width that
-    holds Mahler's bound, so no true quotient is refused."""
+    """A layout for dividing c: DK = deg_k(c) + 1 and a width that holds
+    Mahler's bound on a true quotient, |q| * prod ||a||_1^i <=
+    2^(deg_k(c) + deg_p0(c)) * ||c||_1, so no true quotient is
+    refused."""
     dk = max(i for i, _ in c.terms)
     height = jack._l1(c) << dk + max(j for _, j in c.terms)
     return jack._Packed(jack._width(height), dk + 1, height)
@@ -387,18 +444,6 @@ class TestPackedCoefficients:
                                side_effect=AssertionError):
             got = ring.divide(ring.pack(c), [(a, 3), (b, 3)])
         assert got == (2 + _p0 * 5 - _k * 6, [2, 1])
-
-    def test_split_over_packed_atoms(self):
-        clear_caches()
-        k = _k
-        jack._ATOMS.update({1 - k, 2 - k * 3, 3 + k - k * _p0})
-        p = (1 - k) ** 2 * (3 + k - k * _p0) * -6
-        with mock.patch.object(jack, "_divide_out",
-                               side_effect=AssertionError):
-            assert jack._split(p) == (-6, {1 - k: 2, 3 + k - k * _p0: 1})
-        with pytest.raises(ArithmeticError):
-            jack._split((1 - k) * (5 - k))
-        clear_caches()
 
 
 NARROW_LABEL = ((3, 2), (2, 1))
@@ -542,10 +587,10 @@ class TestRationalMode:
         assert point.weights == (20, -15, 36, -27)
         f = construct(((1,), (1,))).f.specialize(Fraction(-3, 4),
                                                  Fraction(9, 5))
-        F, d = point.clear(f)
+        F, d = fraction_clear(f)
         assert all(type(c) is int for c in F.terms.values())
         assert F == f.scale(d)
-        assert point.unclear(F, 1, d) == f
+        assert point.unclear(F, 1, d) == (f, (F, d))
         # the eigenvalues are 20*e(gamma), ints like the weights
         for gamma in _near((2, 1), (1,)):
             assert point.eigenvalue(gamma) == 20 * eigenvalue_e(

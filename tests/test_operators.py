@@ -17,7 +17,7 @@ from jacklaurent.operators import (
     hat_f_expansion_check, hat_f_operators, polychronakos_pi, stable_H,
 )
 from jacklaurent.partitions import bipartitions_up_to
-from jacklaurent.jack import _SYMBOLIC, construct
+from jacklaurent.jack import construct
 
 g = LaurentSymFunc.gen
 
@@ -180,11 +180,12 @@ class TestDoubledIntegrals:
     @staticmethod
     def cleared(alpha):
         """The p-monomial p_lam * p_{-mu} and P_alpha, each cleared of
-        denominators: ParamPoly coefficients."""
+        denominators: ParamPoly coefficients.  The monomial's
+        coefficient is 1, its own numerator."""
         lam, mu = alpha
         mono = LaurentSymFunc.from_partition(lam) \
             * LaurentSymFunc.from_partition(mu, sign=-1)
-        return [_SYMBOLIC.clear(f)[0] for f in (mono, construct(alpha).f)]
+        return [mono.map_coeffs(lambda c: c.num), construct(alpha).cleared[0]]
 
     @pytest.mark.parametrize("alpha", bipartitions_up_to(3))
     def test_ring_matches_field(self, alpha):

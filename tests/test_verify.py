@@ -13,7 +13,7 @@ from jacklaurent.verify import SUITES, check_eigen, check_evaluation, \
 
 MEMOS = (jack._construct, operators._l2_image, operators._l2_image_l1,
          finite_n._jack_poly_N, finite_n._delta_expansion, schur._complete_h)
-EIGEN_MEMOS = (jack._split, verify._eigenvalues)
+EIGEN_MEMOS = (verify._eigenvalues,)
 
 
 class TestSuites:
@@ -53,15 +53,12 @@ class TestSuites:
         run_suite("schur", 1)
         run_suite("commute", 1)
         assert all(memo.cache_info().currsize for memo in MEMOS)
-        # the eigen checks at size 2 fill the eigenvalue memo, and the
-        # constructions they run the atom table and the splits
+        # the eigen checks at size 2 fill the eigenvalue memo
         run_suite("eigen", 2)
-        assert jack._ATOMS
         assert all(memo.cache_info().currsize for memo in EIGEN_MEMOS)
         clear_caches()
         sizes = [memo.cache_info().currsize for memo in MEMOS + EIGEN_MEMOS]
         assert sizes == [0] * len(MEMOS + EIGEN_MEMOS)
-        assert not jack._ATOMS
 
 
 class TestChecks:
