@@ -113,8 +113,8 @@ def integrality_check(alpha):
     bad = None if _divides(D.content, D.factors, mult.num) else next(
         (mono_str(m), str(c)) for m, c in (jf.f * mult).sorted_terms()
         if not c.has_unit_denominator())
-    bad_weak = None if _divides(1, {a: e for a, e in D.factors.items()
-                                    if a.degree_p0()}, pair.num) else next(
+    p0_atoms = {a: e for a, e in D.factors.items() if a.degree_p0()}
+    bad_weak = None if _divides(1, p0_atoms, pair.num) else next(
         (mono_str(m), str(c)) for m, c in (jf.f * pair).sorted_terms()
         if c.den.degree_p0() > 0)
     witness = {"multiplier": str(mult),

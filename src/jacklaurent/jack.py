@@ -420,16 +420,16 @@ class _Point:
         d = lcm(*(c for _, _, c, _ in parts.values()))
         high = [max(col) for col in zip(*(key for *_, key in parts.values()))]
 
-        def cleared(p, q, c, key):
+        def cleared(p, _, c, key):
             if (c, key) not in quot:
                 quot[c, key] = _expand(d // c, {
                     a: h - e for (a, _), h, e in zip(left, high, key)})
             return p * quot[c, key]
-        return LaurentSymFunc({m: _make(p, q) for m, (p, q, _, _)
-                               in parts.items()}), (
-            LaurentSymFunc({m: cleared(*v) for m, v in parts.items()}),
-            _Factored(d, Counter({a: h for (a, _), h in zip(left, high)
-                                  if h})))
+        f = LaurentSymFunc({m: _make(p, q)
+                            for m, (p, q, _, _) in parts.items()})
+        F = LaurentSymFunc({m: cleared(*v) for m, v in parts.items()})
+        D = _Factored(d, Counter({a: h for (a, _), h in zip(left, high) if h}))
+        return f, (F, D)
 
     def __str__(self):
         return "" if self.at is None else " at k=%s, p0=%s" % self.at
