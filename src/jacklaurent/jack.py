@@ -16,8 +16,9 @@ loop, with the operator and the closed forms read at int weights
 (_Point): at a rational point the weights come from the point, and
 symbolically each coefficient is packed into one int, its value at
 k = 2^B and p0 = 2^(B*DK) (Kronecker substitution, _Packed), with the
-slot width B widened before any digit could wrap.  The product of the
-gaps, the cleared denominator and V are divided out once per step.
+slot width B fixed for the step from a bound that holds through all its
+factors, so no digit wraps.  The product of the gaps, the cleared
+denominator and V are divided out once per step.
 Symbolically no polynomial gcd is taken for that: each gap and each
 form of V is an int times an irreducible atom, every denominator is
 kept as a product of atoms, and each coefficient is reduced by exact
@@ -31,7 +32,7 @@ P_{lam,0} is the classical one-parameter eigenfunction of the positive
 part, free of p0, and the base case is P_{0,mu} = star(P_{mu,0}), with
 star the involution p_i -> p_{-i}.  Everything is exact over Q(k, p0);
 the numeric mode runs the same loop at (k, 0) for P_{mu,0} and at (k, p0)
-for the rest, on ints, and returns Fraction coefficients.
+for the rest, on ints, and builds Fraction coefficients once, at the end.
 """
 
 from collections import Counter
@@ -46,7 +47,8 @@ from .laurent import LaurentSymFunc
 from .partitions import size, conjugate, add_box_candidates, \
     remove_box_candidates, add_box, remove_box, normalize_partition, \
     label_str
-from .operators import cms_L_doubled, cms_L2_weighted, _l2_image_l1
+from .operators import cms_L_doubled, cms_L2_weighted, _l2_image, \
+    _l2_image_l1
 from .closed_forms import eigenvalue_e, eigenvalue_parts, pieri_V, \
     pieri_V_forms, pieri_U, duality_constant, evaluation_value
 
@@ -133,11 +135,10 @@ def _neighbors(alpha):
 # ring homomorphism, so the int results are the packed results of the
 # ring.  An int reads back as the polynomial of its balanced base-2^B
 # digits, which is the packed one only while it has deg_k < DK and
-# coefficients below 2^(B-1) in absolute value.  A step fixes DK
-# before it starts, from deg_k(F) and its number of factors, and keeps
-# a bound on the L1 norm of all its coefficients, which it checks before
-# every factor: it widens B while the function still reads back, and
-# raises OverflowError if no wider B is found, so no digit wraps.
+# coefficients below 2^(B-1) in absolute value.  A step fixes its
+# layout before it starts (_layout): DK from deg_k(F) and its number of
+# factors, and B from a bound on the L1 norm of all the coefficients
+# that holds after every factor, so no digit wraps.
 #
 # Trial division on the packed ints: if an atom a divides c in
 # Z[k, p0], the packed a divides the packed c.  The converse fails:
@@ -191,8 +192,8 @@ class _Packed:
     sum c_ij k^i p0^j is the int sum c_ij << B*(i + DK*j), so the
     weights of the operator are (1, 1 << B, 1 << B*DK, 1 << B*(DK+1)).
     `bits` is B, a multiple of 8, and `dk` is DK.  `height` bounds the
-    L1 norm of all the coefficients of the function held in the layout,
-    and a layout is made only where it fits a slot.
+    L1 norm of all the coefficients of every function held in the
+    layout, and a layout is made only where it fits a slot.
     """
 
     __slots__ = ("bits", "dk", "height", "weights", "_atoms")
@@ -224,22 +225,6 @@ class _Packed:
             if digit != zero:
                 t[s % dk, s // dk] = int.from_bytes(digit, "little") - half
         return ParamPoly(t)
-
-    def fit(self, out, parts, e):
-        """(out, ring, the eigenvalue in ring) for the factor L2 - e on
-        `out`, e with the eigenvalue_parts `parts`.  The height grows by
-        the most that factor multiplies an L1 norm by: the largest
-        _l2_image_l1 on the support, plus |n| + |lin| + |m|.  When the
-        new height would not fit a slot, `out` is unpacked, while it
-        still fits, and repacked at a wider one."""
-        most = max(map(_l2_image_l1, out.terms), default=0)
-        height = self.height * (most + sum(map(abs, parts)))
-        if not height >> self.bits - 1:
-            ring = _Packed(self.bits, self.dk, height)
-        else:
-            ring = _Packed(_width(height), self.dk, height)
-            out = out.map_coeffs(lambda n: ring.pack(self.unpack(n)))
-        return out, ring, _read(parts, ring.weights)
 
     def divide(self, n, atoms):
         """(q, powers): the packed c = n divided by the largest power
@@ -277,17 +262,24 @@ def _layout(F, factors):
     """The _Packed layout of a step whose factors L2 - e act on F
     (ParamPoly coefficients), for the (parts, e) of `factors`.  DK is
     deg_k(F) plus one per factor plus one, as each factor raises deg_k
-    by at most 1.  B holds the height ||F||_1 times, per factor, the
-    most it multiplies an L1 norm by on the support of F; `fit` widens
-    B where a later support needs more."""
+    by at most 1.  B holds ||F||_1 times, per factor, the most that
+    factor multiplies an L1 norm by: the largest _l2_image_l1 over the
+    monomials the step can reach, plus |n| + |lin| + |m|.  Those are the
+    support of F closed under the targets of _l2_image; L2 - e maps
+    that set into itself, so no factor's input leaves it."""
+    reach, todo = set(F.terms), list(F.terms)
+    while todo:
+        for target, *_ in _l2_image(todo.pop()):
+            if target not in reach:
+                reach.add(target)
+                todo.append(target)
+    most = max(map(_l2_image_l1, reach))
     coeffs = F.terms.values()
-    height = sum(map(_l1, coeffs))
-    most = max(map(_l2_image_l1, F.terms))
-    bound = height
+    bound = sum(map(_l1, coeffs))
     for parts, _ in factors:
         bound *= most + sum(map(abs, parts))
     return _Packed(_width(bound), max(map(_degree_k, coeffs)) + len(factors)
-                   + 1, height)
+                   + 1, bound)
 
 
 def _expand(c, factors):
@@ -335,12 +327,11 @@ class _Point:
     (Fraction): with k0 = kn/kd and p00 = pn/pd in lowest terms, the
     weights are the ints (kd*pd, kn*pd, kd*pn, kn*pn), which is
     (1, k, p0, k*p0) at the point times kd*pd.  The operator runs with
-    the weights, and the closed forms are read with them (eigenvalue,
+    the weights, and the closed forms are read with them (_read,
     pieri), so both are scaled alike and the singularity checks run on
     values in the ring.  `pack` moves a cleared function into the
-    step's layout, and `unclear` back to the field together with its
-    cleared form; at a rational point the point is its own layout
-    (`pack`, `fit`).
+    step's layout, which at a rational point is the point itself, and
+    `unclear` divides the step's denominator out of it (see there).
     """
 
     __slots__ = ("at", "weights")
@@ -354,10 +345,6 @@ class _Point:
             kn, kd = k0.numerator, k0.denominator
             pn, pd = p00.numerator, p00.denominator
             self.weights = (kd * pd, kn * pd, kd * pn, kn * pn)
-
-    def eigenvalue(self, gamma):
-        """eigenvalue_e(gamma) in the ring, scaled like the operator."""
-        return _read(eigenvalue_parts(gamma), self.weights)
 
     def pieri(self, box, alpha):
         """(vnum, vden), the Pieri coefficient V = vnum/vden of the box
@@ -384,16 +371,14 @@ class _Point:
         ring = _layout(F, factors)
         return F.map_coeffs(ring.pack), ring
 
-    def fit(self, out, parts, e):
-        """(out, self, e): ints at a rational point never wrap."""
-        return out, self, e
-
     def unclear(self, F, num, den, ring=None):
-        """(f, (F', D')) for f = F * num/den in the field, F on ring
-        coefficients: F' = D'*f, D' the lcm of f's coefficient
-        denominators.  At a rational point num and den are ints, f is one
-        Fraction per coefficient and D' = rd / gcd(rd, F) for
-        num/den = rn/rd in lowest terms.  Symbolically F is packed in the
+        """The cleared form (F', D') of f = F * num/den in the field, F
+        on ring coefficients: F' = D'*f, D' the lcm of f's coefficient
+        denominators.  At a rational point num and den are ints, and
+        only the ints (F', D') come back, D' = rd / gcd(rd, F) for
+        num/den = rn/rd in lowest terms: a walk builds its Fractions
+        once, from the last step (rational_mode_construct).
+        Symbolically (f, (F', D')) comes back: F is packed in the
         layout `ring`, and num and den are _Factored: num's atoms cancel
         against den's, each coefficient divides out the atoms left while
         it can (_Packed.divide) and is unpacked once, and what remains
@@ -403,8 +388,7 @@ class _Point:
             r = Fraction(num, den)
             rn, rd = r.numerator, r.denominator
             g = gcd(rd, *F.terms.values())
-            return (F.map_coeffs(lambda c: Fraction(c * rn, rd)),
-                    (F.map_coeffs(lambda c: c // g * rn), rd // g))
+            return F.map_coeffs(lambda c: c // g * rn), rd // g
         common = num.factors & den.factors
         top = _expand(num.content, num.factors - common)
         left = list((den.factors - common).items())
@@ -453,7 +437,8 @@ def _grow(cleared, alpha, box, point):
     checks run on them first; then p_1 and every L2 - e(gamma), the
     operator and the eigenvalues scaled alike by the layout's weights,
     act on F = D*f in the ring, and den = D * prod (s - e(gamma)) and V
-    are divided out once.  Takes (F, D) and returns (P_beta, (F', D')).
+    are divided out once.  Takes (F, D) and returns (P_beta, (F', D')),
+    or (F', D') alone at a rational point (_Point.unclear).
     """
     lam, mu = alpha
     beta = (add_box(lam, box), mu)
@@ -477,9 +462,9 @@ def _grow(cleared, alpha, box, point):
     others = [(parts, e) for gamma, parts, e in near if gamma != beta]
     out, den = cleared
     out, ring = point.pack(out.times(1), others)
+    w = ring.weights
     for parts, e in others:
-        out, ring, x = ring.fit(out, parts, e)
-        out = cms_L2_weighted(out, ring.weights) - out * x
+        out = cms_L2_weighted(out, w) - out * _read(parts, w)
         den = den * (s - e)
     return point.unclear(out, vden, den * vnum, ring)
 
@@ -627,14 +612,14 @@ def evaluation_check(alpha):
 
 # -- numeric parameter modes ---------------------------------------------------
 
-def _walk(start, lam, mu, point):
-    """Grow start = (P_{0,mu}, its cleared form) to the same pair for
-    P_{lam,mu} along the canonical order at `point`."""
+def _walk(cleared, lam, mu, point):
+    """Grow the cleared form (F, d) of P_{0,mu} to that of P_{lam,mu}
+    along the canonical order at the rational `point`."""
     shape = ()
     for box in _canonical_order(lam):
-        start = _grow(start[1], (shape, mu), box, point)
+        cleared = _grow(cleared, (shape, mu), box, point)
         shape = add_box(shape, box)
-    return start
+    return cleared
 
 
 def rational_mode_construct(alpha, k0, p00):
@@ -646,7 +631,7 @@ def rational_mode_construct(alpha, k0, p00):
     k0 = Fraction(k0)
     p00 = Fraction(p00)
     lam, mu = _normalize_alpha(alpha)
-    one = LaurentSymFunc.const(1)
-    f, (F, d) = _walk((one.map_coeffs(Fraction), (one, 1)), mu, (),
-                      _Point((k0, Fraction(0))))
-    return _walk((f.star(), (F.star(), d)), lam, mu, _Point((k0, p00)))[0]
+    F, d = _walk((LaurentSymFunc.const(1), 1), mu, (),
+                 _Point((k0, Fraction(0))))
+    F, d = _walk((F.star(), d), lam, mu, _Point((k0, p00)))
+    return F.map_coeffs(lambda c: Fraction(c, d))

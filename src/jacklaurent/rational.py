@@ -396,6 +396,8 @@ class ParamPoly:
         return out
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power of a polynomial: %d" % n)
         out = _P_ONE
         base = self
         while n:

@@ -20,8 +20,10 @@ from jacklaurent.partitions import (
     add_box, add_box_candidates, bipartitions_up_to, partitions_up_to,
     remove_box, remove_box_candidates, size,
 )
-from jacklaurent.closed_forms import eigenvalue_e, pieri_V
-from jacklaurent.operators import cms_L, cms_L2_direct, cms_L_doubled
+from jacklaurent.closed_forms import eigenvalue_e, eigenvalue_parts, pieri_V
+from jacklaurent.operators import (
+    _l2_image_l1, cms_L, cms_L2_direct, cms_L_doubled,
+)
 from jacklaurent import clear_caches, jack, rational
 from jacklaurent.jack import (
     _Point, _expand, _ring_eigenvalue, _walk, construct, construct_via_order,
@@ -310,19 +312,18 @@ class TestClearedForm:
     def test_rational_matches_fraction_lcm(self, k0, p00):
         # both walks of rational_mode_construct, P_{mu,0} at (k0, 0) and
         # P_{lam,mu} at (k0, p00), carry the Fraction lcm
-        one = LaurentSymFunc.const(1)
-        start = (one.map_coeffs(Fraction), (one, 1))
         checked = 0
         for lam, mu in bipartitions_up_to(5):
             try:
-                f, (F, d) = _walk(start, mu, (), _Point((k0, Fraction(0))))
-                assert (F, d) == fraction_clear(f)
-                f, (F, d) = _walk((f.star(), (F.star(), d)), lam, mu,
-                                  _Point((k0, p00)))
+                F, d = _walk((LaurentSymFunc.const(1), 1), mu, (),
+                             _Point((k0, Fraction(0))))
+                assert (F, d) == fraction_clear(
+                    rational_mode_construct((mu, ()), k0, 0))
+                F, d = _walk((F.star(), d), lam, mu, _Point((k0, p00)))
             except SingularParameter:
                 continue
-            assert (F, d) == fraction_clear(f), (lam, mu)
-            assert f == rational_mode_construct((lam, mu), k0, p00)
+            assert (F, d) == fraction_clear(
+                rational_mode_construct((lam, mu), k0, p00)), (lam, mu)
             checked += 1
         assert checked > 40
 
@@ -458,42 +459,80 @@ def cold_memo():
     clear_caches()
 
 
-def _narrow_layout(layout):
-    """_layout with B fitted to F's own height, too narrow for the
-    growth of the factors."""
-    def narrow(F, factors):
-        ring = layout(F, factors)
-        return jack._Packed(jack._width(ring.height), ring.dk, ring.height)
-    return narrow
+def _l1_total(F):
+    """||F||_1, the sum of the L1 norms of F's ParamPoly coefficients."""
+    return sum(map(jack._l1, F.terms.values()))
+
+
+def _l2_closure(support):
+    """The monomials that L2, applied again and again, reaches from the
+    monomials of `support`."""
+    reach, todo = set(support), list(support)
+    while todo:
+        for m in cms_L2_direct(LaurentSymFunc({todo.pop(): RAT_ONE})).terms:
+            if m not in reach:
+                reach.add(m)
+                todo.append(m)
+    return reach
 
 
 class TestNarrowWidth:
-    def test_guard_widens_to_the_same_function(self, cold_memo,
-                                               monkeypatch):
-        want = str(construct(NARROW_LABEL))
-        clear_caches()
-        widened = []
-        fit = jack._Packed.fit
+    def test_every_factor_stays_inside_the_layout(self, cold_memo,
+                                                  monkeypatch):
+        # every symbolic step to |lam|+|mu| <= 5, read after each factor
+        # L2 - e: the support stays in the closure of F's support under L2,
+        # and the L1 norm under the bound the layout's width was sized
+        # for
+        steps = []
+        layout, weighted = jack._layout, jack.cms_L2_weighted
+        unclear = jack._Point.unclear
 
-        def recording_fit(self, out, parts, e):
-            out, ring, x = fit(self, out, parts, e)
-            if ring.bits > self.bits:
-                widened.append(ring.bits)
-            return out, ring, x
-        monkeypatch.setattr(jack, "_layout", _narrow_layout(jack._layout))
-        monkeypatch.setattr(jack._Packed, "fit", recording_fit)
-        assert str(construct(NARROW_LABEL)) == want
-        assert widened
+        def recording_layout(F, factors):
+            ring = layout(F, factors)
+            steps.append((F, factors, ring, []))
+            return ring
+
+        def recording_weighted(out, weights):
+            steps[-1][3].append(out)
+            return weighted(out, weights)
+
+        def recording_unclear(self, F, num, den, ring=None):
+            steps[-1][3].append(F)
+            return unclear(self, F, num, den, ring)
+        monkeypatch.setattr(jack, "_layout", recording_layout)
+        monkeypatch.setattr(jack, "cms_L2_weighted", recording_weighted)
+        monkeypatch.setattr(jack._Point, "unclear", recording_unclear)
+        labels = bipartitions_up_to(5)
+        for alpha in labels:
+            construct(alpha)
+        # one step per label whose first diagram is not empty
+        assert len(steps) == sum(1 for lam, _ in labels if lam)
+        for F, factors, ring, outs in steps:
+            assert len(outs) == len(factors) + 1
+            reach = _l2_closure(F.terms)
+            most = max(map(_l2_image_l1, reach))
+            bound = _l1_total(F)
+            for i, out in enumerate(outs):
+                if i:
+                    bound *= most + sum(map(abs, factors[i - 1][0]))
+                assert out.terms.keys() <= reach
+                assert _l1_total(out.map_coeffs(ring.unpack)) <= bound
+            assert ring.height == bound
+            assert ring.bits == jack._width(bound)
 
     def test_without_the_guard_the_narrow_width_is_wrong(self, cold_memo,
                                                           monkeypatch):
-        # the label's digits do outgrow the narrow width: a fit that
-        # only tracks the height lets them wrap
+        # the label's digits do outgrow ||F||_1: a layout sized to it
+        # alone lets them wrap
         want = str(construct(NARROW_LABEL))
         clear_caches()
-        monkeypatch.setattr(jack, "_layout", _narrow_layout(jack._layout))
-        monkeypatch.setattr(jack._Packed, "fit", lambda self, out, parts, e: (
-            out, self, jack._read(parts, self.weights)))
+        layout = jack._layout
+
+        def narrow(F, factors):
+            height = _l1_total(F)
+            return jack._Packed(jack._width(height), layout(F, factors).dk,
+                                height)
+        monkeypatch.setattr(jack, "_layout", narrow)
         assert str(construct(NARROW_LABEL)) != want
 
     def test_guard_raises_when_no_wider_slot(self, cold_memo, monkeypatch):
@@ -590,11 +629,13 @@ class TestRationalMode:
         F, d = fraction_clear(f)
         assert all(type(c) is int for c in F.terms.values())
         assert F == f.scale(d)
-        assert point.unclear(F, 1, d) == (f, (F, d))
+        assert point.unclear(F, 1, d) == (F, d)
         # the eigenvalues are 20*e(gamma), ints like the weights
         for gamma in _near((2, 1), (1,)):
-            assert point.eigenvalue(gamma) == 20 * eigenvalue_e(
-                gamma).specialize(Fraction(-3, 4), Fraction(9, 5)), gamma
+            e = jack._read(eigenvalue_parts(gamma), point.weights)
+            assert type(e) is int
+            assert e == 20 * eigenvalue_e(gamma).specialize(
+                Fraction(-3, 4), Fraction(9, 5)), gamma
 
     @settings(max_examples=40, deadline=None)
     @given(st.fractions(min_value=-4, max_value=4, max_denominator=3))

@@ -307,6 +307,14 @@ class TestParamPolyRing:
             with pytest.raises(TypeError):
                 op()
 
+    def test_negative_power_raises(self):
+        # a negative power leaves Z[k, p0]; square-and-multiply would
+        # shift the exponent forever
+        p = ParamPoly.var_k() + 1
+        assert p ** 0 == ParamPoly.const(1) and p ** 2 == p * p
+        with pytest.raises(ValueError):
+            p ** -1
+
     @settings(max_examples=60, deadline=None)
     @given(int_polys(), int_polys(), st.sampled_from(["+", "-", "*"]))
     def test_agrees_with_param_rat(self, a, b, op):
