@@ -30,11 +30,10 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Empty every memo: constructed functions with their cleared forms,
-    the per-monomial table of the second-order integral and its L1
-    norms, finite-N polynomials, the torus weight, the complete
-    functions h_i and the eigenvalues of the eigen checks."""
+    the per-monomial table of the second-order integral, finite-N
+    polynomials, the torus weight, the complete functions h_i and the
+    eigenvalues of the eigen checks."""
     for memo in (jack._construct, operators._l2_image,
-                 operators._l2_image_l1,
                  finite_n._jack_poly_N, finite_n._delta_expansion,
                  schur._complete_h, verify._eigenvalues):
         memo.cache_clear()

@@ -66,9 +66,12 @@ def _sequence(text):
 
 def _fraction(text, flag):
     try:
+        if "e" in text.lower():     # Fraction expands 1e10000000 in full
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError("%s wants an exact rational, got %r" % (flag, text))
+        raise UsageError("%s wants an exact rational: an integer, p/q or a "
+                         "decimal, with no exponent; got %r" % (flag, text))
 
 
 def _alpha(args):

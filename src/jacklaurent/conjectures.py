@@ -232,16 +232,12 @@ def power_sum_form_check(max_deg=2):
 def non_orthogonality_data(max_deg=2):
     """Pairings of p_lam p*_mu products in the limit; records the values
     and whether some off-diagonal pairing is nonzero (it is)."""
-    labels = [(lam, mu) for lam, mu in bipartitions_up_to(max_deg)]
-    labels.sort()
+    labels = sorted(bipartitions_up_to(max_deg))
     rows = []
     found = False
     for a in labels:
         for b in labels:
             if (size(a[0]) - size(a[1])) != (size(b[0]) - size(b[1])):
-                continue
-            if size(a[0]) + size(a[1]) > max_deg or \
-               size(b[0]) + size(b[1]) > max_deg:
                 continue
             exists, val = limiting_form(_p_product(*a), _p_product(*b))
             if a != b and exists and not val.is_zero():

@@ -338,10 +338,10 @@ def jack_laurent_poly_N(chi, N, k0=None):
 def _delta_weight(k_neg_int, N):
     """Full expansion of prod_{i != j} (1 - x_i/x_j)^(-k) as a dict from
     exponent vectors to integers, plus its constant term."""
-    m = -int(k_neg_int)
-    if m <= 0:
+    k = Fraction(k_neg_int)
+    if k.denominator != 1 or k >= 0:
         raise ValueError("the torus weight needs a negative integer k")
-    return _delta_expansion(m, N)
+    return _delta_expansion(-k.numerator, N)
 
 
 @cache
@@ -387,8 +387,8 @@ def torus_form(f, g, k_neg_int, N):
     integer coupling; exact Fraction."""
     if f.N != N or g.N != N:
         raise ValueError("operands are not in %d variables" % N)
-    k0 = Fraction(int(k_neg_int))
     delta, ct = _delta_weight(k_neg_int, N)
+    k0 = Fraction(k_neg_int)
     fa = _numeric_full(f, k0)
     fb = _numeric_full(g, k0)
     total = Fraction(0)

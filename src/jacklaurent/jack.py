@@ -16,15 +16,15 @@ loop, with the operator and the closed forms read at int weights
 (_Point): at a rational point the weights come from the point, and
 symbolically each coefficient is packed into one int, its value at
 k = 2^B and p0 = 2^(B*DK) (Kronecker substitution, _Packed), with the
-slot width B fixed for the step from a bound that holds through all its
-factors, so no digit wraps.  The product of the gaps, the cleared
-denominator and V are divided out once per step.
-Symbolically no polynomial gcd is taken for that: each gap and each
-form of V is an int times an irreducible atom, every denominator is
-kept as a product of atoms, and each coefficient is reduced by exact
-int trial division over them and unpacked once.  A step returns the
-function cleared of denominators too, which the next step and the
-eigen and evaluation checks start from.  A step raises
+slot width B fixed for the step from a bound, read off the function's
+top bidegree, that holds through all its factors, so no digit wraps.
+The product of the gaps, the cleared denominator and V are divided out
+once per step.  Symbolically no polynomial gcd is taken for that: each
+gap and each form of V is an int times an irreducible atom, every
+denominator is kept as a product of atoms, and each coefficient is
+reduced by exact int trial division over them and unpacked once.  A
+step returns the function cleared of denominators too, which the next
+step and the eigen and evaluation checks start from.  A step raises
 SingularParameter when two of these eigenvalues coincide at the point
 or the Pieri coefficient vanishes or has a pole there.
 
@@ -47,8 +47,7 @@ from .laurent import LaurentSymFunc
 from .partitions import size, conjugate, add_box_candidates, \
     remove_box_candidates, add_box, remove_box, normalize_partition, \
     label_str
-from .operators import cms_L_doubled, cms_L2_weighted, _l2_image, \
-    _l2_image_l1
+from .operators import cms_L_doubled, cms_L2_weighted, _l2_bound
 from .closed_forms import eigenvalue_e, eigenvalue_parts, pieri_V, \
     pieri_V_forms, pieri_U, duality_constant, evaluation_value
 
@@ -138,7 +137,8 @@ def _neighbors(alpha):
 # coefficients below 2^(B-1) in absolute value.  A step fixes its
 # layout before it starts (_layout): DK from deg_k(F) and its number of
 # factors, and B from a bound on the L1 norm of all the coefficients
-# that holds after every factor, so no digit wraps.
+# that holds after every factor (from the bidegrees, _layout), so no
+# digit wraps.
 #
 # Trial division on the packed ints: if an atom a divides c in
 # Z[k, p0], the packed a divides the packed c.  The converse fails:
@@ -263,17 +263,9 @@ def _layout(F, factors):
     (ParamPoly coefficients), for the (parts, e) of `factors`.  DK is
     deg_k(F) plus one per factor plus one, as each factor raises deg_k
     by at most 1.  B holds ||F||_1 times, per factor, the most that
-    factor multiplies an L1 norm by: the largest _l2_image_l1 over the
-    monomials the step can reach, plus |n| + |lin| + |m|.  Those are the
-    support of F closed under the targets of _l2_image; L2 - e maps
-    that set into itself, so no factor's input leaves it."""
-    reach, todo = set(F.terms), list(F.terms)
-    while todo:
-        for target, *_ in _l2_image(todo.pop()):
-            if target not in reach:
-                reach.add(target)
-                todo.append(target)
-    most = max(map(_l2_image_l1, reach))
+    factor multiplies an L1 norm by: the largest _l2_bound over the
+    monomials of F (it covers all they reach), plus |n| + |lin| + |m|."""
+    most = max(map(_l2_bound, F.terms))
     coeffs = F.terms.values()
     bound = sum(map(_l1, coeffs))
     for parts, _ in factors:

@@ -30,7 +30,7 @@ from functools import cache
 from math import comb
 
 from .rational import RAT_ONE, K, P0, rat
-from .laurent import LaurentSymFunc
+from .laurent import LaurentSymFunc, mono_bidegree
 
 
 class NotPositivePart(ValueError):
@@ -297,13 +297,22 @@ def _l2_image(m):
                  if any(row))
 
 
-@cache
-def _l2_image_l1(m):
-    """The sum of |a| + |b| + |c| + |d| over the rows of _l2_image(m):
-    L2 multiplies the L1 norm of the coefficient at m by at most this,
-    summed over the targets."""
-    return sum(abs(a) + abs(b) + abs(c) + abs(d)
-               for _, a, b, c, d in _l2_image(m))
+def _l2_bound(m):
+    """W^2 + 2*(P^2 + N^2) for m of bidegree (P, N), W = P + N: the most
+    that L2, applied again and again, multiplies the L1 norm of the
+    coefficient at m by, the largest row sum |a| + |b| + |c| + |d| of
+    _l2_image over the monomials it reaches from m.
+    * Each target keeps P - N and has no larger P or N: a merge
+      p_i p_j -> p_{i+j} (p_0 the parameter) of opposite signs lowers
+      both by min(|i|, |j|), and the other sums keep both.
+    * With e_i the exponent of p_i, the row sums are at most
+      sum_i |i|*e_i*(W + 2|i|) = W^2 + 2*sum_i i^2*e_i <= the bound.
+    * At p_P*p_{-N} no two contributions cancel: the sum is the bound.
+    * Merges of one sign have positive coefficients, so they reach
+      p_P*p_{-N} from any monomial of bidegree (P, N).
+    """
+    p, n = mono_bidegree(m)
+    return (p + n) ** 2 + 2 * (p * p + n * n)
 
 
 def cms_L2_weighted(f, weights):

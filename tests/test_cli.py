@@ -80,6 +80,15 @@ class TestCompute:
         assert code == EXIT_USAGE
         assert "both --k and --p0" in err
 
+    def test_exponent_notation_refused(self, capsys):
+        # Fraction would expand a large exponent into a huge int first
+        code, out, err = run(capsys, "compute", "--lambda", "1", "--k=1e5",
+                             "--p0=1")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "usage error: --k wants an exact rational: an " \
+                      "integer, p/q or a decimal, with no exponent; got " \
+                      "'1e5'\n"
+
     def test_singular_parameter_exit(self, capsys):
         code, _, err = run(capsys, "compute", "--lambda", "2",
                            "--k", "1", "--p0", "5")
@@ -337,6 +346,7 @@ class TestReports:
 EXIT_CODES = [
     ("compute", ["--lambda", "1"], None, EXIT_OK),
     ("compute", ["--lambda", "1,x"], None, EXIT_USAGE),
+    ("compute", ["--lambda", "1", "--k=1e5", "--p0=1"], None, EXIT_USAGE),
     ("compute", ["--lambda", "2", "--k", "1", "--p0", "5"], None,
      EXIT_SINGULAR),
     ("finite-n", ["--chi", "1,-1", "--N", "2"], None, EXIT_OK),

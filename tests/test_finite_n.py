@@ -160,6 +160,15 @@ class TestTorusForm:
         assert torus_form(pa, pb, -1, 2) == 0
         assert torus_form(pa, pa, -1, 2) != 0
 
+    @pytest.mark.parametrize("k", [Fraction(-3, 2), 1])
+    def test_coupling_must_be_a_negative_integer(self, k):
+        # a fractional k is refused, not truncated toward zero to -1
+        one4 = SymLaurentPolyN.one(4)
+        with pytest.raises(ValueError, match="negative integer k"):
+            torus_form(one4, one4, k, 4)
+        with pytest.raises(ValueError, match="negative integer k"):
+            constant_term_delta(k, 2)
+
 
 class TestFiniteClosedForms:
     def test_pieri(self):

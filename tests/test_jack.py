@@ -22,7 +22,7 @@ from jacklaurent.partitions import (
 )
 from jacklaurent.closed_forms import eigenvalue_e, eigenvalue_parts, pieri_V
 from jacklaurent.operators import (
-    _l2_image_l1, cms_L, cms_L2_direct, cms_L_doubled,
+    _l2_bound, cms_L, cms_L2_direct, cms_L_doubled,
 )
 from jacklaurent import clear_caches, jack, rational
 from jacklaurent.jack import (
@@ -476,13 +476,21 @@ def _l2_closure(support):
     return reach
 
 
+def _row_l1(m):
+    """||L2(m)||_1 for the monomial m: the sum of the L1 norms of the
+    coefficients of L2(m), which lie in Z[k, p0]."""
+    image = cms_L2_direct(LaurentSymFunc({m: RAT_ONE}))
+    return sum(jack._l1(c.num) for c in image.terms.values())
+
+
 class TestNarrowWidth:
     def test_every_factor_stays_inside_the_layout(self, cold_memo,
                                                   monkeypatch):
         # every symbolic step to |lam|+|mu| <= 5, read after each factor
         # L2 - e: the support stays in the closure of F's support under L2,
         # and the L1 norm under the bound the layout's width was sized
-        # for
+        # for; the most L2 multiplies a norm by over that closure is the
+        # closed form in the bidegrees of F
         steps = []
         layout, weighted = jack._layout, jack.cms_L2_weighted
         unclear = jack._Point.unclear
@@ -510,7 +518,8 @@ class TestNarrowWidth:
         for F, factors, ring, outs in steps:
             assert len(outs) == len(factors) + 1
             reach = _l2_closure(F.terms)
-            most = max(map(_l2_image_l1, reach))
+            most = max(map(_row_l1, reach))
+            assert most == max(map(_l2_bound, F.terms))
             bound = _l1_total(F)
             for i, out in enumerate(outs):
                 if i:

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, ParamPoly, \
     ParamRat, rat
-from jacklaurent.laurent import LaurentSymFunc
+from jacklaurent.laurent import LaurentSymFunc, mono_bidegree
 from jacklaurent.operators import (
-    ExtendedElement, NotPositivePart, _l2_image, cms_I, cms_L,
+    ExtendedElement, NotPositivePart, _l2_bound, _l2_image, cms_I, cms_L,
     cms_L2_direct, cms_L2_weighted, cms_L_doubled, delta_p0, delta_tilde,
     derivation_d, dunkl_heckman, dunkl_heckman_doubled, e_project,
     hat_f_expansion_check, hat_f_operators, polychronakos_pi, stable_H,
@@ -169,6 +169,39 @@ class TestIntegralValues:
             assert cms_I(2, f) == cms_L(2, f)
         # from order three on, the families genuinely differ
         assert cms_I(3, g(1)) != cms_L(3, g(1))
+
+
+def _row_l1(m):
+    """The sum of |a| + |b| + |c| + |d| over the rows of _l2_image(m)."""
+    return sum(abs(a) + abs(b) + abs(c) + abs(d)
+               for _, a, b, c, d in _l2_image(m))
+
+
+monomials = st.dictionaries(
+    st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)), st.integers(1, 3),
+    max_size=4).map(lambda exps: tuple(sorted(exps.items())))
+
+
+class TestL2Bound:
+    """_l2_bound, the closed form in the bidegree (P, N) that sizes each
+    symbolic step's layout."""
+
+    @given(monomials)
+    @settings(max_examples=200, deadline=None)
+    def test_rows_stay_under_the_bound(self, m):
+        p, n = mono_bidegree(m)
+        assert _row_l1(m) <= _l2_bound(m)
+        for target, *_ in _l2_image(m):
+            tp, tn = mono_bidegree(target)
+            assert tp - tn == p - n and tp <= p and tn <= n
+
+    def test_bound_is_met_at_the_top_monomial(self):
+        for p in range(7):
+            for n in range(7):
+                m = tuple(x for x in ((-n, 1), (p, 1)) if x[0])
+                assert mono_bidegree(m) == (p, n)
+                assert _row_l1(m) == _l2_bound(m) \
+                    == (p + n) ** 2 + 2 * (p * p + n * n)
 
 
 class TestDoubledIntegrals:

@@ -11,8 +11,8 @@ from jacklaurent.rational import RAT_ONE
 from jacklaurent.verify import SUITES, check_eigen, check_evaluation, \
     check_norm_torus, run_suite
 
-MEMOS = (jack._construct, operators._l2_image, operators._l2_image_l1,
-         finite_n._jack_poly_N, finite_n._delta_expansion, schur._complete_h)
+MEMOS = (jack._construct, operators._l2_image, finite_n._jack_poly_N,
+         finite_n._delta_expansion, schur._complete_h)
 EIGEN_MEMOS = (verify._eigenvalues,)
 
 
