@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .rational import rat, as_rat, SingularParameter, \
     PoleAtSpecialization, IdenticallySingular, DivisionByZero
-from .laurent import parse_element
+from .laurent import parse_element, _EXCERPT
 from .partitions import normalize_partition, size, \
     add_box_candidates, remove_box_candidates, label_str, alpha_json
 from .operators import cms_L, stable_H, NotPositivePart
@@ -44,23 +44,36 @@ class UsageError(Exception):
     pass
 
 
+def _quoted(text):
+    """The repr of an argument, cut after _EXCERPT characters, as the
+    expression parser quotes its input."""
+    if len(text) <= _EXCERPT:
+        return repr(text)
+    return repr(text[:_EXCERPT]) + "..."
+
+
 def _partition(text):
     if not text:
         return ()
     try:
         parts = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError("bad partition %s: not comma-separated integers"
+                         % _quoted(text))
+    try:
         return normalize_partition(parts)
-    except ValueError as exc:
-        raise UsageError("bad partition %r: %s" % (text, exc))
+    except ValueError:
+        raise UsageError("bad partition %s: the parts must be nonnegative "
+                         "and weakly decreasing" % _quoted(text))
 
 
 def _sequence(text):
     try:
         chi = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError("bad integer sequence %r" % text)
+        raise UsageError("bad integer sequence %s" % _quoted(text))
     if any(chi[i] < chi[i + 1] for i in range(len(chi) - 1)):
-        raise UsageError("sequence %r is not non-increasing" % (text,))
+        raise UsageError("sequence %s is not non-increasing" % _quoted(text))
     return chi
 
 
@@ -71,7 +84,8 @@ def _fraction(text, flag):
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError("%s wants an exact rational: an integer, p/q or a "
-                         "decimal, with no exponent; got %r" % (flag, text))
+                         "decimal, with no exponent; got %s"
+                         % (flag, _quoted(text)))
 
 
 def _alpha(args):
@@ -157,7 +171,7 @@ def _cmd_formula(args):
 def _cmd_apply_op(args):
     op = args.op.upper()
     if not (op[1:].isascii() and op[1:].isdigit()) or op[0] not in "LH":
-        raise UsageError("--op wants L<r> or H<r>, got %r" % args.op)
+        raise UsageError("--op wants L<r> or H<r>, got %s" % _quoted(args.op))
     r = int(op[1:])
     if r < 1:
         raise UsageError("operator order must be positive")
@@ -258,12 +272,11 @@ def build_parser():
                     "with Laurent (negative) power sums.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, mu=True):
+    def add_common(p):
         p.add_argument("--lambda", dest="lam", default="",
                        help="comma-separated partition, e.g. 2,1")
-        if mu:
-            p.add_argument("--mu", dest="mu", default="",
-                           help="comma-separated partition")
+        p.add_argument("--mu", dest="mu", default="",
+                       help="comma-separated partition")
         p.add_argument("--format", choices=("text", "json"),
                        default="text")
 

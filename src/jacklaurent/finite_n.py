@@ -16,7 +16,7 @@ agreement between the two routes is evidence for both.
 from fractions import Fraction
 from functools import cache
 
-from .rational import RAT_ZERO, RAT_ONE, K, rat, as_rat, \
+from .rational import RAT_ZERO, RAT_ONE, K, Sparse, rat, as_rat, \
     SingularParameter, PoleAtSpecialization, IdenticallySingular, \
     NotEigenvector
 from .partitions import normalize_partition, partitions_of, dominance_leq, \
@@ -41,26 +41,22 @@ def _rearrangements(chi):
             for rest in _rearrangements(chi[:i] + chi[i + 1:])]
 
 
-class SymLaurentPolyN:
-    """Symmetric Laurent polynomial in N variables, stored as a map from
-    non-increasing exponent vectors (orbit-sum labels m_chi) to
-    coefficients.  The coefficients follow the protocol of LaurentSymFunc:
-    ParamRats in Q(k) symbolically, Fractions at a numeric coupling, and
-    a coefficient is zero when it is falsy; printing reads them through
-    as_rat."""
+class SymLaurentPolyN(Sparse):
+    """Symmetric Laurent polynomial in N variables, a Sparse sum over
+    non-increasing exponent vectors (orbit-sum labels m_chi).  Its
+    coefficients are ParamRats in Q(k) symbolically and Fractions at a
+    numeric coupling; printing reads them through as_rat."""
 
-    __slots__ = ("N", "terms")
+    __slots__ = ("N",)
 
     def __init__(self, N, terms=None):
         self.N = N
         self.terms = {_check_sorted(chi): c
                       for chi, c in (terms or {}).items() if c}
 
-    @staticmethod
-    def _of(N, terms):
-        """An instance on `terms` as they are: sorted keys, no zeros."""
+    def _like(self, terms):
         out = SymLaurentPolyN.__new__(SymLaurentPolyN)
-        out.N, out.terms = N, terms
+        out.N, out.terms = self.N, terms
         return out
 
     @staticmethod
@@ -80,9 +76,6 @@ class SymLaurentPolyN:
                              % (len(chi), N))
         return SymLaurentPolyN(N, {chi: RAT_ONE})
 
-    def is_zero(self):
-        return not self.terms
-
     def coeff(self, chi):
         return self.terms.get(tuple(chi), RAT_ZERO)
 
@@ -97,33 +90,13 @@ class SymLaurentPolyN:
     @staticmethod
     def from_full(N, full):
         """Collapse a full (symmetric) monomial dict to orbit labels."""
-        return SymLaurentPolyN._of(N, {
+        return SymLaurentPolyN(N)._like({
             key: c for key, c in full.items()
             if c and key == tuple(sorted(key, reverse=True))})
 
-    def __add__(self, other):
-        t = dict(self.terms)
-        for chi, c in other.terms.items():
-            v = t.get(chi, 0) + c
-            if not v:
-                t.pop(chi, None)
-            else:
-                t[chi] = v
-        return SymLaurentPolyN._of(self.N, t)
-
-    def __neg__(self):
-        return SymLaurentPolyN._of(
-            self.N, {chi: -c for chi, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, SymLaurentPolyN):
-            if not other:
-                return SymLaurentPolyN.zero(self.N)
-            return SymLaurentPolyN._of(
-                self.N, {chi: c * other for chi, c in self.terms.items()})
+            return self.scale(other)
         if self.N != other.N:
             raise ValueError("mixed variable counts")
         fa = self.expand()
@@ -147,19 +120,14 @@ class SymLaurentPolyN:
 
     def shift(self, a):
         """Multiply by (x_1...x_N)^a."""
-        return SymLaurentPolyN._of(self.N, {
+        return self._like({
             tuple(x + a for x in chi): c for chi, c in self.terms.items()})
 
     def substitute_k(self, k0):
-        return SymLaurentPolyN(self.N, {
-            chi: c.substitute_k(k0) for chi, c in self.terms.items()})
+        return self.map_coeffs(lambda c: c.substitute_k(k0))
 
     def __eq__(self, other):
-        return (isinstance(other, SymLaurentPolyN)
-                and self.N == other.N and self.terms == other.terms)
-
-    def __hash__(self):
-        raise TypeError("unhashable")
+        return Sparse.__eq__(self, other) and self.N == other.N
 
     def sorted_terms(self):
         return sorted(self.terms.items(), reverse=True)

@@ -18,7 +18,7 @@ MAX_EXPONENT in k and p0.
 from collections import Counter
 from fractions import Fraction
 
-from .rational import (RAT_ONE, RAT_ZERO, K, P0, ParamRat, as_rat,
+from .rational import (RAT_ONE, RAT_ZERO, K, P0, ParamRat, Sparse, as_rat,
                        PoleAtSpecialization)
 
 UNIT_MONO = ()
@@ -64,31 +64,21 @@ def _term_order(m):
     return (pos + neg, pos, m)
 
 
-class LaurentSymFunc:
+class LaurentSymFunc(Sparse):
     """Sparse element of the Laurent symmetric function algebra.
 
-    self.terms maps monomial tuples to nonzero coefficients.  Any
-    coefficient with `+ - *` (int operands included), `==` with `hash`,
-    and truthiness for zero will do: ParamRat for symbolic parameters,
-    Fraction at a rational point, and ParamPoly for the ring step of the
-    construction, whose functions are cleared of denominators.  The
-    coefficient type is that of the input; where a Fraction
-    meets a ParamRat, in a sum or a product, the result is a ParamRat,
-    through ParamRat's reflected operators.  A constant ParamRat equals
-    and hashes like its Fraction value, so equality does not depend on
-    the type.  Instances are treated as immutable; all operations
-    return new ones.
+    self.terms maps monomial tuples to coefficients that meet the
+    protocol of rational.Sparse, multiply with ints and hash: ParamRat
+    for symbolic parameters, Fraction at a rational point, and ParamPoly
+    for the ring step of the construction, whose functions are cleared
+    of denominators.  The coefficient type is that of the input; where
+    a Fraction meets a ParamRat, in a sum or a product, the result is a
+    ParamRat, through ParamRat's reflected operators.  A constant
+    ParamRat equals and hashes like its Fraction value, so equality
+    does not depend on the type.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    t[m] = c
-        self.terms = t
+    __slots__ = ()
 
     @staticmethod
     def zero():
@@ -115,35 +105,13 @@ class LaurentSymFunc:
             d[sign * x] = d.get(sign * x, 0) + 1
         return LaurentSymFunc({mono_from_dict(d): RAT_ONE})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentSymFunc) and self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other):
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m)
-            s = c if s is None else s + c
-            if not s:
-                t.pop(m, None)
-            else:
-                t[m] = s
-        out = LaurentSymFunc.__new__(LaurentSymFunc)
-        out.terms = t
-        return out
-
-    def __neg__(self):
-        out = LaurentSymFunc.__new__(LaurentSymFunc)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
+    # perfbench/tracing.py wraps these by name in this class's own
+    # __dict__, so they are bound here and not only inherited.
+    __add__ = Sparse.__add__
+    scale = Sparse.scale
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSymFunc):
@@ -159,28 +127,17 @@ class LaurentSymFunc:
                     t.pop(m, None)
                 else:
                     t[m] = s
-        out = LaurentSymFunc.__new__(LaurentSymFunc)
-        out.terms = t
-        return out
+        return self._like(t)
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def scale(self, c):
-        """The product with a scalar: a ParamRat, int or Fraction."""
-        if not c or not self.terms:
-            return LaurentSymFunc()
-        out = LaurentSymFunc.__new__(LaurentSymFunc)
-        out.terms = {m: x * c for m, x in self.terms.items()}
-        return out
 
     def times(self, *gens):
         """The product with the generators p_i, i in gens: a shift of
         every monomial, with the coefficients kept as they are."""
         mono = mono_from_dict(Counter(gens))
-        out = LaurentSymFunc.__new__(LaurentSymFunc)
-        out.terms = {mono_mul(m, mono): c for m, c in self.terms.items()}
-        return out
+        return self._like({mono_mul(m, mono): c
+                           for m, c in self.terms.items()})
 
     def coeff(self, m):
         return self.terms.get(m, RAT_ZERO)
@@ -189,10 +146,8 @@ class LaurentSymFunc:
 
     def star(self):
         """The involution p_i -> p_{-i}; coefficients unchanged."""
-        out = LaurentSymFunc.__new__(LaurentSymFunc)
-        out.terms = {tuple(sorted((-i, e) for i, e in m)): c
-                     for m, c in self.terms.items()}
-        return out
+        return self._like({tuple(sorted((-i, e) for i, e in m)): c
+                           for m, c in self.terms.items()})
 
     def theta(self, inverse=False):
         """The homomorphism p_a -> k*p_a (inverse: p_a -> p_a/k)."""
@@ -201,9 +156,7 @@ class LaurentSymFunc:
             e_total = sum(e for _, e in m)
             factor = K ** (-e_total if inverse else e_total)
             t[m] = c * factor
-        out = LaurentSymFunc.__new__(LaurentSymFunc)
-        out.terms = t
-        return out
+        return self._like(t)
 
     def partial(self, a):
         """The scaled derivation a * d/dp_a."""
@@ -227,9 +180,7 @@ class LaurentSymFunc:
                 t.pop(key, None)
             else:
                 t[key] = s
-        out = LaurentSymFunc.__new__(LaurentSymFunc)
-        out.terms = t
-        return out
+        return self._like(t)
 
     def evaluate_eps(self):
         """Substitute every generator by the parameter symbol p0."""
@@ -252,16 +203,6 @@ class LaurentSymFunc:
         return all(i > 0 for m in self.terms for i, _ in m)
 
     # -- coefficient maps ----------------------------------------------------
-
-    def map_coeffs(self, fn):
-        t = {}
-        for m, c in self.terms.items():
-            v = fn(c)
-            if v:
-                t[m] = v
-        out = LaurentSymFunc.__new__(LaurentSymFunc)
-        out.terms = t
-        return out
 
     def substitute_k(self, k0):
         return self.map_coeffs(lambda c: c.substitute_k(k0))
@@ -288,9 +229,7 @@ class LaurentSymFunc:
                     % (mono_str(m), k0, p00, c))
             if v:
                 t[m] = v
-        out = LaurentSymFunc.__new__(LaurentSymFunc)
-        out.terms = t
-        return out
+        return self._like(t)
 
     # -- display -------------------------------------------------------------
 

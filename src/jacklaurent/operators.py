@@ -29,7 +29,7 @@ cms_L2_weighted combines with any weights for 1, k, p0 and k*p0.
 from functools import cache
 from math import comb
 
-from .rational import RAT_ONE, K, P0, rat
+from .rational import RAT_ONE, K, P0, Sparse, rat
 from .laurent import LaurentSymFunc, mono_bidegree
 
 
@@ -46,18 +46,11 @@ def _support(f):
     return s
 
 
-class ExtendedElement:
-    """Element of the algebra extended by x, x^{-1}: a map layer -> function."""
+class ExtendedElement(Sparse):
+    """Element of the algebra extended by x, x^{-1}: a Sparse sum whose
+    terms map a layer (the power of x) to its function."""
 
-    __slots__ = ("layers",)
-
-    def __init__(self, layers=None):
-        t = {}
-        if layers:
-            for l, f in layers.items():
-                if not f.is_zero():
-                    t[l] = f
-        self.layers = t
+    __slots__ = ()
 
     @staticmethod
     def zero():
@@ -72,43 +65,24 @@ class ExtendedElement:
         """In-place accumulation of f at layer l (builder method)."""
         if f.is_zero():
             return
-        g = self.layers.get(l)
+        g = self.terms.get(l)
         g = f if g is None else g + f
         if g.is_zero():
-            self.layers.pop(l, None)
+            self.terms.pop(l, None)
         else:
-            self.layers[l] = g
-
-    def __add__(self, other):
-        out = ExtendedElement(dict(self.layers))
-        for l, f in other.layers.items():
-            out.add_term(l, f)
-        return out
-
-    def __sub__(self, other):
-        out = ExtendedElement(dict(self.layers))
-        for l, f in other.layers.items():
-            out.add_term(l, -f)
-        return out
+            self.terms[l] = g
 
     def scale(self, c):
-        out = ExtendedElement()
-        for l, f in self.layers.items():
-            out.add_term(l, f.scale(c))
-        return out
-
-    def is_zero(self):
-        return not self.layers
-
-    def __eq__(self, other):
-        return isinstance(other, ExtendedElement) and self.layers == other.layers
+        # each layer's own scale: `f * c` would first pass through
+        # LaurentSymFunc.__mul__
+        return self.map_coeffs(lambda f: f.scale(c))
 
     def __str__(self):
-        if not self.layers:
+        if not self.terms:
             return "0"
         parts = []
-        for l in sorted(self.layers, reverse=True):
-            f = self.layers[l]
+        for l in sorted(self.terms, reverse=True):
+            f = self.terms[l]
             if l == 0:
                 parts.append(str(f))
             else:
@@ -122,7 +96,7 @@ class ExtendedElement:
 def derivation_d(element):
     """The derivation with d(x^l) = l*x^l and d(p_l) = l*x^l."""
     out = ExtendedElement()
-    for l, f in element.layers.items():
+    for l, f in element.terms.items():
         if l:
             out.add_term(l, f.scale(l))
         for a in _support(f):
@@ -141,7 +115,7 @@ def delta_p0(element, p0=P0):
     coefficients of the element multiply with (see dunkl_heckman_doubled).
     """
     out = ExtendedElement()
-    for l, f in element.layers.items():
+    for l, f in element.terms.items():
         if l > 0:
             out.add_term(l, f.scale(p0 - 2 * l))
             for m in range(1, l):
@@ -176,7 +150,7 @@ def delta_tilde(element):
         Delta~(x^l) = -(l*x^l + sum_{m=1}^{-l} x^{l+m} p_{-m})     (l < 0).
     """
     out = ExtendedElement()
-    for l, f in element.layers.items():
+    for l, f in element.terms.items():
         if l > 0:
             out.add_term(l, f.scale(P0 - rat(l)))
             for m in range(1, l):
@@ -199,7 +173,7 @@ def e_project(element, p0=P0):
     The layer l = 0 is sent to p0 (the parameter) times its function.
     """
     out = LaurentSymFunc.zero()
-    for l, f in element.layers.items():
+    for l, f in element.terms.items():
         if l == 0:
             out = out + f.scale(p0)
         else:
@@ -342,9 +316,7 @@ def cms_L2_weighted(f, weights):
         v = a * w1 + b * wk + c * wp + d * wkp
         if v:
             t[target] = v
-    out = LaurentSymFunc.__new__(LaurentSymFunc)
-    out.terms = t
-    return out
+    return f._like(t)
 
 
 def cms_L2_direct(f, k=K, p0=P0):

@@ -1,7 +1,9 @@
 """Exact arithmetic in the field Q(k, p0) of rational functions in two parameters.
 
 Everything downstream (Laurent symmetric functions, operators, closed
-formulas) has coefficients in this field.  A ParamPoly is a sparse
+formulas) has coefficients in this field.  Sparse is the base of every
+finite sum over a basis in the package, and its docstring states the
+coefficient protocol they all follow.  A ParamPoly is such a sum, a
 polynomial in Z[k, p0]: its coefficients are Python ints, and it
 rejects any other.  A ParamRat is a quotient of two ParamPolys kept in a
 canonical reduced form, so that equality of rational functions is plain
@@ -264,6 +266,80 @@ def _r_divexact(a, b):
 
 
 # ---------------------------------------------------------------------------
+# Sparse: the linear arithmetic of a finite sum over a basis
+# ---------------------------------------------------------------------------
+
+class Sparse:
+    """A finite sum over a basis: self.terms maps basis keys to nonzero
+    coefficients.  ParamPoly (over monomials in k and p0),
+    laurent.LaurentSymFunc, operators.ExtendedElement and
+    finite_n.SymLaurentPolyN are sums of this kind; each defines its own
+    product and display.
+
+    The coefficient protocol: coefficients support `+` and `-` between
+    them, `*` by a scalar and `==`, and a coefficient is falsy exactly
+    when it is zero.  Ints, Fractions, ParamPolys, ParamRats and the
+    Sparse sums themselves all meet it.  No zero coefficient is ever
+    stored, so equal sums have equal `terms` and the zero sum is falsy.
+    Instances are treated as immutable; all operations return new ones,
+    built by `_like`.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
+
+    def _like(self, terms):
+        """An instance of the same kind on `terms` as they are: no zero
+        coefficients, keys already in canonical form."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        return out
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __add__(self, other):
+        t = dict(self.terms)
+        for m, c in other.terms.items():
+            s = t.get(m)
+            s = c if s is None else s + c
+            if s:
+                t[m] = s
+            else:
+                del t[m]
+        return self._like(t)
+
+    def __neg__(self):
+        return self._like({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """The product of every coefficient with the scalar c."""
+        if not c or not self.terms:
+            return self._like({})
+        return self._like({m: x * c for m, x in self.terms.items()})
+
+    def map_coeffs(self, fn):
+        """fn applied to every coefficient; zero results are dropped."""
+        t = {}
+        for m, c in self.terms.items():
+            v = fn(c)
+            if v:
+                t[m] = v
+        return self._like(t)
+
+
+# ---------------------------------------------------------------------------
 # ParamPoly
 # ---------------------------------------------------------------------------
 
@@ -272,18 +348,17 @@ def _grlex_key(mono):
     return (dk + dp, dk)
 
 
-class ParamPoly:
+class ParamPoly(Sparse):
     """Sparse polynomial in Z[k, p0].
 
-    self.terms maps (deg_k, deg_p0) -> int coefficient; zero coefficients
-    are never stored, so the zero polynomial is the empty dict.  The
-    constructor raises TypeError on a coefficient that is not an int, so
-    sums, products and integer multiples stay in Z[k, p0].  It meets the
-    coefficient protocol of LaurentSymFunc: `+ - *` with a ParamPoly or an
-    int on either side, and falsy exactly when zero.
+    self.terms maps (deg_k, deg_p0) -> int coefficient.  The constructor
+    raises TypeError on a coefficient that is not an int, so sums,
+    products and integer multiples stay in Z[k, p0].  It meets the
+    coefficient protocol of Sparse, with an int operand of `+ - *` on
+    either side taken as the constant polynomial.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("_hash",)
 
     def __init__(self, terms=None):
         t = {}
@@ -297,6 +372,12 @@ class ParamPoly:
         self.terms = t
         self._hash = None
 
+    def _like(self, terms):
+        out = ParamPoly.__new__(ParamPoly)
+        out.terms = terms
+        out._hash = None
+        return out
+
     @staticmethod
     def const(c):
         return ParamPoly({(0, 0): c})
@@ -309,25 +390,16 @@ class ParamPoly:
     def var_p0():
         return ParamPoly({(0, 1): 1})
 
-    def is_zero(self):
-        return not self.terms
-
     def is_const(self):
         return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
 
     def const_value(self):
         return Fraction(self.terms.get((0, 0), 0))
 
-    def __eq__(self, other):
-        return isinstance(other, ParamPoly) and self.terms == other.terms
-
     def __hash__(self):
         if self._hash is None:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
-
-    def __bool__(self):
-        return bool(self.terms)
 
     # An int operand of + - * is the constant polynomial; any other
     # operand that is not a ParamPoly raises TypeError from the constructor.
@@ -335,28 +407,9 @@ class ParamPoly:
     def __add__(self, other):
         if not isinstance(other, ParamPoly):
             other = ParamPoly.const(other)
-        t = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = t.get(mono, 0) + c
-            if s:
-                t[mono] = s
-            else:
-                t.pop(mono, None)
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = t
-        out._hash = None
-        return out
-
-    def __neg__(self):
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        out._hash = None
-        return out
+        return Sparse.__add__(self, other)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -377,23 +430,13 @@ class ParamPoly:
                     t[mono] = s
                 else:
                     t.pop(mono, None)
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = t
-        out._hash = None
-        return out
+        return self._like(t)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         """The product with the int c."""
-        if c == 1:
-            return self
-        if c == 0 or not self.terms:
-            return _P_ZERO
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = {m: x * c for m, x in self.terms.items()}
-        out._hash = None
-        return out
+        return self if c == 1 else Sparse.scale(self, c)
 
     def __pow__(self, n):
         if n < 0:
@@ -449,10 +492,8 @@ class ParamPoly:
         content = int_gcd(*self.terms.values())
         if content == 1:
             return 1, self
-        prim = ParamPoly.__new__(ParamPoly)
-        prim.terms = {m: c // content for m, c in self.terms.items()}
-        prim._hash = None
-        return content, prim
+        return content, self._like({m: c // content
+                                    for m, c in self.terms.items()})
 
     def __str__(self):
         return _format_poly(self)

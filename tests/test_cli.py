@@ -135,6 +135,17 @@ class TestFormulaAndPieri:
         assert code == EXIT_OK
         assert out.strip() == "2 + 2*k - 2*k*p0"
 
+    @pytest.mark.parametrize("argv,value", [
+        (("evaluation", "--lambda", "1", "--mu", "1"),
+         "(-1*p0 + p0^2 + k*p0^2 - k*p0^3)/(1 + k - k*p0)"),
+        (("duality", "--lambda", "1"), "(1)/(k)"),
+        (("phi-infinity", "--lambda", "2,1", "--mu", "1"),
+         "(-2 + k)/(k^3 - 2*k^4)")])
+    def test_formula_values(self, capsys, argv, value):
+        code, out, _ = run(capsys, "formula", "--name", *argv)
+        assert code == EXIT_OK
+        assert out == value + "\n"
+
     def test_pieri_json(self, capsys):
         code, out, _ = run(capsys, "pieri", "--lambda", "1", "--mu", "1",
                            "--format", "json")
@@ -143,6 +154,22 @@ class TestFormulaAndPieri:
         boxes = [row["box"] for row in payload["V"]]
         assert [1, 2] in boxes and [2, 1] in boxes
         assert payload["U"][0]["box"] == [1, 1]
+
+
+class TestLongArguments:
+    # a usage error quotes at most laurent._EXCERPT characters of an
+    # argument, as the expression parser does
+    LONG = "x" * 5000
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--lambda", "1", "--k=1/" + LONG, "--p0=1"),
+        ("compute", "--lambda", "1," + LONG),
+        ("finite-n", "--chi", "1," + LONG, "--N", "2"),
+        ("apply-op", "--op", "L" + LONG, "--expr", "p1")])
+    def test_error_quotes_an_excerpt(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.encode()) < 200 and err.count("\n") == 1
 
 
 class TestApplyOp:

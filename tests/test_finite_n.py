@@ -8,8 +8,9 @@ from itertools import permutations
 
 import pytest
 
-from jacklaurent.rational import K, RAT_ONE, rat, SingularParameter
-from jacklaurent.laurent import LaurentSymFunc
+from jacklaurent.rational import K, RAT_ONE, rat, SingularParameter, \
+    PoleAtSpecialization
+from jacklaurent.laurent import LaurentSymFunc, parse_element
 from jacklaurent.operators import cms_L
 from jacklaurent.closed_forms import pieri_U
 from jacklaurent.jack import construct, jack_positive
@@ -74,6 +75,12 @@ class TestRestriction:
         # the label ((1),(1)) needs two variables
         p11 = construct(((1,), (1,)))
         assert phi_N_map(p11.f, 1).is_zero()
+
+    def test_pole_at_p0_equal_to_N(self):
+        f = parse_element("p1/(p0 - 2)")
+        with pytest.raises(PoleAtSpecialization):
+            phi_N_map(f, 2)
+        assert str(phi_N_map(f, 3)) == "m[1,0,0]"
 
     def test_intertwines_integrals(self):
         for fn in (g(2), g(1) * g(-1), g(1) * g(1)):

@@ -39,14 +39,14 @@ class TestExtendedElement:
         assert ExtendedElement.zero().is_zero()
         assert ExtendedElement.embed(LaurentSymFunc.zero()).is_zero()
         e = ExtendedElement.embed(g(1))
-        assert e.layers == {0: g(1)}
+        assert e.terms == {0: g(1)}
 
     def test_add_sub_scale(self):
         a = x_layer(2) + x_layer(0, g(1))
         b = x_layer(2)
-        assert (a - b).layers == {0: g(1)}
+        assert (a - b).terms == {0: g(1)}
         assert (a - a).is_zero()
-        assert a.scale(K).layers[2] == LaurentSymFunc.const(K)
+        assert a.scale(K).terms[2] == LaurentSymFunc.const(K)
 
     def test_str(self):
         e = x_layer(2, g(1)) + x_layer(-1) + x_layer(0, g(3))
@@ -75,7 +75,7 @@ class TestBuildingBlocks:
             pos = delta_p0(x_layer(l))
             neg = delta_p0(x_layer(-l))
             mirrored = ExtendedElement(
-                {-m: -f.star() for m, f in pos.layers.items()})
+                {-m: -f.star() for m, f in pos.terms.items()})
             assert neg == mirrored, l
 
     def test_delta_kills_layer_zero(self):

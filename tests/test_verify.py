@@ -9,7 +9,7 @@ from jacklaurent import clear_caches, finite_n, jack, operators, \
 from jacklaurent.partitions import bipartitions_up_to
 from jacklaurent.rational import RAT_ONE
 from jacklaurent.verify import SUITES, check_eigen, check_evaluation, \
-    check_norm_torus, run_suite
+    check_finite_n, check_norm_torus, run_suite
 
 MEMOS = (jack._construct, operators._l2_image, finite_n._jack_poly_N,
          finite_n._delta_expansion, schur._complete_h)
@@ -32,6 +32,26 @@ class TestSuites:
         assert report["max_size"] == 2
         for row in report["checks"]:
             assert row["status"] == "pass", row
+
+    @pytest.mark.parametrize("suite,checks", [("involutions", 8),
+                                              ("duality", 36)])
+    def test_involution_and_duality_suites_pass(self, suite, checks):
+        report = run_suite(suite, 2)
+        assert report["status"] == "pass"
+        assert len(report["checks"]) == checks
+        assert all(row["status"] == "pass" for row in report["checks"])
+
+    def test_raising_check_is_a_failed_row(self, monkeypatch):
+        def boom(alpha):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "check_involution", boom)
+        report = run_suite("involutions", 1)
+        assert report["status"] == "fail"
+        assert len(report["checks"]) == 3
+        for row in report["checks"]:
+            assert row["status"] == "fail"
+            assert row["witness"] == {"error": "RuntimeError: boom"}
 
     def test_checks_sorted_and_unique(self):
         report = run_suite("evaluation", 2)
@@ -70,6 +90,11 @@ class TestChecks:
         ok, witness = check_norm_torus(alpha)
         assert ok, witness
         assert witness["N"] == 5
+
+    def test_finite_n_of_a_label_longer_than_N(self):
+        # four rows restrict to zero in N = 3 variables
+        assert check_finite_n(((1, 1), (1, 1))) == \
+            (True, {"N": 3, "expected": "0"})
 
     def test_norm_keeps_four_variables_for_short_labels(self):
         assert check_norm_torus(((2, 1), (1,)))[1]["N"] == 4
