@@ -44,12 +44,41 @@ class UsageError(Exception):
     pass
 
 
+def _excerpt(text):
+    """An argument cut after _EXCERPT characters."""
+    return text if len(text) <= _EXCERPT else text[:_EXCERPT] + "..."
+
+
 def _quoted(text):
     """The repr of an argument, cut after _EXCERPT characters, as the
     expression parser quotes its input."""
     if len(text) <= _EXCERPT:
         return repr(text)
     return repr(text[:_EXCERPT]) + "..."
+
+
+# argparse quotes a bad value in full; these types stand in for its int
+# and choices checks and quote at most _EXCERPT characters
+
+def _int(text):
+    """An int option; one of more than _EXCERPT digits is refused too,
+    as no option takes one."""
+    if len(text) <= _EXCERPT:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError("invalid int value: %s" % _quoted(text))
+
+
+def _one_of(choices):
+    def check(text):
+        if text not in choices:
+            raise argparse.ArgumentTypeError(
+                "invalid choice: %s (choose from %s)"
+                % (_quoted(text), ", ".join(map(repr, choices))))
+        return text
+    return check
 
 
 def _partition(text):
@@ -148,6 +177,7 @@ def _cmd_finite_n(args):
     return _emit(args, payload, str(p))
 
 
+_FORMATS = ("text", "json")
 _FORMULAS = ("eigenvalue", "evaluation", "norm", "duality", "phi-infinity")
 
 
@@ -242,7 +272,8 @@ def _cmd_conjectures(args):
         # opened before the sweep runs, so that a bad path fails at once
         fh = open(args.out, "w") if args.out else sys.stdout
     except OSError as exc:
-        raise UsageError("cannot write --out: %s" % exc)
+        raise UsageError("cannot write --out: %s: %s"
+                         % (exc.strerror, _quoted(args.out)))
     fh.write(json.dumps(run_all(max_size), indent=2, sort_keys=True) + "\n")
     if args.out:
         fh.close()
@@ -272,13 +303,16 @@ def build_parser():
                     "with Laurent (negative) power sums.")
     sub = top.add_subparsers(dest="command", required=True)
 
+    def add_format(p):
+        p.add_argument("--format", choices=_FORMATS, type=_one_of(_FORMATS),
+                       default="text")
+
     def add_common(p):
         p.add_argument("--lambda", dest="lam", default="",
                        help="comma-separated partition, e.g. 2,1")
         p.add_argument("--mu", dest="mu", default="",
                        help="comma-separated partition")
-        p.add_argument("--format", choices=("text", "json"),
-                       default="text")
+        add_format(p)
 
     p = sub.add_parser("compute", help="construct P_{lambda,mu}")
     add_common(p)
@@ -289,13 +323,14 @@ def build_parser():
     p = sub.add_parser("finite-n", help="N-variable eigenpolynomial")
     p.add_argument("--chi", required=True,
                    help="non-increasing integers, e.g. 1,0,-1")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int, required=True)
     p.add_argument("--k", help="exact rational coupling (default symbolic)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    add_format(p)
     p.set_defaults(fn=_cmd_finite_n)
 
     p = sub.add_parser("formula", help="closed-form scalar for a label")
-    p.add_argument("--name", choices=_FORMULAS, required=True)
+    p.add_argument("--name", choices=_FORMULAS, type=_one_of(_FORMULAS),
+                   required=True)
     add_common(p)
     p.set_defaults(fn=_cmd_formula)
 
@@ -304,7 +339,7 @@ def build_parser():
     p.add_argument("--op", required=True, help="L<r> or H<r>, e.g. L2")
     p.add_argument("--expr", required=True,
                    help="element, e.g. 'p1*p-1 - 2'")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    add_format(p)
     p.set_defaults(fn=_cmd_apply_op)
 
     p = sub.add_parser("pieri", help="transition coefficients for p1 * P")
@@ -332,21 +367,25 @@ def build_parser():
     p.set_defaults(fn=_cmd_schur)
 
     p = sub.add_parser("conjectures", help="report-only conjecture sweeps")
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument("--max-size", type=_int, default=3)
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(fn=_cmd_conjectures)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--max-size", type=int, default=3)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--suite", choices=SUITES, type=_one_of(SUITES),
+                   default="all")
+    p.add_argument("--max-size", type=_int, default=3)
+    add_format(p)
     p.set_defaults(fn=_cmd_verify)
     return top
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.error("unrecognized arguments: %s"
+                     % " ".join(map(_excerpt, extra)))
     try:
         return args.fn(args)
     except UsageError as exc:

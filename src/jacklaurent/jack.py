@@ -29,10 +29,16 @@ SingularParameter when two of these eigenvalues coincide at the point
 or the Pieri coefficient vanishes or has a pole there.
 
 P_{lam,0} is the classical one-parameter eigenfunction of the positive
-part, free of p0, and the base case is P_{0,mu} = star(P_{mu,0}), with
-star the involution p_i -> p_{-i}.  Everything is exact over Q(k, p0);
-the numeric mode runs the same loop at (k, 0) for P_{mu,0} and at (k, p0)
-for the rest, on ints, and builds Fraction coefficients once, at the end.
+part, free of p0.  The involution star, p_i -> p_{-i}, sends P_{lam,mu}
+to P_{mu,lam}, so construct grows only one label of each pair and reads
+the other as its star (_mirrored): a label is mirrored when mu is
+nonempty and either lam is empty or (|mu|, mu) < (|lam|, lam).  A grown
+label has |lam| <= |mu| unless mu is empty, so its growth chain starts
+from the mirror P_{0,mu} = star(P_{mu,0}) and takes |lam| <= |mu|
+steps.  Everything is exact over Q(k, p0).  The numeric mode
+runs the same loop at (k, 0) for P_{mu,0} and at (k, p0) for the rest,
+on ints, and builds Fraction coefficients once, at the end; it grows
+every label, as which points are singular depends on the route.
 """
 
 from collections import Counter
@@ -58,8 +64,10 @@ class JackLaurentFunction:
     fields: alpha (the bipartition), f (the element of the algebra),
     cleared (F, D, with D a _Factored, the lcm of the coefficient
     denominators, and F = D*f on ParamPoly coefficients), eigenvalue2
-    (the second integral's eigenvalue), provenance (the sequence of
-    boxes added to the first diagram, in order).
+    (the second integral's eigenvalue), provenance (the boxes of the
+    first diagram in the canonical order construct adds them; not
+    necessarily the route the build took, as a mirrored label is read
+    as the star of its mirror).
     Instances are immutable; the memo table shares them freely.
     """
 
@@ -475,20 +483,29 @@ def construct(alpha):
     return _construct(_normalize_alpha(alpha))
 
 
+def _mirrored(alpha):
+    """Whether construct reads P_alpha as star(P_{mu,lam}) rather than
+    growing it: mu is nonempty and either lam is empty or
+    (|mu|, mu) < (|lam|, lam).  The mirror (mu, lam) is never mirrored."""
+    lam, mu = alpha
+    return bool(mu) and (not lam or (size(mu), mu) < (size(lam), lam))
+
+
 @cache
 def _construct(key):
     lam, mu = key
+    if _mirrored(key):
+        mirror = construct((mu, lam))
+        F, D = mirror.cleared
+        return JackLaurentFunction(key, mirror.f.star(), (F.star(), D),
+                                   eigenvalue_e(key),
+                                   tuple(_canonical_order(lam)))
     if lam:
         box = _deepest_removable(lam)
         return _extend(construct((remove_box(lam, box), mu)), box)
-    if not mu:
-        return JackLaurentFunction(key, LaurentSymFunc.one(), (
-            LaurentSymFunc.const(ParamPoly.const(1)), _Factored(1, Counter())),
-            eigenvalue_e(key), ())
-    positive = construct((mu, ()))
-    F, D = positive.cleared
-    return JackLaurentFunction(key, positive.f.star(), (F.star(), D),
-                               eigenvalue_e(key), ())
+    return JackLaurentFunction(key, LaurentSymFunc.one(), (
+        LaurentSymFunc.const(ParamPoly.const(1)), _Factored(1, Counter())),
+        eigenvalue_e(key), ())
 
 
 def jack_positive(lam):
@@ -500,8 +517,9 @@ def jack_positive(lam):
 def construct_via_order(alpha, order):
     """Build P_alpha adding the first diagram's boxes in the given order
     (every prefix must be a partition), from P_{0,mu} read from the memo
-    table; the steps themselves bypass it.  Used to confirm the result
-    does not depend on the order."""
+    table; the steps themselves bypass it, and so does the mirror rule
+    for P_alpha itself.  Used to confirm the result does not depend on
+    the order, and to grow the mirrored side of star_symmetry_check."""
     lam, mu = _normalize_alpha(alpha)
     cur = construct(((), mu))
     for box in order:
@@ -531,9 +549,18 @@ def pieri_identity_check(alpha):
 
 
 def star_symmetry_check(alpha):
-    """star(P_{lam,mu}) = P_{mu,lam}, compared exactly."""
-    lam, mu = _normalize_alpha(alpha)
-    return construct((lam, mu)).f.star() == construct((mu, lam)).f
+    """star(P_{lam,mu}) = P_{mu,lam}, compared exactly.  construct reads
+    the mirrored label of the pair as the star of the other (_mirrored),
+    so here the mirrored one is grown box by box (construct_via_order),
+    and the two sides are built independently whenever both diagrams
+    are nonempty and unequal."""
+    alpha = _normalize_alpha(alpha)
+    if _mirrored(alpha):
+        alpha = alpha[::-1]
+    lam, mu = alpha
+    other = construct((mu, lam)) if lam == mu else \
+        construct_via_order((mu, lam), _canonical_order(mu))
+    return construct(alpha).f.star() == other.f
 
 
 def theta_duality_check(alpha):

@@ -807,9 +807,11 @@ def rat(n, d=1):
 
 
 def as_rat(v):
-    """An int, Fraction or ParamRat as a ParamRat."""
+    """An int, Fraction, ParamPoly or ParamRat as a ParamRat."""
     if isinstance(v, ParamRat):
         return v
+    if isinstance(v, ParamPoly):
+        return _make(v, _P_ONE)
     if isinstance(v, int):
         return ParamRat.from_int(v)
     if isinstance(v, Fraction):

@@ -171,6 +171,32 @@ class TestLongArguments:
         assert code == EXIT_USAGE and out == ""
         assert len(err.encode()) < 200 and err.count("\n") == 1
 
+    def test_unwritable_out_quotes_an_excerpt(self, capsys):
+        code, out, err = run(capsys, "conjectures", "--max-size", "0",
+                             "--out", "/nonexistent/" + self.LONG)
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.encode()) < 200 and err.count("\n") == 1
+
+    # argparse's own errors: the usage lines, then one line that quotes
+    # an excerpt
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--max-size", LONG),
+        ("verify", "--max-size", "1" + "0" * 4000),
+        ("conjectures", "--max-size", LONG),
+        ("finite-n", "--chi", "1", "--N", LONG),
+        ("verify", "--suite", LONG),
+        ("formula", "--name", LONG),
+        ("compute", "--format", LONG),
+        ("compute", "--lambda", "1", "--" + LONG)])
+    def test_argparse_error_quotes_an_excerpt(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out == ""
+        assert len(err.encode()) < 500
+        assert "x" * 41 not in err and "0" * 41 not in err
+        assert err.splitlines()[-1].endswith(("...", ")"))
+
 
 class TestApplyOp:
     def test_euler(self, capsys):

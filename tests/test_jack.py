@@ -179,6 +179,47 @@ class TestInvolutions:
         assert theta_duality_check(((2,), ()))
 
 
+class TestMirrorRule:
+    def test_the_mirror_is_never_mirrored(self):
+        for alpha in bipartitions_up_to(7):
+            if jack._mirrored(alpha):
+                assert alpha[1] and not jack._mirrored(alpha[::-1]), alpha
+
+    def test_mirrored_labels_match_the_grown_route(self, cold_memo):
+        # each route from a cold memo: construct reads a mirrored label
+        # as the star of its mirror, construct_via_order grows it
+        for alpha in bipartitions_up_to(5):
+            lam, mu = alpha
+            if not (lam and mu):
+                continue
+            clear_caches()
+            grown = construct_via_order(alpha, jack._canonical_order(lam))
+            clear_caches()
+            built = construct(alpha)
+            assert str(built) == str(grown), alpha
+            (F, D), (G, E) = built.cleared, grown.cleared
+            assert F == G, alpha
+            assert (D.content, D.factors) == (E.content, E.factors), alpha
+            assert built.provenance == grown.provenance, alpha
+
+    def test_involutions_compare_independent_sides(self, monkeypatch):
+        # the mirrored member of every pair with both diagrams nonempty
+        # and unequal is grown box by box, not read from the memo
+        grown = []
+        via_order = jack.construct_via_order
+
+        def recording(alpha, order):
+            grown.append(alpha)
+            return via_order(alpha, order)
+        monkeypatch.setattr(jack, "construct_via_order", recording)
+        labels = [a for a in bipartitions_up_to(4)
+                  if a[0] and a[1] and a[0] != a[1]]
+        for alpha in labels:
+            assert star_symmetry_check(alpha), alpha
+        assert sorted(grown) == sorted(
+            a for a in labels + labels if jack._mirrored(a))
+
+
 class TestOrderIndependence:
     def test_two_growth_orders(self):
         a = construct_via_order(((2, 1), (1,)), [(1, 1), (1, 2), (2, 1)])
@@ -513,8 +554,10 @@ class TestNarrowWidth:
         labels = bipartitions_up_to(5)
         for alpha in labels:
             construct(alpha)
-        # one step per label whose first diagram is not empty
-        assert len(steps) == sum(1 for lam, _ in labels if lam)
+        # one step per label the construction grows: its first diagram
+        # is not empty and it is not read as the star of its mirror
+        assert len(steps) == sum(1 for a in labels
+                                 if a[0] and not jack._mirrored(a))
         for F, factors, ring, outs in steps:
             assert len(outs) == len(factors) + 1
             reach = _l2_closure(F.terms)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat, \
-    DivisionByZero
+    DivisionByZero, ParamRat
 from jacklaurent.jack import construct
 from jacklaurent.laurent import LaurentSymFunc, mono_str, mono_bidegree, \
     parse_element, parse_rat, from_json_terms
@@ -212,6 +212,22 @@ class TestSerialization:
         for alpha in bipartitions_up_to(5):
             f = construct(alpha).f
             assert parse_element(str(f)) == f, alpha
+
+    def test_cleared_forms_print(self):
+        # a cleared form has ParamPoly coefficients; it prints as the
+        # function with each coefficient a ParamRat over 1
+        for alpha in (((1,), (1,)), ((2,), (1,)), ((1,), (2, 1)), ((), (2,))):
+            F, _ = construct(alpha).cleared
+            over_one = F.map_coeffs(ParamRat)
+            assert str(F) == str(over_one), alpha
+            assert repr(F) == repr(over_one), alpha
+            assert parse_element(str(F)) == over_one, alpha
+
+    def test_printed_functions_unchanged(self):
+        # the sha256 of every printed P to |lam|+|mu| <= 4, as printed
+        # before ParamPoly coefficients printed at all
+        text = "\n".join(str(construct(a).f) for a in bipartitions_up_to(4))
+        assert sha256(text.encode()).hexdigest()[:16] == "89877278fbccef87"
 
 
 # What the parser returned before every coefficient operation was bounded
