@@ -495,10 +495,12 @@ def _mirrored(alpha):
 def _construct(key):
     lam, mu = key
     if _mirrored(key):
+        # eigenvalue_e sums over the rows of lam and mu alike, so the
+        # mirror's eigenvalue is this label's
         mirror = construct((mu, lam))
         F, D = mirror.cleared
         return JackLaurentFunction(key, mirror.f.star(), (F.star(), D),
-                                   eigenvalue_e(key),
+                                   mirror.eigenvalue2,
                                    tuple(_canonical_order(lam)))
     if lam:
         box = _deepest_removable(lam)

@@ -187,7 +187,8 @@ class TestMirrorRule:
 
     def test_mirrored_labels_match_the_grown_route(self, cold_memo):
         # each route from a cold memo: construct reads a mirrored label
-        # as the star of its mirror, construct_via_order grows it
+        # as the star of its mirror, with the mirror's eigenvalue, and
+        # construct_via_order grows it
         for alpha in bipartitions_up_to(5):
             lam, mu = alpha
             if not (lam and mu):
@@ -201,6 +202,7 @@ class TestMirrorRule:
             assert F == G, alpha
             assert (D.content, D.factors) == (E.content, E.factors), alpha
             assert built.provenance == grown.provenance, alpha
+            assert built.eigenvalue2 == grown.eigenvalue2, alpha
 
     def test_involutions_compare_independent_sides(self, monkeypatch):
         # the mirrored member of every pair with both diagrams nonempty
