@@ -30,11 +30,14 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Empty every memo: constructed functions with their cleared forms,
-    the per-monomial table of the second-order integral, finite-N
-    polynomials, the torus weight, the complete functions h_i and the
-    eigenvalues of the eigen checks."""
-    for memo in (jack._construct, operators._l2_image,
-                 finite_n._jack_poly_N, finite_n._delta_expansion,
+    the mirrored labels grown for the involution checks, the
+    per-monomial table of the second-order integral, finite-N
+    polynomials, the int tables of phi_N and of L_{k,N}, the torus
+    weight, the complete functions h_i and the eigenvalues of the eigen
+    checks."""
+    for memo in (jack._construct, jack._grown_mirror, operators._l2_image,
+                 finite_n._jack_poly_N, finite_n._phi_N_monomial,
+                 finite_n._cms_N_image, finite_n._delta_expansion,
                  schur._complete_h, verify._eigenvalues):
         memo.cache_clear()
 

@@ -15,6 +15,7 @@ agreement between the two routes is evidence for both.
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .rational import RAT_ZERO, RAT_ONE, K, Sparse, rat, as_rat, \
     SingularParameter, PoleAtSpecialization, IdenticallySingular, \
@@ -146,32 +147,46 @@ class SymLaurentPolyN(Sparse):
         return " + ".join(bits)
 
 
-def power_sum_N(j, N):
-    """The image of p_j: x_1^j + ... + x_N^j."""
+def _power_sum_key(j, N):
+    """The orbit label of the power sum x_1^j + ... + x_N^j."""
     if j == 0 or N < 1:
         raise ValueError("power sum index must be nonzero, N >= 1")
-    if j > 0:
-        return SymLaurentPolyN.orbit((j,) + (0,) * (N - 1), N)
-    return SymLaurentPolyN.orbit((0,) * (N - 1) + (j,), N)
+    return (j,) + (0,) * (N - 1) if j > 0 else (0,) * (N - 1) + (j,)
+
+
+def power_sum_N(j, N):
+    """The image of p_j: x_1^j + ... + x_N^j."""
+    return SymLaurentPolyN.orbit(_power_sum_key(j, N), N)
+
+
+@cache
+def _phi_N_monomial(m, N):
+    """The image of the p-monomial m (a sorted tuple of (index, exponent)
+    pairs): the product of its power sums, with int coefficients, built
+    from the image of m with one factor fewer."""
+    if not m:
+        return SymLaurentPolyN(N, {(0,) * N: 1})
+    i, e = m[-1]
+    rest = m[:-1] + ((i, e - 1),) if e > 1 else m[:-1]
+    return _phi_N_monomial(rest, N) * \
+        SymLaurentPolyN(N, {_power_sum_key(i, N): 1})
 
 
 def phi_N_map(f, N):
     """The homomorphism from the infinite algebra: p_j -> power sum,
-    p0 -> N; k stays symbolic."""
+    p0 -> N; k stays symbolic.  A Fraction coefficient (f specialized
+    already) is a constant, its own value at p0 = N.  Each p-monomial's
+    image is read from the int table _phi_N_monomial and scaled once."""
     p0v = Fraction(N)
     out = SymLaurentPolyN.zero(N)
     for m, c in f.terms.items():
-        try:
-            c2 = c.substitute_p0(p0v)
-        except IdenticallySingular:
-            raise PoleAtSpecialization(
-                "coefficient %s has a pole at p0=%s" % (c, p0v))
-        term = SymLaurentPolyN.one(N) * c2
-        for i, e in m:
-            ps = power_sum_N(i, N)
-            for _ in range(e):
-                term = term * ps
-        out = out + term
+        if not isinstance(c, Fraction):
+            try:
+                c = c.substitute_p0(p0v)
+            except IdenticallySingular:
+                raise PoleAtSpecialization(
+                    "coefficient %s has a pole at p0=%s" % (c, p0v))
+        out = out + _phi_N_monomial(m, N).scale(c)
     return out
 
 
@@ -188,42 +203,70 @@ def euler_N(f):
     return SymLaurentPolyN.from_full(f.N, out)
 
 
-def cms_N(f, k=K):
-    """Apply L_{k,N}.  The rational pair terms resolve against the
-    symmetry of f: for each monomial x^a and pair i<j with a_i > a_j the
-    orbit {x^a, x^swap} jointly contributes
+@cache
+def _cms_N_image(chi):
+    """L_{k,N}(m_chi) for N = len(chi), as {eta: (x, y)}: the coefficient
+    of m_eta is x + k*y, with x and y ints.  The rational pair terms
+    resolve against the symmetry of m_chi: for each monomial x^a of the
+    orbit and pair i<j with a_i > a_j the orbit {x^a, x^swap} jointly
+    contributes
 
         -k (a_i-a_j) [x^a + x^swap + 2*(the monomials strictly between)],
 
-    and the diagonal part contributes (sum a_i^2) x^a."""
-    N = f.N
-    full = f.expand()
+    and the diagonal part contributes (sum a_i^2) x^a.  Only the
+    non-increasing targets are kept: the image is symmetric."""
+    N = len(chi)
     out = {}
 
-    def bump(key, c):
+    def bump(key, x, y):
         v = out.get(key)
-        out[key] = c if v is None else v + c
+        if v is None:
+            out[key] = [x, y]
+        else:
+            v[0] += x
+            v[1] += y
 
-    for a, c in full.items():
+    for a in _rearrangements(chi):
         diag = sum(x * x for x in a)
         if diag:
-            bump(a, c * diag)
+            bump(a, diag, 0)
         for i in range(N):
             for j in range(i + 1, N):
                 d = a[i] - a[j]
                 if d <= 0:
                     continue
-                kd = k * d
-                bump(a, -(c * kd))
+                bump(a, 0, -d)
                 swap = list(a)
                 swap[i], swap[j] = swap[j], swap[i]
-                bump(tuple(swap), -(c * kd))
+                bump(tuple(swap), 0, -d)
                 mid = list(a)
                 for _ in range(d - 1):
                     mid[i] -= 1
                     mid[j] += 1
-                    bump(tuple(mid), -(c * kd * 2))
-    return SymLaurentPolyN.from_full(N, out)
+                    bump(tuple(mid), 0, -2 * d)
+    return {eta: (x, y) for eta, (x, y) in out.items()
+            if (x or y) and eta == tuple(sorted(eta, reverse=True))}
+
+
+def cms_N(f, k=K):
+    """Apply L_{k,N}: sum the int images _cms_N_image of f's orbit sums,
+    the k-free and the k parts apart, and combine them with k once per
+    target."""
+    acc = {}
+    for chi, c in f.terms.items():
+        for eta, (x, y) in _cms_N_image(chi).items():
+            v = acc.get(eta)
+            if v is None:
+                acc[eta] = [c * x, c * y]
+            else:
+                v[0] += c * x
+                v[1] += c * y
+    t = {}
+    for eta, (x, y) in acc.items():
+        v = x + k * y
+        if v:
+            t[eta] = v
+    return f._like(t)
 
 
 def cms_r_N(f, r, k=K):
@@ -266,11 +309,9 @@ def _jack_poly_N(nu, N, k0):
     cands = [delta for delta in partitions_of(sum(nu))
              if len(delta) <= N and dominance_leq(pad(delta), pad(nu))]
     cands.sort(key=_index_weight)
-    actions = {}
-    for delta in cands:
-        img = cms_N(SymLaurentPolyN(N, {pad(delta): one}), k)
-        actions[delta] = {tuple(x for x in eta if x): c
-                          for eta, c in img.terms.items()}
+    actions = {delta: {tuple(x for x in eta if x): a + k * b
+                       for eta, (a, b) in _cms_N_image(pad(delta)).items()}
+               for delta in cands}
     s = actions[nu].get(nu, 0)
     coeffs = {nu: one}
     for delta in cands:
@@ -337,35 +378,46 @@ def constant_term_delta(k_neg_int, N):
     return _delta_weight(k_neg_int, N)[1]
 
 
-def _numeric_full(f, k0):
-    """Expand f and evaluate its coefficients at k = k0 (Fractions)."""
-    out = {}
-    for a, c in f.expand().items():
-        c = as_rat(c)
-        if not c.is_p0_free():
-            raise ValueError("finite coefficient %s still mentions p0" % c)
-        v = c.specialize(k0, 0)
-        if v:
-            out[a] = v
-    return out
+def _cleared_full(f, k0):
+    """f at k = k0 cleared of denominators: (d, full), full the int
+    coefficients of d*f on every monomial, d the lcm of the Fraction
+    coefficients' denominators.  A Fraction coefficient is read as it is."""
+    vals = {}
+    for chi, c in f.terms.items():
+        if not isinstance(c, Fraction):
+            c = as_rat(c)
+            if not c.is_p0_free():
+                raise ValueError("finite coefficient %s still mentions p0"
+                                 % c)
+            c = c.specialize(k0, 0)
+        if c:
+            vals[chi] = c
+    d = lcm(*(v.denominator for v in vals.values()))
+    full = {}
+    for chi, v in vals.items():
+        n = v.numerator * (d // v.denominator)
+        for key in _rearrangements(chi):
+            full[key] = n
+    return d, full
 
 
 def torus_form(f, g, k_neg_int, N):
     """(f, g)_N = CT(f g* Delta_N) / CT(Delta_N) at the given negative
-    integer coupling; exact Fraction."""
+    integer coupling; exact Fraction.  Summed over ints, with one
+    division at the end."""
     if f.N != N or g.N != N:
         raise ValueError("operands are not in %d variables" % N)
     delta, ct = _delta_weight(k_neg_int, N)
     k0 = Fraction(k_neg_int)
-    fa = _numeric_full(f, k0)
-    fb = _numeric_full(g, k0)
-    total = Fraction(0)
+    da, fa = _cleared_full(f, k0)
+    db, fb = (da, fa) if g is f else _cleared_full(g, k0)
+    total = 0
     for a, ca in fa.items():
         for b, cb in fb.items():
             w = delta.get(tuple(y - x for x, y in zip(a, b)))
             if w:
                 total += ca * cb * w
-    return total / ct
+    return Fraction(total, da * db * ct)
 
 
 # -- finite closed-form checks ---------------------------------------------------

@@ -550,18 +550,25 @@ def pieri_identity_check(alpha):
     return lhs == rhs
 
 
+@cache
+def _grown_mirror(alpha):
+    """The mirrored label alpha grown box by box (construct_via_order),
+    not read as a star; memoized, so each label of a pair is grown once
+    for the checks of both."""
+    return construct_via_order(alpha, _canonical_order(alpha[0]))
+
+
 def star_symmetry_check(alpha):
     """star(P_{lam,mu}) = P_{mu,lam}, compared exactly.  construct reads
     the mirrored label of the pair as the star of the other (_mirrored),
-    so here the mirrored one is grown box by box (construct_via_order),
-    and the two sides are built independently whenever both diagrams
-    are nonempty and unequal."""
+    so here the mirrored one is grown box by box (_grown_mirror), and
+    the two sides are built independently whenever both diagrams are
+    nonempty and unequal."""
     alpha = _normalize_alpha(alpha)
     if _mirrored(alpha):
         alpha = alpha[::-1]
     lam, mu = alpha
-    other = construct((mu, lam)) if lam == mu else \
-        construct_via_order((mu, lam), _canonical_order(mu))
+    other = construct((mu, lam)) if lam == mu else _grown_mirror((mu, lam))
     return construct(alpha).f.star() == other.f
 
 

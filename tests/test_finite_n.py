@@ -4,25 +4,95 @@ eigenpolynomials, and the torus inner product at negative integer k."""
 
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from jacklaurent.rational import K, RAT_ONE, rat, SingularParameter, \
-    PoleAtSpecialization
+from jacklaurent.rational import K, RAT_ONE, rat, as_rat, \
+    SingularParameter, PoleAtSpecialization
 from jacklaurent.laurent import LaurentSymFunc, parse_element
 from jacklaurent.operators import cms_L
 from jacklaurent.closed_forms import pieri_U
+from jacklaurent.partitions import bipartitions_up_to
 from jacklaurent.jack import construct, jack_positive
+from jacklaurent import verify
 from jacklaurent.finite_n import (
     SymLaurentPolyN, c_chi, cms_N, cms_r_N, constant_term_delta, euler_N,
     finite_pieri_check, hc_eigen_check_N, involution_check_N,
     jack_laurent_poly_N, jack_poly_N, phi_N_map, pieri_V_N, power_sum_N,
-    torus_form,
+    torus_form, _delta_weight,
 )
 
 g = LaurentSymFunc.gen
 ORBIT = SymLaurentPolyN.orbit
+
+
+# every non-increasing sequence with N <= 3 entries in -2..2
+CHIS = [tuple(sorted(c, reverse=True)) for N in (1, 2, 3)
+        for c in combinations_with_replacement(range(-2, 3), N)]
+
+
+# -- test-only references: the bodies these functions had before their
+# int tables
+
+def reference_phi_N_map(f, N):
+    """phi_N as the product of the power sums, one factor at a time."""
+    out = SymLaurentPolyN.zero(N)
+    for m, c in f.terms.items():
+        term = SymLaurentPolyN.one(N) * c.substitute_p0(Fraction(N))
+        for i, e in m:
+            for _ in range(e):
+                term = term * power_sum_N(i, N)
+        out = out + term
+    return out
+
+
+def reference_cms_N(f, k=K):
+    """L_{k,N} by the expand-and-bump loop over every monomial of f."""
+    N = f.N
+    out = {}
+
+    def bump(key, c):
+        v = out.get(key)
+        out[key] = c if v is None else v + c
+
+    for a, c in f.expand().items():
+        diag = sum(x * x for x in a)
+        if diag:
+            bump(a, c * diag)
+        for i in range(N):
+            for j in range(i + 1, N):
+                d = a[i] - a[j]
+                if d <= 0:
+                    continue
+                kd = k * d
+                bump(a, -(c * kd))
+                swap = list(a)
+                swap[i], swap[j] = swap[j], swap[i]
+                bump(tuple(swap), -(c * kd))
+                mid = list(a)
+                for _ in range(d - 1):
+                    mid[i] -= 1
+                    mid[j] += 1
+                    bump(tuple(mid), -(c * kd * 2))
+    return SymLaurentPolyN.from_full(N, out)
+
+
+def reference_torus_form(f, g, k_neg_int, N):
+    """The torus form summed over Fractions, term by term."""
+    delta, ct = _delta_weight(k_neg_int, N)
+    k0 = Fraction(k_neg_int)
+
+    def numeric(h):
+        return {a: as_rat(c).specialize(k0, 0)
+                for a, c in h.expand().items()}
+    total = Fraction(0)
+    for a, ca in numeric(f).items():
+        for b, cb in numeric(g).items():
+            w = delta.get(tuple(y - x for x, y in zip(a, b)))
+            if w:
+                total += ca * cb * w
+    return total / ct
 
 
 def _shifted(chi, N, a):
@@ -89,6 +159,80 @@ class TestRestriction:
                     left = phi_N_map(cms_L(r, fn), N)
                     right = cms_r_N(phi_N_map(fn, N), r)
                     assert left == right, (r, N, str(fn))
+
+
+class TestIntTables:
+    """phi_N_map, cms_N and torus_form against their earlier bodies."""
+
+    @pytest.mark.parametrize("chi", CHIS)
+    def test_cms_N_on_an_orbit(self, chi):
+        N = len(chi)
+        m = ORBIT(chi, N)
+        assert cms_N(m) == reference_cms_N(m)
+        k0 = Fraction(-1, 2)
+        q = SymLaurentPolyN(N, {chi: Fraction(3, 7)})
+        assert cms_N(q, k0) == reference_cms_N(q, k0)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_cms_N_on_a_sum(self, N):
+        # terms that share targets, symbolic and at k = -1/2
+        chis = [chi for chi in CHIS if len(chi) == N]
+        f = SymLaurentPolyN(N, {chi: K + i for i, chi in enumerate(chis)})
+        assert cms_N(f) == reference_cms_N(f)
+        k0 = Fraction(-1, 2)
+        q = SymLaurentPolyN(N, {chi: Fraction(i - 3, i + 1)
+                                for i, chi in enumerate(chis)})
+        assert cms_N(q, k0) == reference_cms_N(q, k0)
+        assert cms_N(q, k0) == reference_cms_N(q.map_coeffs(as_rat), k0)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_phi_N_map_on_labels(self, N):
+        for alpha in bipartitions_up_to(3):
+            f = construct(alpha).f
+            assert phi_N_map(f, N) == reference_phi_N_map(f, N), alpha
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_phi_N_map_on_monomials(self, N):
+        f = parse_element("p2^2*p-1 + (k/(p0+1))*p1^3*p-2 + p-1^2 - 3")
+        assert phi_N_map(f, N) == reference_phi_N_map(f, N)
+
+    @pytest.mark.parametrize("chi", [chi for chi in CHIS if len(chi) > 1])
+    def test_torus_form_on_fractions_and_symbols(self, chi):
+        N = len(chi)
+        f = jack_laurent_poly_N(chi, N, k0=-1)
+        g = SymLaurentPolyN(N, {chi: K + 2, (0,) * N: rat(1, 3)})
+        for k in (-1, -2):
+            for a, b in ((f, f), (f, g), (g, f), (g, g)):
+                assert torus_form(a, b, k, N) == \
+                    reference_torus_form(a, b, k, N), (k, str(a), str(b))
+
+    @pytest.mark.parametrize("k0, N", [(verify.TORUS_K, verify.TORUS_N),
+                                       (verify.FINITE_K, verify.FINITE_N)])
+    def test_specialize_before_the_map(self, k0, N):
+        # the checks' route equals the symbolic one at both check points
+        for alpha in bipartitions_up_to(4):
+            f = construct(alpha).f
+            assert phi_N_map(f.specialize(k0, N), N) == \
+                phi_N_map(f, N).substitute_k(k0), alpha
+
+    def test_fallback_on_a_pole_of_one_coefficient(self, monkeypatch):
+        # a coefficient of P[1; 1,1,1,1,1] has a pole at (k, p0) =
+        # (-1/2, 3), its image in three variables has none; the check
+        # then maps the symbolic function and gives the symbolic row
+        alpha = ((1,), (1, 1, 1, 1, 1))
+        with pytest.raises(PoleAtSpecialization):
+            construct(alpha).f.specialize(verify.FINITE_K, verify.FINITE_N)
+        symbolic = []
+        real = verify.phi_N_map
+
+        def recording(f, N):
+            symbolic.append(all(type(c) is not Fraction
+                                for c in f.terms.values()))
+            return real(f, N)
+        monkeypatch.setattr(verify, "phi_N_map", recording)
+        assert verify.check_finite_n(alpha) == \
+            (True, {"N": 3, "expected": "0"})
+        assert symbolic == [True]
 
 
 class TestFiniteOperator:

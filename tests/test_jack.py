@@ -206,7 +206,8 @@ class TestMirrorRule:
 
     def test_involutions_compare_independent_sides(self, monkeypatch):
         # the mirrored member of every pair with both diagrams nonempty
-        # and unequal is grown box by box, not read from the memo
+        # and unequal is grown box by box, not read from the memo, and
+        # once for the checks of both members of its pair
         grown = []
         via_order = jack.construct_via_order
 
@@ -214,12 +215,12 @@ class TestMirrorRule:
             grown.append(alpha)
             return via_order(alpha, order)
         monkeypatch.setattr(jack, "construct_via_order", recording)
+        clear_caches()
         labels = [a for a in bipartitions_up_to(4)
                   if a[0] and a[1] and a[0] != a[1]]
         for alpha in labels:
             assert star_symmetry_check(alpha), alpha
-        assert sorted(grown) == sorted(
-            a for a in labels + labels if jack._mirrored(a))
+        assert sorted(grown) == sorted(a for a in labels if jack._mirrored(a))
 
 
 class TestOrderIndependence:

@@ -12,8 +12,10 @@ from jacklaurent.verify import SUITES, check_eigen, check_evaluation, \
     check_finite_n, check_norm_torus, run_suite
 
 MEMOS = (jack._construct, operators._l2_image, finite_n._jack_poly_N,
+         finite_n._phi_N_monomial, finite_n._cms_N_image,
          finite_n._delta_expansion, schur._complete_h)
-EIGEN_MEMOS = (verify._eigenvalues,)
+# filled by the eigen checks and by the involution checks at size 3
+EIGEN_MEMOS = (verify._eigenvalues, jack._grown_mirror)
 
 
 class TestSuites:
@@ -73,8 +75,10 @@ class TestSuites:
         run_suite("schur", 1)
         run_suite("commute", 1)
         assert all(memo.cache_info().currsize for memo in MEMOS)
-        # the eigen checks at size 2 fill the eigenvalue memo
+        # the eigen checks at size 2 fill the eigenvalue memo, the
+        # involution checks at 3 the memo of grown mirrored labels
         run_suite("eigen", 2)
+        run_suite("involutions", 3)
         assert all(memo.cache_info().currsize for memo in EIGEN_MEMOS)
         clear_caches()
         sizes = [memo.cache_info().currsize for memo in MEMOS + EIGEN_MEMOS]
