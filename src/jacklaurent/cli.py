@@ -36,7 +36,7 @@ EXIT_SINGULAR = 3
 # on small inputs, L32 several.
 MAX_OP_ORDER = 16
 # Largest --max-size verify and conjectures accept: all suites take
-# about 3 s at 6 and 8 s at 7, and conjectures 4 s and 21 s.
+# about 2 s at 6 and 5 s at 7, and conjectures 1 s and 2.5 s.
 MAX_SIZE = 7
 
 

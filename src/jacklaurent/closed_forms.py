@@ -5,13 +5,18 @@ duality constant — all as exact elements of Q(k, p0).
 Conventions.  Partitions are weakly decreasing tuples; a bipartition is a
 pair (lam, mu).  Boxes are (row, column), 1-indexed.  A box which cannot
 be added (for V) or removed (for U) contributes a Pieri coefficient of 0.
+
+The product formulas multiply linear forms in k, p0 and k*p0 as a
+Factored, and multiply it out once, with no polynomial gcd.
 """
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd
+from functools import cache
+from math import comb, gcd, prod
 
-from .rational import ParamRat, RAT_ZERO, RAT_ONE, K, P0, rat, as_rat
+from .rational import ParamPoly, ParamRat, RAT_ZERO, RAT_ONE, K, P0, rat, \
+    as_rat, _make, _scalar_canonical
 from .partitions import part, conjugate, boxes, add_box_candidates, \
     remove_box_candidates, content_box
 
@@ -20,16 +25,120 @@ class SingularProduct(ArithmeticError):
     """A denominator factor of a closed-form product vanishes identically."""
 
 
-def _ratio(factors, what):
-    """prod num/den over the (num, den) pairs, multiplied in the order
-    given; SingularProduct names `what` when a den is identically zero."""
-    v = RAT_ONE
-    for num, den in factors:
-        if den.is_zero():
-            raise SingularProduct(
-                "%s: a denominator factor vanishes identically" % what)
-        v = v * num / den
-    return v
+# -- factored products ---------------------------------------------------------
+# A linear form a + b*k + c*p0 + d*k*p0 is an int times at most two
+# atoms: primitive polynomials with a positive front coefficient (the
+# coefficient printed first).  It splits in two exactly when it has
+# rank one, a*d == b*c with both k and p0 in it: (x + y*k)(u + v*p0).
+# Otherwise its primitive part is of degree 1 in k or in p0 with
+# coprime coefficients, so irreducible.  Distinct atoms are then
+# non-associate primes of the UFD Z[k, p0], so a product keeps each
+# atom once with the sum of its exponents, and the two sides of a
+# quotient are coprime: multiplied out, only the int contents are left
+# to reduce.
+
+_MONOS = ((0, 0), (1, 0), (0, 1), (1, 1))     # 1, k, p0 and k*p0
+
+
+def expand(c, atoms):
+    """The ParamPoly c * prod a^e over the mapping `atoms`, for an int c
+    and exponents e >= 0."""
+    return prod((a ** e for a, e in atoms.items()), start=ParamPoly.const(c))
+
+
+class Factored:
+    """scale * prod a^e over the Counter `atoms`: a Fraction scale and
+    atoms as above with nonzero, signed exponents.  A zero scale is the
+    zero product.  Instances are immutable."""
+
+    __slots__ = ("scale", "atoms")
+
+    def __init__(self, scale=1, atoms=None):
+        self.scale = Fraction(scale)
+        self.atoms = Counter() if atoms is None else atoms
+
+    @staticmethod
+    def of(form):
+        """The Factored of a linear form: an int, Fraction, ParamPoly or
+        ParamRat of bidegree at most (1, 1) over a constant; a Factored
+        as it is.  Raises ValueError otherwise."""
+        if type(form) is Factored:
+            return form
+        form = as_rat(form)
+        t, d = form.num.terms, form.den.terms.get((0, 0))
+        if not form.den.is_const() or any(i > 1 or j > 1 for i, j in t):
+            raise ValueError("not a linear form in k, p0 and k*p0: %s"
+                             % form)
+        out = _linear(*(t.get(m, 0) for m in _MONOS))
+        return out if d == 1 else Factored(out.scale / d, out.atoms)
+
+    def __mul__(self, other):
+        return _ratio([((self, other), ())], "a product")
+
+    def __truediv__(self, other):
+        return _ratio([((self,), (other,))], "a quotient")
+
+    def sides(self):
+        """((n, up), (d, down)) with self = n*prod a^e over up divided by
+        d*prod a^e over down: ints n and d, and positive exponents."""
+        return ((self.scale.numerator,
+                 {a: e for a, e in self.atoms.items() if e > 0}),
+                (self.scale.denominator,
+                 {a: -e for a, e in self.atoms.items() if e < 0}))
+
+    def to_rat(self):
+        """The ParamRat: both sides multiplied out, coprime as they
+        share no atom, so _scalar_canonical finishes the form."""
+        return _make(*_scalar_canonical(*(expand(c, atoms)
+                                          for c, atoms in self.sides())))
+
+    def at(self, k0, p00):
+        """The value at the rational point (k0, p00), a Fraction; raises
+        PoleAtSpecialization as ParamRat.specialize does, naming the
+        canonical denominator, when an atom below vanishes there."""
+        values = [(a.evaluate(k0, p00), e) for a, e in self.atoms.items()]
+        if any(not v and e < 0 for v, e in values):
+            return self.to_rat().specialize(k0, p00)
+        return self.scale * prod(v ** e for v, e in values)
+
+
+@cache
+def _linear(a, b, c, d):
+    """The Factored of a + b*k + c*p0 + d*k*p0 for ints (see above)."""
+    if (c or d) and (b or d) and a * d == b * c:
+        # rank one: (a, b) and (c, d) are u and v times one primitive
+        # (x, y), and the form is (x + y*k)(u + v*p0)
+        g = gcd(a, b) or gcd(c, d)
+        x, y = (a // g, b // g) if a or b else (c // g, d // g)
+        u, v = (a // x, c // x) if x else (b // y, d // y)
+        return _linear(x, y, 0, 0) * _linear(u, 0, v, 0)
+    g, atom = ParamPoly(dict(zip(_MONOS, (a, b, c, d)))).content_primitive()
+    if atom.is_const():
+        return Factored(a)
+    if atom.terms[atom.front_mono()] < 0:
+        g, atom = -g, -atom
+    return Factored(g, Counter({atom: 1}))
+
+
+def _ratio(pairs, what):
+    """The Factored prod (prod nums)/(prod dens) over the (nums, dens)
+    pairs of tuples of linear forms or Factored; SingularProduct names
+    `what` when a den is identically zero.  The exponents of an atom add
+    with their signs, not with Counter's `+` and `-`, which drop what is
+    not positive."""
+    n, d, atoms = 1, 1, Counter()
+    for nums, dens in pairs:
+        for f in map(Factored.of, dens):
+            if not f.scale:
+                raise SingularProduct(
+                    "%s: a denominator factor vanishes identically" % what)
+            n, d = n * f.scale.denominator, d * f.scale.numerator
+            atoms.subtract(f.atoms)
+        for f in map(Factored.of, nums):
+            n, d = n * f.scale.numerator, d * f.scale.denominator
+            atoms.update(f.atoms)
+    return Factored(Fraction(n, d),
+                    Counter({a: e for a, e in atoms.items() if e}))
 
 
 # -- eigenvalues ---------------------------------------------------------------
@@ -192,47 +301,30 @@ def c_alpha(alpha, j, i, a):
     return rat(part(lam, i) + j) + K * (part(conjugate(mu), j) + i) + as_rat(a)
 
 
-def pieri_V_forms(box, alpha):
-    """The coefficient of P_{lam+box, mu} in p_1 * P_{lam,mu} for a box
-    (i,j) addable to lam,
+@cache
+def pieri_V_factored(box, lam):
+    """The coefficient of P_{lam+box, mu} in p_1 * P_{lam,mu}, whatever
+    mu, as a Factored: for a box (i,j) addable to lam
 
         prod_{r=1}^{i-1} c_lam(jr,1) c_lam(jr,-2k) / [c_lam(jr,-k) c_lam(jr,1-k)],
 
-    as (scale, forms): V = scale * prod (x - y*k)^e over the Counter
-    forms of (x, y) -> e.  As lam_r >= j and lam'_j = i - 1, each factor
-    is a - b*k with ints a, b >= 0; its int gcd goes into the Fraction
-    scale and the primitive forms cancel as a multiset, so each pair is
-    coprime, every exponent is nonzero and they sum to 0 (2/(1 - k) is
-    -2k over -k(1 - k): scale 2, forms {(1, 0): 1, (1, 1): -1}).
-    """
-    lam, _ = alpha
+    and 0 otherwise.  As lam_r >= j and lam'_j = i - 1, each factor is
+    x - y*k with ints x, y >= 0, read as such: -2k over -k(1 - k) is
+    2/(1 - k)."""
     i, j = box
-    scale = Fraction(1)
-    forms = Counter()
-    for r in range(1, i):
-        a, b = part(lam, r) - j, i - 1 - r
-        for x, y, e in ((a + 1, b, 1), (a, b + 2, 1),
-                        (a, b + 1, -1), (a + 1, b + 1, -1)):
-            g = gcd(x, y)
-            scale *= Fraction(g) ** e
-            forms[x // g, y // g] += e
-    return scale, Counter({xy: e for xy, e in forms.items() if e})
+    if box not in add_box_candidates(lam):
+        return Factored(0)
+    return _ratio((((_linear(a + 1, -b, 0, 0), _linear(a, -b - 2, 0, 0)),
+                    (_linear(a, -b - 1, 0, 0), _linear(a + 1, -b - 1, 0, 0)))
+                   for a, b in ((part(lam, r) - j, i - 1 - r)
+                                for r in range(1, i))), "pieri_V")
 
 
 def pieri_V(box, alpha):
     """The coefficient of P_{lam+box, mu} in p_1 * P_{lam,mu} in
-    Q(k, p0): the forms of pieri_V_forms multiplied out above and below,
-    then divided once; 0 when the box is not addable to lam."""
-    if box not in add_box_candidates(alpha[0]):
-        return RAT_ZERO
-    scale, forms = pieri_V_forms(box, alpha)
-    num, den = rat(scale.numerator), rat(scale.denominator)
-    for (x, y), e in forms.items():
-        if e > 0:
-            num = num * (x - y * K) ** e
-        else:
-            den = den * (x - y * K) ** -e
-    return num / den
+    Q(k, p0), pieri_V_factored multiplied out; 0 when the box is not
+    addable to lam."""
+    return pieri_V_factored(box, tuple(alpha[0])).to_rat()
 
 
 def pieri_U(box, alpha):
@@ -244,21 +336,21 @@ def pieri_U(box, alpha):
     if box not in remove_box_candidates(mu):
         return RAT_ZERO
     # the mu part, the cross part against lam, and the boundary factor
-    factors = [(c_lambda(mu, j, r, RAT_ONE + K) * c_lambda(mu, j, r, -K),
-                c_lambda(mu, j, r, 1) * c_lambda(mu, j, r, 0))
+    factors = [((c_lambda(mu, j, r, RAT_ONE + K), c_lambda(mu, j, r, -K)),
+                (c_lambda(mu, j, r, 1), c_lambda(mu, j, r, 0)))
                for r in range(i + 1, len(mu) + 1)]
-    factors += [(c_alpha(alpha, j, r, -RAT_ONE - K * (P0 + rat(2)))
-                 * c_alpha(alpha, j, r, -K * P0),
-                 c_alpha(alpha, j, r, -RAT_ONE - K * (P0 + RAT_ONE))
-                 * c_alpha(alpha, j, r, -K * (P0 + RAT_ONE)))
+    factors += [((c_alpha(alpha, j, r, -RAT_ONE - K * (P0 + rat(2))),
+                  c_alpha(alpha, j, r, -K * P0)),
+                 (c_alpha(alpha, j, r, -RAT_ONE - K * (P0 + RAT_ONE)),
+                  c_alpha(alpha, j, r, -K * (P0 + RAT_ONE))))
                 for r in range(1, len(lam) + 1)]
     mu_pj = part(conjugate(mu), j)
     ll, lm = len(lam), len(mu)
-    factors.append(((rat(j - 1) + K * (ll + mu_pj - 1) - K * P0)
-                    * (rat(j) + K * (mu_pj - lm)),
-                    (rat(j) + K * (ll + mu_pj) - K * P0)
-                    * (rat(j - 1) + K * (mu_pj - lm - 1))))
-    return _ratio(factors, "pieri_U")
+    factors.append(((rat(j - 1) + K * (ll + mu_pj - 1) - K * P0,
+                     rat(j) + K * (mu_pj - lm)),
+                    (rat(j) + K * (ll + mu_pj) - K * P0,
+                     rat(j - 1) + K * (mu_pj - lm - 1))))
+    return _ratio(factors, "pieri_U").to_rat()
 
 
 # -- diagrammatic Pieri coefficients -------------------------------------------
@@ -295,9 +387,9 @@ def pieri_V_diagram(box, alpha):
     if box not in add_box_candidates(lam):
         return RAT_ZERO
     return _ratio(
-        ((c_Y(alpha, (j, r), K * (-2)) * c_Y(alpha, (j, r), 1),
-          c_Y(alpha, (j, r), -K) * c_Y(alpha, (j, r), RAT_ONE - K))
-         for r in range(1, i)), "pieri_V_diagram")
+        (((c_Y(alpha, (j, r), K * (-2)), c_Y(alpha, (j, r), 1)),
+          (c_Y(alpha, (j, r), -K), c_Y(alpha, (j, r), RAT_ONE - K)))
+         for r in range(1, i)), "pieri_V_diagram").to_rat()
 
 
 def pieri_U_diagram(box, alpha, L=None, M=None):
@@ -320,20 +412,20 @@ def pieri_U_diagram(box, alpha, L=None, M=None):
     jj = -j
     mu_pj = part(conjugate(mu), j)
     # the pi2 (mu rows), pi3 (lam rows) and boundary factors
-    factors = [(c_Y(alpha, (jj, r), -RAT_ONE - K) * c_Y(alpha, (jj, r), K),
-                c_Y(alpha, (jj, r), -1) * c_Y(alpha, (jj, r), 0))
+    factors = [((c_Y(alpha, (jj, r), -RAT_ONE - K), c_Y(alpha, (jj, r), K)),
+                (c_Y(alpha, (jj, r), -1), c_Y(alpha, (jj, r), 0)))
                for r in range(-M, -mu_pj)]
-    factors += [(c_Y(alpha, (jj, r), -RAT_ONE - K * (P0 + rat(2)))
-                 * c_Y(alpha, (jj, r), -K * P0),
-                 c_Y(alpha, (jj, r), -RAT_ONE - K * (P0 + RAT_ONE))
-                 * c_Y(alpha, (jj, r), -K * (P0 + RAT_ONE)))
+    factors += [((c_Y(alpha, (jj, r), -RAT_ONE - K * (P0 + rat(2))),
+                  c_Y(alpha, (jj, r), -K * P0)),
+                 (c_Y(alpha, (jj, r), -RAT_ONE - K * (P0 + RAT_ONE)),
+                  c_Y(alpha, (jj, r), -K * (P0 + RAT_ONE))))
                 for r in range(1, L + 1)]
     ycol = -mu_pj
-    factors.append(((rat(jj + 1) + K * (ycol - L) + K * (P0 + RAT_ONE))
-                    * (rat(jj) + K * (ycol + M)),
-                    (rat(jj) + K * (ycol - L) + K * P0)
-                    * (rat(jj + 1) + K * (ycol + M + 1))))
-    return _ratio(factors, "pieri_U_diagram")
+    factors.append(((rat(jj + 1) + K * (ycol - L) + K * (P0 + RAT_ONE),
+                     rat(jj) + K * (ycol + M)),
+                    (rat(jj) + K * (ycol - L) + K * P0,
+                     rat(jj + 1) + K * (ycol + M + 1))))
+    return _ratio(factors, "pieri_U_diagram").to_rat()
 
 
 # -- Stanley products, evaluation, norms, duality ------------------------------
@@ -352,20 +444,28 @@ def stanley_phi(lam, p, x, variant=1):
         variant 1:  j - 1 + k(i-1-p) + x
         variant 2:  lam_i - j + k(i-1-p) + x
 
-    over the common denominator lam_i - j + k(i-1-lam'_j) + x.
+    over the common denominator lam_i - j + k(i-1-lam'_j) + x; each
+    factor must be a linear form (Factored.of).
     """
+    return _stanley(lam, p, x, variant).to_rat()
+
+
+def _stanley(lam, p, x, variant=1):
+    """stanley_phi as a Factored."""
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     p = as_rat(p)
     x = as_rat(x)
     nums = (rat(j - 1 if variant == 1 else part(lam, i) - j)
             + K * (rat(i - 1) - p) + x for (i, j) in boxes(lam))
-    return _ratio(zip(nums, stanley_denominators(lam, x)), "stanley_phi")
+    return _ratio(zip(zip(nums), zip(stanley_denominators(lam, x))),
+                  "stanley_phi")
 
 
 def phi_pair_factors(lam, mu, p, x):
-    """The (num, den) pairs of the mixed product phi_p(lam, mu, x), one
-    for each i <= l(lam) and j <= l(mu'), in that order:
+    """The (nums, dens) pairs of the mixed product phi_p(lam, mu, x), one
+    for each i <= l(lam) and j <= l(mu'), in that order, each a pair of
+    linear forms:
 
         [lam_i+j-1+k(i-1-p)+x] [j-1+k(i-1+mu'_j-p)+x]
         -----------------------------------------------
@@ -379,48 +479,57 @@ def phi_pair_factors(lam, mu, p, x):
         li = part(lam, i)
         shift = K * (rat(i - 1) - p) + x
         tshift = shift + K * part(muc, j)
-        return ((rat(li + j - 1) + shift) * (rat(j - 1) + tshift),
-                (rat(j - 1) + shift) * (rat(li + j - 1) + tshift))
+        return ((rat(li + j - 1) + shift, rat(j - 1) + tshift),
+                (rat(j - 1) + shift, rat(li + j - 1) + tshift))
     return [factor(i, j) for i in range(1, len(lam) + 1)
             for j in range(1, len(muc) + 1)]
 
 
 def phi_pair(lam, mu, p, x):
     """The mixed product phi_p(lam, mu, x) of phi_pair_factors."""
-    return _ratio(phi_pair_factors(lam, mu, p, x), "phi_pair")
+    return _ratio(phi_pair_factors(lam, mu, p, x), "phi_pair").to_rat()
 
 
 def _phi_triple(alpha, x):
-    """phi_p0(lam,x) phi_p0(mu,x) phi_p0(lam,mu,x)."""
+    """phi_p0(lam,x) phi_p0(mu,x) phi_p0(lam,mu,x), a Factored."""
     lam, mu = alpha
-    return stanley_phi(lam, P0, x) * stanley_phi(mu, P0, x) \
-        * phi_pair(lam, mu, P0, x)
+    return _stanley(lam, P0, x) * _stanley(mu, P0, x) \
+        * _ratio(phi_pair_factors(lam, mu, P0, x), "phi_pair")
 
 
 def evaluation_value(alpha):
     """epsilon(P_alpha) = phi_p0(lam,0) phi_p0(mu,0) phi_p0(lam,mu,0)."""
-    return _phi_triple(alpha, RAT_ZERO)
+    return _phi_triple(alpha, RAT_ZERO).to_rat()
+
+
+def norm_factored(alpha):
+    """Square norm of P_alpha for the p0-deformed bilinear form, as a
+    Factored: the same triple product evaluated at 0 divided by its
+    value at 1+k."""
+    return _ratio([((_phi_triple(alpha, RAT_ZERO),),
+                    (_phi_triple(alpha, RAT_ONE + K),))], "norm_value")
 
 
 def norm_value(alpha):
-    """Square norm of P_alpha for the p0-deformed bilinear form:
-    the same triple product evaluated at 0 divided by its value at 1+k."""
-    return _ratio([(_phi_triple(alpha, RAT_ZERO),
-                    _phi_triple(alpha, RAT_ONE + K))], "norm_value")
+    """norm_factored multiplied out in Q(k, p0)."""
+    return norm_factored(alpha).to_rat()
 
 
 def duality_constant(alpha):
     """d_alpha = epsilon(P_alpha) / [epsilon(P_alpha') at k -> 1/k, p0 -> k*p0]
-    with alpha' the pair of conjugate diagrams."""
+    with alpha' the pair of conjugate diagrams: the one division of
+    ParamRats among the closed forms, by a value that is never zero, as
+    every factor above in an evaluation has a term in k*p0."""
     lam, mu = alpha
     num = evaluation_value(alpha)
-    den = evaluation_value((conjugate(lam), conjugate(mu))).param_swap()
-    return _ratio([(num, den)], "duality_constant")
+    return num / evaluation_value((conjugate(lam),
+                                   conjugate(mu))).param_swap()
 
 
 def phi_infinity(lam):
     """Limit norm factor: prod over boxes of
     [lam_i - j + 1 + k(i - lam'_j)] / [lam_i - j + k(i - 1 - lam'_j)],
     the Stanley denominators at x = 1 + k over those at x = 0."""
-    return _ratio(zip(stanley_denominators(lam, RAT_ONE + K),
-                      stanley_denominators(lam, 0)), "phi_infinity")
+    return _ratio(zip(zip(stanley_denominators(lam, RAT_ONE + K)),
+                      zip(stanley_denominators(lam, 0))),
+                  "phi_infinity").to_rat()

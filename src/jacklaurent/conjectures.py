@@ -8,13 +8,13 @@ were examined, so any claim can be re-derived by hand."""
 
 from math import factorial, prod
 
-from .rational import ParamRat, RAT_ZERO, RAT_ONE, K, P0
+from .rational import ParamRat, RAT_ZERO, K, P0
 from .laurent import LaurentSymFunc, mono_str
 from .partitions import normalize_partition, size, \
     partitions_of, partitions_up_to, bipartitions_up_to, alpha_json
-from .closed_forms import phi_infinity, norm_value, stanley_denominators, \
-    phi_pair_factors
-from .jack import construct, _divide_out
+from .closed_forms import Factored, phi_infinity, norm_value, \
+    stanley_denominators, phi_pair_factors
+from .jack import construct
 
 
 # -- the p0 -> infinity limit of a single rational ------------------------------
@@ -71,50 +71,47 @@ def norm_infinity_check(alpha):
 # -- integrality products --------------------------------------------------------
 
 def a_lambda(lam):
-    """The denominators of stanley_phi(lam, ., 0) multiplied out: prod
+    """The denominators of stanley_phi(lam, ., 0) as one Factored: prod
     over boxes (i,j) of lam_i - j + k(i - 1 - lam'_j)."""
     return prod(stanley_denominators(normalize_partition(lam), 0),
-                start=RAT_ONE)
+                start=Factored())
 
 
 def a_pair(lam, mu):
     """The two-partition product tying the positive and negative halves,
-    the denominators of phi_pair(lam, mu, p0, 0) multiplied out: prod
+    the denominators of phi_pair(lam, mu, p0, 0) as one Factored: prod
     over rows i of lam and columns j of mu of
     (j-1+k(i-1-p0)) (lam_i+j-1+k(i-1+mu'_j-p0))."""
     factors = phi_pair_factors(normalize_partition(lam),
                                normalize_partition(mu), P0, 0)
-    return prod((den for _, den in factors), start=RAT_ONE)
-
-
-def _divides(content, factors, p):
-    """Whether content * prod a^e over the atoms `factors`, coprime
-    irreducibles, divides the ParamPoly p in Z[k, p0]."""
-    for a, e in factors.items():
-        p, i = _divide_out(p, a, e)
-        if i < e:
-            return False
-    return p.content_primitive()[0] % content == 0
+    return prod((den for _, dens in factors for den in dens),
+                start=Factored())
 
 
 def integrality_check(alpha):
     """Strong form: every coefficient of A(lam,mu) A(lam) A(mu) P_alpha is
     a polynomial (unit denominator).  Weak form: the denominators of
     A(lam,mu) P_alpha are free of p0.  Returns (strong, weak, witness).
-    Both are divisions in Z[k, p0] by the lcm D of P_alpha's
-    denominators: of the multiplier by D, and of A(lam,mu) by D's atoms
-    in p0.  Only a failing form multiplies out in Q(k, p0), to name its
-    first counterexample."""
+    Both are divisions in the UFD Z[k, p0] by the lcm D of P_alpha's
+    denominators, decided on the Factored forms, whose atoms are
+    non-associate primes: the multiplier holds each atom of D to at
+    least its power and D's content divides its scale, and A(lam,mu)
+    holds each atom of D in p0 to at least its power.  Only a failing
+    form multiplies out in Q(k, p0), to name its first counterexample."""
     lam, mu = alpha
     jf = construct(alpha)
     D = jf.cleared[1]
     pair = a_pair(lam, mu)
     mult = pair * a_lambda(lam) * a_lambda(mu)
-    bad = None if _divides(D.content, D.factors, mult.num) else next(
+    strong = mult.scale % D.scale == 0 and all(
+        mult.atoms[a] >= e for a, e in D.atoms.items())
+    weak = all(pair.atoms[a] >= e for a, e in D.atoms.items()
+               if a.degree_p0())
+    mult, pair = mult.to_rat(), pair.to_rat()
+    bad = None if strong else next(
         (mono_str(m), str(c)) for m, c in (jf.f * mult).sorted_terms()
         if not c.has_unit_denominator())
-    p0_atoms = {a: e for a, e in D.factors.items() if a.degree_p0()}
-    bad_weak = None if _divides(1, p0_atoms, pair.num) else next(
+    bad_weak = None if weak else next(
         (mono_str(m), str(c)) for m, c in (jf.f * pair).sorted_terms()
         if c.den.degree_p0() > 0)
     witness = {"multiplier": str(mult),

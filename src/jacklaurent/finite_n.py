@@ -193,14 +193,11 @@ def phi_N_map(f, N):
 # -- the CMS operator and its first integral -----------------------------------
 
 def euler_N(f):
-    """The momentum sum_i x_i d/dx_i (the first integral)."""
-    full = f.expand()
-    out = {}
-    for a, c in full.items():
-        d = sum(a)
-        if d:
-            out[a] = c * d
-    return SymLaurentPolyN.from_full(f.N, out)
+    """The momentum sum_i x_i d/dx_i (the first integral): it scales
+    each orbit sum m_chi by sum(chi), which is the same on the whole
+    orbit."""
+    return f._like({chi: c * sum(chi) for chi, c in f.terms.items()
+                    if sum(chi)})
 
 
 @cache

@@ -44,7 +44,7 @@ every label, as which points are singular depends on the route.
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .rational import ParamPoly, ParamRat, RAT_ZERO, rat, \
     SingularParameter, NotEigenvector, poly_divexact, _make, \
@@ -54,15 +54,15 @@ from .partitions import size, conjugate, add_box_candidates, \
     remove_box_candidates, add_box, remove_box, normalize_partition, \
     label_str
 from .operators import cms_L_doubled, cms_L2_weighted, _l2_bound
-from .closed_forms import eigenvalue_e, eigenvalue_parts, pieri_V, \
-    pieri_V_forms, pieri_U, duality_constant, evaluation_value
+from .closed_forms import Factored, expand, eigenvalue_e, eigenvalue_parts, \
+    pieri_V, pieri_V_factored, pieri_U, duality_constant, evaluation_value
 
 
 class JackLaurentFunction:
     """A constructed eigenfunction together with its label and trace.
 
     fields: alpha (the bipartition), f (the element of the algebra),
-    cleared (F, D, with D a _Factored, the lcm of the coefficient
+    cleared (F, D, with D a Factored, the lcm of the coefficient
     denominators, and F = D*f on ParamPoly coefficients), eigenvalue2
     (the second integral's eigenvalue), provenance (the boxes of the
     first diagram in the canonical order construct adds them; not
@@ -119,23 +119,22 @@ def _neighbors(alpha):
 
 # -- factored denominators -----------------------------------------------------
 # Symbolically every denominator _grow meets is a product of gaps
-# s - e(gamma), Pieri forms and earlier denominators, and each gap and
-# each form is an int times one irreducible polynomial, an atom.  A
-# denominator is kept as its atoms, and a coefficient is reduced by
-# trial division over them instead of a polynomial gcd.
+# s - e(gamma), Pieri forms and earlier denominators, each kept as a
+# Factored (closed_forms): an int times powers of irreducible atoms.  A
+# coefficient is reduced by trial division over the atoms instead of a
+# polynomial gcd.
 #
 # No irreducibility test is needed, because the closed forms give the
-# shape of every factor.  Two neighbours of a label differ in n (the
-# first part of eigenvalue_parts): boxes added in rows r and s give
+# shape of every factor, and a gap never splits in two as a rank-one
+# form would (see closed_forms).  Two neighbours of a label differ in n
+# (the first part of eigenvalue_parts): boxes added in rows r and s give
 # 2(lam_r - lam_s) != 0, as addable boxes sit in rows of different
 # lengths, and a box added in row r against one removed from row s of
 # mu gives 2(lam_r + mu_s) > 0.  So the primitive part of a gap
 # n + b*k + c*k*p0 (n != 0) is either linear in k, or of degree 1 in p0
-# with the coprime coefficients c*k and n + b*k; either way it is
-# irreducible.  A primitive Pieri form x - y*k is
-# linear in k, so irreducible too.  With a positive front coefficient
-# (the constant term), distinct atoms are not associate.  Every atom has
-# degree 1 in k: a constant gap or form has no atom.
+# with the coprime coefficients c*k and n + b*k: one atom.  Every atom
+# has degree 1 in k: a Pieri form is x - y*k, and the atom k cancels
+# out of V.
 #
 # The arithmetic of a step runs on packed ints (_Packed): a polynomial
 # is one int, its value at k = 2^B and p0 = 2^(B*DK).  Packing is a
@@ -282,37 +281,6 @@ def _layout(F, factors):
                    + 1, bound)
 
 
-def _expand(c, factors):
-    """The ParamPoly c * prod a^e over the Counter `factors`."""
-    out = ParamPoly.const(c)
-    for a, e in factors.items():
-        out = out * a ** e
-    return out
-
-
-class _Factored:
-    """A symbolic denominator: content * prod a^e over the Counter
-    `factors` of atoms."""
-
-    __slots__ = ("content", "factors")
-
-    def __init__(self, content, factors):
-        self.content, self.factors = content, factors
-
-    def __mul__(self, p):
-        """The product with a _Factored, or with a gap or a Pieri form
-        p, whose primitive part is an atom."""
-        if type(p) is _Factored:
-            return _Factored(self.content * p.content,
-                             self.factors + p.factors)
-        c, a = p.content_primitive()
-        if a.is_const():
-            return _Factored(self.content * p.terms[(0, 0)], self.factors)
-        if a.terms[a.front_mono()] < 0:
-            c, a = -c, -a
-        return _Factored(self.content * c, self.factors + Counter({a: 1}))
-
-
 # -- construction --------------------------------------------------------------
 
 class _Point:
@@ -348,19 +316,20 @@ class _Point:
 
     def pieri(self, box, alpha):
         """(vnum, vden), the Pieri coefficient V = vnum/vden of the box
-        (pieri_V_forms) with each form x - y*k read as x*w1 - y*wk.  The
-        scale of the weights cancels, as the exponents sum to 0.  Ints
-        at a rational point; symbolically two _Factored."""
-        scale, forms = pieri_V_forms(box, alpha)
-        w1, wk = self.weights[:2]
-        out = []
-        for c, side in ((scale.numerator, +forms),      # the e > 0
-                        (scale.denominator, -forms)):   # -e for e < 0
-            v = c if self.at is not None else _Factored(c, Counter())
-            for x, y in side.elements():
-                v = v * (x * w1 - y * wk)
-            out.append(v)
-        return tuple(out)
+        (pieri_V_factored): symbolically the Factored of its atoms with
+        positive and with negative exponents.  At a rational point ints,
+        each atom read with the weights (1, k, p0, k*p0): that is its
+        value times w1, so each side also takes w1 to the number of
+        atoms of the other."""
+        sides = pieri_V_factored(box, alpha[0]).sides()
+        if self.at is None:
+            return tuple(Factored(c, Counter(atoms)) for c, atoms in sides)
+        w = self.weights
+        (n, up), (d, down) = sides
+        return tuple(c * w[0] ** sum(other.values()) * prod(
+            sum(x * w[i + 2 * j] for (i, j), x in a.terms.items()) ** e
+            for a, e in atoms.items())
+            for c, atoms, other in ((n, up, down), (d, down, up)))
 
     def pack(self, F, factors):
         """(F, layout) for the factors L2 - e, a (parts, e) each, on a
@@ -379,26 +348,27 @@ class _Point:
         num/den = rn/rd in lowest terms: a walk builds its Fractions
         once, from the last step (rational_mode_construct).
         Symbolically (f, (F', D')) comes back: F is packed in the
-        layout `ring`, and num and den are _Factored: num's atoms cancel
-        against den's, each coefficient divides out the atoms left while
-        it can (_Packed.divide) and is unpacked once, and what remains
-        is coprime, so _scalar_canonical finishes the canonical form.
-        D' takes each atom to the highest power left in any of them."""
+        layout `ring`, and num and den are Factored: in num/den the
+        atoms of both cancel, each coefficient divides out the atoms
+        left below while it can (_Packed.divide) and is unpacked once,
+        and what remains is coprime, so _scalar_canonical finishes the
+        canonical form.  D' takes each atom to the highest power left in
+        any of them."""
         if self.at is not None:
             r = Fraction(num, den)
             rn, rd = r.numerator, r.denominator
             g = gcd(rd, *F.terms.values())
             return F.map_coeffs(lambda c: c // g * rn), rd // g
-        common = num.factors & den.factors
-        top = _expand(num.content, num.factors - common)
-        left = list((den.factors - common).items())
+        (c_up, up), (c_down, down) = (num / den).sides()
+        top = expand(c_up, up)
+        left = list(down.items())
         dens, parts, quot = {}, {}, {}
         for m, n in F.terms.items():
             c, powers = ring.divide(n, left)
             key = tuple(e - i for (_, e), i in zip(left, powers))
             if key not in dens:
-                dens[key] = _expand(den.content,
-                                    {a: e for (a, _), e in zip(left, key)})
+                dens[key] = expand(c_down,
+                                   {a: e for (a, _), e in zip(left, key)})
             p, q = _scalar_canonical(c * top, dens[key])
             parts[m] = p, q, gcd(*q.terms.values()), key
         d = lcm(*(c for _, _, c, _ in parts.values()))
@@ -406,13 +376,13 @@ class _Point:
 
         def cleared(p, _, c, key):
             if (c, key) not in quot:
-                quot[c, key] = _expand(d // c, {
+                quot[c, key] = expand(d // c, {
                     a: h - e for (a, _), h, e in zip(left, high, key)})
             return p * quot[c, key]
         f = LaurentSymFunc({m: _make(p, q)
                             for m, (p, q, _, _) in parts.items()})
         F = LaurentSymFunc({m: cleared(*v) for m, v in parts.items()})
-        D = _Factored(d, Counter({a: h for (a, _), h in zip(left, high) if h}))
+        D = Factored(d, Counter({a: h for (a, _), h in zip(left, high) if h}))
         return f, (F, D)
 
     def __str__(self):
@@ -506,7 +476,7 @@ def _construct(key):
         box = _deepest_removable(lam)
         return _extend(construct((remove_box(lam, box), mu)), box)
     return JackLaurentFunction(key, LaurentSymFunc.one(), (
-        LaurentSymFunc.const(ParamPoly.const(1)), _Factored(1, Counter())),
+        LaurentSymFunc.const(ParamPoly.const(1)), Factored()),
         eigenvalue_e(key), ())
 
 
@@ -563,7 +533,9 @@ def star_symmetry_check(alpha):
     the mirrored label of the pair as the star of the other (_mirrored),
     so here the mirrored one is grown box by box (_grown_mirror), and
     the two sides are built independently whenever both diagrams are
-    nonempty and unequal."""
+    nonempty and unequal: 4 of the 18 labels up to size 3.  For
+    lam == mu the check says that P is star-invariant, and with an
+    empty diagram it compares P with the star of its own definition."""
     alpha = _normalize_alpha(alpha)
     if _mirrored(alpha):
         alpha = alpha[::-1]
@@ -632,7 +604,7 @@ def evaluation_check(alpha):
     want = evaluation_value(alpha)
     total = sum((c * _P0 ** sum(e for _, e in m) for m, c in F.terms.items()),
                 ParamPoly())
-    den = _expand(D.content, D.factors)
+    den = expand(D.scale.numerator, D.atoms)
     if total * want.den == den * want.num:
         return True, want
     return False, ParamRat(total, den)

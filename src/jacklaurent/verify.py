@@ -14,8 +14,8 @@ from .partitions import size, bipartitions_up_to, w_bipartition, chi_N, \
     add_box_candidates, remove_box_candidates, label_str
 from .rational import ParamPoly, PoleAtSpecialization
 from .operators import cms_L_doubled, cms_L2_direct
-from .closed_forms import evaluation_value, norm_value, separation_check, \
-    pieri_V, pieri_U, pieri_V_diagram, pieri_U_diagram
+from .closed_forms import evaluation_value, norm_factored, \
+    separation_check, pieri_V, pieri_U, pieri_V_diagram, pieri_U_diagram
 from . import jack
 from .jack import construct
 from .finite_n import phi_N_map, jack_laurent_poly_N, torus_form, \
@@ -113,7 +113,7 @@ def check_norm_torus(alpha):
     if f is None:
         f = phi_N_map(construct(alpha).f, N)
     val = torus_form(f, f, k0, N)
-    want = norm_value(alpha).specialize(k0, N)
+    want = norm_factored(alpha).at(k0, N)
     return val == want, {"torus": str(val), "formula": str(want),
                          "N": N, "k": str(k0)}
 

@@ -6,23 +6,26 @@ import hashlib
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat, ParamPoly, \
-    ParamRat
+    ParamRat, as_rat
 from jacklaurent.partitions import chi_N, partitions_up_to, \
     bipartitions_up_to, add_box_candidates, remove_box_candidates
 from jacklaurent.closed_forms import (
-    SingularProduct, _ratio,
+    Factored, SingularProduct,
     bernoulli_b, bernoulli_b_lambda, bernoulli_b_sequence, bernoulli_poly_at,
     c_alpha, c_lambda, duality_constant, eigenvalue_e, eigenvalue_eN, evaluation_value,
-    hc_value, norm_value, phi_infinity, phi_pair, pieri_U, pieri_U_diagram,
-    pieri_V, pieri_V_diagram, pieri_V_forms, separation_check, shifted_power_sum,
-    stable_eigenvalue, stanley_phi,
+    expand, hc_value, norm_value, phi_infinity, phi_pair,
+    pieri_U, pieri_U_diagram, pieri_V, pieri_V_diagram, pieri_V_factored,
+    separation_check, shifted_power_sum, stable_eigenvalue, stanley_phi,
 )
+from jacklaurent import clear_caches, rational
 
 partitions3 = st.sampled_from(tuple(partitions_up_to(3)))
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -130,14 +133,16 @@ class TestSeparation:
 
 
 def _c_lambda_product(box, alpha):
-    """pieri_V as the product of its c_lambda factors in Q(k, p0), the
-    way it was computed before the factors were cancelled as forms."""
+    """pieri_V as the product of its c_lambda factors, each step reduced
+    in Q(k, p0), the way it was computed before the factors were kept
+    as atoms."""
     i, j = box
     lam = alpha[0]
-    return _ratio(
-        ((c_lambda(lam, j, r, 1) * c_lambda(lam, j, r, K * (-2)),
-          c_lambda(lam, j, r, -K) * c_lambda(lam, j, r, RAT_ONE - K))
-         for r in range(1, i)), "pieri_V")
+    v = RAT_ONE
+    for r in range(1, i):
+        v = v * c_lambda(lam, j, r, 1) * c_lambda(lam, j, r, K * (-2)) / (
+            c_lambda(lam, j, r, -K) * c_lambda(lam, j, r, RAT_ONE - K))
+    return v
 
 
 @cache
@@ -161,22 +166,29 @@ class TestPieriCoefficients:
             assert pieri_V(box, (alpha[0], (2, 1))) == want, (box, alpha)
 
     def test_V_forms_are_coprime_and_balanced(self):
-        # nonzero exponents that sum to 0, on coprime (x, y), so the
-        # forms above and below share no factor
+        # the atoms of V are forms x - y*k with coprime x, y > 0 (k
+        # cancels), each above or below with a nonzero exponent; each
+        # row above the box gives two factors of degree 1 in k above and
+        # two below, except the row just above it, whose first factor
+        # above is a constant: V falls like 1/k below the first row
         for box, alpha, _ in _addable_boxes(6):
-            scale, forms = pieri_V_forms(box, alpha)
-            assert type(scale) is Fraction and scale > 0
-            assert all(forms.values()), (box, alpha)
-            assert sum(forms.values()) == 0, (box, alpha)
-            assert all(gcd(x, y) == 1 for x, y in forms), (box, alpha)
+            v = pieri_V_factored(box, alpha[0])
+            assert type(v.scale) is Fraction and v.scale > 0
+            assert all(v.atoms.values()), (box, alpha)
+            assert sum(v.atoms.values()) == -(box[0] > 1), (box, alpha)
+            for a in v.atoms:
+                x, y = a.terms.get((0, 0), 0), -a.terms[(1, 0)]
+                assert a.terms.keys() <= {(0, 0), (1, 0)}, (box, a)
+                assert x > 0 and y > 0 and gcd(x, y) == 1, (box, a)
 
     def test_V_forms_cancel_up_to_scale(self):
         # -2k above and -k below: 2/(1 - k)
-        assert pieri_V_forms((2, 1), ((1,), ())) == \
-            (Fraction(2), Counter({(1, 0): 1, (1, 1): -1}))
+        one_minus = {n: 1 - ParamPoly.var_k() * n for n in (1, 2)}
+        v = pieri_V_factored((2, 1), (1,))
+        assert (v.scale, v.atoms) == (2, Counter({one_minus[1]: -1}))
         # 1 - k above and below: 3/(1 - 2k)
-        scale, forms = pieri_V_forms((3, 1), ((1, 1), ()))
-        assert (1, 1) not in forms
+        v = pieri_V_factored((3, 1), (1, 1))
+        assert (v.scale, v.atoms) == (3, Counter({one_minus[2]: -1}))
         assert pieri_V((3, 1), ((1, 1), ())) == rat(3) / (RAT_ONE - K * 2)
 
     def test_U_frozen(self):
@@ -281,6 +293,117 @@ class TestEvaluationNormDuality:
         # c_alpha(alpha, j, i, a) = lam_i + j + k (mu'_j + i) + a
         assert c_alpha(((1,), (1,)), 1, 1, RAT_ONE) == rat(3) + K * 2
         assert c_alpha(((), ()), 1, 1, RAT_ZERO) == RAT_ONE + K
+
+
+_MONOS = ((0, 0), (1, 0), (0, 1), (1, 1))
+small_ints = st.integers(min_value=-4, max_value=4)
+
+
+def _form(a, b, c, d):
+    """a + b*k + c*p0 + d*k*p0 as a ParamPoly."""
+    return ParamPoly(dict(zip(_MONOS, (a, b, c, d))))
+
+
+def _assert_normalized(atom):
+    # a nonconstant primitive form of bidegree at most (1, 1) with a
+    # positive front coefficient
+    assert not atom.is_const() and atom.terms.keys() <= set(_MONOS), atom
+    assert atom.content_primitive()[0] == 1, atom
+    assert atom.terms[atom.front_mono()] > 0, atom
+
+
+class TestFactored:
+    @settings(max_examples=300, deadline=None)
+    @given(small_ints, small_ints, small_ints, small_ints)
+    def test_scale_times_atoms_rebuilds_the_form(self, a, b, c, d):
+        form = _form(a, b, c, d)
+        f = Factored.of(form)
+        assert type(f.scale) is Fraction and f.scale.denominator == 1
+        assert all(e == 1 for e in f.atoms.values()) and len(f.atoms) <= 2
+        for atom in f.atoms:
+            _assert_normalized(atom)
+        assert expand(f.scale.numerator, f.atoms) == form
+        # rank one: both k and p0 occur and a*d == b*c
+        splits = bool((c or d) and (b or d) and a * d == b * c)
+        assert len(f.atoms) == 1 + splits or not (b or c or d)
+        # over a constant denominator, the scale takes it
+        g = Factored.of(as_rat(form) / 3)
+        assert (g.scale, g.atoms) == (f.scale / 3, f.atoms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(small_ints, small_ints, small_ints, small_ints),
+           st.tuples(small_ints, small_ints, small_ints, small_ints))
+    def test_quotients_match_the_field(self, top, bottom):
+        # signed exponents: the quotient and the product multiplied out
+        # agree with ParamRat arithmetic, which reduces by the gcd
+        num, den = as_rat(_form(*top)), as_rat(_form(*bottom))
+        if den.is_zero():
+            return
+        q = Factored.of(num) / Factored.of(den)
+        assert q.to_rat() == num / den
+        assert (q * den).to_rat() == num
+        assert all(q.atoms.values())
+        inverse = RAT_ONE / Factored.of(den).to_rat()
+        assert (Factored() / den).to_rat() == inverse
+
+    def test_atoms_are_irreducible(self):
+        sympy = pytest.importorskip("sympy")
+        k, p0 = sympy.symbols("k p0")
+        atoms = {a for coeffs in product(range(-2, 3), repeat=4)
+                 for a in Factored.of(_form(*coeffs)).atoms}
+        assert len(atoms) > 100
+        for a in atoms:
+            poly = sympy.Poly(sum(c * k ** i * p0 ** j
+                                  for (i, j), c in a.terms.items()), k, p0)
+            content, factors = sympy.factor_list(poly)
+            assert abs(content) == 1 and [e for _, e in factors] == [1], a
+            # the sign is fixed, so no two atoms are associate
+            assert -a not in atoms, a
+
+    def test_rank_one_form_splits(self):
+        # k*(i - 1 - p0) at j = 1 of phi_pair's denominators
+        k, p0 = ParamPoly.var_k(), ParamPoly.var_p0()
+        f = Factored.of(k * 2 - k * p0)
+        assert (f.scale, f.atoms) == (1, Counter({k: 1, 2 - p0: 1}))
+        f = Factored.of(-6 - 4 * k + 3 * p0 + 2 * k * p0)
+        assert (f.scale, f.atoms) == (-1, Counter({3 + 2 * k: 1,
+                                                   2 - p0: 1}))
+
+    def test_nonlinear_factor_raises(self):
+        # the factor j - 1 + k(i - 1 - p) + x of the box (1, 1) is -k^2
+        # at p = k, and has the denominator k at x = 1/k; no gcd route
+        # is taken instead
+        with pytest.raises(ValueError, match="linear form"):
+            stanley_phi((1,), K, 0)
+        with pytest.raises(ValueError, match="linear form"):
+            stanley_phi((1,), P0, RAT_ONE / K)
+        with pytest.raises(ValueError, match="linear form"):
+            phi_pair((1,), (1,), K * K, 0)
+
+    def test_product_formulas_take_no_gcd(self):
+        # every label with |lam|+|mu| <= 4 from cold memos; the one
+        # division left, by the swapped value in duality_constant, is
+        # not called
+        clear_caches()
+        with mock.patch.object(rational, "poly_gcd",
+                               wraps=rational.poly_gcd) as gcd_calls:
+            for lam, mu in bipartitions_up_to(4):
+                alpha = (lam, mu)
+                for box in add_box_candidates(lam):
+                    pieri_V(box, alpha)
+                    pieri_V_diagram(box, alpha)
+                for box in remove_box_candidates(mu):
+                    pieri_U(box, alpha)
+                    pieri_U_diagram(box, alpha)
+                    pieri_U_diagram(box, alpha, len(lam) + 1, len(mu) + 2)
+                for x in (RAT_ZERO, RAT_ONE + K):
+                    for variant in (1, 2):
+                        stanley_phi(lam, P0, x, variant)
+                    phi_pair(lam, mu, P0, x)
+                phi_infinity(lam)
+                evaluation_value(alpha)
+                norm_value(alpha)
+        assert gcd_calls.call_count == 0
 
 
 def _closed_form_lines(max_size):

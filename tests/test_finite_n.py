@@ -246,6 +246,17 @@ class TestFiniteOperator:
         assert euler_N(ORBIT((2, -1), 2)).coeff((2, -1)) == RAT_ONE
         assert euler_N(ORBIT((1, -1), 2)).is_zero()
 
+    @pytest.mark.parametrize("f", [
+        jack_laurent_poly_N((1, 0, 0, -1), 4), jack_poly_N((2, 1, 1), 4),
+        jack_laurent_poly_N((2, 1, -1), 3), ORBIT((3, 0, -2), 3) * rat(5)])
+    def test_euler_on_orbit_sums(self, f):
+        # each monomial of the expanded polynomial times its degree,
+        # collapsed back to orbit sums, in the same canonical terms
+        full = {a: c * sum(a) for a, c in f.expand().items() if sum(a)}
+        want = SymLaurentPolyN.from_full(f.N, full)
+        assert euler_N(f) == want
+        assert euler_N(f).sorted_terms() == want.sorted_terms()
+
 
 class TestEigenpolynomials:
     def test_single_box(self):

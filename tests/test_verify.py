@@ -1,17 +1,21 @@
 """The named verification suites: report shape and determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from jacklaurent import clear_caches, finite_n, jack, operators, \
-    rational, schur, verify
+from jacklaurent import clear_caches, closed_forms, finite_n, jack, \
+    operators, rational, schur, verify
+from jacklaurent.closed_forms import norm_factored, norm_value
 from jacklaurent.partitions import bipartitions_up_to
-from jacklaurent.rational import RAT_ONE
+from jacklaurent.rational import RAT_ONE, PoleAtSpecialization
 from jacklaurent.verify import SUITES, check_eigen, check_evaluation, \
     check_finite_n, check_norm_torus, run_suite
 
-MEMOS = (jack._construct, operators._l2_image, finite_n._jack_poly_N,
+MEMOS = (jack._construct, closed_forms._linear,
+         closed_forms.pieri_V_factored, operators._l2_image,
+         finite_n._jack_poly_N,
          finite_n._phi_N_monomial, finite_n._cms_N_image,
          finite_n._delta_expansion, schur._complete_h)
 # filled by the eigen checks and by the involution checks at size 3
@@ -102,6 +106,27 @@ class TestChecks:
 
     def test_norm_keeps_four_variables_for_short_labels(self):
         assert check_norm_torus(((2, 1), (1,)))[1]["N"] == 4
+
+    def test_factored_norm_at_the_torus_point(self):
+        # the check reads the factored norm at (TORUS_K, N) on Fractions:
+        # the closed form in Q(k, p0), specialized there
+        k0 = verify.TORUS_K
+        for lam, mu in bipartitions_up_to(5):
+            N = max(verify.TORUS_N, len(lam) + len(mu))
+            got = norm_factored((lam, mu)).at(k0, N)
+            assert type(got) is Fraction
+            assert got == norm_value((lam, mu)).specialize(k0, N), (lam, mu)
+
+    @pytest.mark.parametrize("point", [(1, 2), (-1, 0)])
+    def test_factored_norm_pole_names_the_denominator(self, point):
+        # the norm of P[0; 1] is p0/(1 + k - k*p0): a pole at (1, 2), and
+        # at (-1, 0) a pole where the numerator vanishes too
+        alpha = ((), (1,))
+        with pytest.raises(PoleAtSpecialization) as want:
+            norm_value(alpha).specialize(*point)
+        with pytest.raises(PoleAtSpecialization) as got:
+            norm_factored(alpha).at(*point)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("alpha", [((2, 1), (1,)), ((1,), (2,))])
     def test_evaluation_runs_in_the_ring(self, monkeypatch, alpha):
