@@ -31,16 +31,17 @@ __version__ = "0.1.0"
 def clear_caches():
     """Empty every memo: constructed functions with their cleared forms,
     the mirrored labels grown for the involution checks, the factored
-    linear forms and Pieri coefficients V, the
-    per-monomial table of the second-order integral, finite-N
-    polynomials, the int tables of phi_N and of L_{k,N}, the torus
-    weight, the complete functions h_i and the eigenvalues of the eigen
-    checks."""
+    linear forms and Pieri coefficients V, the Bernoulli sums of the
+    separation checks, the per-monomial table of the second-order
+    integral, finite-N polynomials, the int tables of phi_N and of
+    L_{k,N}, the torus weight, the complete functions h_i and the
+    eigenvalues of the eigen checks."""
     for memo in (jack._construct, jack._grown_mirror, closed_forms._linear,
-                 closed_forms.pieri_V_factored, operators._l2_image,
-                 finite_n._jack_poly_N, finite_n._phi_N_monomial,
-                 finite_n._cms_N_image, finite_n._delta_expansion,
-                 schur._complete_h, verify._eigenvalues):
+                 closed_forms.pieri_V_factored, closed_forms.bernoulli_b,
+                 operators._l2_image, finite_n._jack_poly_N,
+                 finite_n._phi_N_monomial, finite_n._cms_N_image,
+                 finite_n._delta_expansion, schur._complete_h,
+                 verify._eigenvalues):
         memo.cache_clear()
 
 __all__ = [

@@ -36,7 +36,7 @@ EXIT_SINGULAR = 3
 # on small inputs, L32 several.
 MAX_OP_ORDER = 16
 # Largest --max-size verify and conjectures accept: all suites take
-# about 2 s at 6 and 5 s at 7, and conjectures 1 s and 2.5 s.
+# about 1.4 s at 6 and 3.6 s at 7, and conjectures 0.5 s and 1.1 s.
 MAX_SIZE = 7
 
 

@@ -13,7 +13,7 @@ Factored, and multiply it out once, with no polynomial gcd.
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 
 from .rational import ParamPoly, ParamRat, RAT_ZERO, RAT_ONE, K, P0, rat, \
     as_rat, _make, _scalar_canonical
@@ -38,6 +38,7 @@ class SingularProduct(ArithmeticError):
 # to reduce.
 
 _MONOS = ((0, 0), (1, 0), (0, 1), (1, 1))     # 1, k, p0 and k*p0
+_K_ATOM = ParamPoly.var_k()
 
 
 def expand(c, atoms):
@@ -64,13 +65,19 @@ class Factored:
         as it is.  Raises ValueError otherwise."""
         if type(form) is Factored:
             return form
-        form = as_rat(form)
-        t, d = form.num.terms, form.den.terms.get((0, 0))
-        if not form.den.is_const() or any(i > 1 or j > 1 for i, j in t):
-            raise ValueError("not a linear form in k, p0 and k*p0: %s"
-                             % form)
-        out = _linear(*(t.get(m, 0) for m in _MONOS))
+        coeffs, d = _coefficients(form)
+        out = _linear(*coeffs)
         return out if d == 1 else Factored(out.scale / d, out.atoms)
+
+    def __eq__(self, other):
+        # atoms are normalized, non-associate primes, so equal values
+        # have the same scale and the same atoms with the same exponents
+        if type(other) is not Factored:
+            return NotImplemented
+        return self.scale == other.scale and self.atoms == other.atoms
+
+    def __hash__(self):
+        return hash((self.scale, frozenset(self.atoms.items())))
 
     def __mul__(self, other):
         return _ratio([((self, other), ())], "a product")
@@ -92,6 +99,23 @@ class Factored:
         return _make(*_scalar_canonical(*(expand(c, atoms)
                                           for c, atoms in self.sides())))
 
+    def param_swap(self):
+        """The substitution k -> 1/k, p0 -> k*p0 of ParamRat.param_swap,
+        atom by atom: k^i p0^j goes to k^(j-i) p0^j, and the image of an
+        atom, a linear form over a power of k, is read through _linear.
+        Raises ValueError when an image is not of that shape, as for a
+        term in p0 beside one in k."""
+        scale, atoms = self.scale, Counter()
+        for a, e in self.atoms.items():
+            t = {(j - i, j): c for (i, j), c in a.terms.items()}
+            s = min(i for i, _ in t)
+            image = Factored.of(ParamPoly({(i - s, j): c
+                                           for (i, j), c in t.items()}))
+            scale *= image.scale ** e
+            atoms.update({b: f * e for b, f in image.atoms.items()})
+            atoms[_K_ATOM] += s * e
+        return Factored(scale, Counter({a: e for a, e in atoms.items() if e}))
+
     def at(self, k0, p00):
         """The value at the rational point (k0, p00), a Fraction; raises
         PoleAtSpecialization as ParamRat.specialize does, naming the
@@ -100,6 +124,40 @@ class Factored:
         if any(not v and e < 0 for v, e in values):
             return self.to_rat().specialize(k0, p00)
         return self.scale * prod(v ** e for v, e in values)
+
+
+def _coefficients(v):
+    """((a, b, c, d), den): v = (a + b*k + c*p0 + d*k*p0)/den with ints
+    and den > 0, for an int, Fraction, ParamPoly or ParamRat of bidegree
+    at most (1, 1) over a constant.  Raises ValueError otherwise."""
+    v = as_rat(v)
+    t = v.num.terms
+    if not v.den.is_const() or any(i > 1 or j > 1 for i, j in t):
+        raise ValueError("not a linear form in k, p0 and k*p0: %s" % v)
+    return tuple(t.get(m, 0) for m in _MONOS), v.den.terms[(0, 0)]
+
+
+def _shift(x, p=0):
+    """x - k*p read once, as (den, (a, b, c, d)) with x - k*p =
+    (a + b*k + c*p0 + d*k*p0)/den (_coefficients), for the shifts x
+    and p of the Stanley-type products; ValueError unless k*p is a
+    linear form, that is, p is free of k."""
+    (xc, dx), (pc, dp) = _coefficients(x), _coefficients(p)
+    if pc[1] or pc[3]:
+        raise ValueError("not a linear form in k, p0 and k*p0: k*(%s)"
+                         % as_rat(p))
+    d = lcm(dx, dp)
+    fx, fp = d // dx, d // dp
+    return d, (xc[0] * fx, xc[1] * fx - pc[0] * fp, xc[2] * fx,
+               xc[3] * fx - pc[2] * fp)
+
+
+def _form(n, m, shift):
+    """The Factored of n + m*k plus the shift (den, coefficients) of
+    _shift: (den*n + a + (den*m + b)*k + c*p0 + d*k*p0)/den."""
+    den, (a, b, c, d) = shift
+    out = _linear(den * n + a, den * m + b, c, d)
+    return out if den == 1 else Factored(out.scale / den, out.atoms)
 
 
 @cache
@@ -137,6 +195,8 @@ def _ratio(pairs, what):
         for f in map(Factored.of, nums):
             n, d = n * f.scale.numerator, d * f.scale.denominator
             atoms.update(f.atoms)
+    if not n:
+        return Factored(0)
     return Factored(Fraction(n, d),
                     Counter({a: e for a, e in atoms.items() if e}))
 
@@ -250,11 +310,15 @@ def bernoulli_b_lambda(l, lam, a):
     return total * l
 
 
+@cache
 def bernoulli_b(l, alpha):
     """Bernoulli sum on a bipartition:
 
         b_l(alpha) = l*sum_{box in lam} c(box,0)^(l-1)
                      + (-1)^l * l*sum_{box in mu} c(box, 1+k-k*p0)^(l-1).
+
+    Memoized on (l, alpha), alpha a pair of tuples: separation_check
+    compares each label with every other one, order by order.
     """
     lam, mu = alpha
     v = bernoulli_b_lambda(l, lam, RAT_ZERO)
@@ -289,6 +353,23 @@ def separation_check(alpha, beta, l_max=8):
 
 
 # -- Pieri coefficients --------------------------------------------------------
+# Each Pieri coefficient is a product over rows r of a form c = A + B*k
+# read off the diagrams, times a boundary factor for U.  A row pattern
+# gives the two forms of a row's numerator and the two of its
+# denominator, each as the shifts (x, y, z) of c + x + y*k + z*k*p0.
+
+_V_ROW = (((1, 0, 0), (0, -2, 0)), ((1, -1, 0), (0, -1, 0)))
+_U_MU_ROW = (((1, 1, 0), (0, -1, 0)), ((1, 0, 0), (0, 0, 0)))
+_U_LAM_ROW = (((-1, -2, -1), (0, 0, -1)), ((-1, -1, -1), (0, -1, -1)))
+_U_FIGURE_MU_ROW = (((-1, -1, 0), (0, 1, 0)), ((-1, 0, 0), (0, 0, 0)))
+
+
+def _row_factors(pattern, rows):
+    """The (nums, dens) pairs of the row pattern over the (A, B) in
+    `rows`, each form read from its ints."""
+    return [tuple(tuple(_linear(A + x, B + y, 0, z) for x, y, z in side)
+                  for side in pattern) for A, B in rows]
+
 
 def c_lambda(lam, j, i, a):
     """lam_i - j - k*(lam'_j - i) + a."""
@@ -308,16 +389,14 @@ def pieri_V_factored(box, lam):
 
         prod_{r=1}^{i-1} c_lam(jr,1) c_lam(jr,-2k) / [c_lam(jr,-k) c_lam(jr,1-k)],
 
-    and 0 otherwise.  As lam_r >= j and lam'_j = i - 1, each factor is
-    x - y*k with ints x, y >= 0, read as such: -2k over -k(1 - k) is
-    2/(1 - k)."""
+    and 0 otherwise, with c = c_lam(jr, 0) = lam_r - j + (r + 1 - i)*k
+    (_V_ROW).  As lam_r >= j and lam'_j = i - 1, each factor is x - y*k
+    with ints x, y >= 0: -2k over -k(1 - k) is 2/(1 - k)."""
     i, j = box
     if box not in add_box_candidates(lam):
         return Factored(0)
-    return _ratio((((_linear(a + 1, -b, 0, 0), _linear(a, -b - 2, 0, 0)),
-                    (_linear(a, -b - 1, 0, 0), _linear(a + 1, -b - 1, 0, 0)))
-                   for a, b in ((part(lam, r) - j, i - 1 - r)
-                                for r in range(1, i))), "pieri_V")
+    return _ratio(_row_factors(_V_ROW, ((part(lam, r) - j, r + 1 - i)
+                                        for r in range(1, i))), "pieri_V")
 
 
 def pieri_V(box, alpha):
@@ -327,30 +406,35 @@ def pieri_V(box, alpha):
     return pieri_V_factored(box, tuple(alpha[0])).to_rat()
 
 
-def pieri_U(box, alpha):
-    """Coefficient of P_{lam, mu-box} in p_1 * P_{lam,mu}; 0 when the box
-    is not removable from mu.  All ingredients use mu before removal.
-    """
+def pieri_U_factored(box, alpha):
+    """The coefficient of P_{lam, mu-box} in p_1 * P_{lam,mu} as a
+    Factored; 0 when the box is not removable from mu.  All ingredients
+    use mu before removal: over the rows r > i of mu, with
+    c = c_lambda(mu, j, r, 0), the factor is
+    (c + 1 + k)(c - k) / [(c + 1) c] (_U_MU_ROW); over the rows r of
+    lam, with c = c_alpha(alpha, j, r, 0), it is
+    (c - 1 - 2k - k*p0)(c - k*p0) / [(c - 1 - k - k*p0)(c - k - k*p0)]
+    (_U_LAM_ROW); and one boundary factor closes the product."""
     lam, mu = alpha
     i, j = box
     if box not in remove_box_candidates(mu):
-        return RAT_ZERO
-    # the mu part, the cross part against lam, and the boundary factor
-    factors = [((c_lambda(mu, j, r, RAT_ONE + K), c_lambda(mu, j, r, -K)),
-                (c_lambda(mu, j, r, 1), c_lambda(mu, j, r, 0)))
-               for r in range(i + 1, len(mu) + 1)]
-    factors += [((c_alpha(alpha, j, r, -RAT_ONE - K * (P0 + rat(2))),
-                  c_alpha(alpha, j, r, -K * P0)),
-                 (c_alpha(alpha, j, r, -RAT_ONE - K * (P0 + RAT_ONE)),
-                  c_alpha(alpha, j, r, -K * (P0 + RAT_ONE))))
-                for r in range(1, len(lam) + 1)]
+        return Factored(0)
     mu_pj = part(conjugate(mu), j)
     ll, lm = len(lam), len(mu)
-    factors.append(((rat(j - 1) + K * (ll + mu_pj - 1) - K * P0,
-                     rat(j) + K * (mu_pj - lm)),
-                    (rat(j) + K * (ll + mu_pj) - K * P0,
-                     rat(j - 1) + K * (mu_pj - lm - 1))))
-    return _ratio(factors, "pieri_U").to_rat()
+    factors = _row_factors(_U_MU_ROW, ((part(mu, r) - j, r - mu_pj)
+                                       for r in range(i + 1, lm + 1)))
+    factors += _row_factors(_U_LAM_ROW, ((part(lam, r) + j, mu_pj + r)
+                                         for r in range(1, ll + 1)))
+    factors.append(((_linear(j - 1, ll + mu_pj - 1, 0, -1),
+                     _linear(j, mu_pj - lm, 0, 0)),
+                    (_linear(j, ll + mu_pj, 0, -1),
+                     _linear(j - 1, mu_pj - lm - 1, 0, 0))))
+    return _ratio(factors, "pieri_U")
+
+
+def pieri_U(box, alpha):
+    """pieri_U_factored multiplied out in Q(k, p0)."""
+    return pieri_U_factored(box, alpha).to_rat()
 
 
 # -- diagrammatic Pieri coefficients -------------------------------------------
@@ -373,28 +457,32 @@ def _y_col(alpha, j):
     raise ValueError("column index 0")
 
 
-def c_Y(alpha, box_ji, a):
-    """y_i - j - k*(y'_j - i) + a on the two-diagram figure; box is (j, i)."""
-    j, i = box_ji
-    return rat(_y_row(alpha, i) - j) - K * (_y_col(alpha, j) - i) + as_rat(a)
+def pieri_V_diagram_factored(box, alpha):
+    """The added-box coefficient as a Factored product over the column
+    below the box in the two-diagram figure; box = (i,j) in the lam
+    diagram.  For r < i, with c = y_r - j - k*(y'_j - r), the factor is
+    (c + 1)(c - 2k) / [(c + 1 - k)(c - k)] (_V_ROW)."""
+    i, j = box
+    if box not in add_box_candidates(alpha[0]):
+        return Factored(0)
+    return _ratio(_row_factors(_V_ROW, ((_y_row(alpha, r) - j,
+                                         r - _y_col(alpha, j))
+                                        for r in range(1, i))),
+                  "pieri_V_diagram")
 
 
 def pieri_V_diagram(box, alpha):
-    """The added-box coefficient as a product over the column below the box
-    in the two-diagram figure; box = (i,j) in the lam diagram."""
-    lam, mu = alpha
-    i, j = box
-    if box not in add_box_candidates(lam):
-        return RAT_ZERO
-    return _ratio(
-        (((c_Y(alpha, (j, r), K * (-2)), c_Y(alpha, (j, r), 1)),
-          (c_Y(alpha, (j, r), -K), c_Y(alpha, (j, r), RAT_ONE - K)))
-         for r in range(1, i)), "pieri_V_diagram").to_rat()
+    """pieri_V_diagram_factored multiplied out in Q(k, p0)."""
+    return pieri_V_diagram_factored(box, alpha).to_rat()
 
 
-def pieri_U_diagram(box, alpha, L=None, M=None):
-    """The removed-box coefficient as products over the figure column of the
-    box; box = (i,j) in the mu diagram, sitting at (-j,-i) in the figure.
+def pieri_U_diagram_factored(box, alpha, L=None, M=None):
+    """The removed-box coefficient as a Factored product over the figure
+    column of the box; box = (i,j) in the mu diagram, sitting at
+    (-j,-i) in the figure.  With c = y_r + j - k*(y'_{-j} - r), the rows
+    r of mu below the box give (c - 1 - k)(c + k) / [(c - 1) c]
+    (_U_FIGURE_MU_ROW), the rows of lam the factor of _U_LAM_ROW, and
+    one boundary factor closes the product.
 
     L and M bound the surrounding rectangle; any L >= l(lam), M >= l(mu)
     gives the same value (enlargement invariance).
@@ -402,7 +490,7 @@ def pieri_U_diagram(box, alpha, L=None, M=None):
     lam, mu = alpha
     i, j = box
     if box not in remove_box_candidates(mu):
-        return RAT_ZERO
+        return Factored(0)
     if L is None:
         L = len(lam)
     if M is None:
@@ -410,31 +498,32 @@ def pieri_U_diagram(box, alpha, L=None, M=None):
     if L < len(lam) or M < len(mu):
         raise ValueError("rectangle must contain both diagrams")
     jj = -j
-    mu_pj = part(conjugate(mu), j)
+    ycol = -part(conjugate(mu), j)
+
+    def rows(lo, hi):
+        return ((_y_row(alpha, r) - jj, r - ycol) for r in range(lo, hi))
     # the pi2 (mu rows), pi3 (lam rows) and boundary factors
-    factors = [((c_Y(alpha, (jj, r), -RAT_ONE - K), c_Y(alpha, (jj, r), K)),
-                (c_Y(alpha, (jj, r), -1), c_Y(alpha, (jj, r), 0)))
-               for r in range(-M, -mu_pj)]
-    factors += [((c_Y(alpha, (jj, r), -RAT_ONE - K * (P0 + rat(2))),
-                  c_Y(alpha, (jj, r), -K * P0)),
-                 (c_Y(alpha, (jj, r), -RAT_ONE - K * (P0 + RAT_ONE)),
-                  c_Y(alpha, (jj, r), -K * (P0 + RAT_ONE))))
-                for r in range(1, L + 1)]
-    ycol = -mu_pj
-    factors.append(((rat(jj + 1) + K * (ycol - L) + K * (P0 + RAT_ONE),
-                     rat(jj) + K * (ycol + M)),
-                    (rat(jj) + K * (ycol - L) + K * P0,
-                     rat(jj + 1) + K * (ycol + M + 1))))
-    return _ratio(factors, "pieri_U_diagram").to_rat()
+    factors = _row_factors(_U_FIGURE_MU_ROW, rows(-M, ycol))
+    factors += _row_factors(_U_LAM_ROW, rows(1, L + 1))
+    factors.append(((_linear(jj + 1, ycol - L + 1, 0, 1),
+                     _linear(jj, ycol + M, 0, 0)),
+                    (_linear(jj, ycol - L, 0, 1),
+                     _linear(jj + 1, ycol + M + 1, 0, 0))))
+    return _ratio(factors, "pieri_U_diagram")
+
+
+def pieri_U_diagram(box, alpha, L=None, M=None):
+    """pieri_U_diagram_factored multiplied out in Q(k, p0)."""
+    return pieri_U_diagram_factored(box, alpha, L, M).to_rat()
 
 
 # -- Stanley products, evaluation, norms, duality ------------------------------
 
 def stanley_denominators(lam, x):
     """lam_i - j + k(i-1-lam'_j) + x for each box (i, j) of lam, in box
-    order: the denominators of stanley_phi(lam, ., x)."""
-    lamc = conjugate(lam)
-    return [rat(part(lam, i) - j) + K * (i - 1 - part(lamc, j)) + x
+    order, each a Factored: the denominators of stanley_phi(lam, ., x)."""
+    shift, lamc = _shift(x), conjugate(lam)
+    return [_form(part(lam, i) - j, i - 1 - part(lamc, j), shift)
             for (i, j) in boxes(lam)]
 
 
@@ -444,8 +533,8 @@ def stanley_phi(lam, p, x, variant=1):
         variant 1:  j - 1 + k(i-1-p) + x
         variant 2:  lam_i - j + k(i-1-p) + x
 
-    over the common denominator lam_i - j + k(i-1-lam'_j) + x; each
-    factor must be a linear form (Factored.of).
+    over the common denominator lam_i - j + k(i-1-lam'_j) + x; x and k*p
+    must be linear forms (_shift).
     """
     return _stanley(lam, p, x, variant).to_rat()
 
@@ -454,10 +543,9 @@ def _stanley(lam, p, x, variant=1):
     """stanley_phi as a Factored."""
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
-    p = as_rat(p)
-    x = as_rat(x)
-    nums = (rat(j - 1 if variant == 1 else part(lam, i) - j)
-            + K * (rat(i - 1) - p) + x for (i, j) in boxes(lam))
+    shift = _shift(x, p)
+    nums = (_form(j - 1 if variant == 1 else part(lam, i) - j, i - 1, shift)
+            for (i, j) in boxes(lam))
     return _ratio(zip(zip(nums), zip(stanley_denominators(lam, x))),
                   "stanley_phi")
 
@@ -465,22 +553,18 @@ def _stanley(lam, p, x, variant=1):
 def phi_pair_factors(lam, mu, p, x):
     """The (nums, dens) pairs of the mixed product phi_p(lam, mu, x), one
     for each i <= l(lam) and j <= l(mu'), in that order, each a pair of
-    linear forms:
+    linear forms as Factored:
 
         [lam_i+j-1+k(i-1-p)+x] [j-1+k(i-1+mu'_j-p)+x]
         -----------------------------------------------
         [j-1+k(i-1-p)+x] [lam_i+j-1+k(i-1+mu'_j-p)+x].
     """
-    p = as_rat(p)
-    x = as_rat(x)
-    muc = conjugate(mu)
+    shift, muc = _shift(x, p), conjugate(mu)
 
     def factor(i, j):
-        li = part(lam, i)
-        shift = K * (rat(i - 1) - p) + x
-        tshift = shift + K * part(muc, j)
-        return ((rat(li + j - 1) + shift, rat(j - 1) + tshift),
-                (rat(j - 1) + shift, rat(li + j - 1) + tshift))
+        li, t = part(lam, i), i - 1 + part(muc, j)
+        return ((_form(li + j - 1, i - 1, shift), _form(j - 1, t, shift)),
+                (_form(j - 1, i - 1, shift), _form(li + j - 1, t, shift)))
     return [factor(i, j) for i in range(1, len(lam) + 1)
             for j in range(1, len(muc) + 1)]
 
@@ -517,13 +601,13 @@ def norm_value(alpha):
 
 def duality_constant(alpha):
     """d_alpha = epsilon(P_alpha) / [epsilon(P_alpha') at k -> 1/k, p0 -> k*p0]
-    with alpha' the pair of conjugate diagrams: the one division of
-    ParamRats among the closed forms, by a value that is never zero, as
-    every factor above in an evaluation has a term in k*p0."""
+    with alpha' the pair of conjugate diagrams.  The swap runs atom by
+    atom on the factored evaluation (Factored.param_swap), and the
+    quotient is multiplied out once; the swapped value is never zero,
+    as every factor above in an evaluation has a term in k*p0."""
     lam, mu = alpha
-    num = evaluation_value(alpha)
-    return num / evaluation_value((conjugate(lam),
-                                   conjugate(mu))).param_swap()
+    swapped = _phi_triple((conjugate(lam), conjugate(mu)), 0).param_swap()
+    return (_phi_triple(alpha, 0) / swapped).to_rat()
 
 
 def phi_infinity(lam):

@@ -17,12 +17,13 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .rational import RAT_ZERO, RAT_ONE, K, Sparse, rat, as_rat, \
+from .rational import RAT_ZERO, RAT_ONE, K, ParamPoly, Sparse, rat, as_rat, \
     SingularParameter, PoleAtSpecialization, IdenticallySingular, \
     NotEigenvector
 from .partitions import normalize_partition, partitions_of, dominance_leq, \
     w_sequence, LengthTooSmall
-from .closed_forms import eigenvalue_eN
+from .closed_forms import Factored, eigenvalue_eN, expand, _ratio, \
+    _row_factors, _V_ROW
 
 
 def _check_sorted(chi):
@@ -425,32 +426,65 @@ def c_chi(chi, r, i, b):
     return base + b
 
 
-def pieri_V_N(i, chi):
-    """Transition coefficient of P_{chi+eps_i} in p_1 P_chi; zero when
-    chi+eps_i is not non-increasing."""
+def pieri_V_N_factored(i, chi):
+    """Transition coefficient of P_{chi+eps_i} in p_1 P_chi as a
+    Factored; zero when chi+eps_i is not non-increasing.  Over r < i,
+    with c = c_chi(chi, r, i, 0), the factor is
+    (c + 1)(c - 2k) / [(c + 1 - k)(c - k)] (closed_forms._V_ROW)."""
     if not (i == 1 or chi[i - 2] > chi[i - 1]):
-        return RAT_ZERO
-    v = RAT_ONE
-    for r in range(1, i):
-        num = c_chi(chi, r, i, 1) * c_chi(chi, r, i, K * (-2))
-        den = c_chi(chi, r, i, RAT_ONE - K) * c_chi(chi, r, i, -K)
-        v = v * num / den
-    return v
+        return Factored(0)
+    return _ratio(_row_factors(_V_ROW, ((chi[r - 1] - chi[i - 1] - 1,
+                                         r + 1 - i) for r in range(1, i))),
+                  "pieri_V_N")
+
+
+def pieri_V_N(i, chi):
+    """pieri_V_N_factored multiplied out in Q(k)."""
+    return pieri_V_N_factored(i, chi).to_rat()
+
+
+def _add_quotient(sums, key, num, den):
+    """Add num/den to the quotient sums[key], a pair (num, den) of
+    ParamPolys kept unreduced: over den as it is when the two agree,
+    over the product of the two otherwise."""
+    if key not in sums:
+        sums[key] = num, den
+        return
+    n, d = sums[key]
+    sums[key] = (n + num, d) if d == den else (n * den + num * d, d * den)
 
 
 def finite_pieri_check(chi, N):
     """p_1 P_chi = sum_i V_i(chi) P_{chi+eps_i}, compared exactly in the
-    m-basis with symbolic k."""
+    m-basis with symbolic k, with no gcd.  On orbit labels, p_1 * m_nu
+    is the sum over the distinct entries v of nu of c * m_eta, eta nu
+    with one v raised to v + 1 and c the number of i such that
+    eta - e_i is a rearrangement of nu: the multiplicity of v + 1 in
+    eta.  Each orbit coefficient of either side is a sum of quotients
+    in Z[k], kept unreduced (_add_quotient), and the two are compared
+    by cross-multiplying."""
     chi = _check_sorted(chi)
-    lhs = power_sum_N(1, N) * jack_laurent_poly_N(chi, N)
-    rhs = SymLaurentPolyN.zero(N)
+    lhs, rhs = {}, {}
+    for nu, c in jack_laurent_poly_N(chi, N).terms.items():
+        for v in set(nu):
+            at = nu.index(v)
+            eta = nu[:at] + (v + 1,) + nu[at + 1:]
+            _add_quotient(lhs, eta, c.num.scale(eta.count(v + 1)), c.den)
     for i in range(1, N + 1):
-        v = pieri_V_N(i, chi)
-        if v.is_zero():
+        v = pieri_V_N_factored(i, chi)
+        if not v.scale:
             continue
+        (n, above), (d, below) = v.sides()
+        vn, vd = expand(n, above), expand(d, below)
         up = chi[:i - 1] + (chi[i - 1] + 1,) + chi[i:]
-        rhs = rhs + jack_laurent_poly_N(up, N) * v
-    return lhs == rhs
+        for eta, c in jack_laurent_poly_N(up, N).terms.items():
+            _add_quotient(rhs, eta, c.num * vn, c.den * vd)
+    zero = (ParamPoly(), ParamPoly.const(1))
+    for eta in lhs.keys() | rhs.keys():
+        (ln, ld), (rn, rd) = lhs.get(eta, zero), rhs.get(eta, zero)
+        if ln * rd != rn * ld:
+            return False
+    return True
 
 
 def hc_eigen_check_N(chi, N):

@@ -55,7 +55,7 @@ from .partitions import size, conjugate, add_box_candidates, \
     label_str
 from .operators import cms_L_doubled, cms_L2_weighted, _l2_bound
 from .closed_forms import Factored, expand, eigenvalue_e, eigenvalue_parts, \
-    pieri_V, pieri_V_factored, pieri_U, duality_constant, evaluation_value
+    pieri_V_factored, pieri_U_factored, duality_constant, evaluation_value
 
 
 class JackLaurentFunction:
@@ -503,21 +503,45 @@ def construct_via_order(alpha, order):
 
 # -- identity checks -----------------------------------------------------------
 
+def _numerators(values):
+    """The ParamPolys n_t with values[t] = n_t / Q for one Factored Q,
+    the values Factored: Q holds each atom at its largest negative
+    exponent among them, times the lcm of their scale denominators, so
+    each n_t is an int times atoms to exponents >= 0 (expand)."""
+    low = Counter()
+    for v in values:
+        for a, e in v.atoms.items():
+            low[a] = max(low[a], -e)
+    q = lcm(*(v.scale.denominator for v in values))
+    out = []
+    for v in values:
+        atoms = Counter(low)
+        atoms.update(v.atoms)
+        out.append(expand(v.scale.numerator * (q // v.scale.denominator),
+                          {a: e for a, e in atoms.items() if e}))
+    return out
+
+
 def pieri_identity_check(alpha):
     """p_1 * P_{lam,mu} = sum_x V(x) P_{lam+x,mu} + sum_y U(y) P_{lam,mu-y},
-    compared exactly."""
+    compared exactly in Z[k, p0].  Each term is F * c with (F, D) the
+    cleared form of its function and c the Factored 1/D, V(x)/D or
+    U(y)/D; over one denominator (_numerators) each c is a ParamPoly,
+    and the two sides of cleared functions must agree."""
     lam, mu = _normalize_alpha(alpha)
-    lhs = construct((lam, mu)).f.times(1)
-    rhs = LaurentSymFunc.zero()
-    for x in add_box_candidates(lam):
-        v = pieri_V(x, (lam, mu))
-        if not v.is_zero():
-            rhs = rhs + construct((add_box(lam, x), mu)).f * v
-    for y in remove_box_candidates(mu):
-        u = pieri_U(y, (lam, mu))
-        if not u.is_zero():
-            rhs = rhs + construct((lam, remove_box(mu, y))).f * u
-    return lhs == rhs
+    F, D = construct((lam, mu)).cleared
+    funcs, coeffs = [F.times(1)], [Factored() / D]
+    near = [((add_box(lam, x), mu), pieri_V_factored(x, lam))
+            for x in add_box_candidates(lam)]
+    near += [((lam, remove_box(mu, y)), pieri_U_factored(y, (lam, mu)))
+             for y in remove_box_candidates(mu)]
+    for beta, c in near:
+        if c.scale:
+            G, E = construct(beta).cleared
+            funcs.append(G)
+            coeffs.append(c / E)
+    lhs, *rhs = (G.scale(n) for G, n in zip(funcs, _numerators(coeffs)))
+    return lhs == sum(rhs, LaurentSymFunc.zero())
 
 
 @cache

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat, ParamPoly, \
-    ParamRat, as_rat
+    ParamRat, DivisionByZero, as_rat
 from jacklaurent.partitions import chi_N, partitions_up_to, \
-    bipartitions_up_to, add_box_candidates, remove_box_candidates
+    bipartitions_up_to, add_box_candidates, remove_box_candidates, boxes, \
+    conjugate, part
 from jacklaurent.closed_forms import (
     Factored, SingularProduct,
     bernoulli_b, bernoulli_b_lambda, bernoulli_b_sequence, bernoulli_poly_at,
@@ -24,6 +25,7 @@ from jacklaurent.closed_forms import (
     expand, hc_value, norm_value, phi_infinity, phi_pair,
     pieri_U, pieri_U_diagram, pieri_V, pieri_V_diagram, pieri_V_factored,
     separation_check, shifted_power_sum, stable_eigenvalue, stanley_phi,
+    _phi_triple, _y_col, _y_row,
 )
 from jacklaurent import clear_caches, rational
 
@@ -232,6 +234,153 @@ class TestPieriCoefficients:
                                    L=len(lam) + 1, M=len(mu) + 2) == d
 
 
+# -- test-only references: each product formula as a ParamRat product of
+# its factors, each factor built in Q(k, p0) and each step reduced there,
+# the way the values were computed before the factors were read from ints
+
+def _field_product(pairs):
+    """prod (prod nums)/(prod dens) over the (nums, dens) pairs."""
+    v = RAT_ONE
+    for nums, dens in pairs:
+        for n in nums:
+            v = v * n
+        for d in dens:
+            v = v / d
+    return v
+
+
+def c_Y(alpha, box_ji, a):
+    """y_i - j - k*(y'_j - i) + a on the two-diagram figure."""
+    j, i = box_ji
+    return rat(_y_row(alpha, i) - j) - K * (_y_col(alpha, j) - i) + as_rat(a)
+
+
+def field_pieri_U(box, alpha):
+    lam, mu = alpha
+    i, j = box
+    pairs = [((c_lambda(mu, j, r, RAT_ONE + K), c_lambda(mu, j, r, -K)),
+              (c_lambda(mu, j, r, 1), c_lambda(mu, j, r, 0)))
+             for r in range(i + 1, len(mu) + 1)]
+    pairs += [((c_alpha(alpha, j, r, -RAT_ONE - K * (P0 + 2)),
+                c_alpha(alpha, j, r, -K * P0)),
+               (c_alpha(alpha, j, r, -RAT_ONE - K * (P0 + 1)),
+                c_alpha(alpha, j, r, -K * (P0 + 1))))
+              for r in range(1, len(lam) + 1)]
+    mu_pj, ll, lm = part(conjugate(mu), j), len(lam), len(mu)
+    pairs.append(((rat(j - 1) + K * (ll + mu_pj - 1) - K * P0,
+                   rat(j) + K * (mu_pj - lm)),
+                  (rat(j) + K * (ll + mu_pj) - K * P0,
+                   rat(j - 1) + K * (mu_pj - lm - 1))))
+    return _field_product(pairs)
+
+
+def field_pieri_V_diagram(box, alpha):
+    i, j = box
+    return _field_product(
+        ((c_Y(alpha, (j, r), K * (-2)), c_Y(alpha, (j, r), 1)),
+         (c_Y(alpha, (j, r), -K), c_Y(alpha, (j, r), RAT_ONE - K)))
+        for r in range(1, i))
+
+
+def field_pieri_U_diagram(box, alpha, L, M):
+    i, j = box
+    jj, ycol = -j, -part(conjugate(alpha[1]), j)
+    pairs = [((c_Y(alpha, (jj, r), -RAT_ONE - K), c_Y(alpha, (jj, r), K)),
+              (c_Y(alpha, (jj, r), -1), c_Y(alpha, (jj, r), 0)))
+             for r in range(-M, ycol)]
+    pairs += [((c_Y(alpha, (jj, r), -RAT_ONE - K * (P0 + 2)),
+                c_Y(alpha, (jj, r), -K * P0)),
+               (c_Y(alpha, (jj, r), -RAT_ONE - K * (P0 + 1)),
+                c_Y(alpha, (jj, r), -K * (P0 + 1))))
+              for r in range(1, L + 1)]
+    pairs.append(((rat(jj + 1) + K * (ycol - L) + K * (P0 + 1),
+                   rat(jj) + K * (ycol + M)),
+                  (rat(jj) + K * (ycol - L) + K * P0,
+                   rat(jj + 1) + K * (ycol + M + 1))))
+    return _field_product(pairs)
+
+
+def field_stanley_phi(lam, p, x, variant):
+    lamc = conjugate(lam)
+    return _field_product(
+        ((rat(j - 1 if variant == 1 else part(lam, i) - j)
+          + K * (rat(i - 1) - p) + x,),
+         (rat(part(lam, i) - j) + K * (i - 1 - part(lamc, j)) + x,))
+        for (i, j) in boxes(lam))
+
+
+def field_phi_pair(lam, mu, p, x):
+    muc = conjugate(mu)
+    pairs = []
+    for i in range(1, len(lam) + 1):
+        for j in range(1, len(muc) + 1):
+            li, shift = part(lam, i), K * (rat(i - 1) - p) + x
+            tshift = shift + K * part(muc, j)
+            pairs.append(((rat(li + j - 1) + shift, rat(j - 1) + tshift),
+                          (rat(j - 1) + shift, rat(li + j - 1) + tshift)))
+    return _field_product(pairs)
+
+
+def field_triple(alpha, x):
+    lam, mu = alpha
+    return field_stanley_phi(lam, P0, x, 1) * field_stanley_phi(mu, P0, x, 1) \
+        * field_phi_pair(lam, mu, P0, x)
+
+
+def field_duality_constant(alpha):
+    lam, mu = alpha
+    dual = field_triple((conjugate(lam), conjugate(mu)), RAT_ZERO)
+    return field_triple(alpha, RAT_ZERO) / dual.param_swap()
+
+
+def _agree(fn, reference, *args):
+    """fn(*args) equals the reference, or both find a factor below that
+    vanishes identically."""
+    try:
+        want = reference(*args)
+    except DivisionByZero:
+        with pytest.raises(SingularProduct):
+            fn(*args)
+        return
+    assert fn(*args) == want, (fn.__name__, args)
+
+
+class TestIntBuiltFactors:
+    # every product formula on every label with |lam|+|mu| <= 5 (74)
+    # against the same factors multiplied in Q(k, p0); the shift
+    # 1/2 + k with p = 3/2*p0 - 1 reads x and p over a denominator
+    SHIFTS = ((P0, RAT_ZERO), (P0, RAT_ONE + K),
+              (rat(3, 2) * P0 - 1, rat(1, 2) + K))
+
+    def test_pieri_coefficients(self):
+        for lam, mu in bipartitions_up_to(5):
+            alpha = (lam, mu)
+            for box in add_box_candidates(lam):
+                _agree(pieri_V_diagram, field_pieri_V_diagram, box, alpha)
+            for box in remove_box_candidates(mu):
+                _agree(pieri_U, field_pieri_U, box, alpha)
+                for L, M in ((len(lam), len(mu)),
+                             (len(lam) + 2, len(mu) + 1)):
+                    _agree(pieri_U_diagram, field_pieri_U_diagram,
+                           box, alpha, L, M)
+
+    def test_stanley_type_products(self):
+        for lam, mu in bipartitions_up_to(5):
+            for p, x in self.SHIFTS:
+                for variant in (1, 2):
+                    _agree(stanley_phi, field_stanley_phi, lam, p, x,
+                           variant)
+                _agree(phi_pair, field_phi_pair, lam, mu, p, x)
+
+    def test_evaluation_norm_and_duality(self):
+        for alpha in bipartitions_up_to(5):
+            zero, one = (field_triple(alpha, x) for x in (RAT_ZERO,
+                                                          RAT_ONE + K))
+            assert evaluation_value(alpha) == zero, alpha
+            assert norm_value(alpha) == zero / one, alpha
+            _agree(duality_constant, field_duality_constant, alpha)
+
+
 class TestStanleyProducts:
     def test_base_values(self):
         assert stanley_phi((), P0, RAT_ZERO) == RAT_ONE
@@ -312,6 +461,22 @@ def _assert_normalized(atom):
     assert atom.terms[atom.front_mono()] > 0, atom
 
 
+nonzero_forms = st.tuples(small_ints, small_ints, small_ints,
+                          small_ints).filter(any)
+exponents = st.integers(min_value=-2, max_value=2)
+
+
+def _product(factors):
+    """The Factored product of the forms with coefficients `coeffs` to
+    the exponents e, over the (coeffs, e) pairs."""
+    out = Factored()
+    for coeffs, e in factors:
+        f = Factored.of(_form(*coeffs))
+        for _ in range(abs(e)):
+            out = out * f if e > 0 else out / f
+    return out
+
+
 class TestFactored:
     @settings(max_examples=300, deadline=None)
     @given(small_ints, small_ints, small_ints, small_ints)
@@ -381,9 +546,8 @@ class TestFactored:
             phi_pair((1,), (1,), K * K, 0)
 
     def test_product_formulas_take_no_gcd(self):
-        # every label with |lam|+|mu| <= 4 from cold memos; the one
-        # division left, by the swapped value in duality_constant, is
-        # not called
+        # every label with |lam|+|mu| <= 4 from cold memos, the duality
+        # constant swapped atom by atom included
         clear_caches()
         with mock.patch.object(rational, "poly_gcd",
                                wraps=rational.poly_gcd) as gcd_calls:
@@ -403,7 +567,38 @@ class TestFactored:
                 phi_infinity(lam)
                 evaluation_value(alpha)
                 norm_value(alpha)
+                duality_constant(alpha)
         assert gcd_calls.call_count == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(nonzero_forms, exponents), max_size=4),
+           st.lists(st.tuples(nonzero_forms, exponents), max_size=4),
+           st.randoms(use_true_random=False),
+           st.integers(min_value=-3, max_value=3).filter(bool))
+    def test_equality_and_hash_follow_the_field(self, first, second, rnd, c):
+        a = _product(first)
+        # the same value regrouped: the factors shuffled, each form taken
+        # c times over and divided by c again
+        shuffled = list(first)
+        rnd.shuffle(shuffled)
+        b = Factored()
+        for coeffs, e in shuffled:
+            b = b * _product([(tuple(c * x for x in coeffs), e)]) \
+                / Fraction(c) ** e
+        assert a == b and hash(a) == hash(b)
+        assert a.to_rat() == b.to_rat()
+        d = _product(second)
+        assert (a == d) == (a.to_rat() == d.to_rat())
+        assert a != d or hash(a) == hash(d)
+
+    def test_swap_matches_the_field(self):
+        # k -> 1/k, p0 -> k*p0 atom by atom, against ParamRat.param_swap
+        # of the value multiplied out, on every evaluation up to size 5
+        for lam, mu in bipartitions_up_to(5):
+            f = _phi_triple((lam, mu), 0)
+            assert f.param_swap().to_rat() == f.to_rat().param_swap()
+        with pytest.raises(ValueError, match="linear form"):
+            Factored.of(_form(1, 1, 1, 0)).param_swap()
 
 
 def _closed_form_lines(max_size):

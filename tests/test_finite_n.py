@@ -5,6 +5,7 @@ eigenpolynomials, and the torus inner product at negative integer k."""
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from unittest import mock
 
 import pytest
 
@@ -13,13 +14,14 @@ from jacklaurent.rational import K, RAT_ONE, rat, as_rat, \
 from jacklaurent.laurent import LaurentSymFunc, parse_element
 from jacklaurent.operators import cms_L
 from jacklaurent.closed_forms import pieri_U
-from jacklaurent.partitions import bipartitions_up_to
+from jacklaurent.partitions import bipartitions_up_to, chi_N
 from jacklaurent.jack import construct, jack_positive
-from jacklaurent import verify
+from jacklaurent import finite_n, verify
 from jacklaurent.finite_n import (
     SymLaurentPolyN, c_chi, cms_N, cms_r_N, constant_term_delta, euler_N,
     finite_pieri_check, hc_eigen_check_N, involution_check_N,
-    jack_laurent_poly_N, jack_poly_N, phi_N_map, pieri_V_N, power_sum_N,
+    jack_laurent_poly_N, jack_poly_N, phi_N_map, pieri_V_N,
+    pieri_V_N_factored, power_sum_N,
     torus_form, _delta_weight,
 )
 
@@ -93,6 +95,29 @@ def reference_torus_form(f, g, k_neg_int, N):
             if w:
                 total += ca * cb * w
     return total / ct
+
+
+def reference_finite_pieri(chi, N):
+    """The finite Pieri identity multiplied out in Q(k): SymLaurentPolyN
+    products over full monomials and ParamRat coefficients pieri_V_N."""
+    lhs = power_sum_N(1, N) * jack_laurent_poly_N(chi, N)
+    rhs = SymLaurentPolyN.zero(N)
+    for i in range(1, N + 1):
+        v = pieri_V_N(i, chi)
+        if v.is_zero():
+            continue
+        up = chi[:i - 1] + (chi[i - 1] + 1,) + chi[i:]
+        rhs = rhs + jack_laurent_poly_N(up, N) * v
+    return lhs == rhs
+
+
+def _finite_pieri_labels():
+    """chi_N(alpha, 3) for every label with |lam|+|mu| <= 5 that does
+    not restrict to zero at N = 3, and a few sequences at N = 4."""
+    at3 = sorted({chi_N(a, 3) for a in bipartitions_up_to(5)
+                  if len(a[0]) + len(a[1]) <= 3})
+    at4 = [(1, 0, 0, 0), (1, 1, 0, -1), (2, 1, -1, -1), (2, 0, 0, -2)]
+    return [(chi, 3) for chi in at3] + [(chi, 4) for chi in at4]
 
 
 def _shifted(chi, N, a):
@@ -337,6 +362,29 @@ class TestFiniteClosedForms:
         assert finite_pieri_check((1, -1), 2)
         assert finite_pieri_check((1, 0, -1), 3)
         assert finite_pieri_check((0, 0), 2)
+
+    def test_pieri_matches_the_field(self):
+        cases = _finite_pieri_labels()
+        assert len(cases) == 59
+        for chi, N in cases:
+            assert finite_pieri_check(chi, N), chi
+            assert reference_finite_pieri(chi, N), chi
+
+    @pytest.mark.parametrize("chi", [(1, 0, -1), (2, 1, -1), (1, 1, 0, -1)])
+    def test_doubled_V_fails_both_routes(self, chi):
+        # the last nonzero V doubled, as the Factored the check reads and
+        # the ParamRat the reference reads
+        N = len(chi)
+        i = max(i for i in range(1, N + 1) if pieri_V_N_factored(i, chi).scale)
+        real = finite_n.pieri_V_N_factored
+
+        def doubled(j, seq):
+            v = real(j, seq)
+            return v * 2 if (j, seq) == (i, chi) else v
+
+        with mock.patch.object(finite_n, "pieri_V_N_factored", doubled):
+            assert not finite_pieri_check(chi, N)
+            assert not reference_finite_pieri(chi, N)
 
     def test_pieri_matches_infinite_U(self):
         # the infinite coefficient, restricted to p0 = 2, is the finite one

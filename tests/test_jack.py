@@ -21,11 +21,11 @@ from jacklaurent.partitions import (
     remove_box, remove_box_candidates, size,
 )
 from jacklaurent.closed_forms import eigenvalue_e, eigenvalue_parts, expand, \
-    pieri_V
+    pieri_U, pieri_V
 from jacklaurent.operators import (
     _l2_bound, cms_L, cms_L2_direct, cms_L_doubled,
 )
-from jacklaurent import clear_caches, jack, rational
+from jacklaurent import clear_caches, closed_forms, jack, rational
 from jacklaurent.jack import (
     _Point, _ring_eigenvalue, _walk, construct, construct_via_order,
     eigen_check_all, jack_positive, pieri_identity_check, rational_mode_construct,
@@ -162,11 +162,53 @@ class TestEigenChecks:
         assert _ring_eigenvalue(F, 1, ((1,), (1,))) == RAT_ZERO
 
 
+def field_pieri_identity(alpha):
+    """The Pieri identity summed in Q(k, p0), on the functions and the
+    ParamRat coefficients pieri_V and pieri_U: the route the check took
+    before it compared numerators in the ring."""
+    lam, mu = alpha
+    lhs = construct(alpha).f.times(1)
+    rhs = LaurentSymFunc.zero()
+    for x in add_box_candidates(lam):
+        v = pieri_V(x, alpha)
+        if not v.is_zero():
+            rhs = rhs + construct((add_box(lam, x), mu)).f * v
+    for y in remove_box_candidates(mu):
+        u = pieri_U(y, alpha)
+        if not u.is_zero():
+            rhs = rhs + construct((lam, remove_box(mu, y))).f * u
+    return lhs == rhs
+
+
 class TestPieriRecursion:
     def test_identity(self):
         for alpha in [((), ()), ((1,), ()), ((), (1,)), ((1,), (1,)),
                       ((2,), (1,)), ((1, 1), (1,)), ((1,), (2,))]:
             assert pieri_identity_check(alpha), alpha
+
+    def test_ring_agrees_with_the_field(self):
+        labels = sorted(bipartitions_up_to(4))
+        assert len(labels) == 38
+        for alpha in labels:
+            assert pieri_identity_check(alpha), alpha
+            assert field_pieri_identity(alpha), alpha
+
+    @pytest.mark.parametrize("alpha", [((1,), ()), ((2, 1), (1,)),
+                                       ((1,), (2, 1)), ((2, 2), (1, 1))])
+    def test_doubled_V_fails_both_routes(self, alpha):
+        # one V doubled, in the Factored the ring reads and in the
+        # ParamRat the field reads
+        box = add_box_candidates(alpha[0])[-1]
+        real = closed_forms.pieri_V_factored
+
+        def doubled(x, lam):
+            v = real(x, lam)
+            return v * 2 if x == box and lam == alpha[0] else v
+
+        with mock.patch.object(jack, "pieri_V_factored", doubled), \
+                mock.patch.object(closed_forms, "pieri_V_factored", doubled):
+            assert not pieri_identity_check(alpha)
+            assert not field_pieri_identity(alpha)
 
 
 class TestInvolutions:

@@ -12,7 +12,8 @@ from jacklaurent import clear_caches, rational
 from jacklaurent.jack import construct, rational_mode_construct
 from jacklaurent.laurent import LaurentSymFunc, MAX_DEPTH, MAX_EXPONENT, \
     parse_rat
-from jacklaurent.partitions import bipartitions_up_to
+from jacklaurent.closed_forms import pieri_U
+from jacklaurent.partitions import bipartitions_up_to, remove_box_candidates
 from jacklaurent.verify import run_suite
 from jacklaurent.rational import ParamPoly, ParamRat, RAT_ZERO, RAT_ONE, \
     K, P0, rat, poly_gcd, poly_divexact, DivisionByZero, \
@@ -199,9 +200,10 @@ class TestIntegerGcd:
 
 
 def test_no_gcd_with_a_constant_operand(monkeypatch):
-    # the construction reduces by trial division over its atoms and
-    # takes no gcd at all; ParamRat arithmetic, as in the Pieri checks,
-    # still does, but never with a constant operand
+    # the construction reduces by trial division over its atoms and the
+    # Pieri checks compare in the ring, so neither takes a gcd at all;
+    # ParamRat arithmetic, as in a product of Pieri coefficients, still
+    # does, but never with a constant operand
     calls = {"all": 0, "constant": 0}
     real = rational.poly_gcd
 
@@ -217,6 +219,10 @@ def test_no_gcd_with_a_constant_operand(monkeypatch):
     rational_mode_construct(((2, 1), (1,)), *REGULAR_POINTS[0])
     assert calls["all"] == 0
     assert run_suite("pieri", 2)["status"] == "pass"
+    assert calls["all"] == 0
+    alpha = ((1,), (2, 1))
+    u = [pieri_U(box, alpha) for box in remove_box_candidates(alpha[1])]
+    assert u[0] * u[1] / (u[0] + u[1]) != RAT_ZERO
     assert calls["constant"] == 0
     assert calls["all"] > 0
 

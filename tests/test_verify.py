@@ -18,8 +18,10 @@ MEMOS = (jack._construct, closed_forms._linear,
          finite_n._jack_poly_N,
          finite_n._phi_N_monomial, finite_n._cms_N_image,
          finite_n._delta_expansion, schur._complete_h)
-# filled by the eigen checks and by the involution checks at size 3
-EIGEN_MEMOS = (verify._eigenvalues, jack._grown_mirror)
+# filled by the eigen checks, by the involution checks at size 3 and by
+# the separation checks
+EIGEN_MEMOS = (verify._eigenvalues, jack._grown_mirror,
+               closed_forms.bernoulli_b)
 
 
 class TestSuites:
@@ -80,9 +82,11 @@ class TestSuites:
         run_suite("commute", 1)
         assert all(memo.cache_info().currsize for memo in MEMOS)
         # the eigen checks at size 2 fill the eigenvalue memo, the
-        # involution checks at 3 the memo of grown mirrored labels
+        # involution checks at 3 the memo of grown mirrored labels, the
+        # separation checks that of the Bernoulli sums
         run_suite("eigen", 2)
         run_suite("involutions", 3)
+        run_suite("duality", 1)
         assert all(memo.cache_info().currsize for memo in EIGEN_MEMOS)
         clear_caches()
         sizes = [memo.cache_info().currsize for memo in MEMOS + EIGEN_MEMOS]
