@@ -20,11 +20,11 @@ print("alpha = (lam, mu) =", alpha)
 print()
 print("p1 * %s expands as:" % label(lam, mu))
 for box in add_box_candidates(lam):
-    v = pieri_V(box, alpha)
+    v = pieri_V(box, alpha).to_rat()
     if not v.is_zero():
         print("  + (%s) * %s" % (v, label(add_box(lam, box), mu)))
 for box in remove_box_candidates(mu):
-    u = pieri_U(box, alpha)
+    u = pieri_U(box, alpha).to_rat()
     if not u.is_zero():
         print("  + (%s) * %s" % (u, label(lam, remove_box(mu, box))))
 print()
@@ -33,8 +33,8 @@ lhs = LaurentSymFunc.gen(1) * construct(alpha).f
 rhs = LaurentSymFunc.zero()
 for box in add_box_candidates(lam):
     rhs = rhs + construct((add_box(lam, box), mu)).f.scale(
-        pieri_V(box, alpha))
+        pieri_V(box, alpha).to_rat())
 for box in remove_box_candidates(mu):
     rhs = rhs + construct((lam, remove_box(mu, box))).f.scale(
-        pieri_U(box, alpha))
+        pieri_U(box, alpha).to_rat())
 print("Checking the identity term by term:", lhs == rhs)

@@ -37,7 +37,7 @@ def clear_caches():
     L_{k,N}, the torus weight, the complete functions h_i and the
     eigenvalues of the eigen checks."""
     for memo in (jack._construct, jack._grown_mirror, closed_forms._linear,
-                 closed_forms.pieri_V_factored, closed_forms.bernoulli_b,
+                 closed_forms._pieri_V, closed_forms.bernoulli_b,
                  operators._l2_image, finite_n._jack_poly_N,
                  finite_n._phi_N_monomial, finite_n._cms_N_image,
                  finite_n._delta_expansion, schur._complete_h,

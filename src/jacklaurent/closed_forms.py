@@ -1,13 +1,18 @@
 """Scalar closed forms: eigenvalues, shifted power sums, Bernoulli sums,
 Pieri coefficients, Stanley-type products, evaluations, norms and the
-duality constant — all as exact elements of Q(k, p0).
+duality constant.
 
 Conventions.  Partitions are weakly decreasing tuples; a bipartition is a
 pair (lam, mu).  Boxes are (row, column), 1-indexed.  A box which cannot
 be added (for V) or removed (for U) contributes a Pieri coefficient of 0.
 
-The product formulas multiply linear forms in k, p0 and k*p0 as a
-Factored, and multiply it out once, with no polynomial gcd.
+The product formulas -- the Pieri coefficients and their diagram forms,
+the Stanley-type products and the norm -- return a Factored: linear
+forms in k, p0 and k*p0 multiplied with no polynomial gcd.  Its
+to_rat() is the value in Q(k, p0), multiplied out once; specialize
+reads it at a rational point and str prints to_rat()'s canonical
+string.  The other closed forms, the evaluation, the duality constant
+and phi_infinity among them, are exact elements of Q(k, p0).
 """
 
 from collections import Counter
@@ -116,7 +121,10 @@ class Factored:
             atoms[_K_ATOM] += s * e
         return Factored(scale, Counter({a: e for a, e in atoms.items() if e}))
 
-    def at(self, k0, p00):
+    def __str__(self):
+        return str(self.to_rat())
+
+    def specialize(self, k0, p00):
         """The value at the rational point (k0, p00), a Fraction; raises
         PoleAtSpecialization as ParamRat.specialize does, naming the
         canonical denominator, when an atom below vanishes there."""
@@ -371,27 +379,21 @@ def _row_factors(pattern, rows):
                   for side in pattern) for A, B in rows]
 
 
-def c_lambda(lam, j, i, a):
-    """lam_i - j - k*(lam'_j - i) + a."""
-    return rat(part(lam, i) - j) - K * (part(conjugate(lam), j) - i) + as_rat(a)
+def pieri_V(box, alpha):
+    """The coefficient of P_{lam+box, mu} in p_1 * P_{lam,mu}, whatever
+    mu, as a Factored: for a box (i,j) addable to lam, with
+    c = lam_r - j + (r + 1 - i)*k,
 
+        prod_{r=1}^{i-1} (c + 1)(c - 2k) / [(c + 1 - k)(c - k)]
 
-def c_alpha(alpha, j, i, a):
-    """lam_i + j + k*(mu'_j + i) + a."""
-    lam, mu = alpha
-    return rat(part(lam, i) + j) + K * (part(conjugate(mu), j) + i) + as_rat(a)
+    (_V_ROW), and 0 otherwise.  As lam_r >= j and lam'_j = i - 1, each
+    factor is x - y*k with ints x, y >= 0: -2k over -k(1 - k) is
+    2/(1 - k).  Memoized on (box, lam) (_pieri_V)."""
+    return _pieri_V(box, tuple(alpha[0]))
 
 
 @cache
-def pieri_V_factored(box, lam):
-    """The coefficient of P_{lam+box, mu} in p_1 * P_{lam,mu}, whatever
-    mu, as a Factored: for a box (i,j) addable to lam
-
-        prod_{r=1}^{i-1} c_lam(jr,1) c_lam(jr,-2k) / [c_lam(jr,-k) c_lam(jr,1-k)],
-
-    and 0 otherwise, with c = c_lam(jr, 0) = lam_r - j + (r + 1 - i)*k
-    (_V_ROW).  As lam_r >= j and lam'_j = i - 1, each factor is x - y*k
-    with ints x, y >= 0: -2k over -k(1 - k) is 2/(1 - k)."""
+def _pieri_V(box, lam):
     i, j = box
     if box not in add_box_candidates(lam):
         return Factored(0)
@@ -399,20 +401,13 @@ def pieri_V_factored(box, lam):
                                         for r in range(1, i))), "pieri_V")
 
 
-def pieri_V(box, alpha):
-    """The coefficient of P_{lam+box, mu} in p_1 * P_{lam,mu} in
-    Q(k, p0), pieri_V_factored multiplied out; 0 when the box is not
-    addable to lam."""
-    return pieri_V_factored(box, tuple(alpha[0])).to_rat()
-
-
-def pieri_U_factored(box, alpha):
+def pieri_U(box, alpha):
     """The coefficient of P_{lam, mu-box} in p_1 * P_{lam,mu} as a
     Factored; 0 when the box is not removable from mu.  All ingredients
     use mu before removal: over the rows r > i of mu, with
-    c = c_lambda(mu, j, r, 0), the factor is
+    c = mu_r - j - k*(mu'_j - r), the factor is
     (c + 1 + k)(c - k) / [(c + 1) c] (_U_MU_ROW); over the rows r of
-    lam, with c = c_alpha(alpha, j, r, 0), it is
+    lam, with c = lam_r + j + k*(mu'_j + r), it is
     (c - 1 - 2k - k*p0)(c - k*p0) / [(c - 1 - k - k*p0)(c - k - k*p0)]
     (_U_LAM_ROW); and one boundary factor closes the product."""
     lam, mu = alpha
@@ -430,11 +425,6 @@ def pieri_U_factored(box, alpha):
                     (_linear(j, ll + mu_pj, 0, -1),
                      _linear(j - 1, mu_pj - lm - 1, 0, 0))))
     return _ratio(factors, "pieri_U")
-
-
-def pieri_U(box, alpha):
-    """pieri_U_factored multiplied out in Q(k, p0)."""
-    return pieri_U_factored(box, alpha).to_rat()
 
 
 # -- diagrammatic Pieri coefficients -------------------------------------------
@@ -457,7 +447,7 @@ def _y_col(alpha, j):
     raise ValueError("column index 0")
 
 
-def pieri_V_diagram_factored(box, alpha):
+def pieri_V_diagram(box, alpha):
     """The added-box coefficient as a Factored product over the column
     below the box in the two-diagram figure; box = (i,j) in the lam
     diagram.  For r < i, with c = y_r - j - k*(y'_j - r), the factor is
@@ -471,12 +461,7 @@ def pieri_V_diagram_factored(box, alpha):
                   "pieri_V_diagram")
 
 
-def pieri_V_diagram(box, alpha):
-    """pieri_V_diagram_factored multiplied out in Q(k, p0)."""
-    return pieri_V_diagram_factored(box, alpha).to_rat()
-
-
-def pieri_U_diagram_factored(box, alpha, L=None, M=None):
+def pieri_U_diagram(box, alpha, L=None, M=None):
     """The removed-box coefficient as a Factored product over the figure
     column of the box; box = (i,j) in the mu diagram, sitting at
     (-j,-i) in the figure.  With c = y_r + j - k*(y'_{-j} - r), the rows
@@ -512,11 +497,6 @@ def pieri_U_diagram_factored(box, alpha, L=None, M=None):
     return _ratio(factors, "pieri_U_diagram")
 
 
-def pieri_U_diagram(box, alpha, L=None, M=None):
-    """pieri_U_diagram_factored multiplied out in Q(k, p0)."""
-    return pieri_U_diagram_factored(box, alpha, L, M).to_rat()
-
-
 # -- Stanley products, evaluation, norms, duality ------------------------------
 
 def stanley_denominators(lam, x):
@@ -528,7 +508,8 @@ def stanley_denominators(lam, x):
 
 
 def stanley_phi(lam, p, x, variant=1):
-    """The box product phi_p(lam, x); two displayed numerator forms:
+    """The box product phi_p(lam, x) as a Factored; two displayed
+    numerator forms:
 
         variant 1:  j - 1 + k(i-1-p) + x
         variant 2:  lam_i - j + k(i-1-p) + x
@@ -536,11 +517,6 @@ def stanley_phi(lam, p, x, variant=1):
     over the common denominator lam_i - j + k(i-1-lam'_j) + x; x and k*p
     must be linear forms (_shift).
     """
-    return _stanley(lam, p, x, variant).to_rat()
-
-
-def _stanley(lam, p, x, variant=1):
-    """stanley_phi as a Factored."""
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     shift = _shift(x, p)
@@ -570,15 +546,16 @@ def phi_pair_factors(lam, mu, p, x):
 
 
 def phi_pair(lam, mu, p, x):
-    """The mixed product phi_p(lam, mu, x) of phi_pair_factors."""
-    return _ratio(phi_pair_factors(lam, mu, p, x), "phi_pair").to_rat()
+    """The mixed product phi_p(lam, mu, x) of phi_pair_factors, a
+    Factored."""
+    return _ratio(phi_pair_factors(lam, mu, p, x), "phi_pair")
 
 
 def _phi_triple(alpha, x):
     """phi_p0(lam,x) phi_p0(mu,x) phi_p0(lam,mu,x), a Factored."""
     lam, mu = alpha
-    return _stanley(lam, P0, x) * _stanley(mu, P0, x) \
-        * _ratio(phi_pair_factors(lam, mu, P0, x), "phi_pair")
+    return stanley_phi(lam, P0, x) * stanley_phi(mu, P0, x) \
+        * phi_pair(lam, mu, P0, x)
 
 
 def evaluation_value(alpha):
@@ -586,17 +563,12 @@ def evaluation_value(alpha):
     return _phi_triple(alpha, RAT_ZERO).to_rat()
 
 
-def norm_factored(alpha):
+def norm_value(alpha):
     """Square norm of P_alpha for the p0-deformed bilinear form, as a
     Factored: the same triple product evaluated at 0 divided by its
     value at 1+k."""
     return _ratio([((_phi_triple(alpha, RAT_ZERO),),
                     (_phi_triple(alpha, RAT_ONE + K),))], "norm_value")
-
-
-def norm_value(alpha):
-    """norm_factored multiplied out in Q(k, p0)."""
-    return norm_factored(alpha).to_rat()
 
 
 def duality_constant(alpha):

@@ -57,7 +57,7 @@ def p0_infinity_limit(alpha):
 def norm_infinity_check(alpha):
     """Limit of the quadratic norm against Phi(lam) Phi(mu)."""
     lam, mu = alpha
-    nv = norm_value(alpha)
+    nv = norm_value(alpha).to_rat()
     exists, lim = p0_limit_coeff(nv)
     target = phi_infinity(lam) * phi_infinity(mu)
     witness = {"norm": str(nv),
@@ -183,7 +183,7 @@ def limiting_form(f, g):
     for alpha, c in cf.items():
         c2 = cg.get(alpha)
         if c2 is not None:
-            total = total + c * c2 * norm_value(alpha)
+            total = total + c * c2 * norm_value(alpha).to_rat()
     return p0_limit_coeff(total)
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .rational import RAT_ZERO, RAT_ONE, K, ParamPoly, Sparse, rat, as_rat, \
+from .rational import RAT_ZERO, RAT_ONE, K, ParamPoly, Sparse, as_rat, \
     SingularParameter, PoleAtSpecialization, IdenticallySingular, \
     NotEigenvector
 from .partitions import normalize_partition, partitions_of, dominance_leq, \
@@ -420,27 +420,20 @@ def torus_form(f, g, k_neg_int, N):
 
 # -- finite closed-form checks ---------------------------------------------------
 
-def c_chi(chi, r, i, b):
-    """chi_r - chi_i - 1 + k*(r+1-i) + b."""
-    base = rat(chi[r - 1] - chi[i - 1] - 1) + K * (r + 1 - i)
-    return base + b
-
-
-def pieri_V_N_factored(i, chi):
+def pieri_V_N(i, chi):
     """Transition coefficient of P_{chi+eps_i} in p_1 P_chi as a
     Factored; zero when chi+eps_i is not non-increasing.  Over r < i,
-    with c = c_chi(chi, r, i, 0), the factor is
-    (c + 1)(c - 2k) / [(c + 1 - k)(c - k)] (closed_forms._V_ROW)."""
+    with c = chi_r - chi_i - 1 + k*(r+1-i), the factor is
+    (c + 1)(c - 2k) / [(c + 1 - k)(c - k)] (closed_forms._V_ROW).
+    Raises ValueError unless 1 <= i <= len(chi)."""
+    if not 1 <= i <= len(chi):
+        raise ValueError("index i=%d outside 1..len(chi)=%d"
+                         % (i, len(chi)))
     if not (i == 1 or chi[i - 2] > chi[i - 1]):
         return Factored(0)
     return _ratio(_row_factors(_V_ROW, ((chi[r - 1] - chi[i - 1] - 1,
                                          r + 1 - i) for r in range(1, i))),
                   "pieri_V_N")
-
-
-def pieri_V_N(i, chi):
-    """pieri_V_N_factored multiplied out in Q(k)."""
-    return pieri_V_N_factored(i, chi).to_rat()
 
 
 def _add_quotient(sums, key, num, den):
@@ -471,7 +464,7 @@ def finite_pieri_check(chi, N):
             eta = nu[:at] + (v + 1,) + nu[at + 1:]
             _add_quotient(lhs, eta, c.num.scale(eta.count(v + 1)), c.den)
     for i in range(1, N + 1):
-        v = pieri_V_N_factored(i, chi)
+        v = pieri_V_N(i, chi)
         if not v.scale:
             continue
         (n, above), (d, below) = v.sides()

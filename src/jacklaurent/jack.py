@@ -55,7 +55,7 @@ from .partitions import size, conjugate, add_box_candidates, \
     label_str
 from .operators import cms_L_doubled, cms_L2_weighted, _l2_bound
 from .closed_forms import Factored, expand, eigenvalue_e, eigenvalue_parts, \
-    pieri_V_factored, pieri_U_factored, duality_constant, evaluation_value
+    pieri_V, pieri_U, duality_constant, evaluation_value
 
 
 class JackLaurentFunction:
@@ -316,12 +316,12 @@ class _Point:
 
     def pieri(self, box, alpha):
         """(vnum, vden), the Pieri coefficient V = vnum/vden of the box
-        (pieri_V_factored): symbolically the Factored of its atoms with
+        (pieri_V): symbolically the Factored of its atoms with
         positive and with negative exponents.  At a rational point ints,
         each atom read with the weights (1, k, p0, k*p0): that is its
         value times w1, so each side also takes w1 to the number of
         atoms of the other."""
-        sides = pieri_V_factored(box, alpha[0]).sides()
+        sides = pieri_V(box, alpha).sides()
         if self.at is None:
             return tuple(Factored(c, Counter(atoms)) for c, atoms in sides)
         w = self.weights
@@ -531,9 +531,9 @@ def pieri_identity_check(alpha):
     lam, mu = _normalize_alpha(alpha)
     F, D = construct((lam, mu)).cleared
     funcs, coeffs = [F.times(1)], [Factored() / D]
-    near = [((add_box(lam, x), mu), pieri_V_factored(x, lam))
+    near = [((add_box(lam, x), mu), pieri_V(x, (lam, mu)))
             for x in add_box_candidates(lam)]
-    near += [((lam, remove_box(mu, y)), pieri_U_factored(y, (lam, mu)))
+    near += [((lam, remove_box(mu, y)), pieri_U(y, (lam, mu)))
              for y in remove_box_candidates(mu)]
     for beta, c in near:
         if c.scale:

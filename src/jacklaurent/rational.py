@@ -713,6 +713,7 @@ class ParamRat:
 
     def __rtruediv__(self, other):
         return self.inverse() * other
+
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)

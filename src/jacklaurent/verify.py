@@ -14,9 +14,8 @@ from .partitions import size, bipartitions_up_to, w_bipartition, chi_N, \
     add_box_candidates, remove_box_candidates, label_str
 from .rational import ParamPoly, PoleAtSpecialization
 from .operators import cms_L_doubled, cms_L2_direct
-from .closed_forms import evaluation_value, norm_factored, \
-    separation_check, pieri_V_factored, pieri_U_factored, \
-    pieri_V_diagram_factored, pieri_U_diagram_factored
+from .closed_forms import evaluation_value, norm_value, separation_check, \
+    pieri_V, pieri_U, pieri_V_diagram, pieri_U_diagram
 from . import jack
 from .jack import construct
 from .finite_n import phi_N_map, jack_laurent_poly_N, torus_form, \
@@ -80,14 +79,13 @@ def check_pieri(alpha):
         return False, {"identity": "failed"}
     lam, mu = alpha
     for box in add_box_candidates(lam):
-        if pieri_V_factored(box, lam) != pieri_V_diagram_factored(box, alpha):
+        if pieri_V(box, alpha) != pieri_V_diagram(box, alpha):
             return False, {"diagram_mismatch": ["V", list(box)]}
     for box in remove_box_candidates(mu):
-        u = pieri_U_factored(box, alpha)
-        if u != pieri_U_diagram_factored(box, alpha):
+        u = pieri_U(box, alpha)
+        if u != pieri_U_diagram(box, alpha):
             return False, {"diagram_mismatch": ["U", list(box)]}
-        if u != pieri_U_diagram_factored(box, alpha, L=len(lam) + 2,
-                                         M=len(mu) + 1):
+        if u != pieri_U_diagram(box, alpha, L=len(lam) + 2, M=len(mu) + 1):
             return False, {"rectangle_dependence": ["U", list(box)]}
     return True, {}
 
@@ -116,7 +114,7 @@ def check_norm_torus(alpha):
     if f is None:
         f = phi_N_map(construct(alpha).f, N)
     val = torus_form(f, f, k0, N)
-    want = norm_factored(alpha).at(k0, N)
+    want = norm_value(alpha).specialize(k0, N)
     return val == want, {"torus": str(val), "formula": str(want),
                          "N": N, "k": str(k0)}
 

@@ -166,8 +166,9 @@ def test_criterion_05_evaluation():
                 assert stanley_phi(lam, b, xsym) == \
                     stanley_phi(comp, b, xsym), (lam, a, b)
     # joined-diagram factorization spot-checks
+    one = stanley_phi((1,), 2, xsym)
     assert stanley_phi((2,), 2, xsym) == \
-        stanley_phi((1,), 2, xsym) ** 2 * phi_pair((1,), (1,), 2, xsym)
+        one * one * phi_pair((1,), (1,), 2, xsym)
     assert stanley_phi((3, 1), 3, xsym) == \
         stanley_phi((2,), 3, xsym) * stanley_phi((1,), 3, xsym) \
         * phi_pair((2,), (1,), 3, xsym)

@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from random import Random
 from math import gcd
 from unittest import mock
 
@@ -14,19 +15,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat, ParamPoly, \
-    ParamRat, DivisionByZero, as_rat
+    ParamRat, DivisionByZero, PoleAtSpecialization, as_rat
 from jacklaurent.partitions import chi_N, partitions_up_to, \
     bipartitions_up_to, add_box_candidates, remove_box_candidates, boxes, \
     conjugate, part
 from jacklaurent.closed_forms import (
     Factored, SingularProduct,
     bernoulli_b, bernoulli_b_lambda, bernoulli_b_sequence, bernoulli_poly_at,
-    c_alpha, c_lambda, duality_constant, eigenvalue_e, eigenvalue_eN, evaluation_value,
+    duality_constant, eigenvalue_e, eigenvalue_eN, evaluation_value,
     expand, hc_value, norm_value, phi_infinity, phi_pair,
-    pieri_U, pieri_U_diagram, pieri_V, pieri_V_diagram, pieri_V_factored,
+    pieri_U, pieri_U_diagram, pieri_V, pieri_V_diagram,
     separation_check, shifted_power_sum, stable_eigenvalue, stanley_phi,
     _phi_triple, _y_col, _y_row,
 )
+from jacklaurent.finite_n import pieri_V_N
 from jacklaurent import clear_caches, rational
 
 partitions3 = st.sampled_from(tuple(partitions_up_to(3)))
@@ -158,14 +160,15 @@ def _addable_boxes(max_size):
 
 class TestPieriCoefficients:
     def test_V_frozen(self):
-        assert pieri_V((1, 2), ((1,), (1,))) == RAT_ONE
-        assert pieri_V((3, 1), ((1,), ())) == RAT_ZERO
-        assert pieri_V((2, 1), ((1,), ())) == rat(2) / (RAT_ONE - K)
+        assert pieri_V((1, 2), ((1,), (1,))).to_rat() == RAT_ONE
+        assert pieri_V((3, 1), ((1,), ())).to_rat() == RAT_ZERO
+        assert pieri_V((2, 1), ((1,), ())).to_rat() == rat(2) / (RAT_ONE - K)
 
     def test_V_matches_c_lambda_product(self):
         for box, alpha, want in _addable_boxes(6):
-            assert pieri_V(box, alpha) == want, (box, alpha)
-            assert pieri_V(box, (alpha[0], (2, 1))) == want, (box, alpha)
+            assert pieri_V(box, alpha).to_rat() == want, (box, alpha)
+            assert pieri_V(box, (alpha[0], (2, 1))).to_rat() == want, \
+                (box, alpha)
 
     def test_V_forms_are_coprime_and_balanced(self):
         # the atoms of V are forms x - y*k with coprime x, y > 0 (k
@@ -174,7 +177,7 @@ class TestPieriCoefficients:
         # two below, except the row just above it, whose first factor
         # above is a constant: V falls like 1/k below the first row
         for box, alpha, _ in _addable_boxes(6):
-            v = pieri_V_factored(box, alpha[0])
+            v = pieri_V(box, alpha)
             assert type(v.scale) is Fraction and v.scale > 0
             assert all(v.atoms.values()), (box, alpha)
             assert sum(v.atoms.values()) == -(box[0] > 1), (box, alpha)
@@ -186,16 +189,17 @@ class TestPieriCoefficients:
     def test_V_forms_cancel_up_to_scale(self):
         # -2k above and -k below: 2/(1 - k)
         one_minus = {n: 1 - ParamPoly.var_k() * n for n in (1, 2)}
-        v = pieri_V_factored((2, 1), (1,))
+        v = pieri_V((2, 1), ((1,), ()))
         assert (v.scale, v.atoms) == (2, Counter({one_minus[1]: -1}))
         # 1 - k above and below: 3/(1 - 2k)
-        v = pieri_V_factored((3, 1), (1, 1))
+        v = pieri_V((3, 1), ((1, 1), ()))
         assert (v.scale, v.atoms) == (3, Counter({one_minus[2]: -1}))
-        assert pieri_V((3, 1), ((1, 1), ())) == rat(3) / (RAT_ONE - K * 2)
+        assert v.to_rat() == rat(3) / (RAT_ONE - K * 2)
 
     def test_U_frozen(self):
-        assert pieri_U((1, 1), ((), (1,))) == P0 / (RAT_ONE + K - K * P0)
-        u = pieri_U((1, 1), ((1,), (1,)))
+        assert pieri_U((1, 1), ((), (1,))).to_rat() == \
+            P0 / (RAT_ONE + K - K * P0)
+        u = pieri_U((1, 1), ((1,), (1,))).to_rat()
         want = ((RAT_ONE - K * P0) * (rat(2) + K * 2 - K * P0)
                 * (P0 - RAT_ONE)) / (
             (RAT_ONE + K - K * P0) * (rat(2) + K - K * P0)
@@ -204,7 +208,7 @@ class TestPieriCoefficients:
         # at p0 = 2 this must agree with the two-variable picture
         assert u.substitute_p0(2) == \
             (rat(2) * (RAT_ONE - K * 2)) / ((RAT_ONE - K) * (rat(2) - K))
-        assert pieri_U((2, 1), ((), (1,))) == RAT_ZERO
+        assert pieri_U((2, 1), ((), (1,))).to_rat() == RAT_ZERO
 
     def test_diagram_route_V(self):
         for box, alpha in [((2, 1), ((1,), ())), ((2, 2), ((3, 1), (1,))),
@@ -247,6 +251,17 @@ def _field_product(pairs):
         for d in dens:
             v = v / d
     return v
+
+
+def c_lambda(lam, j, i, a):
+    """lam_i - j - k*(lam'_j - i) + a."""
+    return rat(part(lam, i) - j) - K * (part(conjugate(lam), j) - i) + as_rat(a)
+
+
+def c_alpha(alpha, j, i, a):
+    """lam_i + j + k*(mu'_j + i) + a."""
+    lam, mu = alpha
+    return rat(part(lam, i) + j) + K * (part(conjugate(mu), j) + i) + as_rat(a)
 
 
 def c_Y(alpha, box_ji, a):
@@ -334,15 +349,18 @@ def field_duality_constant(alpha):
 
 
 def _agree(fn, reference, *args):
-    """fn(*args) equals the reference, or both find a factor below that
-    vanishes identically."""
+    """fn(*args) equals the reference in Q(k, p0), a Factored through its
+    to_rat(), or both find a factor below that vanishes identically."""
     try:
         want = reference(*args)
     except DivisionByZero:
         with pytest.raises(SingularProduct):
             fn(*args)
         return
-    assert fn(*args) == want, (fn.__name__, args)
+    got = fn(*args)
+    if type(got) is Factored:
+        got = got.to_rat()
+    assert got == want, (fn.__name__, args)
 
 
 class TestIntBuiltFactors:
@@ -377,14 +395,14 @@ class TestIntBuiltFactors:
             zero, one = (field_triple(alpha, x) for x in (RAT_ZERO,
                                                           RAT_ONE + K))
             assert evaluation_value(alpha) == zero, alpha
-            assert norm_value(alpha) == zero / one, alpha
+            assert norm_value(alpha).to_rat() == zero / one, alpha
             _agree(duality_constant, field_duality_constant, alpha)
 
 
 class TestStanleyProducts:
     def test_base_values(self):
-        assert stanley_phi((), P0, RAT_ZERO) == RAT_ONE
-        assert stanley_phi((1,), P0, RAT_ZERO) == P0
+        assert stanley_phi((), P0, RAT_ZERO).to_rat() == RAT_ONE
+        assert stanley_phi((1,), P0, RAT_ZERO).to_rat() == P0
 
     def test_variant_checked_before_the_product(self):
         for lam in ((), (1,)):
@@ -414,7 +432,8 @@ class TestStanleyProducts:
     def test_joined_diagram_factorization(self):
         xsym = K * 5 + P0 + rat(3)
         lhs = stanley_phi((2,), 2, xsym)
-        rhs = stanley_phi((1,), 2, xsym) ** 2 * phi_pair((1,), (1,), 2, xsym)
+        one = stanley_phi((1,), 2, xsym)
+        rhs = one * one * phi_pair((1,), (1,), 2, xsym)
         assert lhs == rhs
         lhs = stanley_phi((3, 1), 3, xsym)
         rhs = stanley_phi((2,), 3, xsym) * stanley_phi((1,), 3, xsym) \
@@ -427,7 +446,7 @@ class TestEvaluationNormDuality:
         assert evaluation_value(((1,), ())) == P0
         assert evaluation_value(((1,), (1,))) == \
             P0 * (P0 - RAT_ONE) * (RAT_ONE - K * P0) / (RAT_ONE + K - K * P0)
-        assert norm_value(((), (1,))) == P0 / (RAT_ONE + K - K * P0)
+        assert norm_value(((), (1,))).to_rat() == P0 / (RAT_ONE + K - K * P0)
         assert duality_constant(((1,), ())) == RAT_ONE / K
         assert phi_infinity((1,)) == -RAT_ONE / K
         assert phi_infinity(()) == RAT_ONE
@@ -546,27 +565,29 @@ class TestFactored:
             phi_pair((1,), (1,), K * K, 0)
 
     def test_product_formulas_take_no_gcd(self):
-        # every label with |lam|+|mu| <= 4 from cold memos, the duality
-        # constant swapped atom by atom included
+        # every label with |lam|+|mu| <= 4 from cold memos, each Factored
+        # multiplied out, the duality constant swapped atom by atom
+        # included
         clear_caches()
         with mock.patch.object(rational, "poly_gcd",
                                wraps=rational.poly_gcd) as gcd_calls:
             for lam, mu in bipartitions_up_to(4):
                 alpha = (lam, mu)
                 for box in add_box_candidates(lam):
-                    pieri_V(box, alpha)
-                    pieri_V_diagram(box, alpha)
+                    pieri_V(box, alpha).to_rat()
+                    pieri_V_diagram(box, alpha).to_rat()
                 for box in remove_box_candidates(mu):
-                    pieri_U(box, alpha)
-                    pieri_U_diagram(box, alpha)
-                    pieri_U_diagram(box, alpha, len(lam) + 1, len(mu) + 2)
+                    pieri_U(box, alpha).to_rat()
+                    pieri_U_diagram(box, alpha).to_rat()
+                    pieri_U_diagram(box, alpha, len(lam) + 1,
+                                    len(mu) + 2).to_rat()
                 for x in (RAT_ZERO, RAT_ONE + K):
                     for variant in (1, 2):
-                        stanley_phi(lam, P0, x, variant)
-                    phi_pair(lam, mu, P0, x)
+                        stanley_phi(lam, P0, x, variant).to_rat()
+                    phi_pair(lam, mu, P0, x).to_rat()
                 phi_infinity(lam)
                 evaluation_value(alpha)
-                norm_value(alpha)
+                norm_value(alpha).to_rat()
                 duality_constant(alpha)
         assert gcd_calls.call_count == 0
 
@@ -599,6 +620,101 @@ class TestFactored:
             assert f.param_swap().to_rat() == f.to_rat().param_swap()
         with pytest.raises(ValueError, match="linear form"):
             Factored.of(_form(1, 1, 1, 0)).param_swap()
+
+
+# (p, x) for the Stanley-type products: the shifts of TestIntBuiltFactors
+# and the symbolic point of TestStanleyProducts
+SURFACE_SHIFTS = TestIntBuiltFactors.SHIFTS + ((2, K * 5 + P0 + rat(3)),)
+
+
+@cache
+def _factored_values(max_size):
+    """(name, args, value) for every formula that returns a Factored, on
+    every label with |lam|+|mu| <= max_size: each addable or removable
+    box, the diagram forms at two rectangles, the Stanley-type products
+    at SURFACE_SHIFTS, the norm, and pieri_V_N on the label's sequence
+    at N = 3 and 4 where it fits.  Products with a factor below that
+    vanishes identically are left out."""
+    out = []
+
+    def add(fn, *args):
+        try:
+            out.append((fn.__name__, args, fn(*args)))
+        except SingularProduct:
+            pass
+
+    for alpha in sorted(bipartitions_up_to(max_size)):
+        lam, mu = alpha
+        for box in add_box_candidates(lam):
+            add(pieri_V, box, alpha)
+            add(pieri_V_diagram, box, alpha)
+        for box in remove_box_candidates(mu):
+            add(pieri_U, box, alpha)
+            add(pieri_U_diagram, box, alpha)
+            add(pieri_U_diagram, box, alpha, len(lam) + 2, len(mu) + 1)
+        for p, x in SURFACE_SHIFTS:
+            for variant in (1, 2):
+                add(stanley_phi, lam, p, x, variant)
+            add(phi_pair, lam, mu, p, x)
+        add(norm_value, alpha)
+        for N in (3, 4):
+            if len(lam) + len(mu) <= N:
+                chi = chi_N(alpha, N)
+                for i in range(1, N + 1):
+                    add(pieri_V_N, i, chi)
+    return out
+
+
+def _seeded_points(seed, n):
+    rnd = Random(seed)
+    return [tuple(Fraction(rnd.randint(-6, 6), rnd.randint(1, 3))
+                  for _ in range(2)) for _ in range(n)]
+
+
+def _specialize_agrees(value, field, k0, p00):
+    """value.specialize(k0, p00) is the Fraction field.specialize(k0, p00)
+    of its to_rat(), or both raise PoleAtSpecialization with the same
+    message; False at a pole."""
+    try:
+        want = field.specialize(k0, p00)
+    except PoleAtSpecialization as exc:
+        with pytest.raises(PoleAtSpecialization) as got:
+            value.specialize(k0, p00)
+        assert str(got.value) == str(exc)
+        return False
+    got = value.specialize(k0, p00)
+    assert type(got) is Fraction and got == want
+    return True
+
+
+class TestFactoredSurface:
+    # str and specialize of the Factored product formulas read like
+    # those of the value multiplied out in Q(k, p0)
+    def test_str_is_the_canonical_string(self):
+        values = _factored_values(5)
+        assert len(values) == 1887
+        for name, args, value in values:
+            assert type(value) is Factored, (name, args)
+            assert str(value) == str(value.to_rat()), (name, args)
+
+    def test_specialize_matches_the_field(self):
+        # seeded points, and two small integer points where some values
+        # have a pole
+        points = _seeded_points(0, 4) + [(1, 2), (-1, 0)]
+        poles = 0
+        for name, args, value in _factored_values(5):
+            field = value.to_rat()
+            for k0, p00 in points:
+                poles += not _specialize_agrees(value, field, k0, p00)
+        assert poles > 0
+
+    def test_pole_names_the_canonical_denominator(self):
+        # pieri_V((2, 1), ((1,), ())) is 2/(1 - k): a pole at k = 1
+        value = pieri_V((2, 1), ((1,), ()))
+        with pytest.raises(PoleAtSpecialization) as got:
+            value.specialize(1, 0)
+        assert str(got.value) == "denominator 1 - k vanishes at k=1, p0=0"
+        assert not _specialize_agrees(value, value.to_rat(), 1, 0)
 
 
 def _closed_form_lines(max_size):

@@ -18,10 +18,9 @@ from jacklaurent.partitions import bipartitions_up_to, chi_N
 from jacklaurent.jack import construct, jack_positive
 from jacklaurent import finite_n, verify
 from jacklaurent.finite_n import (
-    SymLaurentPolyN, c_chi, cms_N, cms_r_N, constant_term_delta, euler_N,
+    SymLaurentPolyN, cms_N, cms_r_N, constant_term_delta, euler_N,
     finite_pieri_check, hc_eigen_check_N, involution_check_N,
-    jack_laurent_poly_N, jack_poly_N, phi_N_map, pieri_V_N,
-    pieri_V_N_factored, power_sum_N,
+    jack_laurent_poly_N, jack_poly_N, phi_N_map, pieri_V_N, power_sum_N,
     torus_form, _delta_weight,
 )
 
@@ -97,13 +96,34 @@ def reference_torus_form(f, g, k_neg_int, N):
     return total / ct
 
 
+def c_chi(chi, r, i, b):
+    """chi_r - chi_i - 1 + k*(r+1-i) + b."""
+    base = rat(chi[r - 1] - chi[i - 1] - 1) + K * (r + 1 - i)
+    return base + b
+
+
+def field_pieri_V_N(i, chi):
+    """pieri_V_N as the product of its c_chi factors in Q(k), each step
+    reduced there: over r < i, (c + 1)(c - 2k) / [(c + 1 - k)(c - k)]
+    with c = c_chi(chi, r, i, 0); 0 when chi + e_i is not
+    non-increasing."""
+    if i > 1 and chi[i - 2] == chi[i - 1]:
+        return rat(0)
+    v = RAT_ONE
+    for r in range(1, i):
+        v = v * c_chi(chi, r, i, 1) * c_chi(chi, r, i, -2 * K) / (
+            c_chi(chi, r, i, RAT_ONE - K) * c_chi(chi, r, i, -K))
+    return v
+
+
 def reference_finite_pieri(chi, N):
     """The finite Pieri identity multiplied out in Q(k): SymLaurentPolyN
-    products over full monomials and ParamRat coefficients pieri_V_N."""
+    products over full monomials and the ParamRat coefficients of
+    pieri_V_N, multiplied out."""
     lhs = power_sum_N(1, N) * jack_laurent_poly_N(chi, N)
     rhs = SymLaurentPolyN.zero(N)
     for i in range(1, N + 1):
-        v = pieri_V_N(i, chi)
+        v = finite_n.pieri_V_N(i, chi).to_rat()
         if v.is_zero():
             continue
         up = chi[:i - 1] + (chi[i - 1] + 1,) + chi[i:]
@@ -375,21 +395,35 @@ class TestFiniteClosedForms:
         # the last nonzero V doubled, as the Factored the check reads and
         # the ParamRat the reference reads
         N = len(chi)
-        i = max(i for i in range(1, N + 1) if pieri_V_N_factored(i, chi).scale)
-        real = finite_n.pieri_V_N_factored
+        i = max(i for i in range(1, N + 1) if pieri_V_N(i, chi).scale)
+        real = finite_n.pieri_V_N
 
         def doubled(j, seq):
             v = real(j, seq)
             return v * 2 if (j, seq) == (i, chi) else v
 
-        with mock.patch.object(finite_n, "pieri_V_N_factored", doubled):
+        with mock.patch.object(finite_n, "pieri_V_N", doubled):
             assert not finite_pieri_check(chi, N)
             assert not reference_finite_pieri(chi, N)
 
     def test_pieri_matches_infinite_U(self):
         # the infinite coefficient, restricted to p0 = 2, is the finite one
-        u = pieri_U((1, 1), ((1,), (1,)))
-        assert u.substitute_p0(2) == pieri_V_N(2, (1, -1))
+        u = pieri_U((1, 1), ((1,), (1,))).to_rat()
+        assert u.substitute_p0(2) == pieri_V_N(2, (1, -1)).to_rat()
+
+    def test_V_N_matches_c_chi_product(self):
+        for chi, N in _finite_pieri_labels():
+            for i in range(1, N + 1):
+                assert pieri_V_N(i, chi).to_rat() == \
+                    field_pieri_V_N(i, chi), (i, chi)
+
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_V_N_index_outside_the_sequence(self, i):
+        # below 1 the index would wrap round to the end of chi, and
+        # past len(chi) it would read beyond it
+        with pytest.raises(ValueError, match=r"i=%d outside 1\.\.len\(chi\)=3"
+                           % i):
+            pieri_V_N(i, (2, 1, 0))
 
     def test_eigenvalues(self):
         assert hc_eigen_check_N((1, 0), 2) == RAT_ONE - K

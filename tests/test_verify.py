@@ -7,14 +7,14 @@ import pytest
 
 from jacklaurent import clear_caches, closed_forms, finite_n, jack, \
     operators, rational, schur, verify
-from jacklaurent.closed_forms import norm_factored, norm_value
+from jacklaurent.closed_forms import norm_value
 from jacklaurent.partitions import bipartitions_up_to
 from jacklaurent.rational import RAT_ONE, PoleAtSpecialization
 from jacklaurent.verify import SUITES, check_eigen, check_evaluation, \
     check_finite_n, check_norm_torus, run_suite
 
 MEMOS = (jack._construct, closed_forms._linear,
-         closed_forms.pieri_V_factored, operators._l2_image,
+         closed_forms._pieri_V, operators._l2_image,
          finite_n._jack_poly_N,
          finite_n._phi_N_monomial, finite_n._cms_N_image,
          finite_n._delta_expansion, schur._complete_h)
@@ -117,9 +117,10 @@ class TestChecks:
         k0 = verify.TORUS_K
         for lam, mu in bipartitions_up_to(5):
             N = max(verify.TORUS_N, len(lam) + len(mu))
-            got = norm_factored((lam, mu)).at(k0, N)
+            norm = norm_value((lam, mu))
+            got = norm.specialize(k0, N)
             assert type(got) is Fraction
-            assert got == norm_value((lam, mu)).specialize(k0, N), (lam, mu)
+            assert got == norm.to_rat().specialize(k0, N), (lam, mu)
 
     @pytest.mark.parametrize("point", [(1, 2), (-1, 0)])
     def test_factored_norm_pole_names_the_denominator(self, point):
@@ -127,9 +128,9 @@ class TestChecks:
         # at (-1, 0) a pole where the numerator vanishes too
         alpha = ((), (1,))
         with pytest.raises(PoleAtSpecialization) as want:
-            norm_value(alpha).specialize(*point)
+            norm_value(alpha).to_rat().specialize(*point)
         with pytest.raises(PoleAtSpecialization) as got:
-            norm_factored(alpha).at(*point)
+            norm_value(alpha).specialize(*point)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("alpha", [((2, 1), (1,)), ((1,), (2,))])
