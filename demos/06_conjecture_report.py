@@ -7,7 +7,6 @@ Run:  python3 demos/06_conjecture_report.py
 
 import json
 
-from jacklaurent import LaurentSymFunc
 from jacklaurent.conjectures import p0_infinity_limit, run_all
 
 verdict, limit, _ = p0_infinity_limit(((1,), (1,)))

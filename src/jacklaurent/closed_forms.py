@@ -76,12 +76,17 @@ class Factored:
 
     def __eq__(self, other):
         # atoms are normalized, non-associate primes, so equal values
-        # have the same scale and the same atoms with the same exponents
-        if type(other) is not Factored:
-            return NotImplemented
-        return self.scale == other.scale and self.atoms == other.atoms
+        # have the same scale and the same atoms with the same exponents;
+        # an atom-free product is the constant of its scale
+        if type(other) is Factored:
+            return self.scale == other.scale and self.atoms == other.atoms
+        if isinstance(other, (int, Fraction)):
+            return not self.atoms and self.scale == other
+        return NotImplemented
 
     def __hash__(self):
+        if not self.atoms:
+            return hash(self.scale)
         return hash((self.scale, frozenset(self.atoms.items())))
 
     def __mul__(self, other):
@@ -123,6 +128,14 @@ class Factored:
 
     def __str__(self):
         return str(self.to_rat())
+
+    def __repr__(self):
+        factors = ["(%s)" % a if e == 1 else "(%s)^%d" % (a, e)
+                   for a, e in sorted(self.atoms.items(),
+                                      key=lambda item: str(item[0]))]
+        if self.scale != 1 or not factors:
+            factors.insert(0, str(self.scale))
+        return "Factored(%s)" % " * ".join(factors)
 
     def specialize(self, k0, p00):
         """The value at the rational point (k0, p00), a Fraction; raises
@@ -551,8 +564,12 @@ def phi_pair(lam, mu, p, x):
     return _ratio(phi_pair_factors(lam, mu, p, x), "phi_pair")
 
 
+@cache
 def _phi_triple(alpha, x):
-    """phi_p0(lam,x) phi_p0(mu,x) phi_p0(lam,mu,x), a Factored."""
+    """phi_p0(lam,x) phi_p0(mu,x) phi_p0(lam,mu,x), a Factored, shared
+    from the memo.  The shift x keys the memo as RAT_ZERO or RAT_ONE + K;
+    the int 0 equals and hashes like RAT_ZERO, so it reads the same
+    entry."""
     lam, mu = alpha
     return stanley_phi(lam, P0, x) * stanley_phi(mu, P0, x) \
         * phi_pair(lam, mu, P0, x)
@@ -578,8 +595,9 @@ def duality_constant(alpha):
     quotient is multiplied out once; the swapped value is never zero,
     as every factor above in an evaluation has a term in k*p0."""
     lam, mu = alpha
-    swapped = _phi_triple((conjugate(lam), conjugate(mu)), 0).param_swap()
-    return (_phi_triple(alpha, 0) / swapped).to_rat()
+    swapped = _phi_triple((conjugate(lam), conjugate(mu)),
+                          RAT_ZERO).param_swap()
+    return (_phi_triple(alpha, RAT_ZERO) / swapped).to_rat()
 
 
 def phi_infinity(lam):

@@ -9,27 +9,33 @@ An element of the extended algebra is stored as a map
 Three families of commuting integrals are provided:
 
 * cms_L(r, f)   -- built from the Dunkl-Heckman operator D = d - (k/2)*Delta;
-                    cms_L_doubled(r, f) = 2^r * cms_L(r, f) runs the doubled
-                    operator 2D = 2d - k*Delta, whose coefficients lie in
-                    Z[k, p0],
+                    cms_L_doubled(r, f) = 2^r * cms_L(r, f) is read from
+                    the doubled operator 2D = 2d - k*Delta, whose
+                    coefficients lie in Z[k, p0],
 * cms_I(r, f)   -- built from the Polychronakos operator pi = d - k*Delta~,
 * stable_H(r, f) -- the p0-independent combination of the cms_I family,
                     defined on the positive part only.
 
 Each integral is the composition "apply the x-operator r times, then
-project x^l -> p_l" (with x^0 -> p0, the parameter).  The second-order
-integral cms_L(2, .) also has a direct expression as a differential
-operator without the auxiliary variable, cms_L2_direct: the operator the
+project x^l -> p_l" (with x^0 -> p0, the parameter).  For the
+Dunkl-Heckman family that walk runs once per order and monomial, in
+Z[k, p0]: cms_L_doubled reads the image of each monomial from a cached
+int table, rows of c * k^i * p0^j (_l_image), and combines it with the
+caller's k and p0.  derivation_d, delta_p0, dunkl_heckman_doubled and
+e_project are the builders of that table.  The second-order integral
+cms_L(2, .) also has a direct expression as a differential operator
+without the auxiliary variable, cms_L2_direct: the operator the
 construction projects with.  At p0 = 0 on the positive part it is the
-stable second integral stable_H(2, .).  It is read from a cached table
-of int images per monomial, L2 = A + k*B + p0*C + k*p0*D, which
-cms_L2_weighted combines with any weights for 1, k, p0 and k*p0.
+stable second integral stable_H(2, .).  It is read from a second,
+independent table of int images per monomial, L2 = A + k*B + p0*C +
+k*p0*D, which cms_L2_weighted combines with any weights for 1, k, p0
+and k*p0.
 """
 
 from functools import cache
 from math import comb
 
-from .rational import RAT_ONE, K, P0, Sparse, rat
+from .rational import RAT_ONE, K, P0, ParamPoly, Sparse, rat
 from .laurent import LaurentSymFunc, mono_bidegree
 
 
@@ -181,20 +187,74 @@ def e_project(element, p0=P0):
     return out
 
 
+_RING_K, _RING_P0 = ParamPoly.var_k(), ParamPoly.var_p0()
+
+
+@cache
+def _walk(j, m):
+    """(2D)^j applied to the monomial m embedded at layer 0, with k and
+    p0 the ParamPoly variables: an ExtendedElement over Z[k, p0], built
+    from the walk of order j - 1."""
+    if j == 0:
+        return ExtendedElement.embed(
+            LaurentSymFunc({m: ParamPoly.const(1)}))
+    return dunkl_heckman_doubled(_walk(j - 1, m), _RING_K, _RING_P0)
+
+
+@cache
+def _l_image(r, m):
+    """The image of 2^r * L_r on the monomial m as a tuple of rows
+    (target, ((i, j, c), ...)) with ints c:
+
+        2^r * L_r(m) = sum c * k^i * p0^j * target,
+
+    read off e_project of the walk (2D)^r(m) in Z[k, p0]."""
+    image = e_project(_walk(r, m), _RING_P0)
+    return tuple((target, tuple((i, j, c) for (i, j), c in poly.terms.items()))
+                 for target, poly in image.terms.items())
+
+
 def cms_L_doubled(r, f, k=K, p0=P0):
     """2^r times the r-th CMS integral of the Dunkl-Heckman family:
-    e_project((2D)^r(f)) with f embedded at layer 0.  The doubled
-    operator 2D has coefficients in Z[k, p0], so a function cleared of
-    denominators (ParamPoly coefficients, with k and p0 as ParamPolys)
-    stays in the ring and no step reduces a fraction; at a rational
-    point it runs on Fractions.
+    e_project((2D)^r(f)) with f embedded at layer 0.  Each monomial's
+    image is read from the cached int table _l_image: the coefficients
+    of f are combined with ints for each target and each k^i * p0^j,
+    and each combination is multiplied by that power product once.  The
+    doubled operator 2D has coefficients in Z[k, p0], so `k` and `p0`
+    may be any ring elements that the coefficients of f multiply with,
+    ints included: ParamPolys keep a function cleared of denominators
+    in the ring, so no step reduces a fraction, and Fractions give the
+    integral at a rational point.
     """
     if r < 0:
         raise ValueError("integral order must be nonnegative")
-    e = ExtendedElement.embed(f)
+    parts = {}
+    for m, x in f.terms.items():
+        for target, row in _l_image(r, m):
+            acc = parts.setdefault(target, {})
+            for i, j, c in row:
+                s = acc.get((i, j))
+                acc[(i, j)] = x * c if s is None else s + x * c
+    # each step of 2D raises the degrees in k and in p0 by at most one,
+    # and e_project that in p0 once more
+    k_pow, p0_pow = [1], [1]
     for _ in range(r):
-        e = dunkl_heckman_doubled(e, k, p0)
-    return e_project(e, p0)
+        k_pow.append(k_pow[-1] * k)
+        p0_pow.append(p0_pow[-1] * p0)
+    p0_pow.append(p0_pow[-1] * p0)
+    weights, t = {}, {}
+    for target, acc in parts.items():
+        v = None
+        for (i, j), s in acc.items():
+            if not s:
+                continue
+            w = weights.get((i, j))
+            if w is None:
+                w = weights[(i, j)] = k_pow[i] * p0_pow[j]
+            v = s * w if v is None else v + s * w
+        if v:
+            t[target] = v
+    return f._like(t)
 
 
 def cms_L(r, f):

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat
+from jacklaurent.rational import K, P0, RAT_ONE, rat
 from jacklaurent.laurent import LaurentSymFunc
 from jacklaurent.partitions import (
     bipartitions_up_to, chi_N, partitions_up_to, w_bipartition,

@@ -399,6 +399,33 @@ class TestIntBuiltFactors:
             _agree(duality_constant, field_duality_constant, alpha)
 
 
+class TestTripleMemo:
+    """_phi_triple is a memo; the evaluation, norm and duality read from
+    it match the triple product recomputed on each call."""
+
+    def test_cold_and_warm_match_the_uncached_triple(self):
+        fresh = _phi_triple.__wrapped__
+        labels = bipartitions_up_to(4)
+        clear_caches()
+        for _ in ("cold", "warm"):
+            for lam, mu in labels:
+                alpha = (lam, mu)
+                zero, one = fresh(alpha, RAT_ZERO), fresh(alpha, RAT_ONE + K)
+                swapped = fresh((conjugate(lam), conjugate(mu)),
+                                RAT_ZERO).param_swap()
+                assert evaluation_value(alpha) == zero.to_rat(), alpha
+                assert norm_value(alpha) == zero / one, alpha
+                assert duality_constant(alpha) == (zero / swapped).to_rat()
+        # the shifts 0 and 1 + k on each label; conjugation keeps the size
+        assert _phi_triple.cache_info().currsize == 2 * len(labels)
+
+    def test_int_zero_reads_the_rat_zero_entry(self):
+        clear_caches()
+        first = _phi_triple(((2, 1), (1,)), 0)
+        assert _phi_triple(((2, 1), (1,)), RAT_ZERO) is first
+        assert _phi_triple.cache_info().currsize == 1
+
+
 class TestStanleyProducts:
     def test_base_values(self):
         assert stanley_phi((), P0, RAT_ZERO).to_rat() == RAT_ONE
@@ -611,6 +638,28 @@ class TestFactored:
         d = _product(second)
         assert (a == d) == (a.to_rat() == d.to_rat())
         assert a != d or hash(a) == hash(d)
+
+    def test_atom_free_product_is_its_scale(self):
+        # pieri_V((1, 2), ((1,), (1,))) is 1 with no atom left
+        one = pieri_V((1, 2), ((1,), (1,)))
+        assert not one.atoms
+        assert one == 1 and 1 == one and hash(one) == hash(1)
+        assert {1: "one"}[one] == "one" and {one: "one"}[1] == "one"
+        half = Factored(Fraction(1, 2))
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        assert Factored(0) == 0 and Factored(2) != 1
+        # a product with an atom is no constant, not even its scale
+        v = pieri_V((2, 1), ((1,), ()))
+        assert v.atoms and v != v.scale and v != 2
+
+    def test_repr_shows_scale_and_atoms(self):
+        assert repr(pieri_V((1, 2), ((1,), (1,)))) == "Factored(1)"
+        assert repr(Factored(0)) == "Factored(0)"
+        assert repr(Factored(Fraction(-3, 2))) == "Factored(-3/2)"
+        assert repr(pieri_V((2, 1), ((1,), ()))) == \
+            "Factored(2 * (1 - k)^-1)"
+        assert repr(norm_value(((), (1,)))) == \
+            "Factored((1 + k - k*p0)^-1 * (p0))"
 
     def test_swap_matches_the_field(self):
         # k -> 1/k, p0 -> k*p0 atom by atom, against ParamRat.param_swap

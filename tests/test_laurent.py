@@ -7,8 +7,8 @@ from hashlib import sha256
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, rat, \
-    DivisionByZero, ParamRat
+from jacklaurent.rational import K, P0, RAT_ONE, rat, DivisionByZero, \
+    ParamRat
 from jacklaurent.jack import construct
 from jacklaurent.laurent import LaurentSymFunc, mono_str, mono_bidegree, \
     parse_element, parse_rat, from_json_terms

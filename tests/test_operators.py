@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, ParamPoly, \
     ParamRat, rat
 from jacklaurent.laurent import LaurentSymFunc, mono_bidegree
+from jacklaurent import operators
 from jacklaurent.operators import (
-    ExtendedElement, NotPositivePart, _l2_bound, _l2_image, cms_I, cms_L,
-    cms_L2_direct, cms_L2_weighted, cms_L_doubled, delta_p0, delta_tilde,
-    derivation_d, dunkl_heckman, dunkl_heckman_doubled, e_project,
-    hat_f_expansion_check, hat_f_operators, polychronakos_pi, stable_H,
+    ExtendedElement, NotPositivePart, _l2_bound, _l2_image, _l_image, _walk,
+    cms_I, cms_L, cms_L2_direct, cms_L2_weighted, cms_L_doubled, delta_p0,
+    delta_tilde, derivation_d, dunkl_heckman, dunkl_heckman_doubled,
+    e_project, hat_f_expansion_check, hat_f_operators, polychronakos_pi,
+    stable_H,
 )
 from jacklaurent.partitions import bipartitions_up_to
 from jacklaurent.jack import construct
@@ -255,6 +257,111 @@ class TestDoubledIntegrals:
             2: one.scale(4 - kk * (pp - 4)),
             1: one.times(1).scale(-2 * kk),
             0: one.times(2).scale(-kk)})
+
+
+def walk_oracle(r, f, k, p0):
+    """The per-call walk: e_project((2D)^r(f)) with f embedded at layer
+    0 and 2D run r times at (k, p0)."""
+    e = ExtendedElement.embed(f)
+    for _ in range(r):
+        e = dunkl_heckman_doubled(e, k, p0)
+    return e_project(e, p0)
+
+
+_RING_K, _RING_P0 = TestDoubledIntegrals.RING
+# (k, p0, map of a ParamPoly coefficient to the point): the ring, the
+# field, and two rational points, one of them at p0 = 0
+TABLE_POINTS = {
+    "ring": (_RING_K, _RING_P0, lambda c: c),
+    "field": (K, P0, ParamRat),
+    "point": (Fraction(-3, 4), Fraction(9, 5),
+              lambda c: c.evaluate(Fraction(-3, 4), Fraction(9, 5))),
+    "p0-zero": (Fraction(5, 2), Fraction(0),
+                lambda c: c.evaluate(Fraction(5, 2), Fraction(0))),
+}
+
+
+def _p_monomial(alpha):
+    lam, mu = alpha
+    return (LaurentSymFunc.from_partition(lam)
+            * LaurentSymFunc.from_partition(mu, sign=-1)).sorted_terms()[0][0]
+
+
+def _ring_sums():
+    """Sums of p-monomials with ParamPoly coefficients: every monomial of
+    size at most 3 with its own linear form, and P[2, 1; 1] cleared of
+    denominators."""
+    t = {}
+    for n, alpha in enumerate(sorted(bipartitions_up_to(3))):
+        t[_p_monomial(alpha)] = ParamPoly.const(n - 4) + _RING_K * (n % 3) \
+            - _RING_P0 * (n % 5) + _RING_K * _RING_P0 * 2
+    return [LaurentSymFunc(t), construct(((2, 1), (1,))).cleared[0]]
+
+
+class TestIntegralTable:
+    """cms_L_doubled reads each monomial's image from the table
+    _l_image; the walk of 2D it replaces is the oracle."""
+
+    @pytest.mark.parametrize("point", TABLE_POINTS)
+    def test_monomials_match_the_walk(self, point):
+        k, p0, at = TABLE_POINTS[point]
+        one = at(ParamPoly.const(1))
+        for alpha in bipartitions_up_to(4):
+            f = LaurentSymFunc({_p_monomial(alpha): one})
+            for r in range(4):
+                want = walk_oracle(r, f, k, p0)
+                assert cms_L_doubled(r, f, k, p0) == want, (point, alpha, r)
+
+    @pytest.mark.parametrize("point", TABLE_POINTS)
+    def test_sums_match_the_walk(self, point):
+        k, p0, at = TABLE_POINTS[point]
+        for F in _ring_sums():
+            f = F.map_coeffs(at)
+            for r in range(4):
+                got = cms_L_doubled(r, f, k, p0)
+                assert got == walk_oracle(r, f, k, p0), (point, r)
+                types = {type(c) for c in f.terms.values()}
+                assert {type(c) for c in got.terms.values()} <= types
+
+    def test_table_rows(self):
+        # int coefficients at distinct targets and powers, no zero row
+        for alpha in bipartitions_up_to(3):
+            m = _p_monomial(alpha)
+            for r in range(4):
+                image = _l_image(r, m)
+                assert len({target for target, _ in image}) == len(image)
+                for _, row in image:
+                    assert row and all(type(c) is int and c for *_, c in row)
+                    assert len({(i, j) for i, j, _ in row}) == len(row)
+                    assert all(i <= r and j <= r + 1 for i, j, _ in row)
+        # order zero is the product with p0, and 2L_1 is twice the Euler
+        # operator
+        m = _p_monomial(((2,), (1,)))
+        assert _l_image(0, m) == ((m, ((0, 1, 1),)),)
+        assert _l_image(1, m) == ((m, ((0, 0, 2),)),)
+
+    def test_orders_share_the_walk(self):
+        _walk.cache_clear()
+        _l_image.cache_clear()
+        m = _p_monomial(((2, 1), (1,)))
+        _l_image(3, m)
+        assert _walk.cache_info().misses == 4
+        _l_image(2, m)
+        _l_image(1, m)
+        assert _walk.cache_info().misses == 4
+
+    def test_table_is_not_read_from_the_second_order_table(
+            self, monkeypatch):
+        # the commute check compares cms_L2_direct, read from _l2_image,
+        # with cms_L_doubled(2, .): the two routes stay independent
+        def refuse(m):
+            raise AssertionError("_l2_image read")
+
+        monkeypatch.setattr(operators, "_l2_image", refuse)
+        _walk.cache_clear()
+        _l_image.cache_clear()
+        f = g(2) * g(-1) + g(1)
+        assert cms_L_doubled(2, f) == walk_oracle(2, f, K, P0)
 
 
 class TestCommutativity:

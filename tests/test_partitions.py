@@ -7,7 +7,7 @@ from jacklaurent.rational import K, RAT_ZERO, rat
 from jacklaurent.partitions import normalize_partition, part, size, \
     conjugate, boxes, add_box_candidates, remove_box_candidates, add_box, \
     remove_box, chi_N, dominance_leq, w_bipartition, w_sequence, \
-    content_box, partitions_of, partitions_up_to, bipartitions_up_to, \
+    content_box, partitions_of, bipartitions_up_to, \
     LengthTooSmall, IncomparableInput
 
 

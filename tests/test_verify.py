@@ -1,27 +1,53 @@
 """The named verification suites: report shape and determinism."""
 
+import importlib
 import json
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
-from jacklaurent import clear_caches, closed_forms, finite_n, jack, \
-    operators, rational, schur, verify
+import jacklaurent
+from jacklaurent import clear_caches, jack, rational, verify
 from jacklaurent.closed_forms import norm_value
 from jacklaurent.partitions import bipartitions_up_to
 from jacklaurent.rational import RAT_ONE, PoleAtSpecialization
-from jacklaurent.verify import SUITES, check_eigen, check_evaluation, \
-    check_finite_n, check_norm_torus, run_suite
+from jacklaurent.verify import SUITES, check_commute, check_eigen, \
+    check_evaluation, check_finite_n, check_norm_torus, run_suite
 
-MEMOS = (jack._construct, closed_forms._linear,
-         closed_forms._pieri_V, operators._l2_image,
-         finite_n._jack_poly_N,
-         finite_n._phi_N_monomial, finite_n._cms_N_image,
-         finite_n._delta_expansion, schur._complete_h)
-# filled by the eigen checks, by the involution checks at size 3 and by
-# the separation checks
-EIGEN_MEMOS = (verify._eigenvalues, jack._grown_mirror,
-               closed_forms.bernoulli_b)
+
+def _memos():
+    """{qualified name: memo} for every functools memo defined in a
+    module of the package, at module level or in a class: found by
+    introspection, so a memo added later is covered unlisted."""
+    out = {}
+    for info in pkgutil.iter_modules(jacklaurent.__path__):
+        mod = importlib.import_module("jacklaurent." + info.name)
+        scopes = [vars(mod)] + [vars(c) for c in vars(mod).values()
+                                if isinstance(c, type)
+                                and c.__module__ == mod.__name__]
+        for scope in scopes:
+            for obj in scope.values():
+                if (hasattr(obj, "cache_clear")
+                        and getattr(obj, "__module__", None) == mod.__name__):
+                    out["%s.%s" % (info.name, obj.__qualname__)] = obj
+    return out
+
+
+MEMOS = _memos()
+# the suites, with their sizes, that fill every memo: the eigen checks at
+# size 2 fill the eigenvalue memo, the involution checks at 3 the memo of
+# grown mirrored labels, the separation checks that of the Bernoulli sums
+FILL = (("norms", 2), ("finite-n", 2), ("schur", 2), ("commute", 1),
+        ("eigen", 2), ("involutions", 3), ("duality", 1))
+
+
+def _reports():
+    return [json.dumps(run_suite(s, n), sort_keys=True) for s, n in FILL]
+
+
+def _sizes():
+    return {name: memo.cache_info().currsize for name, memo in MEMOS.items()}
 
 
 class TestSuites:
@@ -67,30 +93,22 @@ class TestSuites:
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
 
+    def test_memos_are_found(self):
+        assert {"jack._construct", "closed_forms._phi_triple",
+                "operators._l2_image", "operators._l_image",
+                "operators._walk", "verify._eigenvalues"} <= set(MEMOS)
+
     def test_cold_and_warm_runs_identical(self):
-        suites = ("norms", "finite-n", "schur")
         clear_caches()
-        cold = [json.dumps(run_suite(s, 2), sort_keys=True) for s in suites]
-        assert all(memo.cache_info().currsize for memo in MEMOS)
-        warm = [json.dumps(run_suite(s, 2), sort_keys=True) for s in suites]
-        assert cold == warm
+        cold = _reports()
+        assert all(_sizes().values()), _sizes()
+        assert _reports() == cold
 
     def test_clear_caches_empties_every_memo(self):
-        run_suite("norms", 1)
-        run_suite("finite-n", 1)
-        run_suite("schur", 1)
-        run_suite("commute", 1)
-        assert all(memo.cache_info().currsize for memo in MEMOS)
-        # the eigen checks at size 2 fill the eigenvalue memo, the
-        # involution checks at 3 the memo of grown mirrored labels, the
-        # separation checks that of the Bernoulli sums
-        run_suite("eigen", 2)
-        run_suite("involutions", 3)
-        run_suite("duality", 1)
-        assert all(memo.cache_info().currsize for memo in EIGEN_MEMOS)
+        _reports()
+        assert all(_sizes().values()), _sizes()
         clear_caches()
-        sizes = [memo.cache_info().currsize for memo in MEMOS + EIGEN_MEMOS]
-        assert sizes == [0] * len(MEMOS + EIGEN_MEMOS)
+        assert _sizes() == dict.fromkeys(MEMOS, 0)
 
 
 class TestChecks:
@@ -145,6 +163,21 @@ class TestChecks:
             monkeypatch.setattr(module, "evaluation_value", lambda a: wrong)
         assert check_evaluation(alpha) == \
             (False, {"value": str(got), "formula": str(wrong)})
+
+    def test_commute_witnesses(self, monkeypatch):
+        # a passing check, then 4 * L2 off the direct operator, then an
+        # L_1 that does not commute with L_2: the first pair is named
+        label, f = "2,1|1", verify._p_monomial(((2, 1), (1,)))
+        assert check_commute(label, f) == (True, {"monomial": label})
+        real = verify.cms_L_doubled
+        monkeypatch.setattr(verify, "cms_L2_direct", lambda f, k, p0: f)
+        assert check_commute(label, f) == \
+            (False, {"monomial": label, "orders": [2], "route": "direct"})
+        monkeypatch.setattr(
+            verify, "cms_L_doubled",
+            lambda r, f, k, p0: f.times(1) if r == 1 else real(r, f, k, p0))
+        assert check_commute(label, f) == \
+            (False, {"monomial": label, "orders": [1, 2]})
 
     def test_eigen_checks_take_few_gcds(self, monkeypatch):
         # the integrals run on cleared functions in Z[k, p0]: left are
