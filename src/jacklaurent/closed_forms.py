@@ -7,12 +7,13 @@ pair (lam, mu).  Boxes are (row, column), 1-indexed.  A box which cannot
 be added (for V) or removed (for U) contributes a Pieri coefficient of 0.
 
 The product formulas -- the Pieri coefficients and their diagram forms,
-the Stanley-type products and the norm -- return a Factored: linear
-forms in k, p0 and k*p0 multiplied with no polynomial gcd.  Its
-to_rat() is the value in Q(k, p0), multiplied out once; specialize
-reads it at a rational point and str prints to_rat()'s canonical
-string.  The other closed forms, the evaluation, the duality constant
-and phi_infinity among them, are exact elements of Q(k, p0).
+the Stanley-type products, the norm and the duality constant -- return
+a Factored: linear forms in k, p0 and k*p0 multiplied with no
+polynomial gcd.  Its to_rat() is the value in Q(k, p0), multiplied out
+once; specialize reads it at a rational point, str prints to_rat()'s
+canonical string, and it equals an int, Fraction or ParamRat of the
+same value.  The other closed forms, the evaluation and phi_infinity
+among them, are exact elements of Q(k, p0).
 """
 
 from collections import Counter
@@ -52,10 +53,31 @@ def expand(c, atoms):
     return prod((a ** e for a, e in atoms.items()), start=ParamPoly.const(c))
 
 
+def _over_one(values):
+    """(Q, nums) for Factored values: one Factored Q and the ParamPolys
+    n_t with values[t] = n_t / Q.  Q holds each atom at its largest
+    negative exponent among them, times the lcm of their scale
+    denominators, so each n_t is an int times atoms to exponents >= 0
+    (expand); no gcd is taken."""
+    low = Counter()
+    for v in values:
+        for a, e in v.atoms.items():
+            low[a] = max(low[a], -e)
+    q = lcm(*(v.scale.denominator for v in values))
+    nums = []
+    for v in values:
+        atoms = Counter(low)
+        atoms.update(v.atoms)
+        nums.append(expand(v.scale.numerator * (q // v.scale.denominator),
+                           {a: e for a, e in atoms.items() if e}))
+    return Factored(q, +low), nums
+
+
 class Factored:
     """scale * prod a^e over the Counter `atoms`: a Fraction scale and
     atoms as above with nonzero, signed exponents.  A zero scale is the
-    zero product.  Instances are immutable."""
+    zero product.  It equals an int, Fraction or ParamRat of the same
+    value, and hashes like it.  Instances are immutable."""
 
     __slots__ = ("scale", "atoms")
 
@@ -82,18 +104,33 @@ class Factored:
             return self.scale == other.scale and self.atoms == other.atoms
         if isinstance(other, (int, Fraction)):
             return not self.atoms and self.scale == other
+        if isinstance(other, ParamRat):
+            return self.to_rat() == other
         return NotImplemented
 
     def __hash__(self):
+        # the hash of the value, as an int, Fraction or ParamRat of it
+        # hashes, so that equal values hash alike across the four types
         if not self.atoms:
             return hash(self.scale)
-        return hash((self.scale, frozenset(self.atoms.items())))
+        return hash(self.to_rat())
 
     def __mul__(self, other):
         return _ratio([((self, other), ())], "a product")
 
     def __truediv__(self, other):
         return _ratio([((self,), (other,))], "a quotient")
+
+    def __rtruediv__(self, other):
+        """other / self for an int or Fraction other: the scale divided
+        into it and every exponent negated."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not self.scale:
+            raise SingularProduct("a quotient: a denominator factor "
+                                  "vanishes identically")
+        return Factored(other / self.scale,
+                        Counter({a: -e for a, e in self.atoms.items()}))
 
     def sides(self):
         """((n, up), (d, down)) with self = n*prod a^e over up divided by
@@ -247,12 +284,13 @@ def eigenvalue_e(alpha, k=K, p0=P0):
 
 
 def eigenvalue_eN(chi, N):
-    """Finite-dimensional eigenvalue sum chi_i^2 - k*sum (N-2i+1) chi_i."""
+    """Finite-dimensional eigenvalue sum chi_i^2 - k*sum (N-2i+1) chi_i,
+    a polynomial in k."""
     if len(chi) != N:
         raise ValueError("sequence length %d != N=%d" % (len(chi), N))
     n = sum(x * x for x in chi)
     lin = sum((N - 2 * i + 1) * x for i, x in enumerate(chi, start=1))
-    return rat(n) - K * lin
+    return as_rat(ParamPoly({(0, 0): n, (1, 0): -lin}))
 
 
 def stable_eigenvalue(lam):
@@ -590,14 +628,14 @@ def norm_value(alpha):
 
 def duality_constant(alpha):
     """d_alpha = epsilon(P_alpha) / [epsilon(P_alpha') at k -> 1/k, p0 -> k*p0]
-    with alpha' the pair of conjugate diagrams.  The swap runs atom by
-    atom on the factored evaluation (Factored.param_swap), and the
-    quotient is multiplied out once; the swapped value is never zero,
-    as every factor above in an evaluation has a term in k*p0."""
+    with alpha' the pair of conjugate diagrams, as a Factored.  The swap
+    runs atom by atom on the factored evaluation (Factored.param_swap);
+    the swapped value is never zero, as every factor above in an
+    evaluation has a term in k*p0."""
     lam, mu = alpha
     swapped = _phi_triple((conjugate(lam), conjugate(mu)),
                           RAT_ZERO).param_swap()
-    return (_phi_triple(alpha, RAT_ZERO) / swapped).to_rat()
+    return _phi_triple(alpha, RAT_ZERO) / swapped
 
 
 def phi_infinity(lam):

@@ -11,6 +11,14 @@ Everything here is computed from the N-variable CMS operator
 and dominance-triangular linear algebra in the monomial basis; no formula
 is shared with the infinite-dimensional construction, which is the point:
 agreement between the two routes is evidence for both.
+
+With k symbolic the triangular solve is fraction-free in Z[k]: every gap
+of the back-substitution is linear in k, and each coefficient is kept
+over the Factored product of the gaps it needs (_cleared_N).  The finite
+Pieri, eigenvalue and involution checks compare these cleared forms in
+Z[k] over one Factored denominator, and jack_poly_N reduces them to
+ParamRats by trial division over the gap atoms: no polynomial gcd is
+taken.  At a rational k the solve runs on Fractions.
 """
 
 from fractions import Fraction
@@ -19,11 +27,13 @@ from math import lcm
 
 from .rational import RAT_ZERO, RAT_ONE, K, ParamPoly, Sparse, as_rat, \
     SingularParameter, PoleAtSpecialization, IdenticallySingular, \
-    NotEigenvector
+    NotEigenvector, _divide_out, _make, _scalar_canonical
 from .partitions import normalize_partition, partitions_of, dominance_leq, \
     w_sequence, LengthTooSmall
-from .closed_forms import Factored, eigenvalue_eN, expand, _ratio, \
-    _row_factors, _V_ROW
+from .closed_forms import Factored, eigenvalue_eN, expand, _linear, \
+    _over_one, _ratio, _row_factors, _V_ROW
+
+_K = ParamPoly.var_k()
 
 
 def _check_sorted(chi):
@@ -46,8 +56,10 @@ def _rearrangements(chi):
 class SymLaurentPolyN(Sparse):
     """Symmetric Laurent polynomial in N variables, a Sparse sum over
     non-increasing exponent vectors (orbit-sum labels m_chi).  Its
-    coefficients are ParamRats in Q(k) symbolically and Fractions at a
-    numeric coupling; printing reads them through as_rat."""
+    coefficients are ParamRats in Q(k) in the public polynomials with k
+    symbolic, ParamPolys in Z[k] in their cleared forms (_cleared_N),
+    and Fractions at a numeric coupling; printing reads them through
+    as_rat."""
 
     __slots__ = ("N",)
 
@@ -283,61 +295,143 @@ def _index_weight(delta):
     return sum(i * x for i, x in enumerate(delta))
 
 
+def _pad(delta, N):
+    """The partition delta with zeros up to length N."""
+    return delta + (0,) * (N - len(delta))
+
+
+def _triangle(nu, N):
+    """(cands, actions) of the triangular solve for P_nu in N variables:
+    the partitions delta below nu in dominance with at most N parts,
+    nu first, in increasing _index_weight, so each delta comes after
+    every eta whose orbit sum L_{k,N} sends to it; and for each delta
+    the image of m_delta, {eta: (x, y)} for the coefficient x + k*y of
+    m_eta (_cms_N_image), with the padding zeros dropped."""
+    cands = [delta for delta in partitions_of(sum(nu)) if len(delta) <= N
+             and dominance_leq(_pad(delta, N), _pad(nu, N))]
+    cands.sort(key=_index_weight)
+    actions = {delta: {tuple(x for x in eta if x): xy
+                       for eta, xy in _cms_N_image(_pad(delta, N)).items()}
+               for delta in cands}
+    return cands, actions
+
+
 def jack_poly_N(nu, N, k0=None):
     """The monic Jack polynomial P_nu in N variables: the eigenfunction of
     L_{k,N} of the form m_nu + (dominance-lower terms), obtained by
     back-substitution.  k0 = None keeps k symbolic, with ParamRat
-    coefficients; a rational k0 runs the whole solve on Fractions, gives
-    Fraction coefficients and raises SingularParameter on an eigenvalue
+    coefficients read off the fraction-free solve (_cleared_N); a
+    rational k0 runs the whole solve on Fractions, gives Fraction
+    coefficients and raises SingularParameter on an eigenvalue
     collision at that coupling."""
     nu = normalize_partition(nu)
     if len(nu) > N:
         raise LengthTooSmall("partition %r needs more than N=%d variables"
                              % (nu, N))
-    return _jack_poly_N(nu, N, None if k0 is None else Fraction(k0))
+    if k0 is None:
+        return _field_form(*_cleared_N(nu, N))
+    return _jack_poly_N(nu, N, Fraction(k0))
 
 
 @cache
 def _jack_poly_N(nu, N, k0):
-    k, one = (K, RAT_ONE) if k0 is None else (k0, Fraction(1))
-
-    def pad(delta):
-        return delta + (0,) * (N - len(delta))
-
-    cands = [delta for delta in partitions_of(sum(nu))
-             if len(delta) <= N and dominance_leq(pad(delta), pad(nu))]
-    cands.sort(key=_index_weight)
-    actions = {delta: {tuple(x for x in eta if x): a + k * b
-                       for eta, (a, b) in _cms_N_image(pad(delta)).items()}
-               for delta in cands}
-    s = actions[nu].get(nu, 0)
-    coeffs = {nu: one}
-    for delta in cands:
-        if delta == nu:
-            continue
+    """The solve of jack_poly_N at the rational coupling k0."""
+    cands, actions = _triangle(nu, N)
+    sx, sy = actions[nu].get(nu, (0, 0))
+    coeffs = {nu: Fraction(1)}
+    for delta in cands[1:]:
         total = 0
         for eta, c_eta in coeffs.items():
             a = actions[eta].get(delta)
-            if a is not None and eta != delta:
-                total = total + a * c_eta
-        gap = s - actions[delta].get(delta, 0)
+            if a is not None:
+                total = total + (a[0] + k0 * a[1]) * c_eta
+        x, y = actions[delta].get(delta, (0, 0))
+        gap = sx - x + k0 * (sy - y)
         if not gap:
             raise SingularParameter(
                 "eigenvalue collision at k=%s: %s vs %s" % (k0, nu, delta))
         coeffs[delta] = total / gap
-    return SymLaurentPolyN(N, {pad(delta): c for delta, c in coeffs.items()})
+    return SymLaurentPolyN(N, {_pad(delta, N): c
+                               for delta, c in coeffs.items()})
+
+
+@cache
+def _cleared_N(nu, N):
+    """P_nu with k symbolic, solved fraction-free in Z[k] (Bareiss): its
+    cleared form (G, Q), Q a Factored with positive exponents and G the
+    SymLaurentPolyN of Q*P_nu on ParamPoly coefficients.
+
+    In the back-substitution every gap s - e(delta) is linear in k, an
+    int times one atom (closed_forms._linear), and never zero: its
+    k-free part sum nu_i^2 - sum delta_i^2 is positive for delta below
+    nu in dominance.  Each coefficient c_delta is kept as n/Q_delta,
+    Q_delta the Factored product of the gaps it needs: the sum of
+    a * c_eta over the eta solved before it is brought over their lcm Q
+    (_over_one), and Q_delta is Q times its own gap.  At the end all
+    coefficients are brought over one Q the same way.  No gcd is taken,
+    and no atom is cancelled, so Q is a multiple of the reduced
+    denominator."""
+    cands, actions = _triangle(nu, N)
+    sx, sy = actions[nu].get(nu, (0, 0))
+    parts = {nu: (ParamPoly.const(1), Factored())}
+    for delta in cands[1:]:
+        near = [(eta, actions[eta][delta]) for eta in parts
+                if delta in actions[eta]]
+        if not near:
+            continue
+        Q, nums = _over_one([1 / parts[eta][1] for eta, _ in near])
+        total = sum((parts[eta][0] * u * (x + _K * y)
+                     for (eta, (x, y)), u in zip(near, nums)), ParamPoly())
+        if total:
+            x, y = actions[delta].get(delta, (0, 0))
+            parts[delta] = total, Q * _linear(sx - x, sy - y, 0, 0)
+    Q, nums = _over_one([1 / d for _, d in parts.values()])
+    return SymLaurentPolyN(N, {
+        _pad(delta, N): n * u
+        for (delta, (n, _)), u in zip(parts.items(), nums)}), Q
+
+
+def _field_form(G, Q):
+    """G/Q on ParamRat coefficients in canonical form, for a cleared form
+    (G, Q) of _cleared_N: each coefficient is divided by each atom of Q
+    while it can, up to its exponent (_divide_out); what is left below
+    is coprime to it, so _scalar_canonical finishes the form."""
+    out = {}
+    for chi, c in G.terms.items():
+        left = {}
+        for a, e in Q.atoms.items():
+            c, i = _divide_out(c, a, e)
+            if i < e:
+                left[a] = e - i
+        out[chi] = _make(*_scalar_canonical(c, expand(Q.scale.numerator,
+                                                      left)))
+    return G._like(out)
+
+
+def _lifted(chi, N):
+    """(nu, a): the least shift a >= 0 that makes nu = chi + a a
+    partition, for a non-increasing chi of length N."""
+    chi = _check_sorted(chi)
+    if len(chi) != N:
+        raise ValueError("sequence length %d != N=%d" % (len(chi), N))
+    a = max(0, -chi[-1]) if chi else 0
+    return tuple(x + a for x in chi), a
 
 
 def jack_laurent_poly_N(chi, N, k0=None):
     """The Laurent eigenfunction labelled by a non-increasing integer
     sequence: (x_1...x_N)^{-a} P_{chi+a} for any shift a making chi+a a
     partition."""
-    chi = _check_sorted(chi)
-    if len(chi) != N:
-        raise ValueError("sequence length %d != N=%d" % (len(chi), N))
-    a = max(0, -chi[-1]) if chi else 0
-    nu = tuple(x + a for x in chi)
+    nu, a = _lifted(chi, N)
     return jack_poly_N(nu, N, k0).shift(-a)
+
+
+def _cleared_laurent(chi, N):
+    """The cleared form (G, Q) of jack_laurent_poly_N(chi, N) with k
+    symbolic: G on ParamPoly coefficients in Z[k], Q a Factored."""
+    nu, a = _lifted(chi, N)
+    G, Q = _cleared_N(normalize_partition(nu), N)
+    return G.shift(-a), Q
 
 
 # -- torus constant-term form ---------------------------------------------------
@@ -436,62 +530,52 @@ def pieri_V_N(i, chi):
                   "pieri_V_N")
 
 
-def _add_quotient(sums, key, num, den):
-    """Add num/den to the quotient sums[key], a pair (num, den) of
-    ParamPolys kept unreduced: over den as it is when the two agree,
-    over the product of the two otherwise."""
-    if key not in sums:
-        sums[key] = num, den
-        return
-    n, d = sums[key]
-    sums[key] = (n + num, d) if d == den else (n * den + num * d, d * den)
+def _times_p1(f):
+    """p_1 * f on orbit labels: p_1 * m_nu is the sum over the distinct
+    entries v of nu of c * m_eta, eta nu with one v raised to v + 1 and
+    c the number of i such that eta - e_i is a rearrangement of nu: the
+    multiplicity of v + 1 in eta."""
+    out = {}
+    for nu, c in f.terms.items():
+        for v in set(nu):
+            at = nu.index(v)
+            eta = nu[:at] + (v + 1,) + nu[at + 1:]
+            add = c * eta.count(v + 1)
+            out[eta] = out[eta] + add if eta in out else add
+    return f._like({eta: c for eta, c in out.items() if c})
 
 
 def finite_pieri_check(chi, N):
     """p_1 P_chi = sum_i V_i(chi) P_{chi+eps_i}, compared exactly in the
-    m-basis with symbolic k, with no gcd.  On orbit labels, p_1 * m_nu
-    is the sum over the distinct entries v of nu of c * m_eta, eta nu
-    with one v raised to v + 1 and c the number of i such that
-    eta - e_i is a rearrangement of nu: the multiplicity of v + 1 in
-    eta.  Each orbit coefficient of either side is a sum of quotients
-    in Z[k], kept unreduced (_add_quotient), and the two are compared
-    by cross-multiplying."""
+    m-basis in Z[k], with no gcd.  Each term is G * c with (G, Q) the
+    cleared form of its polynomial (_cleared_laurent) and c the Factored
+    1/Q or V_i/Q; over one denominator (_over_one) each c is a
+    ParamPoly, and the two sides must agree."""
     chi = _check_sorted(chi)
-    lhs, rhs = {}, {}
-    for nu, c in jack_laurent_poly_N(chi, N).terms.items():
-        for v in set(nu):
-            at = nu.index(v)
-            eta = nu[:at] + (v + 1,) + nu[at + 1:]
-            _add_quotient(lhs, eta, c.num.scale(eta.count(v + 1)), c.den)
+    G, Q = _cleared_laurent(chi, N)
+    funcs, coeffs = [_times_p1(G)], [1 / Q]
     for i in range(1, N + 1):
         v = pieri_V_N(i, chi)
-        if not v.scale:
-            continue
-        (n, above), (d, below) = v.sides()
-        vn, vd = expand(n, above), expand(d, below)
-        up = chi[:i - 1] + (chi[i - 1] + 1,) + chi[i:]
-        for eta, c in jack_laurent_poly_N(up, N).terms.items():
-            _add_quotient(rhs, eta, c.num * vn, c.den * vd)
-    zero = (ParamPoly(), ParamPoly.const(1))
-    for eta in lhs.keys() | rhs.keys():
-        (ln, ld), (rn, rd) = lhs.get(eta, zero), rhs.get(eta, zero)
-        if ln * rd != rn * ld:
-            return False
-    return True
+        if v.scale:
+            up = chi[:i - 1] + (chi[i - 1] + 1,) + chi[i:]
+            H, E = _cleared_laurent(up, N)
+            funcs.append(H)
+            coeffs.append(v / E)
+    lhs, *rhs = (f.scale(n) for f, n in zip(funcs, _over_one(coeffs)[1]))
+    return lhs == sum(rhs, SymLaurentPolyN.zero(N))
 
 
 def hc_eigen_check_N(chi, N):
-    """Apply L_{k,N} to P_chi, assert it is an eigenvector, and return the
-    eigenvalue; also asserts the *-conjugation symmetry e_N(w(chi)) =
-    e_N(chi) carried by the second-order integral."""
+    """Assert that L_{k,N} acts on P_chi as the scalar e_N(chi), compared
+    in Z[k] on its cleared form G: L_{k,N}(G) == e_N(chi) * G, e_N a
+    polynomial.  Return e_N(chi); also asserts the *-conjugation
+    symmetry e_N(w(chi)) = e_N(chi) carried by the second-order
+    integral."""
     chi = _check_sorted(chi)
-    p = jack_laurent_poly_N(chi, N)
-    res = cms_N(p)
-    e = res.coeff(chi)
-    if res != p * e:
-        raise NotEigenvector("L_{k,%d} is not scalar on %r" % (N, chi))
-    if e != eigenvalue_eN(chi, N):
-        raise NotEigenvector("eigenvalue of %r differs from e_N" % (chi,))
+    G, _ = _cleared_laurent(chi, N)
+    e = eigenvalue_eN(chi, N)
+    if cms_N(G, _K) != G.scale(e.num):
+        raise NotEigenvector("L_{k,%d} is not e_N on %r" % (N, chi))
     if eigenvalue_eN(w_sequence(chi), N) != e:
         raise NotEigenvector("star-conjugation symmetry fails for %r"
                              % (chi,))
@@ -499,7 +583,10 @@ def hc_eigen_check_N(chi, N):
 
 
 def involution_check_N(chi, N):
-    """P_chi with x_i -> 1/x_i equals P_{w(chi)}."""
+    """P_chi with x_i -> 1/x_i equals P_{w(chi)}: the two cleared forms
+    over one denominator (_over_one), compared in Z[k]."""
     chi = _check_sorted(chi)
-    return jack_laurent_poly_N(chi, N).star() == \
-        jack_laurent_poly_N(w_sequence(chi), N)
+    (G, Q), (H, E) = (_cleared_laurent(chi, N),
+                      _cleared_laurent(w_sequence(chi), N))
+    _, (n, m) = _over_one([1 / Q, 1 / E])
+    return G.star().scale(n) == H.scale(m)

@@ -47,7 +47,7 @@ from functools import cache
 from math import gcd, lcm, prod
 
 from .rational import ParamPoly, ParamRat, RAT_ZERO, rat, \
-    SingularParameter, NotEigenvector, poly_divexact, _make, \
+    SingularParameter, NotEigenvector, poly_divexact, _divide_out, _make, \
     _scalar_canonical
 from .laurent import LaurentSymFunc
 from .partitions import size, conjugate, add_box_candidates, \
@@ -55,7 +55,7 @@ from .partitions import size, conjugate, add_box_candidates, \
     label_str
 from .operators import cms_L_doubled, cms_L2_weighted, _l2_bound
 from .closed_forms import Factored, expand, eigenvalue_e, eigenvalue_parts, \
-    pieri_V, pieri_U, duality_constant, evaluation_value
+    pieri_V, pieri_U, duality_constant, evaluation_value, _over_one
 
 
 class JackLaurentFunction:
@@ -163,19 +163,6 @@ def _neighbors(alpha):
 # by poly_divexact.
 
 _K, _P0 = ParamPoly.var_k(), ParamPoly.var_p0()
-
-
-def _divide_out(c, a, most):
-    """(c / a^i, i) for the largest i <= most with a^i dividing c, by
-    poly_divexact."""
-    i = 0
-    while i < most:
-        try:
-            c = poly_divexact(c, a)
-        except ArithmeticError:
-            break
-        i += 1
-    return c, i
 
 
 def _width(height):
@@ -503,34 +490,15 @@ def construct_via_order(alpha, order):
 
 # -- identity checks -----------------------------------------------------------
 
-def _numerators(values):
-    """The ParamPolys n_t with values[t] = n_t / Q for one Factored Q,
-    the values Factored: Q holds each atom at its largest negative
-    exponent among them, times the lcm of their scale denominators, so
-    each n_t is an int times atoms to exponents >= 0 (expand)."""
-    low = Counter()
-    for v in values:
-        for a, e in v.atoms.items():
-            low[a] = max(low[a], -e)
-    q = lcm(*(v.scale.denominator for v in values))
-    out = []
-    for v in values:
-        atoms = Counter(low)
-        atoms.update(v.atoms)
-        out.append(expand(v.scale.numerator * (q // v.scale.denominator),
-                          {a: e for a, e in atoms.items() if e}))
-    return out
-
-
 def pieri_identity_check(alpha):
     """p_1 * P_{lam,mu} = sum_x V(x) P_{lam+x,mu} + sum_y U(y) P_{lam,mu-y},
     compared exactly in Z[k, p0].  Each term is F * c with (F, D) the
     cleared form of its function and c the Factored 1/D, V(x)/D or
-    U(y)/D; over one denominator (_numerators) each c is a ParamPoly,
+    U(y)/D; over one denominator (_over_one) each c is a ParamPoly,
     and the two sides of cleared functions must agree."""
     lam, mu = _normalize_alpha(alpha)
     F, D = construct((lam, mu)).cleared
-    funcs, coeffs = [F.times(1)], [Factored() / D]
+    funcs, coeffs = [F.times(1)], [1 / D]
     near = [((add_box(lam, x), mu), pieri_V(x, (lam, mu)))
             for x in add_box_candidates(lam)]
     near += [((lam, remove_box(mu, y)), pieri_U(y, (lam, mu)))
@@ -540,7 +508,7 @@ def pieri_identity_check(alpha):
             G, E = construct(beta).cleared
             funcs.append(G)
             coeffs.append(c / E)
-    lhs, *rhs = (G.scale(n) for G, n in zip(funcs, _numerators(coeffs)))
+    lhs, *rhs = (G.scale(n) for G, n in zip(funcs, _over_one(coeffs)[1]))
     return lhs == sum(rhs, LaurentSymFunc.zero())
 
 
@@ -571,11 +539,28 @@ def star_symmetry_check(alpha):
 def theta_duality_check(alpha):
     """theta^{-1}(P_alpha) = d_alpha * P_{alpha'} with k -> 1/k, p0 -> k*p0
     substituted in the conjugate-label function; d_alpha from the
-    evaluation formula."""
+    evaluation formula (duality_constant).  Compared in Z[k, p0], on the
+    cleared forms (F, D) of P_alpha and (G, E) of P_{alpha'}: over one
+    denominator (_over_one) 1/D is n/Q and d_alpha/swap(E) is m/Q, so on
+    each monomial of degree e (theta^{-1} divides by k^e) the identity
+    reads k^-e * F * n = swap(G) * m, both sides times the least power
+    of k that makes them polynomials."""
     lam, mu = _normalize_alpha(alpha)
-    lhs = construct((lam, mu)).f.theta(inverse=True)
-    dual = construct((conjugate(lam), conjugate(mu))).f.param_swap()
-    return lhs == dual * duality_constant((lam, mu))
+    F, D = construct((lam, mu)).cleared
+    G, E = construct((conjugate(lam), conjugate(mu))).cleared
+    if F.terms.keys() != G.terms.keys():
+        return False
+    _, (n, m) = _over_one([1 / D, duality_constant((lam, mu))
+                           / E.param_swap()])
+    for mono, c in F.terms.items():
+        e = sum(x for _, x in mono)
+        swap = {(j - i + e, j): x for (i, j), x in G.terms[mono].terms.items()}
+        s = min(0, min(i for i, _ in swap))
+        lhs = ParamPoly({(i - s, j): x for (i, j), x in c.terms.items()})
+        rhs = ParamPoly({(i - s, j): x for (i, j), x in swap.items()})
+        if lhs * n != rhs * m:
+            return False
+    return True
 
 
 def _ring_eigenvalue(F, r, alpha):
@@ -583,9 +568,10 @@ def _ring_eigenvalue(F, r, alpha):
     denominators (ParamPoly coefficients), read in the ring: with
     R = 2^r * L_r(F) from cms_L_doubled, F is an eigenfunction when R and
     F have the same support and R[m] * F[m0] == F[m] * R[m0] for every
-    monomial m, m0 the leading one; the eigenvalue is then
-    R[m0] / (2^r * F[m0]).  Raises NotEigenvector otherwise, naming
-    the label alpha."""
+    monomial m, m0 the leading one; the eigenvalue, a polynomial, is
+    then the exact quotient R[m0] / F[m0] (poly_divexact) over the
+    constant 2^r.  Raises NotEigenvector otherwise, naming the label
+    alpha."""
     R = cms_L_doubled(r, F, _K, _P0)
     if R.is_zero():
         return RAT_ZERO
@@ -593,7 +579,12 @@ def _ring_eigenvalue(F, r, alpha):
         m0 = F.sorted_terms()[0][0]
         f0, r0 = F.terms[m0], R.terms[m0]
         if all(R.terms[m] * f0 == c * r0 for m, c in F.terms.items()):
-            return ParamRat(r0, f0 * 2 ** r)
+            try:
+                e = poly_divexact(r0, f0)
+            except ArithmeticError:
+                raise NotEigenvector("order-%d eigenvalue on %s is not a "
+                                     "polynomial" % (r, alpha))
+            return _make(*_scalar_canonical(e, ParamPoly.const(2 ** r)))
     raise NotEigenvector("order-%d integral is not scalar on %s"
                          % (r, alpha))
 

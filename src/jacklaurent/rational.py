@@ -441,14 +441,15 @@ class ParamPoly(Sparse):
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial: %d" % n)
-        out = _P_ONE
-        base = self
+        # square only while a higher bit is left, so self ** 1 is self
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return _P_ONE if out is None else out
 
     def leading_mono(self):
         return max(self.terms, key=_grlex_key)
@@ -458,10 +459,21 @@ class ParamPoly(Sparse):
         return min(self.terms, key=_grlex_key)
 
     def evaluate(self, k0, p00):
-        total = Fraction(0)
-        for (dk, dp), c in self.terms.items():
-            total += c * (Fraction(k0) ** dk) * (Fraction(p00) ** dp)
-        return total
+        """The value at the rational point (k0, p00), a Fraction: with
+        k0 = a/b and p00 = c/d, the int sum of x * a^i b^(I-i) c^j d^(J-j)
+        over the terms x k^i p0^j, I and J the degrees, divided once by
+        b^I d^J."""
+        if not self.terms:
+            return Fraction(0)
+        k0, p00 = Fraction(k0), Fraction(p00)
+        a, b, c, d = k0.numerator, k0.denominator, p00.numerator, \
+            p00.denominator
+        top_k = max(i for i, _ in self.terms)
+        top_p = max(j for _, j in self.terms)
+        return Fraction(sum(x * a ** i * b ** (top_k - i) * c ** j
+                            * d ** (top_p - j)
+                            for (i, j), x in self.terms.items()),
+                        b ** top_k * d ** top_p)
 
     def subs(self, var, a, b, d):
         """b^d times self with a/b substituted for k (var 0) or p0
@@ -529,6 +541,19 @@ def poly_divexact(a, b):
     unless b divides a in Z[k, p0]."""
     return ParamPoly(_rec_to_dict(_r_divexact(_dict_to_rec(a.terms),
                                               _dict_to_rec(b.terms))))
+
+
+def _divide_out(c, a, most):
+    """(c / a^i, i) for the largest i <= most with a^i dividing c, by
+    poly_divexact."""
+    i = 0
+    while i < most:
+        try:
+            c = poly_divexact(c, a)
+        except ArithmeticError:
+            break
+        i += 1
+    return c, i
 
 
 # ---------------------------------------------------------------------------

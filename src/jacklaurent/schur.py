@@ -8,7 +8,7 @@ coefficient finite and free of p0."""
 
 from functools import cache
 
-from .rational import RAT_ONE, IdenticallySingular
+from .rational import RAT_ONE, IdenticallySingular, as_rat, rat
 from .laurent import LaurentSymFunc
 from .partitions import normalize_partition
 
@@ -72,15 +72,37 @@ def jacobi_trudy_S(lam, mu):
     return _det(rows)
 
 
+def _at_minus_one(p):
+    """The ParamPoly p at k = -1, a polynomial in p0, as the dict
+    {degree: nonzero int coefficient}."""
+    out = {}
+    for (i, j), c in p.terms.items():
+        out[j] = out.get(j, 0) + (-c if i & 1 else c)
+    return {j: c for j, c in out.items() if c}
+
+
 def schur_limit(f):
     """Evaluate a Laurent symmetric function at k = -1, insisting that the
-    limit exists (no coefficient has a pole there) and is free of p0."""
-    try:
-        out = f.substitute_k(-1)
-    except IdenticallySingular as exc:
-        raise IdenticallySingular("pole at k = -1: %s" % exc)
-    for m, c in out.terms.items():
-        if not c.is_p0_free():
+    limit exists (no coefficient has a pole there) and is free of p0.
+    Each coefficient num/den is read as num(-1, p0) / den(-1, p0), and
+    it is the constant c/d of the leading coefficients in p0 exactly
+    when num(-1, p0) * d == den(-1, p0) * c: no gcd is taken.  The
+    reduced value in Q(p0) (substitute_k) is built only to name a
+    residual p0."""
+    out = {}
+    for m, c in f.terms.items():
+        c = as_rat(c)
+        num, den = _at_minus_one(c.num), _at_minus_one(c.den)
+        if not den:
+            raise IdenticallySingular(
+                "pole at k = -1: denominator %s vanishes identically at "
+                "k=-1" % c.den)
+        if not num:
+            continue
+        top, bottom = num[max(num)], den[max(den)]
+        if num.keys() != den.keys() or \
+                any(x * bottom != den[j] * top for j, x in num.items()):
             raise ResidualP0("coefficient of a term still involves p0: %s"
-                             % c)
-    return out
+                             % c.substitute_k(-1))
+        out[m] = rat(top, bottom)
+    return f._like(out)

@@ -638,6 +638,9 @@ class TestFactored:
         d = _product(second)
         assert (a == d) == (a.to_rat() == d.to_rat())
         assert a != d or hash(a) == hash(d)
+        # and each equals the ParamRat of its value, hashing like it
+        assert a == a.to_rat() and d.to_rat() == d
+        assert hash(a) == hash(a.to_rat()) and hash(d) == hash(d.to_rat())
 
     def test_atom_free_product_is_its_scale(self):
         # pieri_V((1, 2), ((1,), (1,))) is 1 with no atom left
@@ -651,6 +654,31 @@ class TestFactored:
         # a product with an atom is no constant, not even its scale
         v = pieri_V((2, 1), ((1,), ()))
         assert v.atoms and v != v.scale and v != 2
+
+    def test_equals_the_param_rat_of_its_value(self):
+        # the value 1 with no atom left equals RAT_ONE either way round,
+        # as it equals 1, and int, Fraction, ParamRat and Factored of one
+        # value hash alike
+        one = pieri_V((1, 2), ((1,), (1,)))
+        assert one == RAT_ONE and RAT_ONE == one
+        assert hash(one) == hash(RAT_ONE) == hash(1) == hash(Fraction(1))
+        v = pieri_V((2, 1), ((1,), ()))
+        assert v.atoms
+        assert v == v.to_rat() and v.to_rat() == v
+        assert hash(v) == hash(v.to_rat())
+        assert v != v.to_rat() + 1 and v.to_rat() * 2 != v
+        assert {v.to_rat(): "v"}[v] == "v" and {v: "v"}[v.to_rat()] == "v"
+        assert v != ParamPoly.const(2)
+
+    def test_reciprocal(self):
+        # an int or Fraction over a Factored: the scale divided into it
+        # and every exponent negated
+        v = pieri_V((2, 1), ((1,), ()))
+        assert 1 / v == RAT_ONE / v.to_rat()
+        assert Fraction(3, 2) / v == Factored(Fraction(3, 2)) / v
+        assert (1 / v).atoms == Counter({a: -e for a, e in v.atoms.items()})
+        with pytest.raises(SingularProduct):
+            1 / Factored(0)
 
     def test_repr_shows_scale_and_atoms(self):
         assert repr(pieri_V((1, 2), ((1,), (1,)))) == "Factored(1)"

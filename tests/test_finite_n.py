@@ -3,20 +3,22 @@ restriction homomorphism phi_N, the finite CMS operator, triangular
 eigenpolynomials, and the torus inner product at negative integer k."""
 
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from unittest import mock
 
 import pytest
 
-from jacklaurent.rational import K, RAT_ONE, rat, as_rat, \
-    SingularParameter, PoleAtSpecialization
+from jacklaurent.rational import K, RAT_ONE, rat, as_rat, poly_divexact, \
+    NotEigenvector, ParamPoly, SingularParameter, PoleAtSpecialization
 from jacklaurent.laurent import LaurentSymFunc, parse_element
 from jacklaurent.operators import cms_L
-from jacklaurent.closed_forms import pieri_U
-from jacklaurent.partitions import bipartitions_up_to, chi_N
+from jacklaurent.closed_forms import expand, pieri_U
+from jacklaurent.partitions import bipartitions_up_to, chi_N, \
+    dominance_leq, partitions_of
 from jacklaurent.jack import construct, jack_positive
-from jacklaurent import finite_n, verify
+from jacklaurent import finite_n, rational, verify
 from jacklaurent.finite_n import (
     SymLaurentPolyN, cms_N, cms_r_N, constant_term_delta, euler_N,
     finite_pieri_check, hc_eigen_check_N, involution_check_N,
@@ -94,6 +96,42 @@ def reference_torus_form(f, g, k_neg_int, N):
             if w:
                 total += ca * cb * w
     return total / ct
+
+
+def field_jack_laurent_poly_N(chi, N):
+    """jack_laurent_poly_N with k symbolic by the triangular solve in Q(k):
+    each coefficient the ParamRat sum of a * c_eta over its gap, reduced
+    by the gcd, the route the solve took before it went fraction-free."""
+    a = max(0, -chi[-1])
+    nu = tuple(x + a for x in chi if x + a)
+
+    def pad(delta):
+        return delta + (0,) * (N - len(delta))
+
+    cands = sorted((delta for delta in partitions_of(sum(nu))
+                    if len(delta) <= N and dominance_leq(pad(delta), pad(nu))),
+                   key=lambda delta: sum(i * x for i, x in enumerate(delta)))
+    actions = {delta: {tuple(x for x in eta if x): x + K * y
+                       for eta, (x, y) in
+                       finite_n._cms_N_image(pad(delta)).items()}
+               for delta in cands}
+    s = actions[nu].get(nu, 0)
+    coeffs = {nu: RAT_ONE}
+    for delta in cands[1:]:
+        total = 0
+        for eta, c_eta in coeffs.items():
+            if delta in actions[eta]:
+                total = total + actions[eta][delta] * c_eta
+        coeffs[delta] = total / (s - actions[delta].get(delta, 0))
+    return SymLaurentPolyN(N, {pad(delta): c for delta, c in coeffs.items()
+                               }).shift(-a)
+
+
+def _chis_up_to(n, N):
+    """chi_N(alpha, N) for every label with |lam|+|mu| <= n that does not
+    restrict to zero in N variables."""
+    return sorted({chi_N(a, N) for a in bipartitions_up_to(n)
+                   if len(a[0]) + len(a[1]) <= N})
 
 
 def c_chi(chi, r, i, b):
@@ -347,6 +385,91 @@ class TestEigenpolynomials:
     def test_collision_detected(self):
         with pytest.raises(SingularParameter):
             jack_poly_N((2,), 2, k0=1)
+
+
+class TestFractionFree:
+    """The fraction-free solve in Z[k] against the solve in Q(k) it
+    replaced, kept here as the oracle field_jack_laurent_poly_N."""
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_every_label_up_to_six(self, N):
+        chis = _chis_up_to(6, N)
+        assert len(chis) == {3: 86, 4: 116}[N]
+        k0 = Fraction(-1, 2)
+        for chi in chis:
+            want = field_jack_laurent_poly_N(chi, N)
+            assert jack_laurent_poly_N(chi, N) == want, chi
+            assert jack_laurent_poly_N(chi, N, k0) == want.substitute_k(k0), chi
+            # the cleared form the checks read is Q times the same function
+            G, Q = finite_n._cleared_laurent(chi, N)
+            q = expand(Q.scale.numerator, Q.atoms)
+            assert G == want.map_coeffs(
+                lambda c: poly_divexact(c.num * q, c.den)), chi
+
+    def test_trial_division_is_complete(self):
+        # m[3,1,-2] in three variables: the solve keeps the gap 5 - 3k,
+        # which cancels from every coefficient, beside (2 - k)^2; the
+        # public form divides both out as far as they go
+        k = ParamPoly.var_k()
+        G, Q = finite_n._cleared_laurent((3, 1, -2), 3)
+        assert Q.atoms == Counter({1 - k: 1, 2 - k: 2, 3 - 2 * k: 1,
+                                   5 - 3 * k: 1})
+        assert G.coeff((3, 1, -2)) == expand(Q.scale.numerator, Q.atoms)
+        p = jack_laurent_poly_N((3, 1, -2), 3)
+        assert str(p.coeff((2, 0, 0))) == "(18*k^2)/(4 - 4*k + k^2)"
+        assert all(c.den.evaluate(Fraction(5, 3), 0)
+                   for c in p.terms.values())
+
+    def test_no_gcd(self):
+        # the solve from a cold memo, the public ParamRat form and the
+        # three checks on every sequence up to size 4 in three variables
+        finite_n._cleared_N.cache_clear()
+        with mock.patch.object(rational, "poly_gcd",
+                               wraps=rational.poly_gcd) as calls:
+            for chi in _chis_up_to(4, 3):
+                jack_laurent_poly_N(chi, 3)
+                assert finite_pieri_check(chi, 3), chi
+                assert involution_check_N(chi, 3), chi
+                hc_eigen_check_N(chi, 3)
+        assert calls.call_count == 0
+
+
+class TestFaults:
+    """Each finite check still fails on a wrong input."""
+
+    @pytest.mark.parametrize("chi", [(1, 0, -1), (2, 1, -1), (1, 1, 0, -1)])
+    def test_wrong_eigenvalue(self, chi, monkeypatch):
+        real = finite_n.eigenvalue_eN
+        monkeypatch.setattr(finite_n, "eigenvalue_eN",
+                            lambda seq, N: real(seq, N) + int(seq == chi))
+        with pytest.raises(NotEigenvector):
+            hc_eigen_check_N(chi, len(chi))
+
+    @pytest.mark.parametrize("chi", [(2, 1, -1), (2, 0, 0), (3, 1, -2),
+                                     (1, 1, 0, -1)])
+    def test_perturbed_coefficient(self, chi, monkeypatch):
+        # one coefficient below the leading one moved by 1 in the cleared
+        # form of P_chi, which every check and the public form read; chi
+        # is not w(chi), so the involution check has a second route
+        N = len(chi)
+        nu = tuple(x - chi[-1] for x in chi if x - chi[-1])
+        real = finite_n._cleared_N
+
+        def bumped(mu, n):
+            G, Q = real(mu, n)
+            if (mu, n) != (nu, N):
+                return G, Q
+            t = dict(G.terms)
+            low = min(t)
+            t[low] = t[low] + 1
+            return SymLaurentPolyN(N, t), Q
+
+        monkeypatch.setattr(finite_n, "_cleared_N", bumped)
+        assert not involution_check_N(chi, N)
+        assert not finite_pieri_check(chi, N)
+        assert not reference_finite_pieri(chi, N)
+        with pytest.raises(NotEigenvector):
+            hc_eigen_check_N(chi, N)
 
 
 class TestTorusForm:

@@ -17,8 +17,8 @@ from jacklaurent.rational import (
 )
 from jacklaurent.laurent import LaurentSymFunc
 from jacklaurent.partitions import (
-    add_box, add_box_candidates, bipartitions_up_to, partitions_up_to,
-    remove_box, remove_box_candidates, size,
+    add_box, add_box_candidates, bipartitions_up_to, conjugate,
+    partitions_up_to, remove_box, remove_box_candidates, size,
 )
 from jacklaurent.closed_forms import eigenvalue_e, eigenvalue_parts, expand, \
     pieri_U, pieri_V
@@ -27,9 +27,9 @@ from jacklaurent.operators import (
 )
 from jacklaurent import clear_caches, closed_forms, jack, rational
 from jacklaurent.jack import (
-    _Point, _ring_eigenvalue, _walk, construct, construct_via_order,
-    eigen_check_all, jack_positive, pieri_identity_check, rational_mode_construct,
-    star_symmetry_check, theta_duality_check,
+    JackLaurentFunction, _Point, _ring_eigenvalue, _walk, construct,
+    construct_via_order, eigen_check_all, jack_positive, pieri_identity_check,
+    rational_mode_construct, star_symmetry_check, theta_duality_check,
 )
 
 g = LaurentSymFunc.gen
@@ -219,6 +219,82 @@ class TestInvolutions:
         assert theta_duality_check(((1,), ()))
         assert theta_duality_check(((1,), (1,)))
         assert theta_duality_check(((2,), ()))
+
+
+def field_theta_duality(alpha):
+    """The duality identity in Q(k, p0): theta^{-1} and param_swap on the
+    ParamRat coefficients and the product with d_alpha multiplied out,
+    the route the check took before it compared in the ring.  It reads
+    jack.duality_constant, so a patched constant reaches both routes."""
+    lam, mu = alpha
+    lhs = construct(alpha).f.theta(inverse=True)
+    dual = construct((conjugate(lam), conjugate(mu))).f.param_swap()
+    return lhs == dual * jack.duality_constant(alpha).to_rat()
+
+
+def field_ring_eigenvalue(F, r):
+    """The eigenvalue as the ParamRat R[m0] / (2^r * F[m0]), reduced by
+    the gcd: the route _ring_eigenvalue took before its exact division."""
+    R = cms_L_doubled(r, F, ParamPoly.var_k(), ParamPoly.var_p0())
+    if R.is_zero():
+        return RAT_ZERO
+    m0 = F.sorted_terms()[0][0]
+    return ParamRat(R.terms[m0], F.terms[m0] * 2 ** r)
+
+
+class TestRingAgainstTheField:
+    """The duality and eigen checks in the ring against their former
+    Q(k, p0) routes, on every label with |lam|+|mu| <= 5."""
+
+    LABELS = sorted(bipartitions_up_to(5))
+
+    def test_duality(self):
+        assert len(self.LABELS) == 74
+        for alpha in self.LABELS:
+            assert theta_duality_check(alpha), alpha
+            assert field_theta_duality(alpha), alpha
+
+    def test_eigenvalues(self):
+        for alpha in self.LABELS:
+            F, _ = construct(alpha).cleared
+            for r in (1, 2, 3):
+                assert _ring_eigenvalue(F, r, alpha) == \
+                    field_ring_eigenvalue(F, r), (alpha, r)
+
+    @pytest.mark.parametrize("alpha", [((1,), ()), ((2, 1), (1,)),
+                                       ((1,), (2, 1)), ((2, 2), (1, 1)),
+                                       ((), ())])
+    def test_doubled_constant_fails_both_routes(self, alpha, monkeypatch):
+        real = jack.duality_constant
+        monkeypatch.setattr(jack, "duality_constant",
+                            lambda a: real(a) * 2)
+        assert not theta_duality_check(alpha)
+        assert not field_theta_duality(alpha)
+
+    def test_mismatched_support_fails(self, monkeypatch):
+        # the conjugate label's cleared form with one monomial dropped
+        alpha, dual = ((2,), (1,)), ((1, 1), (1,))
+        jf = construct(dual)
+        F, D = jf.cleared
+        m = F.sorted_terms()[-1][0]
+        cut = JackLaurentFunction(dual, jf.f, (LaurentSymFunc(
+            {n: c for n, c in F.terms.items() if n != m}), D),
+            jf.eigenvalue2, jf.provenance)
+        real = jack.construct
+        monkeypatch.setattr(jack, "construct",
+                            lambda a: cut if a == dual else real(a))
+        assert not theta_duality_check(alpha)
+
+    def test_eigenvalue_off_the_ring_is_refused(self, monkeypatch):
+        # R = k/(1 - k) * F passes the cross-multiplication, but its
+        # eigenvalue is no polynomial
+        k = ParamPoly.var_k()
+        F, _ = construct(((2,), (1,))).cleared
+        F = F.scale(1 - k)
+        R = F.map_coeffs(lambda c: poly_divexact(c * k, 1 - k))
+        monkeypatch.setattr(jack, "cms_L_doubled", lambda r, f, *point: R)
+        with pytest.raises(NotEigenvector, match="not a polynomial"):
+            _ring_eigenvalue(F, 2, ((2,), (1,)))
 
 
 class TestMirrorRule:

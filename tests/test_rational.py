@@ -199,6 +199,15 @@ class TestIntegerGcd:
                 poly_divexact(a * g + ParamPoly.const(1), g)
 
 
+@given(int_polys(max_deg=3), small_fracs, small_fracs)
+def test_evaluate_sums_over_ints(p, k0, p00):
+    # against the term-by-term Fraction sum it replaced
+    want = sum((c * k0 ** i * p00 ** j for (i, j), c in p.terms.items()),
+               Fraction(0))
+    got = p.evaluate(k0, p00)
+    assert type(got) is Fraction and got == want
+
+
 def test_no_gcd_with_a_constant_operand(monkeypatch):
     # the construction reduces by trial division over its atoms and the
     # Pieri checks compare in the ring, so neither takes a gcd at all;

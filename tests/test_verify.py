@@ -4,6 +4,7 @@ import importlib
 import json
 import pkgutil
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -180,9 +181,8 @@ class TestChecks:
             (False, {"monomial": label, "orders": [1, 2]})
 
     def test_eigen_checks_take_few_gcds(self, monkeypatch):
-        # the integrals run on cleared functions in Z[k, p0]: left are
-        # the gcds of clearing each function and of one eigenvalue per
-        # order, not one per coefficient operation
+        # the integrals run on cleared functions in Z[k, p0], and each
+        # eigenvalue is an exact quotient there: no gcd at all
         labels = bipartitions_up_to(3)
         clear_caches()
         for alpha in labels:
@@ -198,7 +198,20 @@ class TestChecks:
         for alpha in labels:
             ok, _ = check_eigen(alpha)
             assert ok, alpha
-        assert 0 < calls[0] < 100
+        assert calls[0] == 0
+
+    def test_verify_takes_no_gcd(self):
+        # from cold caches, every suite at 3, construction included, and
+        # the finite-n checks on every label up to 5: the duality, eigen,
+        # finite-N and Schur checks all compare in the ring
+        clear_caches()
+        with mock.patch.object(rational, "poly_gcd",
+                               wraps=rational.poly_gcd) as calls:
+            assert run_suite("all", 3)["status"] == "pass"
+            assert calls.call_count == 0
+            for alpha in sorted(bipartitions_up_to(5)):
+                assert check_finite_n(alpha)[0], alpha
+        assert calls.call_count == 0
 
     def test_eigen_suite_checks_each_label_once(self, monkeypatch):
         # check_eigen reads alpha and w(alpha); the 18 labels of size
