@@ -18,12 +18,16 @@ over the Factored product of the gaps it needs (_cleared_N).  The finite
 Pieri, eigenvalue and involution checks compare these cleared forms in
 Z[k] over one Factored denominator, and jack_poly_N reduces them to
 ParamRats by trial division over the gap atoms: no polynomial gcd is
-taken.  At a rational k the solve runs on Fractions.
+taken.  At a rational k, jack_poly_N evaluates that cleared form: each
+label is solved once.  The torus form pairs the coefficients of f V^m
+and g V^m, V the Vandermonde, and never expands its weight Delta^m.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import factorial, lcm
+from operator import add
 
 from .rational import RAT_ZERO, RAT_ONE, K, ParamPoly, Sparse, as_rat, \
     SingularParameter, PoleAtSpecialization, IdenticallySingular, \
@@ -279,16 +283,6 @@ def cms_N(f, k=K):
     return f._like(t)
 
 
-def cms_r_N(f, r, k=K):
-    """The finite integrals used in cross-checks: r = 1 is the momentum,
-    r = 2 the CMS operator itself."""
-    if r == 1:
-        return euler_N(f)
-    if r == 2:
-        return cms_N(f, k)
-    raise ValueError("only orders 1 and 2 are realized at finite N")
-
-
 # -- Jack polynomials by triangular solve --------------------------------------
 
 def _index_weight(delta):
@@ -301,58 +295,49 @@ def _pad(delta, N):
 
 
 def _triangle(nu, N):
-    """(cands, actions) of the triangular solve for P_nu in N variables:
-    the partitions delta below nu in dominance with at most N parts,
+    """(actions, gaps) of the triangular solve for P_nu in N variables,
+    over the partitions delta below nu in dominance with at most N parts,
     nu first, in increasing _index_weight, so each delta comes after
-    every eta whose orbit sum L_{k,N} sends to it; and for each delta
-    the image of m_delta, {eta: (x, y)} for the coefficient x + k*y of
-    m_eta (_cms_N_image), with the padding zeros dropped."""
+    every eta whose orbit sum L_{k,N} sends to it: actions[delta] the
+    image of m_delta, {eta: (x, y)} for the coefficient x + k*y of m_eta
+    (_cms_N_image) with the padding zeros dropped, and gaps[delta], for
+    each delta after nu in that order, (a, b) for the gap a + b*k."""
     cands = [delta for delta in partitions_of(sum(nu)) if len(delta) <= N
              and dominance_leq(_pad(delta, N), _pad(nu, N))]
     cands.sort(key=_index_weight)
     actions = {delta: {tuple(x for x in eta if x): xy
                        for eta, xy in _cms_N_image(_pad(delta, N)).items()}
                for delta in cands}
-    return cands, actions
+    diag = {delta: actions[delta].get(delta, (0, 0)) for delta in cands}
+    sx, sy = diag[nu]
+    return actions, {delta: (sx - x, sy - y)
+                     for delta, (x, y) in diag.items() if delta != nu}
 
 
 def jack_poly_N(nu, N, k0=None):
     """The monic Jack polynomial P_nu in N variables: the eigenfunction of
-    L_{k,N} of the form m_nu + (dominance-lower terms), obtained by
-    back-substitution.  k0 = None keeps k symbolic, with ParamRat
-    coefficients read off the fraction-free solve (_cleared_N); a
-    rational k0 runs the whole solve on Fractions, gives Fraction
-    coefficients and raises SingularParameter on an eigenvalue
-    collision at that coupling."""
+    L_{k,N} of the form m_nu + (dominance-lower terms), read off the
+    fraction-free solve (_cleared_N).  k0 = None keeps k symbolic, with
+    ParamRat coefficients.  A rational k0 gives the Fraction G(k0)/Q(k0)
+    of each coefficient.  It raises SingularParameter on an eigenvalue
+    collision at that coupling: at the first gap of the solve that
+    vanishes there, also where that coefficient is 0; past that no atom
+    of Q vanishes there."""
     nu = normalize_partition(nu)
     if len(nu) > N:
         raise LengthTooSmall("partition %r needs more than N=%d variables"
                              % (nu, N))
     if k0 is None:
         return _field_form(*_cleared_N(nu, N))
-    return _jack_poly_N(nu, N, Fraction(k0))
-
-
-@cache
-def _jack_poly_N(nu, N, k0):
-    """The solve of jack_poly_N at the rational coupling k0."""
-    cands, actions = _triangle(nu, N)
-    sx, sy = actions[nu].get(nu, (0, 0))
-    coeffs = {nu: Fraction(1)}
-    for delta in cands[1:]:
-        total = 0
-        for eta, c_eta in coeffs.items():
-            a = actions[eta].get(delta)
-            if a is not None:
-                total = total + (a[0] + k0 * a[1]) * c_eta
-        x, y = actions[delta].get(delta, (0, 0))
-        gap = sx - x + k0 * (sy - y)
-        if not gap:
+    k0 = Fraction(k0)
+    for delta, (a, b) in _triangle(nu, N)[1].items():
+        if not a + k0 * b:
             raise SingularParameter(
                 "eigenvalue collision at k=%s: %s vs %s" % (k0, nu, delta))
-        coeffs[delta] = total / gap
-    return SymLaurentPolyN(N, {_pad(delta, N): c
-                               for delta, c in coeffs.items()})
+    G, Q = _cleared_N(nu, N)
+    q = Q.specialize(k0, 0)
+    out = {chi: c.evaluate(k0, 0) / q for chi, c in G.terms.items()}
+    return G._like({chi: c for chi, c in out.items() if c})
 
 
 @cache
@@ -371,10 +356,9 @@ def _cleared_N(nu, N):
     coefficients are brought over one Q the same way.  No gcd is taken,
     and no atom is cancelled, so Q is a multiple of the reduced
     denominator."""
-    cands, actions = _triangle(nu, N)
-    sx, sy = actions[nu].get(nu, (0, 0))
+    actions, gaps = _triangle(nu, N)
     parts = {nu: (ParamPoly.const(1), Factored())}
-    for delta in cands[1:]:
+    for delta, (a, b) in gaps.items():
         near = [(eta, actions[eta][delta]) for eta in parts
                 if delta in actions[eta]]
         if not near:
@@ -383,8 +367,7 @@ def _cleared_N(nu, N):
         total = sum((parts[eta][0] * u * (x + _K * y)
                      for (eta, (x, y)), u in zip(near, nums)), ParamPoly())
         if total:
-            x, y = actions[delta].get(delta, (0, 0))
-            parts[delta] = total, Q * _linear(sx - x, sy - y, 0, 0)
+            parts[delta] = total, Q * _linear(a, b, 0, 0)
     Q, nums = _over_one([1 / d for _, d in parts.values()])
     return SymLaurentPolyN(N, {
         _pad(delta, N): n * u
@@ -436,44 +419,50 @@ def _cleared_laurent(chi, N):
 
 # -- torus constant-term form ---------------------------------------------------
 
-def _delta_weight(k_neg_int, N):
-    """Full expansion of prod_{i != j} (1 - x_i/x_j)^(-k) as a dict from
-    exponent vectors to integers, plus its constant term."""
+def constant_term_delta(k_neg_int, N):
+    """CT of the weight prod_{i != j} (1 - x_i/x_j)^m itself, m = -k:
+    Dyson's constant term (mN)!/(m!)^N."""
     k = Fraction(k_neg_int)
     if k.denominator != 1 or k >= 0:
         raise ValueError("the torus weight needs a negative integer k")
-    return _delta_expansion(-k.numerator, N)
+    m = -k.numerator
+    return factorial(m * N) // factorial(m) ** N
 
 
 @cache
-def _delta_expansion(m, N):
+def _vandermonde_power(m, N):
+    """V^m for the Vandermonde V = prod_{i<j} (x_i - x_j), as a dict from
+    exponent vectors to ints, multiplied out one factor at a time."""
     full = {(0,) * N: 1}
     for i in range(N):
-        for j in range(N):
-            if i == j:
-                continue
+        for j in range(i + 1, N):
             for _ in range(m):
                 nxt = {}
                 for a, c in full.items():
-                    nxt[a] = nxt.get(a, 0) + c
-                    b = list(a)
-                    b[i] += 1
-                    b[j] -= 1
-                    b = tuple(b)
-                    nxt[b] = nxt.get(b, 0) - c
+                    for at, s in ((i, c), (j, -c)):
+                        b = a[:at] + (a[at] + 1,) + a[at + 1:]
+                        nxt[b] = nxt.get(b, 0) + s
                 full = {a: c for a, c in nxt.items() if c}
-    return full, full.get((0,) * N, 0)
+    return full
 
 
-def constant_term_delta(k_neg_int, N):
-    """CT of the weight itself; equals (mN)!/(m!)^N with m = -k."""
-    return _delta_weight(k_neg_int, N)[1]
+def _orbit_size(chi):
+    """The number of distinct permutations of chi."""
+    out = factorial(len(chi))
+    for e in Counter(chi).values():
+        out //= factorial(e)
+    return out
 
 
-def _cleared_full(f, k0):
-    """f at k = k0 cleared of denominators: (d, full), full the int
-    coefficients of d*f on every monomial, d the lcm of the Fraction
-    coefficients' denominators.  A Fraction coefficient is read as it is."""
+def _times_vandermonde(f, k0):
+    """(d, A) for f V^m at k = k0 = -m: d the lcm of the denominators of
+    f's coefficients, A_nu for non-increasing nu the coefficient of x^nu
+    in d f V^m times |orbit nu|.  f V^m is symmetric for even m and
+    antisymmetric for odd m, so A_nu sums its coefficients over the
+    orbit of nu, for odd m each times the sign of its sort; and the orbit
+    sum c m_lam contributes c |orbit lam| w_v to A at sort(lam + v) for
+    each term w_v x^v of V^m.  For odd m a sum with a repeated entry
+    cancels and is dropped.  A Fraction coefficient is read as it is."""
     vals = {}
     for chi, c in f.terms.items():
         if not isinstance(c, Fraction):
@@ -485,30 +474,39 @@ def _cleared_full(f, k0):
         if c:
             vals[chi] = c
     d = lcm(*(v.denominator for v in vals.values()))
-    full = {}
-    for chi, v in vals.items():
-        n = v.numerator * (d // v.denominator)
-        for key in _rearrangements(chi):
-            full[key] = n
-    return d, full
+    m, out = -k0.numerator, {}
+    for lam, v in vals.items():
+        c = v.numerator * (d // v.denominator) * _orbit_size(lam)
+        for a, w in _vandermonde_power(m, f.N).items():
+            s = tuple(map(add, lam, a))
+            if m % 2:
+                if len(set(s)) < f.N:
+                    continue
+                if sum(x < y for i, x in enumerate(s) for y in s[i + 1:]) % 2:
+                    w = -w
+            nu = tuple(sorted(s, reverse=True))
+            out[nu] = out.get(nu, 0) + c * w
+    return d, out
 
 
 def torus_form(f, g, k_neg_int, N):
-    """(f, g)_N = CT(f g* Delta_N) / CT(Delta_N) at the given negative
-    integer coupling; exact Fraction.  Summed over ints, with one
-    division at the end."""
+    """(f, g)_N = CT(f g* Delta^m) / CT(Delta^m) at the negative integer
+    coupling k = -m, Delta = prod_{i != j} (1 - x_i/x_j); exact Fraction.
+    Delta = V(x) V(1/x), V = prod_{i<j} (x_i - x_j) the Vandermonde
+    a_delta, so CT(f g* Delta^m) = sum_c (f V^m)_c (g V^m)_c, which is
+    sum_nu A_nu B_nu / |orbit nu| over the orbits (_times_vandermonde),
+    and CT(Delta^m) is Dyson's constant (constant_term_delta): Delta^m is
+    never expanded.  Summed over ints, with one division at the end.
+    Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed. (1995),
+    I.3 and VI.9; F. J. Dyson, J. Math. Phys. 3 (1962) 140."""
     if f.N != N or g.N != N:
         raise ValueError("operands are not in %d variables" % N)
-    delta, ct = _delta_weight(k_neg_int, N)
+    ct = constant_term_delta(k_neg_int, N)
     k0 = Fraction(k_neg_int)
-    da, fa = _cleared_full(f, k0)
-    db, fb = (da, fa) if g is f else _cleared_full(g, k0)
-    total = 0
-    for a, ca in fa.items():
-        for b, cb in fb.items():
-            w = delta.get(tuple(y - x for x, y in zip(a, b)))
-            if w:
-                total += ca * cb * w
+    da, A = _times_vandermonde(f, k0)
+    db, B = (da, A) if g is f else _times_vandermonde(g, k0)
+    total = sum(a * B[nu] // _orbit_size(nu) for nu, a in A.items()
+                if nu in B)
     return Fraction(total, da * db * ct)
 
 

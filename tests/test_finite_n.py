@@ -2,9 +2,11 @@
 restriction homomorphism phi_N, the finite CMS operator, triangular
 eigenpolynomials, and the torus inner product at negative integer k."""
 
+import re
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, permutations
 from unittest import mock
 
@@ -20,10 +22,10 @@ from jacklaurent.partitions import bipartitions_up_to, chi_N, \
 from jacklaurent.jack import construct, jack_positive
 from jacklaurent import finite_n, rational, verify
 from jacklaurent.finite_n import (
-    SymLaurentPolyN, cms_N, cms_r_N, constant_term_delta, euler_N,
+    SymLaurentPolyN, cms_N, constant_term_delta, euler_N,
     finite_pieri_check, hc_eigen_check_N, involution_check_N,
     jack_laurent_poly_N, jack_poly_N, phi_N_map, pieri_V_N, power_sum_N,
-    torus_form, _delta_weight,
+    torus_form,
 )
 
 g = LaurentSymFunc.gen
@@ -81,40 +83,78 @@ def reference_cms_N(f, k=K):
     return SymLaurentPolyN.from_full(N, out)
 
 
+@cache
+def reference_delta_expansion(m, N):
+    """prod_{i != j} (1 - x_i/x_j)^m multiplied out in full, one factor
+    at a time, as a dict from exponent vectors to ints."""
+    full = {(0,) * N: 1}
+    for i in range(N):
+        for j in range(N):
+            if i == j:
+                continue
+            for _ in range(m):
+                nxt = {}
+                for a, c in full.items():
+                    nxt[a] = nxt.get(a, 0) + c
+                    b = list(a)
+                    b[i] += 1
+                    b[j] -= 1
+                    b = tuple(b)
+                    nxt[b] = nxt.get(b, 0) - c
+                full = {a: c for a, c in nxt.items() if c}
+    return full
+
+
 def reference_torus_form(f, g, k_neg_int, N):
-    """The torus form summed over Fractions, term by term."""
-    delta, ct = _delta_weight(k_neg_int, N)
+    """The torus form summed over Fractions, term by term, against the
+    expanded weight Delta^m."""
+    delta = reference_delta_expansion(-k_neg_int, N)
+    ct = delta[(0,) * N]
     k0 = Fraction(k_neg_int)
 
     def numeric(h):
         return {a: as_rat(c).specialize(k0, 0)
                 for a, c in h.expand().items()}
     total = Fraction(0)
+    gb = numeric(g)
     for a, ca in numeric(f).items():
-        for b, cb in numeric(g).items():
+        for b, cb in gb.items():
             w = delta.get(tuple(y - x for x, y in zip(a, b)))
             if w:
                 total += ca * cb * w
     return total / ct
 
 
+def _pad(delta, N):
+    return delta + (0,) * (N - len(delta))
+
+
+def reference_triangle(chi, N):
+    """(a, nu, cands, actions) of the triangular solve for the Laurent
+    label chi: the shift a and partition nu = chi + a, the partitions
+    below nu in dominance, nu first, in an order that solves each after
+    the ones L_{k,N} sends to it, and the image of each orbit sum,
+    {eta: (x, y)} for the coefficient x + k*y of m_eta."""
+    a = max(0, -chi[-1])
+    nu = tuple(x + a for x in chi if x + a)
+    cands = sorted((delta for delta in partitions_of(sum(nu))
+                    if len(delta) <= N
+                    and dominance_leq(_pad(delta, N), _pad(nu, N))),
+                   key=lambda delta: sum(i * x for i, x in enumerate(delta)))
+    actions = {delta: {tuple(x for x in eta if x): xy
+                       for eta, xy in
+                       finite_n._cms_N_image(_pad(delta, N)).items()}
+               for delta in cands}
+    return a, nu, cands, actions
+
+
 def field_jack_laurent_poly_N(chi, N):
     """jack_laurent_poly_N with k symbolic by the triangular solve in Q(k):
     each coefficient the ParamRat sum of a * c_eta over its gap, reduced
     by the gcd, the route the solve took before it went fraction-free."""
-    a = max(0, -chi[-1])
-    nu = tuple(x + a for x in chi if x + a)
-
-    def pad(delta):
-        return delta + (0,) * (N - len(delta))
-
-    cands = sorted((delta for delta in partitions_of(sum(nu))
-                    if len(delta) <= N and dominance_leq(pad(delta), pad(nu))),
-                   key=lambda delta: sum(i * x for i, x in enumerate(delta)))
-    actions = {delta: {tuple(x for x in eta if x): x + K * y
-                       for eta, (x, y) in
-                       finite_n._cms_N_image(pad(delta)).items()}
-               for delta in cands}
+    a, nu, cands, xy = reference_triangle(chi, N)
+    actions = {delta: {eta: x + K * y for eta, (x, y) in image.items()}
+               for delta, image in xy.items()}
     s = actions[nu].get(nu, 0)
     coeffs = {nu: RAT_ONE}
     for delta in cands[1:]:
@@ -123,8 +163,32 @@ def field_jack_laurent_poly_N(chi, N):
             if delta in actions[eta]:
                 total = total + actions[eta][delta] * c_eta
         coeffs[delta] = total / (s - actions[delta].get(delta, 0))
-    return SymLaurentPolyN(N, {pad(delta): c for delta, c in coeffs.items()
-                               }).shift(-a)
+    return SymLaurentPolyN(N, {_pad(delta, N): c
+                               for delta, c in coeffs.items()}).shift(-a)
+
+
+def fraction_jack_laurent_poly_N(chi, N, k0):
+    """jack_laurent_poly_N at a rational k0 by the triangular solve on
+    Fractions, the route it took before it read the fraction-free solve:
+    SingularParameter at the first gap that vanishes at k0, whatever the
+    sum over it."""
+    a, nu, cands, actions = reference_triangle(chi, N)
+    sx, sy = actions[nu].get(nu, (0, 0))
+    coeffs = {nu: Fraction(1)}
+    for delta in cands[1:]:
+        total = 0
+        for eta, c_eta in coeffs.items():
+            xy = actions[eta].get(delta)
+            if xy is not None:
+                total = total + (xy[0] + k0 * xy[1]) * c_eta
+        x, y = actions[delta].get(delta, (0, 0))
+        gap = sx - x + k0 * (sy - y)
+        if not gap:
+            raise SingularParameter(
+                "eigenvalue collision at k=%s: %s vs %s" % (k0, nu, delta))
+        coeffs[delta] = total / gap
+    return SymLaurentPolyN(N, {_pad(delta, N): c
+                               for delta, c in coeffs.items()}).shift(-a)
 
 
 def _chis_up_to(n, N):
@@ -240,7 +304,7 @@ class TestRestriction:
             for N in (2, 3):
                 for r in (1, 2):
                     left = phi_N_map(cms_L(r, fn), N)
-                    right = cms_r_N(phi_N_map(fn, N), r)
+                    right = (euler_N, cms_N)[r - 1](phi_N_map(fn, N))
                     assert left == right, (r, N, str(fn))
 
 
@@ -284,6 +348,23 @@ class TestIntTables:
         N = len(chi)
         f = jack_laurent_poly_N(chi, N, k0=-1)
         g = SymLaurentPolyN(N, {chi: K + 2, (0,) * N: rat(1, 3)})
+        for k in (-1, -2, -3):
+            for a, b in ((f, f), (f, g), (g, f), (g, g)):
+                assert torus_form(a, b, k, N) == \
+                    reference_torus_form(a, b, k, N), (k, str(a), str(b))
+
+    @pytest.mark.parametrize("chi", [
+        (1, 0, 0, -1), (2, 1, 1, 0), (1, 1, -1, -1), (2, 0, -1, -1),
+        (1, 0, 0, 0, -1), (1, 1, 0, -1, -1)])
+    def test_torus_form_in_four_and_five_variables(self, chi):
+        # Laurent labels with repeated parts; f a polynomial on Fractions,
+        # g on symbolic and Fraction coefficients with orbits of every
+        # size, so f V^m and g V^m differ in support
+        N = len(chi)
+        f = jack_laurent_poly_N(chi, N, k0=-1)
+        g = SymLaurentPolyN(N, {chi: K + 2, (0,) * N: rat(1, 3),
+                                (1,) + (0,) * (N - 2) + (-1,): K * K - 1,
+                                (2,) + (0,) * (N - 1): Fraction(-5, 7)})
         for k in (-1, -2):
             for a, b in ((f, f), (f, g), (g, f), (g, g)):
                 assert torus_form(a, b, k, N) == \
@@ -406,6 +487,42 @@ class TestFractionFree:
             assert G == want.map_coeffs(
                 lambda c: poly_divexact(c.num * q, c.den)), chi
 
+    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("k0", [Fraction(-1, 2), Fraction(1, 3),
+                                    Fraction(-5, 7)])
+    def test_numeric_coupling_against_the_fraction_solve(self, N, k0):
+        # the cleared form at k0 against the solve on Fractions it
+        # replaced: the same polynomial, or the same collision
+        raised = 0
+        for chi in _chis_up_to(6, N):
+            try:
+                want = fraction_jack_laurent_poly_N(chi, N, k0)
+            except SingularParameter as exc:
+                raised += 1
+                with pytest.raises(SingularParameter) as got:
+                    jack_laurent_poly_N(chi, N, k0)
+                assert str(got.value) == str(exc), chi
+                continue
+            got = jack_laurent_poly_N(chi, N, k0)
+            assert got == want, chi
+            assert all(type(c) is Fraction for c in got.terms.values())
+        # three labels at N = 4 lift to P[2,1,1], which meets m[1,1,1,1]
+        # at k = 1/3
+        assert raised == (3 if (N, k0) == (4, Fraction(1, 3)) else 0)
+
+    def test_collision_where_the_coefficient_is_zero(self):
+        # at k = 5/3 the gap of m[2,1,1] in P[4] in three variables
+        # vanishes, and so does the sum it divides: the coefficient of
+        # m[2,1,1] has no pole there, but the solve still refuses k0
+        k0 = Fraction(5, 3)
+        c = jack_poly_N((4,), 3).coeff((2, 1, 1))
+        assert c.den.evaluate(k0, 0)
+        msg = "eigenvalue collision at k=5/3: (4,) vs (2, 1, 1)"
+        with pytest.raises(SingularParameter, match=re.escape(msg)):
+            fraction_jack_laurent_poly_N((4, 0, 0), 3, k0)
+        with pytest.raises(SingularParameter, match=re.escape(msg)):
+            jack_poly_N((4,), 3, k0)
+
     def test_trial_division_is_complete(self):
         # m[3,1,-2] in three variables: the solve keeps the gap 5 - 3k,
         # which cancels from every coefficient, beside (2 - k)^2; the
@@ -477,6 +594,12 @@ class TestTorusForm:
         # Dyson constant-term values (mN)! / (m!)^N
         assert constant_term_delta(-1, 4) == 24
         assert constant_term_delta(-2, 4) == 2520
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_constant_term_of_the_expanded_weight(self, N, m):
+        assert constant_term_delta(-m, N) == \
+            reference_delta_expansion(m, N)[(0,) * N]
 
     def test_unit_and_ones(self):
         one2 = SymLaurentPolyN.one(2)
