@@ -30,18 +30,21 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Empty every memo: constructed functions with their cleared forms,
-    the mirrored labels grown for the involution checks, the factored
+    the mirrored labels grown for the involution checks, the plans of
+    the construction steps, the factored
     linear forms, Pieri coefficients V and triple products of the
     evaluation, norm and duality, the Bernoulli sums of the separation
     checks, the per-monomial tables of the second-order integral and of
-    2^r * L_r with the walks of 2D they are read from, finite-N
-    polynomials cleared in Z[k], the int tables of phi_N and of L_{k,N},
-    the powers of the Vandermonde in the torus form, the complete
-    functions h_i and the eigenvalues of the eigen checks."""
-    for memo in (jack._construct, jack._grown_mirror, closed_forms._linear,
+    2^r * L_r with the walks of 2D they are read from, the gaps of the
+    finite-N triangular solves and the polynomials they give cleared in
+    Z[k], the int tables of phi_N and of L_{k,N}, the powers of the
+    Vandermonde in the torus form, the complete functions h_i and the
+    eigenvalues of the eigen checks."""
+    for memo in (jack._construct, jack._grown_mirror, jack._plan,
+                 closed_forms._linear,
                  closed_forms._pieri_V, closed_forms._phi_triple,
                  closed_forms.bernoulli_b, operators._l2_image,
-                 operators._l_image, operators._walk,
+                 operators._l_image, operators._walk, finite_n._gaps,
                  finite_n._cleared_N, finite_n._phi_N_monomial,
                  finite_n._cms_N_image, finite_n._vandermonde_power,
                  schur._complete_h, verify._eigenvalues):

@@ -294,24 +294,23 @@ def _pad(delta, N):
     return delta + (0,) * (N - len(delta))
 
 
-def _triangle(nu, N):
-    """(actions, gaps) of the triangular solve for P_nu in N variables,
-    over the partitions delta below nu in dominance with at most N parts,
-    nu first, in increasing _index_weight, so each delta comes after
-    every eta whose orbit sum L_{k,N} sends to it: actions[delta] the
-    image of m_delta, {eta: (x, y)} for the coefficient x + k*y of m_eta
-    (_cms_N_image) with the padding zeros dropped, and gaps[delta], for
-    each delta after nu in that order, (a, b) for the gap a + b*k."""
+@cache
+def _gaps(nu, N):
+    """The gaps of the triangular solve for P_nu in N variables, over the
+    partitions delta below nu in dominance with at most N parts, nu
+    first, in increasing _index_weight, so each delta comes after every
+    eta whose orbit sum L_{k,N} sends to it: for each delta after nu in
+    that order, (a, b) for the gap a + b*k between the diagonal entries
+    of nu and delta (_cms_N_image).  Memoized, free of k: the collision
+    check of jack_poly_N at a numeric k and _cleared_N read one copy."""
     cands = [delta for delta in partitions_of(sum(nu)) if len(delta) <= N
              and dominance_leq(_pad(delta, N), _pad(nu, N))]
     cands.sort(key=_index_weight)
-    actions = {delta: {tuple(x for x in eta if x): xy
-                       for eta, xy in _cms_N_image(_pad(delta, N)).items()}
-               for delta in cands}
-    diag = {delta: actions[delta].get(delta, (0, 0)) for delta in cands}
+    diag = {delta: _cms_N_image(_pad(delta, N)).get(_pad(delta, N), (0, 0))
+            for delta in cands}
     sx, sy = diag[nu]
-    return actions, {delta: (sx - x, sy - y)
-                     for delta, (x, y) in diag.items() if delta != nu}
+    return {delta: (sx - x, sy - y)
+            for delta, (x, y) in diag.items() if delta != nu}
 
 
 def jack_poly_N(nu, N, k0=None):
@@ -330,7 +329,7 @@ def jack_poly_N(nu, N, k0=None):
     if k0 is None:
         return _field_form(*_cleared_N(nu, N))
     k0 = Fraction(k0)
-    for delta, (a, b) in _triangle(nu, N)[1].items():
+    for delta, (a, b) in _gaps(nu, N).items():
         if not a + k0 * b:
             raise SingularParameter(
                 "eigenvalue collision at k=%s: %s vs %s" % (k0, nu, delta))
@@ -356,7 +355,10 @@ def _cleared_N(nu, N):
     coefficients are brought over one Q the same way.  No gcd is taken,
     and no atom is cancelled, so Q is a multiple of the reduced
     denominator."""
-    actions, gaps = _triangle(nu, N)
+    gaps = _gaps(nu, N)
+    actions = {delta: {tuple(x for x in eta if x): xy
+                       for eta, xy in _cms_N_image(_pad(delta, N)).items()}
+               for delta in (nu, *gaps)}
     parts = {nu: (ParamPoly.const(1), Factored())}
     for delta, (a, b) in gaps.items():
         near = [(eta, actions[eta][delta]) for eta in parts

@@ -3,6 +3,12 @@ Laurent symmetric-function algebra, built by spectral projection.
 
 The construction grows the first diagram box by box, in one loop, _grow,
 that runs at a point: either symbolic parameters or a rational (k, p0).
+A step is split in two.  Its plan (_plan, memoized on the label and the
+box) is what does not depend on the point: the label it builds and the
+eigenvalue_parts of the labels that can appear beside it, built once
+and read by the symbolic steps and by every rational point alike.  At
+the point run the weights, the Pieri coefficient, the singularity
+checks and the arithmetic of the ring.
 One step takes the function at alpha = (lam, mu), multiplies by p_1, and
 isolates the P_{lam+box, mu} component by applying, for every other label
 gamma that can appear in the product, the factor
@@ -387,27 +393,41 @@ def _read(parts, weights):
     return n * w1 + lin * wk - m * wkp
 
 
+@cache
+def _plan(alpha, box):
+    """The part of the step that adds `box` to the first diagram of
+    alpha that does not depend on the point: (beta, parts, at), with
+    beta the label it builds, parts the eigenvalue_parts of each label
+    that can appear in p_1 * P_alpha, in the order of _neighbors, and
+    `at` the index of beta among them.  It holds labels and ints, and
+    one plan serves the symbolic step and every rational point.  The
+    neighbours themselves are not kept: only a collision names them,
+    and it lists them again."""
+    lam, mu = alpha
+    near = _neighbors(alpha)
+    beta = (add_box(lam, box), mu)
+    return beta, tuple(map(eigenvalue_parts, near)), near.index(beta)
+
+
 def _grow(cleared, alpha, box, point):
     """One projector step at `point`: from f = P_alpha to P_beta, where
-    beta adds `box` to the first diagram of alpha.  The eigenvalues and
-    V = vnum/vden are read in the point's ring, and the singularity
-    checks run on them first; then p_1 and every L2 - e(gamma), the
-    operator and the eigenvalues scaled alike by the layout's weights,
-    act on F = D*f in the ring, and den = D * prod (s - e(gamma)) and V
-    are divided out once.  Takes (F, D) and returns (P_beta, (F', D')),
-    or (F', D') alone at a rational point (_Point.unclear).
+    beta adds `box` to the first diagram of alpha.  The eigenvalue_parts
+    of the neighbouring labels come from the step's plan (_plan), built
+    once for every point; what runs at the point is the arithmetic.  The eigenvalues and V = vnum/vden are read in the
+    point's ring, and the singularity checks run on them first; then
+    p_1 and every L2 - e(gamma), the operator and the eigenvalues
+    scaled alike by the layout's weights, act on F = D*f in the ring,
+    and den = D * prod (s - e(gamma)) and V are divided out once.
+    Takes (F, D) and returns (P_beta, (F', D')), or (F', D') alone at a
+    rational point (_Point.unclear).
     """
-    lam, mu = alpha
-    beta = (add_box(lam, box), mu)
-    near = []
-    for gamma in _neighbors(alpha):
-        parts = eigenvalue_parts(gamma)
-        near.append((gamma, parts, _read(parts, point.weights)))
-    for i, (g1, _, e1) in enumerate(near):
-        for g2, _, e2 in near[i + 1:]:
-            if e1 == e2:
-                raise SingularParameter("eigenvalue collision%s: %s vs %s"
-                                        % (point, g1, g2))
+    _, near, at = _plan(alpha, box)
+    eig = [_read(parts, point.weights) for parts in near]
+    for i, e in enumerate(eig):
+        if e in eig[i + 1:]:
+            near = _neighbors(alpha)
+            raise SingularParameter("eigenvalue collision%s: %s vs %s" % (
+                point, near[i], near[eig.index(e, i + 1)]))
     vnum, vden = point.pieri(box, alpha)
     if not vden:
         raise SingularParameter("transition coefficient at box %s has a "
@@ -415,21 +435,21 @@ def _grow(cleared, alpha, box, point):
     if not vnum:
         raise SingularParameter("vanishing transition coefficient at box "
                                 "%s%s" % (box, point))
-    s = next(e for gamma, _, e in near if gamma == beta)
-    others = [(parts, e) for gamma, parts, e in near if gamma != beta]
+    s = eig[at]
+    others = [(parts, e) for i, (parts, e) in enumerate(zip(near, eig))
+              if i != at]
     out, den = cleared
     out, ring = point.pack(out.times(1), others)
     w = ring.weights
     for parts, e in others:
-        out = cms_L2_weighted(out, w) - out * _read(parts, w)
+        out = cms_L2_weighted(out, w, _read(parts, w))
         den = den * (s - e)
     return point.unclear(out, vden, den * vnum, ring)
 
 
 def _extend(prev, box):
     """The symbolic step from prev = P_alpha, with its label and trace."""
-    lam, mu = prev.alpha
-    beta = (add_box(lam, box), mu)
+    beta, _, _ = _plan(prev.alpha, box)
     f, cleared = _grow(prev.cleared, prev.alpha, box, _SYMBOLIC)
     return JackLaurentFunction(beta, f, cleared, eigenvalue_e(beta),
                                prev.provenance + (box,))
@@ -630,10 +650,10 @@ def evaluation_check(alpha):
 def _walk(cleared, lam, mu, point):
     """Grow the cleared form (F, d) of P_{0,mu} to that of P_{lam,mu}
     along the canonical order at the rational `point`."""
-    shape = ()
+    alpha = ((), mu)
     for box in _canonical_order(lam):
-        cleared = _grow(cleared, (shape, mu), box, point)
-        shape = add_box(shape, box)
+        cleared = _grow(cleared, alpha, box, point)
+        alpha, _, _ = _plan(alpha, box)
     return cleared
 
 

@@ -349,15 +349,18 @@ def _l2_bound(m):
     return (p + n) ** 2 + 2 * (p * p + n * n)
 
 
-def cms_L2_weighted(f, weights):
-    """w1*A(f) + wk*B(f) + wp*C(f) + wkp*D(f) for the weights (w1, wk,
-    wp, wkp), where L2 = A + k*B + p0*C + k*p0*D splits the second-order
-    integral into four operators with int matrices on the monomials
-    (_l2_image).  Each coefficient of f is scaled by ints into the four
-    parts of every target monomial, and the parts are combined with the
-    weights once per target.  The weights (1, k, p0, k*p0) give L2 at
-    (k, p0); for k = kn/kd and p0 = pn/pd, the int weights (kd*pd, kn*pd,
-    kd*pn, kn*pn) give kd*pd*L2 at the point, on int coefficients.
+def cms_L2_weighted(f, weights, shift=0):
+    """w1*A(f) + wk*B(f) + wp*C(f) + wkp*D(f) - shift*f for the weights
+    (w1, wk, wp, wkp), where L2 = A + k*B + p0*C + k*p0*D splits the
+    second-order integral into four operators with int matrices on the
+    monomials (_l2_image).  Each coefficient of f is scaled by ints into
+    the four parts of every target monomial, and the parts are combined
+    with the weights once per target, the shift taken off the diagonal
+    in the same pass.  The weights (1, k, p0, k*p0) give L2 at (k, p0);
+    for k = kn/kd and p0 = pn/pd, the int weights (kd*pd, kn*pd, kd*pn,
+    kn*pn) give kd*pd*L2 at the point, on int coefficients.  A shift of
+    e read with the same weights gives the factor L2 - e of a
+    construction step (jack._grow).
     """
     parts = {}
     for m, x in f.terms.items():
@@ -371,11 +374,17 @@ def cms_L2_weighted(f, weights):
                 acc[2] += x * c
                 acc[3] += x * d
     w1, wk, wp, wkp = weights
+    diag = {m: x * shift for m, x in f.terms.items()} if shift else {}
     t = {}
     for target, (a, b, c, d) in parts.items():
         v = a * w1 + b * wk + c * wp + d * wkp
+        y = diag.pop(target, None)
+        if y is not None:
+            v -= y
         if v:
             t[target] = v
+    for m, y in diag.items():
+        t[m] = -y
     return f._like(t)
 
 

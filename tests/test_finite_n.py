@@ -523,6 +523,16 @@ class TestFractionFree:
         with pytest.raises(SingularParameter, match=re.escape(msg)):
             jack_poly_N((4,), 3, k0)
 
+    def test_one_gap_table_per_label(self):
+        # the collision check at a numeric k and the solve read one
+        # memoized table of gaps, cold and warm
+        finite_n._gaps.cache_clear()
+        finite_n._cleared_N.cache_clear()
+        for _ in range(2):
+            jack_poly_N((3, 2, 1), 3, Fraction(-1, 2))
+            jack_poly_N((3, 2, 1), 3)
+        assert finite_n._gaps.cache_info().misses == 1
+
     def test_trial_division_is_complete(self):
         # m[3,1,-2] in three variables: the solve keeps the gap 5 - 3k,
         # which cancels from every coefficient, beside (2 - k)^2; the

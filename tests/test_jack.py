@@ -3,6 +3,7 @@ frozen small eigenfunctions, eigenvalue checks, Pieri recursion,
 involutions, growth-order independence, and numeric-parameter mode."""
 
 import hashlib
+import random
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -662,9 +663,9 @@ class TestNarrowWidth:
             steps.append((F, factors, ring, []))
             return ring
 
-        def recording_weighted(out, weights):
+        def recording_weighted(out, weights, shift=0):
             steps[-1][3].append(out)
-            return weighted(out, weights)
+            return weighted(out, weights, shift)
 
         def recording_unclear(self, F, num, den, ring=None):
             steps[-1][3].append(F)
@@ -750,6 +751,16 @@ def _singular_by_closed_forms(alpha, k0, p00):
             except PoleAtSpecialization:
                 return True
     return False
+
+
+SINGULAR_MESSAGES = [
+    (((2,), ()), 1, 5, "eigenvalue collision at k=1, p0=5: "
+                       "((2,), ()) vs ((1, 1), ())"),
+    (((), (2,)), 1, 5, "eigenvalue collision at k=1, p0=0: "
+                       "((2,), ()) vs ((1, 1), ())"),
+    (((), (2, 1)), Fraction(1, 2), -3, "vanishing transition "
+     "coefficient at box (2, 1) at k=1/2, p0=0"),
+]
 
 
 SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -852,14 +863,7 @@ class TestRationalMode:
         with pytest.raises(SingularParameter):
             rational_mode_construct(((), (2,)), 1, 5)
 
-    @pytest.mark.parametrize("alpha,k0,p00,message", [
-        (((2,), ()), 1, 5, "eigenvalue collision at k=1, p0=5: "
-                           "((2,), ()) vs ((1, 1), ())"),
-        (((), (2,)), 1, 5, "eigenvalue collision at k=1, p0=0: "
-                           "((2,), ()) vs ((1, 1), ())"),
-        (((), (2, 1)), Fraction(1, 2), -3, "vanishing transition "
-         "coefficient at box (2, 1) at k=1/2, p0=0"),
-    ])
+    @pytest.mark.parametrize("alpha,k0,p00,message", SINGULAR_MESSAGES)
     def test_singular_messages(self, alpha, k0, p00, message):
         with pytest.raises(SingularParameter) as exc:
             rational_mode_construct(alpha, k0, p00)
@@ -870,3 +874,78 @@ class TestRationalMode:
         f = construct(((2, 1), (1,))).f
         for m, _ in f.sorted_terms():
             assert sum(i * e for i, e in m) == 2, m
+
+
+def _seeded_points(seed, n):
+    """n points (k0, p00) of Fractions with numerators and denominators
+    up to 9, either sign, drawn from the seed."""
+    rng = random.Random(seed)
+    return [tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                           rng.randint(1, 9)) for _ in range(2))
+            for _ in range(n)]
+
+
+def _numeric(labels, points):
+    """{(alpha, point): rational_mode_construct there, or the message of
+    its SingularParameter}."""
+    out = {}
+    for point in points:
+        for alpha in labels:
+            try:
+                out[alpha, point] = rational_mode_construct(alpha, *point)
+            except SingularParameter as exc:
+                out[alpha, point] = str(exc)
+    return out
+
+
+class TestRouteIndependence:
+    """The numeric mode and construct read the same step plans
+    (jack._plan): whichever fills them first, each gives what it gives
+    alone."""
+
+    # at the second point, k = 4, four labels up to size 5 are singular
+    POINTS = _seeded_points(2, 3)
+
+    def _symbolic(self, labels):
+        text = "\n".join(str(construct(a)) for a in labels)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_UP_TO_5
+
+    def _agrees(self, numeric):
+        singular = 0
+        for (alpha, point), got in numeric.items():
+            if isinstance(got, str):
+                singular += 1
+                continue
+            assert got == construct(alpha).f.specialize(*point), (alpha,
+                                                                  point)
+        return singular
+
+    def test_cold_and_warm(self, cold_memo):
+        labels = bipartitions_up_to(5)
+        cold = _numeric(labels, self.POINTS)
+        assert jack._plan.cache_info().currsize
+        self._symbolic(labels)
+        assert self._agrees(cold) == 4
+        clear_caches()
+        self._symbolic(labels)
+        hits = jack._plan.cache_info().hits
+        warm = _numeric(labels, self.POINTS)
+        assert jack._plan.cache_info().hits > hits
+        assert warm.keys() == cold.keys()
+        for key, got in warm.items():
+            assert got == cold[key], key
+            assert type(got) is type(cold[key]), key
+        assert self._agrees(warm) == 4
+
+    @pytest.mark.parametrize("alpha,k0,p00,message", SINGULAR_MESSAGES)
+    def test_singular_messages_in_both_orders(self, cold_memo, alpha, k0,
+                                              p00, message):
+        for warm in (False, True):
+            clear_caches()
+            if warm:
+                for beta in bipartitions_up_to(size(alpha[0])
+                                               + size(alpha[1])):
+                    construct(beta)
+            with pytest.raises(SingularParameter) as exc:
+                rational_mode_construct(alpha, k0, p00)
+            assert str(exc.value) == message, warm

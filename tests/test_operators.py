@@ -20,6 +20,7 @@ from jacklaurent.operators import (
 )
 from jacklaurent.partitions import bipartitions_up_to
 from jacklaurent.jack import construct
+from jacklaurent.closed_forms import eigenvalue_parts
 
 g = LaurentSymFunc.gen
 
@@ -204,6 +205,71 @@ class TestL2Bound:
                 assert mono_bidegree(m) == (p, n)
                 assert _row_l1(m) == _l2_bound(m) \
                     == (p + n) ** 2 + 2 * (p * p + n * n)
+
+
+# the weights (1, k, p0, k*p0) as ParamPolys, and those of the point
+# (-3/4, 9/5) as ints (times 20) and as Fractions
+_PK, _PP = ParamPoly.var_k(), ParamPoly.var_p0()
+SHIFT_WEIGHTS = {
+    ParamPoly.const: (ParamPoly.const(1), _PK, _PP, _PK * _PP),
+    int: (20, -15, 36, -27),
+    Fraction: (Fraction(1), Fraction(-3, 4), Fraction(9, 5),
+               Fraction(-27, 20)),
+}
+RING_IDS = ("ParamPoly", "int", "Fraction")
+
+
+def _shift(parts, w):
+    """n + lin*k - m*k*p0 read with the weights w, as a step reads an
+    eigenvalue."""
+    n, lin, m = parts
+    return n * w[0] + lin * w[1] - m * w[3]
+
+
+class TestShiftedWeighted:
+    """cms_L2_weighted(f, w, e), the factor L2 - e of a construction step
+    in one pass, against the operator and a separate scale."""
+
+    @pytest.mark.parametrize("ring", SHIFT_WEIGHTS, ids=RING_IDS)
+    @given(st.dictionaries(monomials, st.integers(-9, 9).filter(bool),
+                           max_size=4),
+           st.sampled_from(((0, 0, 0), (5, 3, 2), (1, -1, 4), (14, 9, 4))))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_separate_scale(self, ring, terms, parts):
+        w = SHIFT_WEIGHTS[ring]
+        f = LaurentSymFunc({m: ring(c) for m, c in terms.items()})
+        e = _shift(parts, w)
+        got = cms_L2_weighted(f, w, e)
+        assert got == cms_L2_weighted(f, w) - f.scale(e)
+        assert all(got.terms.values())
+        assert cms_L2_weighted(f, w, 0) == cms_L2_weighted(f, w)
+
+    @pytest.mark.parametrize("ring", SHIFT_WEIGHTS, ids=RING_IDS)
+    def test_a_cancelled_diagonal_is_dropped(self, ring):
+        w = SHIFT_WEIGHTS[ring]
+        # p_1 = P[1; 0] is an eigenfunction, so all of it cancels; the
+        # others keep their rows off the diagonal
+        for m in (((1, 1),), ((-1, 1), (2, 1)), ((-2, 1), (1, 2))):
+            f = LaurentSymFunc({m: ring(1)})
+            image = cms_L2_weighted(f, w)
+            e = image.terms[m]
+            got = cms_L2_weighted(f, w, e)
+            assert m not in got.terms
+            assert got.terms.keys() == image.terms.keys() - {m}
+            assert got == image - f.scale(e)
+        # the unit monomial has no row: the shift alone is left
+        one = LaurentSymFunc({(): ring(2)})
+        assert cms_L2_weighted(one, w).is_zero()
+        assert cms_L2_weighted(one, w, w[1]) == one.scale(-w[1])
+
+    def test_an_eigenfunction_is_sent_to_zero(self):
+        # on the cleared form F of P_alpha, every entry of L2(F) - e*F
+        # cancels
+        w = SHIFT_WEIGHTS[ParamPoly.const]
+        for alpha in bipartitions_up_to(3):
+            F, _ = construct(alpha).cleared
+            got = cms_L2_weighted(F, w, _shift(eigenvalue_parts(alpha), w))
+            assert got.terms == {}, alpha
 
 
 class TestDoubledIntegrals:

@@ -95,9 +95,10 @@ class TestSuites:
         assert len(ids) == len(set(ids))
 
     def test_memos_are_found(self):
-        assert {"jack._construct", "closed_forms._phi_triple",
+        assert {"jack._construct", "jack._plan", "closed_forms._phi_triple",
                 "operators._l2_image", "operators._l_image",
-                "operators._walk", "verify._eigenvalues"} <= set(MEMOS)
+                "operators._walk", "finite_n._gaps",
+                "verify._eigenvalues"} <= set(MEMOS)
 
     def test_cold_and_warm_runs_identical(self):
         clear_caches()
