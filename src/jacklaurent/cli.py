@@ -36,7 +36,7 @@ EXIT_SINGULAR = 3
 # on small inputs, L32 several.
 MAX_OP_ORDER = 16
 # Largest --max-size verify and conjectures accept: all suites take
-# about 1.4 s at 6 and 3.6 s at 7, and conjectures 0.5 s and 1.1 s.
+# about 0.9 s at 6 and 2.3 s at 7, and conjectures 0.6 s and 1.2 s.
 MAX_SIZE = 7
 
 

@@ -17,10 +17,13 @@ of the back-substitution is linear in k, and each coefficient is kept
 over the Factored product of the gaps it needs (_cleared_N).  The finite
 Pieri, eigenvalue and involution checks compare these cleared forms in
 Z[k] over one Factored denominator, and jack_poly_N reduces them to
-ParamRats by trial division over the gap atoms: no polynomial gcd is
-taken.  At a rational k, jack_poly_N evaluates that cleared form: each
-label is solved once.  The torus form pairs the coefficients of f V^m
-and g V^m, V the Vandermonde, and never expands its weight Delta^m.
+ParamRats by trial division over the gap atoms, or evaluates them at a
+rational k: no polynomial gcd is taken, and each label is solved once.
+phi_N reads each p-monomial's image from an int table built by the
+orbit rule for p_i * m_nu (_times_power_sum), and takes the ParamPoly
+coefficients of a cleared form to Z[k].  The torus form pairs the
+coefficients of f V^m and g V^m, V the Vandermonde, and never expands
+its weight Delta^m.
 """
 
 from collections import Counter
@@ -180,29 +183,30 @@ def power_sum_N(j, N):
 def _phi_N_monomial(m, N):
     """The image of the p-monomial m (a sorted tuple of (index, exponent)
     pairs): the product of its power sums, with int coefficients, built
-    from the image of m with one factor fewer."""
+    from the image of m with one factor fewer (_times_power_sum)."""
     if not m:
         return SymLaurentPolyN(N, {(0,) * N: 1})
     i, e = m[-1]
     rest = m[:-1] + ((i, e - 1),) if e > 1 else m[:-1]
-    return _phi_N_monomial(rest, N) * \
-        SymLaurentPolyN(N, {_power_sum_key(i, N): 1})
+    return _times_power_sum(_phi_N_monomial(rest, N), i)
 
 
 def phi_N_map(f, N):
     """The homomorphism from the infinite algebra: p_j -> power sum,
-    p0 -> N; k stays symbolic.  A Fraction coefficient (f specialized
-    already) is a constant, its own value at p0 = N.  Each p-monomial's
-    image is read from the int table _phi_N_monomial and scaled once."""
-    p0v = Fraction(N)
+    p0 -> N; k stays symbolic.  Each p-monomial's image is read from the
+    int table _phi_N_monomial and scaled once by its coefficient at
+    p0 = N: a Fraction (f specialized) as it is, a ParamPoly (a cleared
+    form) in Z[k] by ParamPoly.subs, a ParamRat by substitute_p0."""
     out = SymLaurentPolyN.zero(N)
     for m, c in f.terms.items():
-        if not isinstance(c, Fraction):
+        if isinstance(c, ParamPoly):
+            c = c.subs(1, N, 1, c.degree_p0())
+        elif not isinstance(c, Fraction):
             try:
-                c = c.substitute_p0(p0v)
+                c = c.substitute_p0(N)
             except IdenticallySingular:
                 raise PoleAtSpecialization(
-                    "coefficient %s has a pole at p0=%s" % (c, p0v))
+                    "coefficient %s has a pole at p0=%s" % (c, N))
         out = out + _phi_N_monomial(m, N).scale(c)
     return out
 
@@ -530,17 +534,19 @@ def pieri_V_N(i, chi):
                   "pieri_V_N")
 
 
-def _times_p1(f):
-    """p_1 * f on orbit labels: p_1 * m_nu is the sum over the distinct
-    entries v of nu of c * m_eta, eta nu with one v raised to v + 1 and
-    c the number of i such that eta - e_i is a rearrangement of nu: the
-    multiplicity of v + 1 in eta."""
+def _times_power_sum(f, i):
+    """p_i * f on orbit labels, i a nonzero integer: p_i * m_nu sums
+    c * m_eta over the distinct entries v of nu, eta nu with one v
+    raised to v + i and re-sorted, and c the number of j such that
+    eta - i*e_j is a rearrangement of nu: the multiplicity of v + i in
+    eta.  Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed.
+    (1995), ch. I."""
     out = {}
     for nu, c in f.terms.items():
         for v in set(nu):
             at = nu.index(v)
-            eta = nu[:at] + (v + 1,) + nu[at + 1:]
-            add = c * eta.count(v + 1)
+            eta = tuple(sorted(nu[:at] + nu[at + 1:] + (v + i,), reverse=True))
+            add = c * eta.count(v + i)
             out[eta] = out[eta] + add if eta in out else add
     return f._like({eta: c for eta, c in out.items() if c})
 
@@ -553,7 +559,7 @@ def finite_pieri_check(chi, N):
     ParamPoly, and the two sides must agree."""
     chi = _check_sorted(chi)
     G, Q = _cleared_laurent(chi, N)
-    funcs, coeffs = [_times_p1(G)], [1 / Q]
+    funcs, coeffs = [_times_power_sum(G, 1)], [1 / Q]
     for i in range(1, N + 1):
         v = pieri_V_N(i, chi)
         if v.scale:

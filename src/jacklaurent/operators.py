@@ -191,25 +191,18 @@ _RING_K, _RING_P0 = ParamPoly.var_k(), ParamPoly.var_p0()
 
 
 @cache
-def _walk(j, m):
-    """(2D)^j applied to the monomial m embedded at layer 0, with k and
-    p0 the ParamPoly variables: an ExtendedElement over Z[k, p0], built
-    from the walk of order j - 1."""
-    if j == 0:
-        return ExtendedElement.embed(
-            LaurentSymFunc({m: ParamPoly.const(1)}))
-    return dunkl_heckman_doubled(_walk(j - 1, m), _RING_K, _RING_P0)
-
-
-@cache
 def _l_image(r, m):
     """The image of 2^r * L_r on the monomial m as a tuple of rows
     (target, ((i, j, c), ...)) with ints c:
 
         2^r * L_r(m) = sum c * k^i * p0^j * target,
 
-    read off e_project of the walk (2D)^r(m) in Z[k, p0]."""
-    image = e_project(_walk(r, m), _RING_P0)
+    read off e_project of the walk (2D)^r(m) from layer 0 in Z[k, p0];
+    the walk itself is not kept."""
+    walk = ExtendedElement.embed(LaurentSymFunc({m: ParamPoly.const(1)}))
+    for _ in range(r):
+        walk = dunkl_heckman_doubled(walk, _RING_K, _RING_P0)
+    image = e_project(walk, _RING_P0)
     return tuple((target, tuple((i, j, c) for (i, j), c in poly.terms.items()))
                  for target, poly in image.terms.items())
 

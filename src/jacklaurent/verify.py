@@ -12,10 +12,10 @@ from functools import cache, partial
 from .laurent import LaurentSymFunc, mono_from_dict
 from .partitions import size, bipartitions_up_to, w_bipartition, chi_N, \
     add_box_candidates, remove_box_candidates, label_str
-from .rational import ParamPoly, PoleAtSpecialization
+from .rational import ParamPoly, PoleAtSpecialization, poly_divexact
 from .operators import cms_L_doubled, cms_L2_direct
 from .closed_forms import evaluation_value, norm_value, separation_check, \
-    pieri_V, pieri_U, pieri_V_diagram, pieri_U_diagram
+    pieri_V, pieri_U, pieri_V_diagram, pieri_U_diagram, _ratio
 from . import jack
 from .jack import construct
 from .finite_n import phi_N_map, jack_laurent_poly_N, torus_form, \
@@ -98,23 +98,37 @@ def check_evaluation(alpha):
     return ok, {"value": str(got), "formula": str(want)}
 
 
-def _restricted(alpha, k0, N):
-    """phi_N(P_alpha) at k = k0, on Fractions: P_alpha is specialized to
-    (k0, p0 = N) before the map.  None when a coefficient has a pole
-    there, though the image may have none; the check then runs its
-    symbolic route."""
-    try:
-        return phi_N_map(construct(alpha).f.specialize(k0, N), N)
-    except PoleAtSpecialization:
-        return None
+def _restricted(cleared, k0, N):
+    """phi_N(P) at k = k0 on Fractions, from P's cleared form (F, D):
+    phi_N_map takes F to Z[k], D's atoms are restricted to p0 = N
+    (Factored.of moves each content into the scale), an atom that
+    vanishes at k0 is divided out of the image exactly, and the image
+    is read at k0 once.  Raises PoleAtSpecialization where that has a
+    pole: D vanishes at p0 = N, or the atom does not divide the image."""
+    F, D = cleared
+    low = _ratio([((D.scale, *(a.subs(1, N, 1, 1)
+                               for a in D.atoms.elements())), ())], "phi_N")
+    if not low.scale:
+        raise PoleAtSpecialization("denominator %s vanishes at p0=%s"
+                                   % (D, N))
+    image, d = phi_N_map(F, N), low.scale
+    for a, e in low.atoms.items():
+        v = a.evaluate(k0, 0)
+        if v:
+            d *= v ** e
+            continue
+        try:
+            image = image.map_coeffs(partial(poly_divexact, b=a ** e))
+        except ArithmeticError:
+            raise PoleAtSpecialization("the restriction keeps a pole at "
+                                       "%s = 0" % a) from None
+    return image.map_coeffs(lambda c: c.evaluate(k0, 0) / d)
 
 
 def check_norm_torus(alpha):
     lam, mu = alpha
     N, k0 = max(TORUS_N, len(lam) + len(mu)), TORUS_K
-    f = _restricted(alpha, k0, N)
-    if f is None:
-        f = phi_N_map(construct(alpha).f, N)
+    f = _restricted(construct(alpha).cleared, k0, N)
     val = torus_form(f, f, k0, N)
     want = norm_value(alpha).specialize(k0, N)
     return val == want, {"torus": str(val), "formula": str(want),
@@ -141,9 +155,7 @@ def check_separation(alpha, beta):
 def check_finite_n(alpha):
     N, k0 = FINITE_N, FINITE_K
     lam, mu = alpha
-    img = _restricted(alpha, k0, N)
-    if img is None:
-        img = phi_N_map(construct(alpha).f, N).substitute_k(k0)
+    img = _restricted(construct(alpha).cleared, k0, N)
     if len(lam) + len(mu) > N:
         return img.is_zero(), {"N": N, "expected": "0"}
     chi = chi_N(alpha, N)

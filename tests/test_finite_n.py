@@ -16,7 +16,7 @@ from jacklaurent.rational import K, RAT_ONE, rat, as_rat, poly_divexact, \
     NotEigenvector, ParamPoly, SingularParameter, PoleAtSpecialization
 from jacklaurent.laurent import LaurentSymFunc, parse_element
 from jacklaurent.operators import cms_L
-from jacklaurent.closed_forms import expand, pieri_U
+from jacklaurent.closed_forms import Factored, expand, pieri_U
 from jacklaurent.partitions import bipartitions_up_to, chi_N, \
     dominance_leq, partitions_of
 from jacklaurent.jack import construct, jack_positive
@@ -338,6 +338,15 @@ class TestIntTables:
             f = construct(alpha).f
             assert phi_N_map(f, N) == reference_phi_N_map(f, N), alpha
 
+    @pytest.mark.parametrize("i", [1, -1, 2, -2, 3, -3])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_times_power_sum(self, N, i):
+        # p_i * f by the orbit rule against the product through every
+        # rearrangement, on orbits with negative and repeated entries
+        chis = combinations_with_replacement(range(2, -3, -1), N)
+        f = SymLaurentPolyN(N, {chi: K + j for j, chi in enumerate(chis)})
+        assert finite_n._times_power_sum(f, i) == power_sum_N(i, N) * f
+
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_phi_N_map_on_monomials(self, N):
         f = parse_element("p2^2*p-1 + (k/(p0+1))*p1^3*p-2 + p-1^2 - 3")
@@ -379,24 +388,70 @@ class TestIntTables:
             assert phi_N_map(f.specialize(k0, N), N) == \
                 phi_N_map(f, N).substitute_k(k0), alpha
 
-    def test_fallback_on_a_pole_of_one_coefficient(self, monkeypatch):
+
+class TestRestrictedRoute:
+    """verify._restricted, the one route from P to N variables of the
+    norms and finite-n checks: the cleared form restricted over Z[k]."""
+
+    @pytest.mark.parametrize("point", ["torus", "finite"])
+    def test_equals_the_field_routes(self, point):
+        # at both check points, for every label up to 6: the Fraction
+        # route where P specializes, else the ParamRat route at k0
+        on_rats = []
+        for alpha in sorted(bipartitions_up_to(6)):
+            lam, mu = alpha
+            k0, N = (verify.TORUS_K, max(verify.TORUS_N, len(lam) + len(mu))) \
+                if point == "torus" else (verify.FINITE_K, verify.FINITE_N)
+            f = construct(alpha).f
+            try:
+                want = phi_N_map(f.specialize(k0, N), N)
+            except PoleAtSpecialization:
+                on_rats.append(alpha)
+                want = phi_N_map(f, N).substitute_k(k0).map_coeffs(
+                    lambda c: c.specialize(k0, N))
+            got = verify._restricted(construct(alpha).cleared, k0, N)
+            assert got == want, alpha
+            assert all(type(c) is Fraction for c in got.terms.values())
+        if point == "finite":
+            assert ((1,), (1, 1, 1, 1, 1)) in on_rats
+        else:
+            assert not on_rats
+
+    def test_pole_of_one_coefficient_takes_no_gcd(self):
         # a coefficient of P[1; 1,1,1,1,1] has a pole at (k, p0) =
         # (-1/2, 3), its image in three variables has none; the check
-        # then maps the symbolic function and gives the symbolic row
+        # passes on the cleared form with no gcd
         alpha = ((1,), (1, 1, 1, 1, 1))
         with pytest.raises(PoleAtSpecialization):
             construct(alpha).f.specialize(verify.FINITE_K, verify.FINITE_N)
-        symbolic = []
-        real = verify.phi_N_map
+        with mock.patch.object(rational, "poly_gcd",
+                               wraps=rational.poly_gcd) as calls:
+            assert verify.check_finite_n(alpha) == \
+                (True, {"N": 3, "expected": "0"})
+        assert calls.call_count == 0
 
-        def recording(f, N):
-            symbolic.append(all(type(c) is not Fraction
-                                for c in f.terms.values()))
-            return real(f, N)
-        monkeypatch.setattr(verify, "phi_N_map", recording)
-        assert verify.check_finite_n(alpha) == \
-            (True, {"N": 3, "expected": "0"})
-        assert symbolic == [True]
+    def test_atom_vanishing_at_k0_divides_out(self):
+        # (3 + 6k)/(2 + 4k) * p1 and (1 + 5k - k*p0)/(2 - 2k*p0 + 10k)
+        # * p1, whose denominators vanish at k = -1/2 (the second at
+        # p0 = 3 only), restrict to 3/2 and 1/2 times m_(1,0,0)
+        k, p0 = ParamPoly.var_k(), ParamPoly.var_p0()
+        for num, den, want in ((3 + 6 * k, 2 + 4 * k, Fraction(3, 2)),
+                               (1 + 5 * k - k * p0, 2 + 10 * k - 2 * k * p0,
+                                Fraction(1, 2))):
+            got = verify._restricted((g(1).map_coeffs(lambda c: num),
+                                      Factored.of(den)), Fraction(-1, 2), 3)
+            assert got == SymLaurentPolyN(3, {(1, 0, 0): want})
+
+    def test_image_with_a_pole_raises(self):
+        # no factor of the atom that vanishes at k = -1/2 in the image,
+        # one factor of two, and a denominator that vanishes at p0 = 3
+        k, p0 = ParamPoly.var_k(), ParamPoly.var_p0()
+        for num, den in ((ParamPoly.const(1), Factored.of(1 + 2 * k)),
+                         (1 + 2 * k, Factored(1, Counter({1 + 2 * k: 2}))),
+                         (k, Factored.of(3 - p0))):
+            F = g(1).map_coeffs(lambda c: num)
+            with pytest.raises(PoleAtSpecialization):
+                verify._restricted((F, den), Fraction(-1, 2), 3)
 
 
 class TestFiniteOperator:

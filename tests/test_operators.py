@@ -12,7 +12,7 @@ from jacklaurent.rational import K, P0, RAT_ONE, RAT_ZERO, ParamPoly, \
 from jacklaurent.laurent import LaurentSymFunc, mono_bidegree
 from jacklaurent import operators
 from jacklaurent.operators import (
-    ExtendedElement, NotPositivePart, _l2_bound, _l2_image, _l_image, _walk,
+    ExtendedElement, NotPositivePart, _l2_bound, _l2_image, _l_image,
     cms_I, cms_L, cms_L2_direct, cms_L2_weighted, cms_L_doubled, delta_p0,
     delta_tilde, derivation_d, dunkl_heckman, dunkl_heckman_doubled,
     e_project, hat_f_expansion_check, hat_f_operators, polychronakos_pi,
@@ -406,16 +406,6 @@ class TestIntegralTable:
         assert _l_image(0, m) == ((m, ((0, 1, 1),)),)
         assert _l_image(1, m) == ((m, ((0, 0, 2),)),)
 
-    def test_orders_share_the_walk(self):
-        _walk.cache_clear()
-        _l_image.cache_clear()
-        m = _p_monomial(((2, 1), (1,)))
-        _l_image(3, m)
-        assert _walk.cache_info().misses == 4
-        _l_image(2, m)
-        _l_image(1, m)
-        assert _walk.cache_info().misses == 4
-
     def test_table_is_not_read_from_the_second_order_table(
             self, monkeypatch):
         # the commute check compares cms_L2_direct, read from _l2_image,
@@ -424,7 +414,6 @@ class TestIntegralTable:
             raise AssertionError("_l2_image read")
 
         monkeypatch.setattr(operators, "_l2_image", refuse)
-        _walk.cache_clear()
         _l_image.cache_clear()
         f = g(2) * g(-1) + g(1)
         assert cms_L_doubled(2, f) == walk_oracle(2, f, K, P0)
