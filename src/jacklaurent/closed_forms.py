@@ -82,7 +82,7 @@ class Factored:
     __slots__ = ("scale", "atoms")
 
     def __init__(self, scale=1, atoms=None):
-        self.scale = Fraction(scale)
+        self.scale = scale if type(scale) is Fraction else Fraction(scale)
         self.atoms = Counter() if atoms is None else atoms
 
     @staticmethod
@@ -239,20 +239,22 @@ def _linear(a, b, c, d):
 def _ratio(pairs, what):
     """The Factored prod (prod nums)/(prod dens) over the (nums, dens)
     pairs of tuples of linear forms or Factored; SingularProduct names
-    `what` when a den is identically zero.  The exponents of an atom add
-    with their signs, not with Counter's `+` and `-`, which drop what is
-    not positive."""
-    n, d, atoms = 1, 1, Counter()
+    `what` when a den is identically zero.  An atom's exponents add with
+    their signs in a plain dict and the scale is kept as two ints, so
+    one Fraction and one Counter are built, at the end."""
+    n, d, atoms = 1, 1, {}
     for nums, dens in pairs:
         for f in map(Factored.of, dens):
             if not f.scale:
                 raise SingularProduct(
                     "%s: a denominator factor vanishes identically" % what)
             n, d = n * f.scale.denominator, d * f.scale.numerator
-            atoms.subtract(f.atoms)
+            for a, e in f.atoms.items():
+                atoms[a] = atoms.get(a, 0) - e
         for f in map(Factored.of, nums):
             n, d = n * f.scale.numerator, d * f.scale.denominator
-            atoms.update(f.atoms)
+            for a, e in f.atoms.items():
+                atoms[a] = atoms.get(a, 0) + e
     if not n:
         return Factored(0)
     return Factored(Fraction(n, d),
@@ -277,10 +279,18 @@ def eigenvalue_e(alpha, k=K, p0=P0):
 
     `k` and `p0` are the point it is read at, in whatever ring they share
     with an int: ParamRats give the value in Q(k, p0), ParamPolys in
-    Z[k, p0], and Fractions its value at a rational point.
+    Z[k, p0], and Fractions its value at a rational point.  The
+    construction builds it from the ints instead (_eigenvalue_rat).
     """
     n, lin, m = eigenvalue_parts(alpha)
     return n + k * lin - k * p0 * m
+
+
+def _eigenvalue_rat(parts):
+    """eigenvalue_e at K and P0, the canonical ParamRat built with no
+    field arithmetic from the ints of eigenvalue_parts."""
+    n, lin, m = parts
+    return as_rat(ParamPoly({(0, 0): n, (1, 0): lin, (1, 1): -m}))
 
 
 def eigenvalue_eN(chi, N):

@@ -60,8 +60,8 @@ from .partitions import size, conjugate, add_box_candidates, \
     remove_box_candidates, add_box, remove_box, normalize_partition, \
     label_str
 from .operators import cms_L_doubled, cms_L2_weighted, _l2_bound
-from .closed_forms import Factored, expand, eigenvalue_e, eigenvalue_parts, \
-    pieri_V, pieri_U, duality_constant, evaluation_value, _over_one
+from .closed_forms import Factored, expand, eigenvalue_parts, pieri_V, \
+    pieri_U, duality_constant, evaluation_value, _eigenvalue_rat, _over_one
 
 
 class JackLaurentFunction:
@@ -70,10 +70,10 @@ class JackLaurentFunction:
     fields: alpha (the bipartition), f (the element of the algebra),
     cleared (F, D, with D a Factored, the lcm of the coefficient
     denominators, and F = D*f on ParamPoly coefficients), eigenvalue2
-    (the second integral's eigenvalue), provenance (the boxes of the
-    first diagram in the canonical order construct adds them; not
-    necessarily the route the build took, as a mirrored label is read
-    as the star of its mirror).
+    (the second integral's eigenvalue, from its int parts), provenance
+    (the boxes of the first diagram in the canonical order construct
+    adds them; not necessarily the route the build took, as a mirrored
+    label is read as the star of its mirror).
     Instances are immutable; the memo table shares them freely.
     """
 
@@ -344,36 +344,41 @@ class _Point:
         layout `ring`, and num and den are Factored: in num/den the
         atoms of both cancel, each coefficient divides out the atoms
         left below while it can (_Packed.divide) and is unpacked once,
-        and what remains is coprime, so _scalar_canonical finishes the
-        canonical form.  D' takes each atom to the highest power left in
-        any of them."""
+        and what remains is coprime.  No atom is left above: P_beta is
+        m_beta plus lower monomials, and 1, its m_beta coefficient, is a
+        Q-linear combination of these, which an atom above them all
+        would divide.  So with num/den = c_up/(c_down * down) in lowest
+        terms, a coefficient c of content g is (c/h * c_up)/(c_down/h *
+        down) for h = gcd(g, c_down), canonical as each key's atoms
+        multiply out, once, to a primitive polynomial with a positive
+        front coefficient.  D' is the lcm of the c_down/h times each
+        atom to the highest power left in any coefficient."""
         if self.at is not None:
             r = Fraction(num, den)
             rn, rd = r.numerator, r.denominator
             g = gcd(rd, *F.terms.values())
             return F.map_coeffs(lambda c: c // g * rn), rd // g
-        (c_up, up), (c_down, down) = (num / den).sides()
-        top = expand(c_up, up)
+        (c_up, _), (c_down, down) = (num / den).sides()
         left = list(down.items())
         dens, parts, quot = {}, {}, {}
         for m, n in F.terms.items():
             c, powers = ring.divide(n, left)
             key = tuple(e - i for (_, e), i in zip(left, powers))
             if key not in dens:
-                dens[key] = expand(c_down,
-                                   {a: e for (a, _), e in zip(left, key)})
-            p, q = _scalar_canonical(c * top, dens[key])
-            parts[m] = p, q, gcd(*q.terms.values()), key
-        d = lcm(*(c for _, _, c, _ in parts.values()))
+                dens[key] = expand(1, {a: e for (a, _), e in zip(left, key)})
+            g, c = c.content_primitive()
+            h = gcd(g, c_down)
+            parts[m] = c.scale(g // h * c_up), c_down // h, key
+        d = lcm(*(c for _, c, _ in parts.values()))
         high = [max(col) for col in zip(*(key for *_, key in parts.values()))]
 
-        def cleared(p, _, c, key):
+        def cleared(p, c, key):
             if (c, key) not in quot:
                 quot[c, key] = expand(d // c, {
                     a: h - e for (a, _), h, e in zip(left, high, key)})
             return p * quot[c, key]
-        f = LaurentSymFunc({m: _make(p, q)
-                            for m, (p, q, _, _) in parts.items()})
+        f = LaurentSymFunc({m: _make(p, dens[key].scale(c))
+                            for m, (p, c, key) in parts.items()})
         F = LaurentSymFunc({m: cleared(*v) for m, v in parts.items()})
         D = Factored(d, Counter({a: h for (a, _), h in zip(left, high) if h}))
         return f, (F, D)
@@ -449,9 +454,9 @@ def _grow(cleared, alpha, box, point):
 
 def _extend(prev, box):
     """The symbolic step from prev = P_alpha, with its label and trace."""
-    beta, _, _ = _plan(prev.alpha, box)
+    beta, parts, at = _plan(prev.alpha, box)
     f, cleared = _grow(prev.cleared, prev.alpha, box, _SYMBOLIC)
-    return JackLaurentFunction(beta, f, cleared, eigenvalue_e(beta),
+    return JackLaurentFunction(beta, f, cleared, _eigenvalue_rat(parts[at]),
                                prev.provenance + (box,))
 
 
@@ -484,7 +489,7 @@ def _construct(key):
         return _extend(construct((remove_box(lam, box), mu)), box)
     return JackLaurentFunction(key, LaurentSymFunc.one(), (
         LaurentSymFunc.const(ParamPoly.const(1)), Factored()),
-        eigenvalue_e(key), ())
+        _eigenvalue_rat(eigenvalue_parts(key)), ())
 
 
 def jack_positive(lam):

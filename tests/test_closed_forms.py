@@ -26,7 +26,7 @@ from jacklaurent.closed_forms import (
     expand, hc_value, norm_value, phi_infinity, phi_pair,
     pieri_U, pieri_U_diagram, pieri_V, pieri_V_diagram,
     separation_check, shifted_power_sum, stable_eigenvalue, stanley_phi,
-    _phi_triple, _y_col, _y_row,
+    _linear, _phi_triple, _ratio, _y_col, _y_row,
 )
 from jacklaurent.finite_n import pieri_V_N
 from jacklaurent import clear_caches, rational
@@ -697,6 +697,53 @@ class TestFactored:
             assert f.param_swap().to_rat() == f.to_rat().param_swap()
         with pytest.raises(ValueError, match="linear form"):
             Factored.of(_form(1, 1, 1, 0)).param_swap()
+
+
+forms = st.tuples(small_ints, small_ints, small_ints, small_ints)
+
+
+class TestRatio:
+    """_ratio over _linear forms read from ints: exponents summed with
+    their signs, the scale kept as two ints, against the field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(forms, max_size=4), st.lists(forms, max_size=4),
+           nonzero_forms)
+    def test_matches_the_field(self, nums, dens, shared):
+        top = tuple(_linear(*c) for c in nums)
+        bottom = tuple(_linear(*c) for c in dens)
+        if not all(map(any, dens)):
+            with pytest.raises(SingularProduct) as err:
+                _ratio([(top, bottom)], "a test product")
+            assert str(err.value) == \
+                "a test product: a denominator factor vanishes identically"
+            return
+        q = _ratio([(top, bottom)], "a test product")
+        want = RAT_ONE
+        for c in nums:
+            want = want * as_rat(_form(*c))
+        for c in dens:
+            want = want / as_rat(_form(*c))
+        assert q.to_rat() == want
+        assert type(q.scale) is Fraction and type(q.atoms) is Counter
+        total = Counter()
+        for sign, side in ((1, top), (-1, bottom)):
+            for f in side:
+                for a, e in f.atoms.items():
+                    total[a] += sign * e
+        if all(map(any, nums)):
+            assert q.atoms == {a: e for a, e in total.items() if e}
+        else:
+            assert not q.scale and not q.atoms
+        # an atom whose exponents sum to 0 is dropped: a form on both
+        # sides leaves the product as it was, and so does its reciprocal
+        f = _linear(*shared)
+        again = _ratio([(top + (f,), bottom), ((), (f,))], "a test product")
+        assert (again.scale, again.atoms) == (q.scale, q.atoms)
+        assert all(again.atoms.values())
+        if q.scale:
+            one = _ratio([(top, bottom), (bottom, top)], "a test product")
+            assert (one.scale, one.atoms) == (1, Counter())
 
 
 # (p, x) for the Stanley-type products: the shifts of TestIntBuiltFactors

@@ -2,8 +2,10 @@
 frozen small eigenfunctions, eigenvalue checks, Pieri recursion,
 involutions, growth-order independence, and numeric-parameter mode."""
 
+import contextlib
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -415,7 +417,7 @@ class TestFactoredDenominators:
         text = "\n".join(str(construct(a)) for a in bipartitions_up_to(5))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_UP_TO_5
 
-    @pytest.mark.parametrize("alpha", bipartitions_up_to(5))
+    @pytest.mark.parametrize("alpha", bipartitions_up_to(7))
     def test_coefficients_are_canonical(self, alpha):
         # ParamRat reduces num/den again through the polynomial gcd
         for c in construct(alpha).f.terms.values():
@@ -460,7 +462,7 @@ class TestClearedForm:
     """The cleared form the construction carries, against the lcm of
     the denominators taken in the field."""
 
-    @pytest.mark.parametrize("alpha", bipartitions_up_to(5))
+    @pytest.mark.parametrize("alpha", bipartitions_up_to(7))
     def test_symbolic_matches_field_lcm(self, alpha):
         jf = construct(alpha)
         F, D = jf.cleared
@@ -489,6 +491,62 @@ class TestClearedForm:
                 rational_mode_construct((lam, mu), k0, p00)), (lam, mu)
             checked += 1
         assert checked > 40
+
+
+class TestIntScalars:
+    """The symbolic step's scalars from ints: the eigenvalue against
+    the field, the step's quotient without atoms above, and no field
+    arithmetic in the construction (the canonical forms and the cleared
+    form are compared with the field in TestFactoredDenominators and
+    TestClearedForm)."""
+
+    def test_eigenvalue_matches_the_field(self, cold_memo):
+        # n + K*lin - K*P0*m multiplied out in Q(k, p0), for the grown,
+        # the mirrored and the empty label alike
+        labels = sorted(bipartitions_up_to(7))
+        assert labels[0] == ((), ())
+        for alpha in labels:
+            n, lin, m = eigenvalue_parts(alpha)
+            want = rat(n) + K * lin - K * P0 * m
+            for got in (construct(alpha).eigenvalue2, eigenvalue_e(alpha)):
+                assert type(got) is ParamRat and got == want, alpha
+                assert (got.num.terms, got.den.terms) == \
+                    (want.num.terms, want.den.terms)
+                assert str(got) == str(want) and hash(got) == hash(want)
+
+    def test_no_atom_is_left_above(self, cold_memo):
+        # _Point.unclear drops the atoms above in num/den: each step of
+        # a cold build to 7 has none to drop
+        tops, unclear = [], jack._Point.unclear
+
+        def spy(point, F, num, den, ring=None):
+            if point.at is None:
+                tops.append((num / den).sides()[0][1])
+            return unclear(point, F, num, den, ring)
+        with mock.patch.object(jack._Point, "unclear", spy):
+            for alpha in bipartitions_up_to(7):
+                construct(alpha)
+        assert len(tops) > 100 and not any(tops)
+
+    def test_construction_takes_no_field_arithmetic(self, cold_memo):
+        # in the style of test_construction_takes_no_gcd: no ParamRat is
+        # reduced or combined, and no canonical form is finished by
+        # _scalar_canonical, in whichever module holds it
+        holders = [mod for name, mod in sys.modules.items()
+                   if name.startswith("jacklaurent.")
+                   and hasattr(mod, "_scalar_canonical")]
+        assert rational in holders and jack in holders
+        with contextlib.ExitStack() as stack:
+            for name in ("__init__", "__add__", "__sub__", "__mul__",
+                         "__truediv__"):
+                stack.enter_context(mock.patch.object(
+                    ParamRat, name, side_effect=AssertionError(name)))
+            for mod in holders:
+                stack.enter_context(mock.patch.object(
+                    mod, "_scalar_canonical",
+                    side_effect=AssertionError("_scalar_canonical")))
+            for alpha in bipartitions_up_to(6):
+                construct(alpha)
 
 
 # -- packed coefficients -------------------------------------------------------
