@@ -29,7 +29,7 @@ its weight Delta^m.
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add
 
 from .rational import RAT_ZERO, RAT_ONE, K, ParamPoly, Sparse, as_rat, \
@@ -356,9 +356,12 @@ def _cleared_N(nu, N):
     Q_delta the Factored product of the gaps it needs: the sum of
     a * c_eta over the eta solved before it is brought over their lcm Q
     (_over_one), and Q_delta is Q times its own gap.  At the end all
-    coefficients are brought over one Q the same way.  No gcd is taken,
-    and no atom is cancelled, so Q is a multiple of the reduced
-    denominator."""
+    coefficients are brought over one Q the same way, and each atom to
+    the least power a coefficient holds (_divide_out, scanning up from
+    the lowest terms, as P_nu's own coefficient is Q, and stopping at
+    the first the atom does not divide), then the int content, is
+    divided out of G and Q.  No polynomial gcd is taken, and Q is the
+    lcm of the reduced denominators."""
     gaps = _gaps(nu, N)
     actions = {delta: {tuple(x for x in eta if x): xy
                        for eta, xy in _cms_N_image(_pad(delta, N)).items()}
@@ -375,9 +378,20 @@ def _cleared_N(nu, N):
         if total:
             parts[delta] = total, Q * _linear(a, b, 0, 0)
     Q, nums = _over_one([1 / d for _, d in parts.values()])
-    return SymLaurentPolyN(N, {
-        _pad(delta, N): n * u
-        for (delta, (n, _)), u in zip(parts.items(), nums)}), Q
+    G = {_pad(delta, N): n * u
+         for (delta, (n, _)), u in zip(parts.items(), nums)}
+    atoms = Counter(Q.atoms)
+    for a, i in Q.atoms.items():
+        for c in reversed(G.values()):
+            i = _divide_out(c, a, i)[1]
+            if not i:
+                break
+        if i:
+            G = {chi: _divide_out(c, a, i)[0] for chi, c in G.items()}
+            atoms[a] -= i
+    g = gcd(Q.scale.numerator, *(gcd(*c.terms.values()) for c in G.values()))
+    G = {chi: c.map_coeffs(lambda x: x // g) for chi, c in G.items()}
+    return SymLaurentPolyN(N, G), Factored(Q.scale / g, +atoms)
 
 
 def _field_form(G, Q):

@@ -5,10 +5,12 @@ The construction grows the first diagram box by box, in one loop, _grow,
 that runs at a point: either symbolic parameters or a rational (k, p0).
 A step is split in two.  Its plan (_plan, memoized on the label and the
 box) is what does not depend on the point: the label it builds and the
-eigenvalue_parts of the labels that can appear beside it, built once
-and read by the symbolic steps and by every rational point alike.  At
-the point run the weights, the Pieri coefficient, the singularity
-checks and the arithmetic of the ring.
+eigenvalue_parts of the labels that can appear beside it, read off the
+label's own by box arithmetic, built once and read by the symbolic
+steps and by every rational point alike, as is the table _times_p1 of
+p_1 * m per monomial m.  At the point run the weights, the Pieri
+coefficient (at a rational point one pass over V's atoms), the
+singularity checks and the arithmetic of the ring.
 One step takes the function at alpha = (lam, mu), multiplies by p_1, and
 isolates the P_{lam+box, mu} component by applying, for every other label
 gamma that can appear in the product, the factor
@@ -50,13 +52,13 @@ every label, as which points are singular depends on the route.
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .rational import ParamPoly, ParamRat, RAT_ZERO, rat, \
     SingularParameter, NotEigenvector, poly_divexact, _divide_out, _make, \
     _scalar_canonical
-from .laurent import LaurentSymFunc
-from .partitions import size, conjugate, add_box_candidates, \
+from .laurent import LaurentSymFunc, mono_mul
+from .partitions import size, conjugate, boxes, add_box_candidates, \
     remove_box_candidates, add_box, remove_box, normalize_partition, \
     label_str
 from .operators import cms_L_doubled, cms_L2_weighted, _l2_bound
@@ -98,20 +100,10 @@ def _normalize_alpha(alpha):
     return normalize_partition(lam), normalize_partition(mu)
 
 
-def _deepest_removable(lam):
-    return max(remove_box_candidates(lam))
-
-
 def _canonical_order(lam):
-    """Box-addition order used by construct: peel deepest removable boxes
-    off `lam`, then reverse."""
-    peeled = []
-    while lam:
-        box = _deepest_removable(lam)
-        peeled.append(box)
-        lam = remove_box(lam, box)
-    peeled.reverse()
-    return peeled
+    """Box-addition order used by construct: the boxes of `lam` row by
+    row, so each step adds the last box of its label's last row."""
+    return boxes(lam)
 
 
 def _neighbors(alpha):
@@ -169,6 +161,7 @@ def _neighbors(alpha):
 # by poly_divexact.
 
 _K, _P0 = ParamPoly.var_k(), ParamPoly.var_p0()
+_P1 = ((1, 1),)    # the monomial p_1
 
 
 def _width(height):
@@ -311,18 +304,21 @@ class _Point:
         """(vnum, vden), the Pieri coefficient V = vnum/vden of the box
         (pieri_V): symbolically the Factored of its atoms with
         positive and with negative exponents.  At a rational point ints,
-        each atom read with the weights (1, k, p0, k*p0): that is its
-        value times w1, so each side also takes w1 to the number of
-        atoms of the other."""
-        sides = pieri_V(box, alpha).sides()
+        read from V's scale and atoms in one pass: each atom read with
+        the weights (1, k, p0, k*p0), which is its value times w1, goes
+        to the side of its exponent's sign raised to the exponent's
+        absolute value, and w1 to the other side as often."""
+        V = pieri_V(box, alpha)
         if self.at is None:
-            return tuple(Factored(c, Counter(atoms)) for c, atoms in sides)
+            return tuple(Factored(c, Counter(atoms))
+                         for c, atoms in V.sides())
         w = self.weights
-        (n, up), (d, down) = sides
-        return tuple(c * w[0] ** sum(other.values()) * prod(
-            sum(x * w[i + 2 * j] for (i, j), x in a.terms.items()) ** e
-            for a, e in atoms.items())
-            for c, atoms, other in ((n, up, down), (d, down, up)))
+        num, den = V.scale.numerator, V.scale.denominator
+        for a, e in V.atoms.items():
+            x = sum(c * w[i + 2 * j] for (i, j), c in a.terms.items())
+            up, down = (x, w[0]) if e > 0 else (w[0], x)
+            num, den = num * up ** abs(e), den * down ** abs(e)
+        return num, den
 
     def pack(self, F, factors):
         """(F, layout) for the factors L2 - e, a (parts, e) each, on a
@@ -404,24 +400,38 @@ def _plan(alpha, box):
     alpha that does not depend on the point: (beta, parts, at), with
     beta the label it builds, parts the eigenvalue_parts of each label
     that can appear in p_1 * P_alpha, in the order of _neighbors, and
-    `at` the index of beta among them.  It holds labels and ints, and
-    one plan serves the symbolic step and every rational point.  The
-    neighbours themselves are not kept: only a collision names them,
-    and it lists them again."""
+    `at` the index of beta among them, read off alpha's own parts:
+    adding the box (i, j) to lam raises (n, lin, m) by (2j-1, 2i-1, 1),
+    and removing the box (i, j) of mu lowers them by as much, so no
+    neighbour label is built (only a collision lists them).  It holds
+    labels and ints, and serves the symbolic step and every point."""
     lam, mu = alpha
-    near = _neighbors(alpha)
     beta = (add_box(lam, box), mu)
-    return beta, tuple(map(eigenvalue_parts, near)), near.index(beta)
+    n, lin, m = eigenvalue_parts(alpha)
+    adds = add_box_candidates(lam)
+    parts = [(n + 2 * j - 1, lin + 2 * i - 1, m + 1) for i, j in adds]
+    parts += [(n - 2 * j + 1, lin - 2 * i + 1, m - 1)
+              for i, j in remove_box_candidates(mu)]
+    return beta, tuple(parts), adds.index(box)
+
+
+@cache
+def _times_p1(m):
+    """The monomial p_1 * m: the table of the shift by p_1 that every
+    step, symbolic or at a point, reads for each monomial of F."""
+    return mono_mul(m, _P1)
 
 
 def _grow(cleared, alpha, box, point):
     """One projector step at `point`: from f = P_alpha to P_beta, where
     beta adds `box` to the first diagram of alpha.  The eigenvalue_parts
-    of the neighbouring labels come from the step's plan (_plan), built
-    once for every point; what runs at the point is the arithmetic.  The eigenvalues and V = vnum/vden are read in the
-    point's ring, and the singularity checks run on them first; then
-    p_1 and every L2 - e(gamma), the operator and the eigenvalues
-    scaled alike by the layout's weights, act on F = D*f in the ring,
+    of the neighbouring labels come from the step's plan (_plan), and
+    p_1 * m from the table _times_p1, both built once for every point;
+    what runs at the point is the arithmetic.  The eigenvalues and
+    V = vnum/vden are read in the point's ring, and the singularity
+    checks run on them first; then p_1 and every L2 - e(gamma), the
+    operator and the eigenvalues scaled alike by the layout's weights,
+    act on F = D*f in the ring,
     and den = D * prod (s - e(gamma)) and V are divided out once.
     Takes (F, D) and returns (P_beta, (F', D')), or (F', D') alone at a
     rational point (_Point.unclear).
@@ -444,7 +454,8 @@ def _grow(cleared, alpha, box, point):
     others = [(parts, e) for i, (parts, e) in enumerate(zip(near, eig))
               if i != at]
     out, den = cleared
-    out, ring = point.pack(out.times(1), others)
+    out = out._like({_times_p1(m): c for m, c in out.terms.items()})
+    out, ring = point.pack(out, others)
     w = ring.weights
     for parts, e in others:
         out = cms_L2_weighted(out, w, _read(parts, w))
@@ -485,7 +496,7 @@ def _construct(key):
                                    mirror.eigenvalue2,
                                    tuple(_canonical_order(lam)))
     if lam:
-        box = _deepest_removable(lam)
+        box = (len(lam), lam[-1])
         return _extend(construct((remove_box(lam, box), mu)), box)
     return JackLaurentFunction(key, LaurentSymFunc.one(), (
         LaurentSymFunc.const(ParamPoly.const(1)), Factored()),

@@ -8,17 +8,19 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, permutations
+from math import lcm
 from unittest import mock
 
 import pytest
 
 from jacklaurent.rational import K, RAT_ONE, rat, as_rat, poly_divexact, \
-    NotEigenvector, ParamPoly, SingularParameter, PoleAtSpecialization
+    NotEigenvector, ParamPoly, SingularParameter, PoleAtSpecialization, \
+    _divide_out
 from jacklaurent.laurent import LaurentSymFunc, parse_element
 from jacklaurent.operators import cms_L
 from jacklaurent.closed_forms import Factored, expand, pieri_U
 from jacklaurent.partitions import bipartitions_up_to, chi_N, \
-    dominance_leq, partitions_of
+    dominance_leq, partitions_of, partitions_up_to
 from jacklaurent.jack import construct, jack_positive
 from jacklaurent import finite_n, rational, verify
 from jacklaurent.finite_n import (
@@ -589,18 +591,37 @@ class TestFractionFree:
         assert finite_n._gaps.cache_info().misses == 1
 
     def test_trial_division_is_complete(self):
-        # m[3,1,-2] in three variables: the solve keeps the gap 5 - 3k,
-        # which cancels from every coefficient, beside (2 - k)^2; the
-        # public form divides both out as far as they go
+        # m[3,1,-2] in three variables: the solve meets the gap 5 - 3k,
+        # which cancels from every coefficient and so leaves Q, beside
+        # (2 - k)^2; the public form divides what is left as far as it
+        # goes
         k = ParamPoly.var_k()
         G, Q = finite_n._cleared_laurent((3, 1, -2), 3)
-        assert Q.atoms == Counter({1 - k: 1, 2 - k: 2, 3 - 2 * k: 1,
-                                   5 - 3 * k: 1})
+        assert Q.atoms == Counter({1 - k: 1, 2 - k: 2, 3 - 2 * k: 1})
         assert G.coeff((3, 1, -2)) == expand(Q.scale.numerator, Q.atoms)
         p = jack_laurent_poly_N((3, 1, -2), 3)
         assert str(p.coeff((2, 0, 0))) == "(18*k^2)/(4 - 4*k + k^2)"
         assert all(c.den.evaluate(Fraction(5, 3), 0)
                    for c in p.terms.values())
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_q_is_the_lcm_of_the_denominators(self, N):
+        # the solve divides out what Q shares with every coefficient, so
+        # each atom of Q, and Q's int scale, is needed by some reduced
+        # coefficient of the public form
+        for nu in partitions_up_to(8):
+            if not nu or len(nu) > N:
+                continue
+            G, Q = finite_n._cleared_N(nu, N)
+            scale, atoms = 1, Counter()
+            for c in finite_n._field_form(G, Q).terms.values():
+                d = c.den
+                for a in Q.atoms:
+                    d, i = _divide_out(d, a, Q.atoms[a] + 1)
+                    atoms[a] = max(atoms[a], i)
+                assert d.is_const(), (nu, N, c)
+                scale = lcm(scale, abs(d.terms[(0, 0)]))
+            assert Q.scale == scale and Q.atoms == +atoms, (nu, N)
 
     def test_no_gcd(self):
         # the solve from a cold memo, the public ParamRat form and the

@@ -8,7 +8,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from unittest import mock
 
 import pytest
@@ -1007,3 +1007,78 @@ class TestRouteIndependence:
             with pytest.raises(SingularParameter) as exc:
                 rational_mode_construct(alpha, k0, p00)
             assert str(exc.value) == message, warm
+
+
+def _peeled_order(lam):
+    """The canonical order as construct first defined it: peel the
+    deepest removable box off lam until it is empty, then reverse."""
+    peeled = []
+    while lam:
+        box = max(remove_box_candidates(lam))
+        peeled.append(box)
+        lam = remove_box(lam, box)
+    return peeled[::-1]
+
+
+def _pieri_by_sides(point, box, alpha):
+    """(vnum, vden) at a rational point from the two sides of V, as
+    _Point.pieri read them before it made one pass over the atoms."""
+    w = point.weights
+    (n, up), (d, down) = pieri_V(box, alpha).sides()
+    return tuple(c * w[0] ** sum(other.values()) * prod(
+        sum(x * w[i + 2 * j] for (i, j), x in a.terms.items()) ** e
+        for a, e in atoms.items())
+        for c, atoms, other in ((n, up, down), (d, down, up)))
+
+
+class TestIntStep:
+    """The point-free data of a step read as ints: the plan's parts by
+    box arithmetic, V at a point in one pass over its atoms, and the p_1
+    shift from a table, each against the route it replaced."""
+
+    def test_canonical_order_is_the_peeling_route(self):
+        for lam in partitions_up_to(12):
+            assert jack._canonical_order(lam) == _peeled_order(lam), lam
+
+    def test_plan_parts_by_box_arithmetic(self):
+        plan = jack._plan.__wrapped__
+        for alpha in bipartitions_up_to(8):
+            lam, mu = alpha
+            near = jack._neighbors(alpha)
+            for box in add_box_candidates(lam):
+                beta, parts, at = plan(alpha, box)
+                assert beta == (add_box(lam, box), mu)
+                assert parts == tuple(map(eigenvalue_parts, near)), alpha
+                assert at == near.index(beta), (alpha, box)
+
+    def test_plan_refuses_a_box_it_cannot_add(self):
+        with pytest.raises(ValueError, match="not addable"):
+            jack._plan.__wrapped__(((2,), (1,)), (2, 2))
+
+    def test_pieri_at_a_point_is_the_sides_formula(self):
+        # at seeded points, and at points where an atom of V vanishes:
+        # every atom is x - y*k, so V's atoms vanish at k = x/y
+        labels = bipartitions_up_to(6)
+        roots = {Fraction(-a.terms.get((0, 0), 0), a.terms[(1, 0)])
+                 for lam, mu in labels for box in add_box_candidates(lam)
+                 for a in pieri_V(box, (lam, mu)).atoms}
+        assert {1, Fraction(1, 2), 2} <= roots
+        points = _seeded_points(7, 4) + [(r, Fraction(5, 3)) for r in roots]
+        points.append((Fraction(0), Fraction(0)))
+        for point in map(_Point, points):
+            for lam, mu in labels:
+                # every addable box, and one that is not, where V is 0
+                for box in add_box_candidates(lam) + [(1, size(lam) + 2)]:
+                    got = point.pieri(box, (lam, mu))
+                    assert got == _pieri_by_sides(point, box, (lam, mu)), \
+                        (point.at, box, lam)
+                    assert all(type(v) is int for v in got)
+
+    def test_p1_table_is_times_one(self, cold_memo):
+        functions = [construct(a).f for a in bipartitions_up_to(6)]
+        # the symbolic steps fill the table too, not rational mode alone
+        assert jack._times_p1.cache_info().currsize
+        for f in functions:
+            for m in f.terms:
+                assert LaurentSymFunc({jack._times_p1(m): 1}) == \
+                    LaurentSymFunc({m: 1}).times(1), m
