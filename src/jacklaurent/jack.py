@@ -603,24 +603,28 @@ def _ring_eigenvalue(F, r, alpha):
     """The eigenvalue of the r-th integral on F, a function cleared of
     denominators (ParamPoly coefficients), read in the ring: with
     R = 2^r * L_r(F) from cms_L_doubled, F is an eigenfunction when R and
-    F have the same support and R[m] * F[m0] == F[m] * R[m0] for every
-    monomial m, m0 the leading one; the eigenvalue, a polynomial, is
-    then the exact quotient R[m0] / F[m0] (poly_divexact) over the
-    constant 2^r.  Raises NotEigenvector otherwise, naming the label
-    alpha."""
+    F have the same support and R[m] == F[m] * e for every monomial m,
+    e the exact quotient R[m0] / F[m0] (poly_divexact), m0 the leading
+    monomial; the eigenvalue, a polynomial, is e over the constant 2^r.
+    Raises NotEigenvector otherwise, naming the label alpha: when the
+    quotient is not exact, the cross-products R[m] * F[m0] and
+    F[m] * R[m0] tell a scalar integral whose eigenvalue is not a
+    polynomial from one that is not scalar."""
     R = cms_L_doubled(r, F, _K, _P0)
     if R.is_zero():
         return RAT_ZERO
     if R.terms.keys() == F.terms.keys():
         m0 = F.sorted_terms()[0][0]
         f0, r0 = F.terms[m0], R.terms[m0]
-        if all(R.terms[m] * f0 == c * r0 for m, c in F.terms.items()):
-            try:
-                e = poly_divexact(r0, f0)
-            except ArithmeticError:
+        try:
+            e = poly_divexact(r0, f0)
+        except ArithmeticError:
+            if all(R.terms[m] * f0 == c * r0 for m, c in F.terms.items()):
                 raise NotEigenvector("order-%d eigenvalue on %s is not a "
                                      "polynomial" % (r, alpha))
-            return _make(*_scalar_canonical(e, ParamPoly.const(2 ** r)))
+        else:
+            if all(R.terms[m] == c * e for m, c in F.terms.items()):
+                return _make(*_scalar_canonical(e, ParamPoly.const(2 ** r)))
     raise NotEigenvector("order-%d integral is not scalar on %s"
                          % (r, alpha))
 

@@ -19,17 +19,22 @@ Three families of commuting integrals are provided:
 Each integral is the composition "apply the x-operator r times, then
 project x^l -> p_l" (with x^0 -> p0, the parameter).  For the
 Dunkl-Heckman family that walk runs once per order and monomial, in
-Z[k, p0]: cms_L_doubled reads the image of each monomial from a cached
-int table, rows of c * k^i * p0^j (_l_image), and combines it with the
-caller's k and p0.  derivation_d, delta_p0, dunkl_heckman_doubled and
-e_project are the builders of that table.  The second-order integral
-cms_L(2, .) also has a direct expression as a differential operator
-without the auxiliary variable, cms_L2_direct: the operator the
-construction projects with.  At p0 = 0 on the positive part it is the
-stable second integral stable_H(2, .).  It is read from a second,
-independent table of int images per monomial, L2 = A + k*B + p0*C +
-k*p0*D, which cms_L2_weighted combines with any weights for 1, k, p0
-and k*p0.
+Z[k, p0] on int dicts (_doubled_step): cms_L_doubled reads the image of
+each monomial from a cached int table, rows of c * k^i * p0^j
+(_l_image).  On coefficients in Z[k, p0], at the ring's own k and p0,
+it applies the rows on ints, as shifts of each coefficient's exponents;
+at any other k and p0 it combines them with the caller's values.
+derivation_d, delta_p0, dunkl_heckman_doubled and e_project, the same
+walk on ExtendedElements, are the public operators and the independent
+check of that table.
+
+The second-order integral cms_L(2, .) also has a direct expression as a
+differential operator without the auxiliary variable, cms_L2_direct:
+the operator the construction projects with.  At p0 = 0 on the positive
+part it is the stable second integral stable_H(2, .).  It is read from
+a second, independent table of int images per monomial, L2 = A + k*B +
+p0*C + k*p0*D, which cms_L2_weighted combines with any weights for 1,
+k, p0 and k*p0.
 """
 
 from functools import cache
@@ -190,37 +195,120 @@ def e_project(element, p0=P0):
 _RING_K, _RING_P0 = ParamPoly.var_k(), ParamPoly.var_p0()
 
 
+def _shifted(exps, *steps):
+    """The monomial of the exponent map `exps` with each (index, +1 or
+    -1) step applied."""
+    d = dict(exps)
+    for i, s in steps:
+        e = d.get(i, 0) + s
+        if e:
+            d[i] = e
+        else:
+            del d[i]
+    return tuple(sorted(d.items()))
+
+
+def _doubled_step(walk):
+    """One step of 2D = 2d - k*Delta on a walk in Z[k, p0]: a dict
+    (layer, monomial) -> {(i, j): int} that holds x^layer * monomial
+    with the coefficient sum c * k^i * p0^j.  The rules are those of
+    derivation_d and delta_p0, with s the sign of the layer l:
+
+        2d(x^l * m)   = 2l * x^l * m + sum_a 2 * x^(l+a) * (a d/dp_a)(m),
+        Delta(x^l)    = x^l * (s*p0 - 2l)
+                        + 2s * sum_{t=1}^{|l|-1} x^(l-s*t) * p_(s*t) + s*p_l,
+
+    and Delta(1) = 0.  Zero coefficients are dropped."""
+    out = {}
+
+    def add(key, poly, n, di, dj):
+        acc = out.get(key)
+        if acc is None:
+            acc = out[key] = {}
+        for (i, j), c in poly.items():
+            ij = (i + di, j + dj)
+            acc[ij] = acc.get(ij, 0) + n * c
+
+    for (l, m), poly in walk.items():
+        for a, e in m:
+            add((l + a, _shifted(m, (a, -1))), poly, 2 * a * e, 0, 0)
+        if l:
+            s = 1 if l > 0 else -1
+            add((l, m), poly, 2 * l, 0, 0)
+            add((l, m), poly, 2 * l, 1, 0)
+            add((l, m), poly, -s, 1, 1)
+            for t in range(1, abs(l)):
+                add((l - s * t, _shifted(m, (s * t, 1))), poly, -2 * s, 1, 0)
+            add((0, _shifted(m, (l, 1))), poly, -s, 1, 0)
+    out = {key: {ij: c for ij, c in acc.items() if c}
+           for key, acc in out.items()}
+    return {key: acc for key, acc in out.items() if acc}
+
+
 @cache
 def _l_image(r, m):
     """The image of 2^r * L_r on the monomial m as a tuple of rows
     (target, ((i, j, c), ...)) with ints c:
 
-        2^r * L_r(m) = sum c * k^i * p0^j * target,
+        2^r * L_r(m) = sum c * k^i * p0^j * target.
 
-    read off e_project of the walk (2D)^r(m) from layer 0 in Z[k, p0];
-    the walk itself is not kept."""
-    walk = ExtendedElement.embed(LaurentSymFunc({m: ParamPoly.const(1)}))
+    The walk (2D)^r(m) from layer 0 runs on int dicts (_doubled_step),
+    and e_project's x^l -> p_l, x^0 -> p0 (j + 1), is read off it at
+    the end; the walk itself is not kept.  No ParamPoly,
+    LaurentSymFunc or ExtendedElement is built, so the builders
+    derivation_d, delta_p0, dunkl_heckman_doubled and e_project stay an
+    independent check of the table."""
+    walk = {(0, m): {(0, 0): 1}}
     for _ in range(r):
-        walk = dunkl_heckman_doubled(walk, _RING_K, _RING_P0)
-    image = e_project(walk, _RING_P0)
-    return tuple((target, tuple((i, j, c) for (i, j), c in poly.terms.items()))
-                 for target, poly in image.terms.items())
+        walk = _doubled_step(walk)
+    image = {}
+    for (l, mono), poly in walk.items():
+        target, dj = (_shifted(mono, (l, 1)), 0) if l else (mono, 1)
+        acc = image.setdefault(target, {})
+        for (i, j), c in poly.items():
+            acc[(i, j + dj)] = acc.get((i, j + dj), 0) + c
+    rows = ((target, tuple((i, j, c) for (i, j), c in acc.items() if c))
+            for target, acc in image.items())
+    return tuple((target, row) for target, row in rows if row)
 
 
 def cms_L_doubled(r, f, k=K, p0=P0):
     """2^r times the r-th CMS integral of the Dunkl-Heckman family:
     e_project((2D)^r(f)) with f embedded at layer 0.  Each monomial's
-    image is read from the cached int table _l_image: the coefficients
-    of f are combined with ints for each target and each k^i * p0^j,
-    and each combination is multiplied by that power product once.  The
-    doubled operator 2D has coefficients in Z[k, p0], so `k` and `p0`
-    may be any ring elements that the coefficients of f multiply with,
-    ints included: ParamPolys keep a function cleared of denominators
-    in the ring, so no step reduces a fraction, and Fractions give the
-    integral at a rational point.
+    image is read from the cached int table _l_image.  The doubled
+    operator 2D has coefficients in Z[k, p0], so `k` and `p0` may be
+    any ring elements that the coefficients of f multiply with, ints
+    included.
+    * When `k` and `p0` are the ring's variables, f's coefficients are
+      ParamPolys, a function cleared of denominators: each term
+      v * k^a * p0^b of a coefficient adds c * v at (a + i, b + j) of
+      the target, for each row c * k^i * p0^j, all on ints, and one
+      ParamPoly is built per target.
+    * Otherwise (ParamRats over Q(k, p0), Fractions at a rational
+      point) the coefficients of f are combined with ints for each
+      target and each k^i * p0^j, and each combination is multiplied
+      by that power product once.
     """
     if r < 0:
         raise ValueError("integral order must be nonnegative")
+    if k == _RING_K and p0 == _RING_P0:
+        polys = {}
+        for m, x in f.terms.items():
+            terms = x.terms.items()
+            for target, row in _l_image(r, m):
+                acc = polys.get(target)
+                if acc is None:
+                    acc = polys[target] = {}
+                for i, j, c in row:
+                    for (a, b), v in terms:
+                        key = (a + i, b + j)
+                        acc[key] = acc.get(key, 0) + c * v
+        t = {}
+        for target, acc in polys.items():
+            v = ParamPoly(acc)
+            if v:
+                t[target] = v
+        return f._like(t)
     parts = {}
     for m, x in f.terms.items():
         for target, row in _l_image(r, m):
@@ -269,19 +357,6 @@ def cms_I(r, f):
     for _ in range(r):
         e = polychronakos_pi(e)
     return e_project(e)
-
-
-def _shifted(exps, *steps):
-    """The monomial of the exponent map `exps` with each (index, +1 or
-    -1) step applied."""
-    d = dict(exps)
-    for i, s in steps:
-        e = d.get(i, 0) + s
-        if e:
-            d[i] = e
-        else:
-            del d[i]
-    return tuple(sorted(d.items()))
 
 
 @cache

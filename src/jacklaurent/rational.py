@@ -543,13 +543,40 @@ def poly_divexact(a, b):
                                               _dict_to_rec(b.terms))))
 
 
+def _k_linear_divexact(c, a):
+    """Exact division of the ParamPoly c by the atom a = x + y*k, y
+    nonzero: a synthetic division in k, one column of c (a power of
+    p0) at a time, from the top degree down.  Raises ArithmeticError
+    unless the quotient lies in Z[k, p0]: an int remainder on the way,
+    or a constant term the division leaves nonzero."""
+    x, y = a.terms.get((0, 0), 0), a.terms[(1, 0)]
+    cols = {}
+    for (i, j), v in c.terms.items():
+        cols.setdefault(j, {})[i] = v
+    t = {}
+    for j, col in cols.items():
+        q = 0
+        for i in range(max(col), 0, -1):
+            q, rem = divmod(col.get(i, 0) - x * q, y)
+            if rem:
+                raise ArithmeticError("inexact division by a linear atom")
+            if q:
+                t[(i - 1, j)] = q
+        if col.get(0, 0) != x * q:
+            raise ArithmeticError("inexact division by a linear atom")
+    return c._like(t)
+
+
 def _divide_out(c, a, most):
-    """(c / a^i, i) for the largest i <= most with a^i dividing c, by
-    poly_divexact."""
+    """(c / a^i, i) for the largest i <= most with a^i dividing c.  An
+    atom x + y*k, linear in k alone, divides by _k_linear_divexact;
+    any other by poly_divexact."""
+    linear = a.terms.keys() <= {(0, 0), (1, 0)} and (1, 0) in a.terms
+    divide = _k_linear_divexact if linear else poly_divexact
     i = 0
     while i < most:
         try:
-            c = poly_divexact(c, a)
+            c = divide(c, a)
         except ArithmeticError:
             break
         i += 1

@@ -364,19 +364,63 @@ def _ring_sums():
     return [LaurentSymFunc(t), construct(((2, 1), (1,))).cleared[0]]
 
 
+def _rows(image):
+    """The rows of an _l_image table as a map target -> {(i, j): c}."""
+    return {target: {(i, j): c for i, j, c in row} for target, row in image}
+
+
 class TestIntegralTable:
     """cms_L_doubled reads each monomial's image from the table
-    _l_image; the walk of 2D it replaces is the oracle."""
+    _l_image, built on int dicts; the walk of 2D through
+    ExtendedElement, the public builders, is the oracle."""
 
     @pytest.mark.parametrize("point", TABLE_POINTS)
     def test_monomials_match_the_walk(self, point):
+        # every p-monomial up to size 5, every order up to 4
         k, p0, at = TABLE_POINTS[point]
         one = at(ParamPoly.const(1))
-        for alpha in bipartitions_up_to(4):
+        for alpha in bipartitions_up_to(5):
             f = LaurentSymFunc({_p_monomial(alpha): one})
-            for r in range(4):
+            for r in range(5):
                 want = walk_oracle(r, f, k, p0)
                 assert cms_L_doubled(r, f, k, p0) == want, (point, alpha, r)
+
+    def test_table_is_built_without_the_walk(self, monkeypatch):
+        # the table runs on ints alone, so the builders it is checked
+        # against stay independent of it
+        monos = [_p_monomial(alpha) for alpha in bipartitions_up_to(4)]
+        want = {}
+        for m in monos:
+            f = LaurentSymFunc({m: ParamPoly.const(1)})
+            for r in range(4):
+                image = walk_oracle(r, f, _RING_K, _RING_P0)
+                want[r, m] = {target: dict(c.terms)
+                              for target, c in image.terms.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("walk arithmetic in the table")
+
+        for name in ("dunkl_heckman_doubled", "derivation_d", "delta_p0",
+                     "e_project", "ExtendedElement", "LaurentSymFunc"):
+            monkeypatch.setattr(operators, name, refuse)
+        for name in ("__init__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(ParamPoly, name, refuse)
+        _l_image.cache_clear()
+        got = {(r, m): _rows(_l_image(r, m)) for r, m in want}
+        monkeypatch.undo()
+        assert got == want
+
+    def test_ring_matches_the_walk_on_cleared_functions(self):
+        # the ring route on the cleared P of every label up to 5: no
+        # zero coefficient, at a target or inside one
+        for alpha in bipartitions_up_to(5):
+            F, _ = construct(alpha).cleared
+            for r in range(4):
+                got = cms_L_doubled(r, F, _RING_K, _RING_P0)
+                for c in got.terms.values():
+                    assert type(c) is ParamPoly and c
+                    assert all(c.terms.values()), (alpha, r)
+                assert got == walk_oracle(r, F, _RING_K, _RING_P0), (alpha, r)
 
     @pytest.mark.parametrize("point", TABLE_POINTS)
     def test_sums_match_the_walk(self, point):

@@ -4,6 +4,7 @@ specialization, and the parameter swap."""
 import time
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,7 @@ from jacklaurent.partitions import bipartitions_up_to, remove_box_candidates
 from jacklaurent.verify import run_suite
 from jacklaurent.rational import ParamPoly, ParamRat, RAT_ZERO, RAT_ONE, \
     K, P0, rat, poly_gcd, poly_divexact, DivisionByZero, \
-    PoleAtSpecialization, IdenticallySingular
+    PoleAtSpecialization, IdenticallySingular, _divide_out
 
 
 def frac(n, d=1):
@@ -337,6 +338,59 @@ class TestParamPolyRing:
         fn = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
               "*": lambda x, y: x * y}[op]
         assert ParamRat(fn(a, b)) == fn(ParamRat(a), ParamRat(b))
+
+
+def _divexact_loop(c, a, most):
+    """(c / a^i, i) by poly_divexact again and again, the route every
+    atom took before _divide_out divided linear ones synthetically."""
+    i = 0
+    while i < most:
+        try:
+            c = poly_divexact(c, a)
+        except ArithmeticError:
+            break
+        i += 1
+    return c, i
+
+
+@st.composite
+def k_linear_atoms(draw):
+    """x + y*k with gcd(x, y) = 1, y nonzero of either sign."""
+    y = draw(st.integers(-6, 6).filter(bool))
+    x = draw(st.integers(-9, 9).filter(lambda x: gcd(x, y) == 1))
+    return ParamPoly({(0, 0): x, (1, 0): y})
+
+
+class TestDivideOut:
+    """_divide_out divides an atom linear in k alone by a synthetic
+    division in k, and any other atom by poly_divexact."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(k_linear_atoms(), int_polys(max_deg=3), int_polys(max_deg=3),
+           st.integers(0, 3), st.integers(0, 4))
+    @example(ParamPoly({(0, 0): 0, (1, 0): -1}), ParamPoly({(2, 1): 3}),
+             ParamPoly(), 2, 4)
+    @example(ParamPoly({(0, 0): 3, (1, 0): -2}), ParamPoly({(0, 0): 1}),
+             ParamPoly({(1, 0): 2}), 1, 2)
+    def test_linear_atoms_match_the_division_loop(self, a, q, r, e, most):
+        c = q * a ** e + r
+        want = _divexact_loop(c, a, most)
+        with mock.patch.object(rational, "poly_divexact",
+                               side_effect=AssertionError("poly_divexact")):
+            assert _divide_out(c, a, most) == want
+
+    @pytest.mark.parametrize("b, a", [(3, 2), (-1, 1), (1, -2)])
+    def test_other_atoms_keep_the_general_division(self, b, a):
+        # b + a*k - k*p0 is not linear in k alone
+        atom = ParamPoly({(0, 0): b, (1, 0): a, (1, 1): -1})
+        q = ParamPoly({(0, 0): 2, (1, 1): -1, (2, 0): 5})
+        for c, most in ((q * atom ** 2, 3), (q * atom ** 2 + 1, 2),
+                        (ParamPoly(), 2)):
+            with mock.patch.object(rational, "poly_divexact",
+                                   wraps=rational.poly_divexact) as div:
+                assert _divide_out(c, atom, most) == \
+                    _divexact_loop(c, atom, most)
+            assert div.call_count >= 1
 
 
 class TestArithmetic:
