@@ -29,12 +29,17 @@ top bidegree, that holds through all its factors, so no digit wraps.
 The product of the gaps, the cleared denominator and V are divided out
 once per step.  Symbolically no polynomial gcd is taken for that: each
 gap and each form of V is an int times an irreducible atom, every
-denominator is kept as a product of atoms, and each coefficient is
-reduced by exact int trial division over them and unpacked once.  A
-step returns the function cleared of denominators too, which the next
-step and the eigen and evaluation checks start from.  A step raises
-SingularParameter when two of these eigenvalues coincide at the point
-or the Pieri coefficient vanishes or has a pole there.
+denominator is kept as a product of atoms, the power of each atom that
+divides every coefficient is divided out by exact int trial division,
+and the coefficients are unpacked once.  A step returns only the
+function cleared of denominators, which the next step and the ring
+checks (eigen, evaluation, Pieri, duality, integrality) read.  The
+canonical f, each coefficient reduced over the atoms left, is built
+from the step's packed quotients the first time it is read
+(JackLaurentFunction.f): a build whose f is never read reduces no
+coefficient, unless the guard below refuses a step's common quotient.
+A step raises SingularParameter when two of these eigenvalues coincide
+at the point or the Pieri coefficient vanishes or has a pole there.
 
 P_{lam,0} is the classical one-parameter eigenfunction of the positive
 part, free of p0.  The involution star, p_i -> p_{-i}, sends P_{lam,mu}
@@ -51,12 +56,12 @@ every label, as which points are singular depends on the route.
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
-from math import gcd, lcm
+from functools import cache, partial
+from math import gcd
 
 from .rational import ParamPoly, ParamRat, RAT_ZERO, rat, \
     SingularParameter, NotEigenvector, poly_divexact, _divide_out, _make, \
-    _scalar_canonical
+    _scalar_canonical, _P_ZERO
 from .laurent import LaurentSymFunc, mono_mul
 from .partitions import size, conjugate, boxes, add_box_candidates, \
     remove_box_candidates, add_box, remove_box, normalize_partition, \
@@ -76,17 +81,32 @@ class JackLaurentFunction:
     (the boxes of the first diagram in the canonical order construct
     adds them; not necessarily the route the build took, as a mirrored
     label is read as the star of its mirror).
-    Instances are immutable; the memo table shares them freely.
+    The constructor takes f itself, or a function of no arguments that
+    builds it: a step leaves the reduction of its packed quotients
+    (_reduced), and a mirrored label the star of its mirror's f.  The
+    property f runs it on the first read, keeps the result and drops
+    the function.  Two threads may both run it; that race is benign,
+    as the result is deterministic and the assignment of the slot is
+    atomic, so each reader gets an equal value.  The next step and the
+    ring checks read only `cleared`.
+    Instances are otherwise immutable; the memo table shares them freely.
     """
 
-    __slots__ = ("alpha", "f", "cleared", "eigenvalue2", "provenance")
+    __slots__ = ("alpha", "_f", "cleared", "eigenvalue2", "provenance")
 
     def __init__(self, alpha, f, cleared, eigenvalue2, provenance):
         self.alpha = alpha
-        self.f = f
+        self._f = f
         self.cleared = cleared
         self.eigenvalue2 = eigenvalue2
         self.provenance = provenance
+
+    @property
+    def f(self):
+        f = self._f
+        if callable(f):
+            f = self._f = f()
+        return f
 
     def __str__(self):
         return "P[%s] = %s" % (label_str(self.alpha, "; ", "0"), self.f)
@@ -158,7 +178,11 @@ def _neighbors(alpha):
 # pack to the same int, so they are equal; and where a division stopped
 # on a remainder, a does not divide what was left, so each i is the
 # exact power of its atom in c.  Otherwise the coefficient is redone
-# by poly_divexact.
+# by poly_divexact.  Where no atom was divided out, q is c, which fits.
+# _Packed.divide_common, which finds the power of each atom that
+# divides all of a step's coefficients, checks each quotient with the
+# common powers the same way; when it refuses one, every coefficient
+# is divided alone by divide.
 
 _K, _P0 = ParamPoly.var_k(), ParamPoly.var_p0()
 _P1 = ((1, 1),)    # the monomial p_1
@@ -186,10 +210,12 @@ class _Packed:
     weights of the operator are (1, 1 << B, 1 << B*DK, 1 << B*(DK+1)).
     `bits` is B, a multiple of 8, and `dk` is DK.  `height` bounds the
     L1 norm of all the coefficients of every function held in the
-    layout, and a layout is made only where it fits a slot.
+    layout, and a layout is made only where it fits a slot.  `f` is set
+    by _Point.unclear: the f of the step's result, or the reduction
+    that builds it from the packed quotients the layout keeps.
     """
 
-    __slots__ = ("bits", "dk", "height", "weights", "_atoms")
+    __slots__ = ("bits", "dk", "height", "weights", "_atoms", "f")
 
     def __init__(self, bits, dk, height):
         if height >> bits - 1:
@@ -197,6 +223,7 @@ class _Packed:
         self.bits, self.dk, self.height = bits, dk, height
         self.weights = (1, 1 << bits, 1 << bits * dk, 1 << bits * (dk + 1))
         self._atoms = {}    # atom -> (its int, ||a||_1)
+        self.f = None
 
     def pack(self, c):
         b, dk = self.bits, self.dk
@@ -212,43 +239,93 @@ class _Packed:
         zero = half.to_bytes(size, "little")
         raw = (n + int.from_bytes(zero * slots, "little")).to_bytes(
             slots * size, "little")
-        t = {}
-        for s in range(slots):
-            digit = raw[s * size:(s + 1) * size]
+        t, s = {}, 0
+        for at in range(0, slots * size, size):
+            digit = raw[at:at + size]
             if digit != zero:
                 t[s % dk, s // dk] = int.from_bytes(digit, "little") - half
-        return ParamPoly(t)
+            s += 1
+        return _P_ZERO._like(t)    # nonzero int digits: no check needed
 
-    def divide(self, n, atoms):
-        """(q, powers): the packed c = n divided by the largest power
-        a^i, i <= cap, that divides it in Z[k, p0], for each (a, cap) of
-        `atoms`, by int trial division under the guard written under
-        "factored denominators" above; poly_divexact redoes c when the
-        guard fails."""
-        q, powers, bound = n, [], 1
+    def _atom(self, a):
+        """(the packed a, ||a||_1), made once per atom and layout."""
+        if a not in self._atoms:
+            self._atoms[a] = self.pack(a), _l1(a)
+        return self._atoms[a]
+
+    def divide(self, ns, atoms):
+        """[(q, powers)] for the packed c = n of each n of `ns`: c
+        divided by the largest power a^i, i <= cap, that divides it in
+        Z[k, p0], for each (a, cap) of `atoms`, by int trial division
+        under the guard written under "factored denominators" above;
+        poly_divexact redoes c when the guard fails."""
+        table = [(a, cap, *self._atom(a)) for a, cap in atoms]
+        out = []
+        for n in ns:
+            q, powers, bound = n, [], 1
+            for _, cap, packed, norm in table:
+                i = 0
+                while i < cap:
+                    d, r = divmod(q, packed)
+                    if r:
+                        break
+                    q, i = d, i + 1
+                powers.append(i)
+                bound *= norm ** i
+            q = self.unpack(q)
+            if any(powers):     # else q is c, which fits
+                bound *= max(map(abs, q.terms.values()))
+                if _degree_k(q) + sum(powers) >= self.dk or \
+                        bound >> self.bits - 1:
+                    q, powers = self.unpack(n), []
+                    for a, cap, packed, _ in table:
+                        i = 0
+                        if not n % packed:
+                            q, i = _divide_out(q, a, cap)
+                        powers.append(i)
+            out.append((q, powers))
+        return out
+
+    def divide_common(self, ns, atoms):
+        """(ns', qs, powers) for the packed c = n of each of `ns`: for
+        each (a, cap) of `atoms` the largest power a^i, i <= cap, that
+        divides every c in Z[k, p0], and the quotients c / prod a^i,
+        packed (ns') and unpacked (qs).  The scan for an atom stops at
+        the first c it does not divide; the quotients pass the guard of
+        divide, with the powers common to all.  None when the guard
+        refuses one of them."""
+        powers, bound = [], 1
         for a, cap in atoms:
-            if a not in self._atoms:
-                self._atoms[a] = self.pack(a), _l1(a)
-            packed, norm = self._atoms[a]
-            i = 0
-            while i < cap:
-                d, r = divmod(q, packed)
-                if r:
+            packed, norm = self._atom(a)
+            i, out = cap, []
+            for n in ns:
+                j = 0
+                while j < i:
+                    q, r = divmod(n, packed)
+                    if r:
+                        break
+                    n, j = q, j + 1
+                if not j:
+                    i = 0
                     break
-                q, i = d, i + 1
+                if j < i:
+                    # the quotients so far keep a^(i-j) of their a^i
+                    out = [q * packed ** (i - j) for q in out]
+                    i = j
+                out.append(n)
+            else:
+                ns = out
             powers.append(i)
             bound *= norm ** i
-        q = self.unpack(q)
-        bound *= max(map(abs, q.terms.values()))
-        if _degree_k(q) + sum(powers) < self.dk and not bound >> self.bits - 1:
-            return q, powers
-        q, powers = self.unpack(n), []
-        for a, cap in atoms:
-            i = 0
-            if not n % self._atoms[a][0]:
-                q, i = _divide_out(q, a, cap)
-            powers.append(i)
-        return q, powers
+        qs = list(map(self.unpack, ns))
+        if not any(powers):
+            return ns, qs, powers
+        top = self.dk - sum(powers)
+        for q in qs:
+            if _degree_k(q) >= top or \
+                    bound * max(map(abs, q.terms.values())) >> self.bits - 1:
+                return None
+        return ns, qs, powers
 
 
 def _layout(F, factors):
@@ -265,6 +342,39 @@ def _layout(F, factors):
         bound *= most + sum(map(abs, parts))
     return _Packed(_width(bound), max(map(_degree_k, coeffs)) + len(factors)
                    + 1, bound)
+
+
+def _canonical(parts, atoms, c_up, c_down):
+    """The function of canonical ParamRat coefficients q * c_up /
+    (c_down * prod a^(e - i)) at m, for (q, powers) = parts[m], q over
+    Z[k, p0] divisible by no atom a left, and (a, e) of `atoms` each
+    divided i times out of the coefficient: with h the gcd of c_down and
+    q's content, num is q/h * c_up and den c_down/h times the atoms
+    left, multiplied out once per distinct exponent key."""
+    dens, out = {}, {}
+    for m, (q, powers) in parts.items():
+        key = tuple(e - i for (_, e), i in zip(atoms, powers))
+        if key not in dens:
+            dens[key] = expand(1, {a: e for (a, _), e in zip(atoms, key)})
+        h = gcd(c_down, *q.terms.values())
+        out[m] = _make(_scaled(q, h, c_up), dens[key].scale(c_down // h))
+    return LaurentSymFunc(out)
+
+
+def _scaled(q, h, c):
+    """The ParamPoly q / h * c, for an int h that divides q."""
+    if h == 1:
+        return q.scale(c)
+    return q._like({t: x // h * c for t, x in q.terms.items()})
+
+
+def _reduced(ring, quotients, atoms, c_up, c_down):
+    """f read from a step's packed quotients Q (monomial -> int in the
+    layout `ring`): each coefficient is Q * c_up/(c_down * prod a^e) for
+    the (a, e) of `atoms`, reduced by dividing each atom out while it
+    can (_Packed.divide) and finished from int contents (_canonical)."""
+    return _canonical(dict(zip(quotients, ring.divide(
+        quotients.values(), atoms))), atoms, c_up, c_down)
 
 
 # -- construction --------------------------------------------------------------
@@ -333,22 +443,23 @@ class _Point:
         """The cleared form (F', D') of f = F * num/den in the field, F
         on ring coefficients: F' = D'*f, D' the lcm of f's coefficient
         denominators.  At a rational point num and den are ints, and
-        only the ints (F', D') come back, D' = rd / gcd(rd, F) for
+        the ints (F', D') come back, D' = rd / gcd(rd, F) for
         num/den = rn/rd in lowest terms: a walk builds its Fractions
         once, from the last step (rational_mode_construct).
-        Symbolically (f, (F', D')) comes back: F is packed in the
-        layout `ring`, and num and den are Factored: in num/den the
-        atoms of both cancel, each coefficient divides out the atoms
-        left below while it can (_Packed.divide) and is unpacked once,
-        and what remains is coprime.  No atom is left above: P_beta is
-        m_beta plus lower monomials, and 1, its m_beta coefficient, is a
-        Q-linear combination of these, which an atom above them all
-        would divide.  So with num/den = c_up/(c_down * down) in lowest
-        terms, a coefficient c of content g is (c/h * c_up)/(c_down/h *
-        down) for h = gcd(g, c_down), canonical as each key's atoms
-        multiply out, once, to a primitive polynomial with a positive
-        front coefficient.  D' is the lcm of the c_down/h times each
-        atom to the highest power left in any coefficient."""
+        Symbolically F is packed in the layout `ring`, and num and den
+        are Factored: in num/den the atoms of both cancel, and no atom
+        is left above: P_beta is m_beta plus lower monomials, and 1, its
+        m_beta coefficient, is a Q-linear combination of these, which an
+        atom above them all would divide.  So with num/den =
+        c_up/(c_down * prod a^e) in lowest terms, D' holds each atom a
+        to e less the power common to all the coefficients of F, which
+        _Packed.divide_common divides out, and the int
+        d = c_down / g, g the gcd of c_down and every digit of the
+        quotients Q, unpacked once; then F' = Q * c_up / g.  The
+        canonical f is not built here: the step's layout keeps, as
+        `ring.f`, the reduction that builds it from the packed Q on
+        first read (_reduced), or f itself when the guard refused a
+        common quotient and every coefficient was divided alone."""
         if self.at is not None:
             r = Fraction(num, den)
             rn, rd = r.numerator, r.denominator
@@ -356,28 +467,27 @@ class _Point:
             return F.map_coeffs(lambda c: c // g * rn), rd // g
         (c_up, _), (c_down, down) = (num / den).sides()
         left = list(down.items())
-        dens, parts, quot = {}, {}, {}
-        for m, n in F.terms.items():
-            c, powers = ring.divide(n, left)
-            key = tuple(e - i for (_, e), i in zip(left, powers))
-            if key not in dens:
-                dens[key] = expand(1, {a: e for (a, _), e in zip(left, key)})
-            g, c = c.content_primitive()
-            h = gcd(g, c_down)
-            parts[m] = c.scale(g // h * c_up), c_down // h, key
-        d = lcm(*(c for _, c, _ in parts.values()))
-        high = [max(col) for col in zip(*(key for *_, key in parts.values()))]
-
-        def cleared(p, c, key):
-            if (c, key) not in quot:
-                quot[c, key] = expand(d // c, {
-                    a: h - e for (a, _), h, e in zip(left, high, key)})
-            return p * quot[c, key]
-        f = LaurentSymFunc({m: _make(p, dens[key].scale(c))
-                            for m, (p, c, key) in parts.items()})
-        F = LaurentSymFunc({m: cleared(*v) for m, v in parts.items()})
-        D = Factored(d, Counter({a: h for (a, _), h in zip(left, high) if h}))
-        return f, (F, D)
+        common = ring.divide_common(list(F.terms.values()), left)
+        if common is not None:
+            ns, qs, powers = common
+            high = [(a, e - i) for (a, e), i in zip(left, powers) if e > i]
+            ring.f = partial(_reduced, ring, dict(zip(F.terms, ns)), high,
+                             c_up, c_down)
+        else:
+            # the guard refused a common quotient: each coefficient is
+            # divided alone, which finishes f at once, and Q is its
+            # quotient times the atoms it holds beyond the common power
+            parts = dict(zip(F.terms, ring.divide(F.terms.values(), left)))
+            ring.f = _canonical(parts, left, c_up, c_down)
+            powers = [min(col) for col in zip(*(p for _, p in
+                                                parts.values()))]
+            high = [(a, e - i) for (a, e), i in zip(left, powers) if e > i]
+            qs = [q * expand(1, {a: i - e for (a, _), i, e in
+                                 zip(left, p, powers)})
+                  for q, p in parts.values()]
+        g = gcd(c_down, *(x for q in qs for x in q.terms.values()))
+        F = F._like({m: _scaled(q, g, c_up) for m, q in zip(F.terms, qs)})
+        return F, Factored(c_down // g, Counter(dict(high)))
 
     def __str__(self):
         return "" if self.at is None else " at k=%s, p0=%s" % self.at
@@ -403,16 +513,20 @@ def _plan(alpha, box):
     `at` the index of beta among them, read off alpha's own parts:
     adding the box (i, j) to lam raises (n, lin, m) by (2j-1, 2i-1, 1),
     and removing the box (i, j) of mu lowers them by as much, so no
-    neighbour label is built (only a collision lists them).  It holds
-    labels and ints, and serves the symbolic step and every point."""
+    neighbour label is built (only a collision lists them).  beta sets
+    row i of lam to j, which appends a row when i is one past the last,
+    so it needs no normalization.  It holds labels and ints, and serves
+    the symbolic step and every point."""
     lam, mu = alpha
-    beta = (add_box(lam, box), mu)
-    n, lin, m = eigenvalue_parts(alpha)
     adds = add_box_candidates(lam)
+    if box not in adds:
+        raise ValueError("box %r not addable to %r" % (box, lam))
+    n, lin, m = eigenvalue_parts(alpha)
     parts = [(n + 2 * j - 1, lin + 2 * i - 1, m + 1) for i, j in adds]
     parts += [(n - 2 * j + 1, lin - 2 * i + 1, m - 1)
               for i, j in remove_box_candidates(mu)]
-    return beta, tuple(parts), adds.index(box)
+    i, j = box
+    return (lam[:i - 1] + (j,) + lam[i:], mu), tuple(parts), adds.index(box)
 
 
 @cache
@@ -433,8 +547,10 @@ def _grow(cleared, alpha, box, point):
     operator and the eigenvalues scaled alike by the layout's weights,
     act on F = D*f in the ring,
     and den = D * prod (s - e(gamma)) and V are divided out once.
-    Takes (F, D) and returns (P_beta, (F', D')), or (F', D') alone at a
-    rational point (_Point.unclear).
+    Takes (F, D) and returns ((F', D'), ring), the cleared form of
+    P_beta (_Point.unclear) and the step's layout, which symbolically
+    holds the f of P_beta, or the reduction that builds it, as ring.f;
+    at a rational point the layout is the point itself.
     """
     _, near, at = _plan(alpha, box)
     eig = [_read(parts, point.weights) for parts in near]
@@ -460,14 +576,15 @@ def _grow(cleared, alpha, box, point):
     for parts, e in others:
         out = cms_L2_weighted(out, w, _read(parts, w))
         den = den * (s - e)
-    return point.unclear(out, vden, den * vnum, ring)
+    return point.unclear(out, vden, den * vnum, ring), ring
 
 
 def _extend(prev, box):
     """The symbolic step from prev = P_alpha, with its label and trace."""
     beta, parts, at = _plan(prev.alpha, box)
-    f, cleared = _grow(prev.cleared, prev.alpha, box, _SYMBOLIC)
-    return JackLaurentFunction(beta, f, cleared, _eigenvalue_rat(parts[at]),
+    cleared, ring = _grow(prev.cleared, prev.alpha, box, _SYMBOLIC)
+    return JackLaurentFunction(beta, ring.f, cleared,
+                               _eigenvalue_rat(parts[at]),
                                prev.provenance + (box,))
 
 
@@ -492,7 +609,8 @@ def _construct(key):
         # mirror's eigenvalue is this label's
         mirror = construct((mu, lam))
         F, D = mirror.cleared
-        return JackLaurentFunction(key, mirror.f.star(), (F.star(), D),
+        return JackLaurentFunction(key, lambda: mirror.f.star(),
+                                   (F.star(), D),
                                    mirror.eigenvalue2,
                                    tuple(_canonical_order(lam)))
     if lam:
@@ -672,7 +790,7 @@ def _walk(cleared, lam, mu, point):
     along the canonical order at the rational `point`."""
     alpha = ((), mu)
     for box in _canonical_order(lam):
-        cleared = _grow(cleared, alpha, box, point)
+        cleared, _ = _grow(cleared, alpha, box, point)
         alpha, _, _ = _plan(alpha, box)
     return cleared
 

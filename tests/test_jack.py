@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import random
 import sys
+import threading
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
@@ -549,6 +550,109 @@ class TestIntScalars:
                 construct(alpha)
 
 
+class TestLazyF:
+    """f is reduced on its first read, from the packed quotients of the
+    step that built the cleared form; a cold build reduces nothing."""
+
+    @pytest.mark.parametrize("alpha", bipartitions_up_to(5))
+    def test_lazy_f_is_the_field_route(self, alpha):
+        # each coefficient is F_m / D reduced in Q(k, p0) by poly_gcd
+        F, D = construct(alpha).cleared
+        den = expand(D.scale.numerator, D.atoms)
+        got = construct(alpha).f
+        assert got.terms.keys() == F.terms.keys()
+        for m, c in F.terms.items():
+            want = ParamRat(c, den)
+            assert (got.terms[m].num.terms, got.terms[m].den.terms) == \
+                (want.num.terms, want.den.terms), (alpha, m)
+
+    def test_cold_build_reduces_no_coefficient(self, cold_memo):
+        # the reduction (_Packed.divide and _canonical) raises while every
+        # label up to 6 is built; reading f afterwards reduces each one
+        labels = bipartitions_up_to(6)
+        with mock.patch.object(jack._Packed, "divide",
+                               side_effect=AssertionError("divide")), \
+                mock.patch.object(jack, "_canonical",
+                                  side_effect=AssertionError("_canonical")):
+            built = [construct(a) for a in labels]
+        assert all(type(jf._f) is not LaurentSymFunc for jf in built
+                   if jf.alpha != ((), ()))
+        text = "\n".join(str(construct(a)) for a in bipartitions_up_to(5))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_UP_TO_5
+        for jf in built:
+            assert jf.f.terms.keys() == jf.cleared[0].terms.keys()
+            assert type(jf._f) is LaurentSymFunc
+
+    def test_mirrored_read_reduces_its_mirror_once(self, cold_memo):
+        # P[2,1; 1] is read as star(P[1; 2,1]), one step from P[0; 2,1]
+        alpha, mirror = ((2, 1), (1,)), ((1,), (2, 1))
+        assert jack._mirrored(alpha) and not jack._mirrored(mirror)
+        jf = construct(alpha)
+        with mock.patch.object(jack, "_canonical",
+                               wraps=jack._canonical) as reduce:
+            f = jf.f
+            assert reduce.call_count == 1
+            assert f == construct(mirror).f.star()
+            assert jf.f is f and construct(mirror).f is construct(mirror).f
+            assert reduce.call_count == 1
+
+    def test_two_threads_read_one_fresh_instance(self, cold_memo):
+        # both threads enter the reduction before either stores its
+        # result: each sees the reduction pending and runs it.  The race
+        # is benign: the value is deterministic, and the assignment of
+        # the slot is atomic, so each reader gets an equal value and the
+        # instance keeps one of them
+        jf = construct(((3, 1), (2,)))
+        both = threading.Barrier(2, timeout=30)
+        canonical = jack._canonical
+
+        def meeting(*args):
+            both.wait()
+            return canonical(*args)
+        got = [None, None]
+
+        def read(i):
+            got[i] = jf.f
+        with mock.patch.object(jack, "_canonical", side_effect=meeting) \
+                as reduce:
+            threads = [threading.Thread(target=read, args=(i,))
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert reduce.call_count == 2
+        assert got[0] is not got[1] and got[0] == got[1] == jf.f
+        assert jf.f is jf.f
+
+    def test_many_threads_read_fresh_instances(self, cold_memo):
+        # more readers than cores, switching often, over every fresh
+        # label up to 5: each reader sees the printed functions
+        labels = bipartitions_up_to(5)
+        built = [construct(a) for a in labels]
+        want = hashlib.sha256("\n".join(map(str, built)).encode())
+        clear_caches()
+        built = [construct(a) for a in labels]
+        seen = []
+
+        def read():
+            seen.append("\n".join(str(jf) for jf in built))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(seen) == 4
+        assert {hashlib.sha256(x.encode()).digest() for x in seen} == \
+            {want.digest()}
+
+
 # -- packed coefficients -------------------------------------------------------
 
 def _layouts():
@@ -574,6 +678,30 @@ def _poly_divide(c, atoms):
             i += 1
         powers.append(i)
     return c, powers
+
+
+def _common_layout(cs):
+    """A layout for dividing every c of cs, the widest of their
+    _division_layouts, with room for an atom of deg_k 1 as in a step's
+    layout (DK at least 2)."""
+    rings = list(map(_division_layout, cs))
+    height = max(r.height for r in rings)
+    return jack._Packed(jack._width(height),
+                        max(2, *(r.dk for r in rings)), height)
+
+
+def _int_common_powers(ns, atoms, ring):
+    """The powers of the packed atoms that int-divide every n of ns, atom
+    after atom, each capped: the scan of divide_common without its
+    guard."""
+    powers = []
+    for a, cap in atoms:
+        packed, i = ring.pack(a), 0
+        while i < cap and all(n % packed ** (i + 1) == 0 for n in ns):
+            i += 1
+        ns = [n // packed ** i for n in ns]
+        powers.append(i)
+    return powers
 
 
 def _division_layout(c):
@@ -626,7 +754,7 @@ class TestPackedCoefficients:
             c = c * a ** e
         atoms = [(a, 3) for a in ATOM_SAMPLE]
         ring = _division_layout(c)
-        got = ring.divide(ring.pack(c), atoms)
+        got, = ring.divide([ring.pack(c)], atoms)
         assert got == _poly_divide(c, atoms)
         # q itself may hold a further power of an atom
         assert all(i >= e for i, e in zip(got[1], powers))
@@ -639,7 +767,7 @@ class TestPackedCoefficients:
             c = q * a + r
             atoms = [(b, 2) for b in ATOM_SAMPLE]
             ring = _division_layout(c)
-            got = ring.divide(ring.pack(c), atoms)
+            got, = ring.divide([ring.pack(c)], atoms)
             assert got == _poly_divide(c, atoms)
 
     @pytest.mark.parametrize("bits", [8, 16, 64])
@@ -652,7 +780,7 @@ class TestPackedCoefficients:
         assert ring.pack(c) % ring.pack(a) == 0
         with mock.patch.object(jack, "_divide_out",
                                wraps=jack._divide_out) as fallback:
-            assert ring.divide(ring.pack(c), [(a, 1)]) == (c, [0])
+            assert ring.divide([ring.pack(c)], [(a, 1)]) == [(c, [0])]
         fallback.assert_called_once_with(c, a, 1)
 
     def test_true_quotient_needs_no_fallback(self):
@@ -664,8 +792,56 @@ class TestPackedCoefficients:
         ring = _division_layout(c)
         with mock.patch.object(jack, "_divide_out",
                                side_effect=AssertionError):
-            got = ring.divide(ring.pack(c), [(a, 3), (b, 3)])
+            got, = ring.divide([ring.pack(c)], [(a, 3), (b, 3)])
         assert got == (2 + _p0 * 5 - _k * 6, [2, 1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(SMALL_POLYS, st.lists(
+        st.integers(0, 2), min_size=4, max_size=4)), min_size=1, max_size=4))
+    @example([(1 - _p0, [0, 0, 0, 0])])
+    def test_common_powers_are_the_least_exact_powers(self, cases):
+        # each c = q * prod a^e; the common power of an atom is the least
+        # power poly_divexact finds in any c, and the quotients are exact.
+        # The guard refuses only where the int scan finds more: 1 - k
+        # int-divides the packed 1 - p0
+        cs = [prod((a ** e for a, e in zip(ATOM_SAMPLE, powers)), start=q)
+              for q, powers in cases]
+        atoms = [(a, 3) for a in ATOM_SAMPLE]
+        ring = _common_layout(cs)
+        packed = [ring.pack(c) for c in cs]
+        want = [min(col) for col in zip(*(_poly_divide(c, atoms)[1]
+                                          for c in cs))]
+        got = ring.divide_common(packed, atoms)
+        if got is None:
+            assert _int_common_powers(packed, atoms, ring) != want
+            return
+        ns, qs, powers = got
+        assert powers == want
+        for c, n, q in zip(cs, ns, qs):
+            assert ring.pack(q) == n
+            assert prod((a ** i for (a, _), i in zip(atoms, powers)),
+                        start=q) == c
+
+    @pytest.mark.parametrize("bits", [8, 16, 64])
+    def test_common_false_positive_is_refused(self, bits):
+        # the packed 1 - k int-divides both packed coefficients, which
+        # 1 - k does not divide; divide_common refuses the quotients, and
+        # the step divides each coefficient alone: no power of 1 - k is
+        # common, F' is F, and f, finished at once, is c/(1 - k)
+        a = 1 - _k
+        cs = [4 * _k * _p0 - 4, 8 * _k * _p0 - 8 + a * (3 + _p0)]
+        ring = jack._Packed(bits, 2, 0)
+        assert all(ring.pack(c) % ring.pack(a) == 0 for c in cs)
+        assert ring.divide_common([ring.pack(c) for c in cs],
+                                  [(a, 1)]) is None
+        F = LaurentSymFunc({((1, 1),): ring.pack(cs[0]),
+                            ((2, 1),): ring.pack(cs[1])})
+        G, D = jack._SYMBOLIC.unclear(F, closed_forms.Factored(),
+                                      closed_forms.Factored(1, {a: 1}), ring)
+        assert [G.terms[((1, 1),)], G.terms[((2, 1),)]] == cs
+        assert (D.scale, dict(D.atoms)) == (1, {a: 1})
+        assert ring.f == LaurentSymFunc({
+            m: ParamRat(c, a) for m, c in zip(F.terms, cs)})
 
 
 NARROW_LABEL = ((3, 2), (2, 1))
@@ -1050,6 +1226,19 @@ class TestIntStep:
                 assert beta == (add_box(lam, box), mu)
                 assert parts == tuple(map(eigenvalue_parts, near)), alpha
                 assert at == near.index(beta), (alpha, box)
+
+    def test_plan_builds_beta_without_add_box(self):
+        # raising one part of lam, or appending a 1, is add_box itself
+        plan = jack._plan.__wrapped__
+        with mock.patch.object(jack, "add_box",
+                               side_effect=AssertionError("add_box")):
+            got = [(alpha, box, plan(alpha, box)[0])
+                   for alpha in bipartitions_up_to(8)
+                   for box in add_box_candidates(alpha[0])]
+        assert len(got) == 964
+        for (lam, mu), box, beta in got:
+            assert beta == (add_box(lam, box), mu), (lam, box)
+            assert type(beta[0]) is tuple and beta[1] is mu
 
     def test_plan_refuses_a_box_it_cannot_add(self):
         with pytest.raises(ValueError, match="not addable"):
